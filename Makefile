@@ -2,7 +2,7 @@
 # .github/workflows/ci.yml), so a green `make check bench-diff` locally
 # predicts a green pipeline.
 
-.PHONY: check lint lint-fix test docs-check cluster-e2e bench-baseline bench-diff
+.PHONY: check lint lint-fix test docs-check cluster-e2e bench-baseline bench-diff bench-smoke
 
 check: lint test docs-check
 
@@ -62,3 +62,10 @@ bench-baseline:
 bench-diff:
 	go run ./cmd/conbench -json /tmp/conbench_current.json -benchn 3
 	go run ./cmd/benchdiff -baseline BENCH_BASELINE.json -current /tmp/conbench_current.json
+
+# bench-smoke vets and tests the benchmark harness. bench/ is its own
+# Go module (replace plurality => ../), so `go test ./...` at the root
+# never builds it; GOWORK=off keeps a developer's go.work out of it.
+bench-smoke:
+	GOWORK=off go -C bench vet .
+	GOWORK=off go -C bench test .

@@ -37,7 +37,7 @@ func RunAsync(cfg Config, maxTicks int64) (AsyncResult, error) {
 	if err != nil {
 		return AsyncResult{}, err
 	}
-	tr, err := c.runFacade(cfg.Seed, cfg.Trace, nil, 0)
+	tr, err := c.runFacade(cfg.Seed, cfg.Trace, 0)
 	if err != nil {
 		return AsyncResult{}, err
 	}

@@ -1,8 +1,9 @@
-package plurality
+package plurality_test
 
 import (
 	"testing"
 
+	"plurality"
 	"plurality/internal/experiments"
 )
 
@@ -100,10 +101,10 @@ func BenchmarkExperimentGossip(b *testing.B) { benchmarkExperiment(b, "gossip") 
 func BenchmarkRunThreeMajority(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
+		res, err := plurality.Run(plurality.Config{
 			N:        1_000_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(100),
+			Protocol: plurality.ThreeMajority(),
+			Init:     plurality.Balanced(100),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {
@@ -117,10 +118,10 @@ func BenchmarkRunThreeMajority(b *testing.B) {
 func BenchmarkRunTwoChoices(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
+		res, err := plurality.Run(plurality.Config{
 			N:        1_000_000,
-			Protocol: TwoChoices(),
-			Init:     Balanced(100),
+			Protocol: plurality.TwoChoices(),
+			Init:     plurality.Balanced(100),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {
@@ -137,10 +138,10 @@ func BenchmarkRunTwoChoices(b *testing.B) {
 func BenchmarkRunThreeMajorityManyOpinions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
+		res, err := plurality.Run(plurality.Config{
 			N:        100_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(100_000),
+			Protocol: plurality.ThreeMajority(),
+			Init:     plurality.Balanced(100_000),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {
@@ -156,10 +157,10 @@ func BenchmarkRunThreeMajorityManyOpinions(b *testing.B) {
 func BenchmarkRunTwoChoicesManyOpinions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
+		res, err := plurality.Run(plurality.Config{
 			N:        10_000,
-			Protocol: TwoChoices(),
-			Init:     Balanced(10_000),
+			Protocol: plurality.TwoChoices(),
+			Init:     plurality.Balanced(10_000),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {
@@ -177,10 +178,10 @@ func BenchmarkRunTwoChoicesManyOpinions(b *testing.B) {
 // k = 16 on the exact count-space engine.
 func BenchmarkAblationCountsEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
+		res, err := plurality.Run(plurality.Config{
 			N:        100_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(16),
+			Protocol: plurality.ThreeMajority(),
+			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {
@@ -193,11 +194,11 @@ func BenchmarkAblationCountsEngine(b *testing.B) {
 // per-vertex agent engine (complete-graph topology).
 func BenchmarkAblationAgentEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunOnGraph(GraphConfig{
+		res, err := plurality.RunOnGraph(plurality.GraphConfig{
 			N:        100_000,
-			Topology: CompleteTopology(),
-			Protocol: ThreeMajority(),
-			Init:     Balanced(16),
+			Topology: plurality.CompleteTopology(),
+			Protocol: plurality.ThreeMajority(),
+			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {
@@ -210,10 +211,10 @@ func BenchmarkAblationAgentEngine(b *testing.B) {
 // message-passing network — the cost of actual concurrency.
 func BenchmarkAblationGossipEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunGossip(GossipConfig{
+		res, err := plurality.RunGossip(plurality.GossipConfig{
 			N:        1_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(16),
+			Protocol: plurality.ThreeMajority(),
+			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {
@@ -226,10 +227,10 @@ func BenchmarkAblationGossipEngine(b *testing.B) {
 // roughly double the consensus time of the wrapped dynamics.
 func BenchmarkAblationLazy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
+		res, err := plurality.Run(plurality.Config{
 			N:        100_000,
-			Protocol: LazyVariant(ThreeMajority(), 0.5),
-			Init:     Balanced(16),
+			Protocol: plurality.LazyVariant(plurality.ThreeMajority(), 0.5),
+			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
 		if err != nil || !res.Consensus {

@@ -63,13 +63,12 @@ const DefaultMaxTicks int64 = 10_000_000_000
 // reproduces Run with the same Seed. This is exactly the service
 // layer's frozen per-trial seed contract (see internal/service).
 //
-// One caveat, inherited from the legacy RunMany: the draw-stateful
-// Dirichlet init keeps its own stream outside the per-trial seeds, so
-// its draw-to-trial assignment depends on scheduling when
-// Parallelism != 1, and the multi-trial entry points consume one
-// validation draw a bare Run does not. Every other Init generator is
-// a pure function of (n, parameters) and is covered by the contract
-// above.
+// One caveat: the draw-stateful Dirichlet init keeps its own stream
+// outside the per-trial seeds. Every Experiment consumes one validation
+// draw that a bare Run does not, and each trial then draws when it
+// starts, so the draw-to-trial assignment depends on scheduling when
+// Parallelism != 1. Every other Init generator is a pure function of
+// (n, parameters) and is covered by the contract above.
 type Experiment struct {
 	// Mode selects the execution engine; the zero value is ModeSync.
 	Mode Mode
@@ -139,11 +138,6 @@ type Experiment struct {
 	// TrialResult carries its own points. Tracing never touches the
 	// RNG streams: traced results are byte-identical to untraced.
 	Trace *trace.Spec
-	// noBatch forces the classic build-per-trial sync executor even
-	// where the batch executor would engage. Unexported: it exists for
-	// the batch≡serial equivalence tests, which run both executors on
-	// the same Experiment and require identical bytes.
-	noBatch bool
 }
 
 // TrialResult is one trial's outcome, mode-tagged and carrying the
@@ -320,9 +314,9 @@ type compiled struct {
 	proto   core.Protocol
 	post    func(round int, r *rng.Rand, v *population.Vector)
 	usdDone func(v *population.Vector) bool
-	// template is the shared initial configuration of the sync batch
-	// executor (nil when the experiment runs build-per-trial: stateful
-	// init, non-sync mode, or noBatch).
+	// template is the shared initial configuration of the sync
+	// executor (nil when each trial builds its own: a stateful init,
+	// a non-sync mode, or the deprecated Run, which never prebuilds).
 	template *population.Vector
 	// async binding
 	dyn async.Dynamics
@@ -484,7 +478,7 @@ func (c *compiled) prebuild() error {
 		return err
 	}
 	// A pure init builds the same configuration on every call, so the
-	// validation build doubles as the batch executor's shared template.
+	// validation build doubles as the sync executor's shared template.
 	if c.e.Mode == ModeSync && !c.e.Init.stateful {
 		c.template = v
 	}
@@ -601,8 +595,8 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 		outs[i] = make(chan trialOutcome, 1)
 	}
 	var cancelled atomic.Bool
-	if c.batchable() {
-		go c.streamBatch(ctx, trialWorkers, samplers, outs, &cancelled)
+	if c.e.Mode == ModeSync {
+		go c.streamSync(ctx, trialWorkers, samplers, outs, &cancelled)
 	} else {
 		go func() {
 			// The scheduler's own lowest-index error reporting is unused:
@@ -617,11 +611,6 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 				if samplers != nil {
 					tr = samplers[i]
 				}
-				var onRound func(round int, s Snapshot) bool
-				if c.e.OnRound != nil {
-					hook := c.e.OnRound
-					onRound = func(round int, s Snapshot) bool { return hook(i, round, s) }
-				}
 				res, err := func() (res TrialResult, err error) {
 					// Contain trial panics here, where the per-trial result
 					// slot can still be delivered; the scheduler's own
@@ -631,7 +620,7 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 							err = fmt.Errorf("plurality: trial %d panicked: %v", i, p)
 						}
 					}()
-					return c.runFacade(rng.DeriveSeed(c.e.Seed, uint64(i)), tr, onRound, graphWorkers)
+					return c.runFacade(rng.DeriveSeed(c.e.Seed, uint64(i)), tr, graphWorkers)
 				}()
 				if err != nil {
 					outs[i] <- trialOutcome{err: err}
@@ -687,35 +676,23 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 	}
 }
 
-// batchMaxWidth caps the trial range a batch worker claims at once:
+// batchMaxWidth caps the trial range a sync worker claims at once:
 // wide enough to amortize the runner's shared state over many trials,
 // narrow enough that cancellation (checked per trial) and in-order
 // delivery stay responsive on long ranges.
 const batchMaxWidth = 64
 
-// batchable reports whether the experiment runs on the sync batch
-// executor: multiple trials of one pure-init sync configuration, with
-// no OnRound hook (whose Snapshot contract exposes the Vector
-// representation the flat kernel does not materialize). Adversaries,
-// USD protocols and protocols without a flat kernel still batch — the
-// runner routes them through the generic engine with the template and
-// scratch arenas shared.
-func (c *compiled) batchable() bool {
-	return c.e.Mode == ModeSync &&
-		c.template != nil &&
-		c.e.OnRound == nil &&
-		!c.e.noBatch &&
-		c.e.NumTrials-c.e.FirstTrial > 1
-}
-
-// streamBatch is stream's producer for the batch executor: workers
-// claim contiguous trial ranges (sim.ForEachTrialRangeCtx) and run
-// each range through one BatchRunner, so the template clone, sampler
-// arenas and flat-kernel state are built once per range instead of
-// once per trial. Each trial still consumes rng.DeriveSeed(Seed, i)
-// in the serial order, so the delivered bytes are identical to the
-// classic executor for every Parallelism and width.
-func (c *compiled) streamBatch(ctx context.Context, trialWorkers int, samplers []*trace.Sampler, outs []chan trialOutcome, cancelled *atomic.Bool) {
+// streamSync is stream's producer for ModeSync, the one sync executor:
+// workers claim contiguous trial ranges (sim.ForEachTrialRangeCtx) and
+// run each range through one core.BatchRunner, so the sampler arenas
+// and flat-kernel state are built once per range instead of once per
+// trial. A pure init shares the prebuilt template across the range; a
+// stateful one (Dirichlet) builds a fresh template per trial, here on
+// the worker, in the order the trials start. Each trial consumes
+// rng.DeriveSeed(Seed, i) in the serial order, so the delivered bytes
+// equal core.Run on that trial's own build for every Parallelism and
+// width.
+func (c *compiled) streamSync(ctx context.Context, trialWorkers int, samplers []*trace.Sampler, outs []chan trialOutcome, cancelled *atomic.Bool) {
 	trials := c.e.NumTrials
 	first := c.e.FirstTrial
 	span := trials - first
@@ -724,7 +701,7 @@ func (c *compiled) streamBatch(ctx context.Context, trialWorkers int, samplers [
 		width = batchMaxWidth
 	}
 	_ = sim.ForEachTrialRangeCtx(ctx, span, trialWorkers, width, func(lo, hi int) error {
-		runner := core.NewBatchRunner(c.proto, c.template)
+		var runner *core.BatchRunner
 		for idx := lo; idx < hi; idx++ {
 			i := first + idx
 			if cancelled.Load() {
@@ -735,19 +712,28 @@ func (c *compiled) streamBatch(ctx context.Context, trialWorkers int, samplers [
 			if samplers != nil {
 				tr = samplers[i]
 			}
+			var onRound func(round int, s Snapshot) bool
+			if hook := c.e.OnRound; hook != nil {
+				onRound = func(round int, s Snapshot) bool { return hook(i, round, s) }
+			}
 			res, err := func() (res TrialResult, err error) {
 				defer func() {
 					if p := recover(); p != nil {
 						err = fmt.Errorf("plurality: trial %d panicked: %v", i, p)
 					}
 				}()
-				return c.runBatchTrial(runner, i, tr), nil
+				if runner == nil || c.template == nil {
+					if runner, err = c.syncRunner(); err != nil {
+						return res, err
+					}
+				}
+				return c.runSyncTrial(runner, rng.DeriveSeed(c.e.Seed, uint64(i)), tr, onRound), nil
 			}()
 			if err != nil {
 				outs[i] <- trialOutcome{err: err}
-				// The panic may have left the shared runner state
-				// mid-round; later trials in the range get a fresh one.
-				runner = core.NewBatchRunner(c.proto, c.template)
+				// A panic may have left the shared runner state
+				// mid-round; the next trial in the range gets a fresh one.
+				runner = nil
 				continue
 			}
 			res.Trial = i
@@ -760,29 +746,47 @@ func (c *compiled) streamBatch(ctx context.Context, trialWorkers int, samplers [
 	})
 }
 
-// runBatchTrial is runFacade's sync arm on a shared BatchRunner: the
-// same observer wiring and result mapping, with the per-trial
-// Init.build replaced by the runner's template reuse.
-func (c *compiled) runBatchTrial(runner *core.BatchRunner, trial int, tr *trace.Sampler) TrialResult {
+// syncRunner returns a runner on the experiment's initial
+// configuration: the shared prebuilt template of a pure init, or a
+// fresh build when there is none (a stateful init, or the deprecated
+// Run, which never prebuilds).
+func (c *compiled) syncRunner() (*core.BatchRunner, error) {
+	template := c.template
+	if template == nil {
+		v, err := c.e.Init.build(c.e.N)
+		if err != nil {
+			return nil, err
+		}
+		template = v
+	}
+	return core.NewBatchRunner(c.proto, template), nil
+}
+
+// runSyncTrial is the one sync trial function, shared by Experiment
+// trials and the deprecated Run: it runs the trial seeded by seed on
+// runner, with the trace sampler, the OnRound hook and the stop
+// condition observing every round in that order.
+func (c *compiled) runSyncTrial(runner *core.BatchRunner, seed uint64, tr *trace.Sampler, onRound func(round int, s Snapshot) bool) TrialResult {
 	stopped := false
 	cfg := core.BatchRunConfig{
 		MaxRounds: c.e.MaxRounds,
 		PostRound: c.post,
 		Done:      c.usdDone,
 	}
-	if tr != nil || !c.stop.IsZero() {
+	if tr != nil || onRound != nil || !c.stop.IsZero() {
 		spec := c.stop
 		hasStop := !spec.IsZero()
 		cfg.Observer = func(round int, v core.View) bool {
 			tr.Observe(int64(round), v) // nil-safe no-op when untraced
+			hit := onRound != nil && onRound(round, Snapshot{v: v})
 			if hasStop && spec.Done(int64(round), v) {
 				stopped = true
-				return true
+				hit = true
 			}
-			return false
+			return hit
 		}
 	}
-	res := runner.RunTrial(rng.DeriveSeed(c.e.Seed, uint64(trial)), cfg)
+	res := runner.RunTrial(seed, cfg)
 	return TrialResult{
 		Mode:      ModeSync,
 		Rounds:    float64(res.Rounds),
@@ -794,15 +798,15 @@ func (c *compiled) runBatchTrial(runner *core.BatchRunner, trial int, tr *trace.
 	}
 }
 
-// runFacade executes one trial from its façade seed — the single
-// engine dispatch shared by Experiment trials (facadeSeed =
+// runFacade executes one async, graph or gossip trial from its façade
+// seed — the engine dispatch shared by Experiment trials (facadeSeed =
 // rng.DeriveSeed(Seed, trial)) and the deprecated per-mode wrappers
 // (facadeSeed = their Config's Seed, preserving the legacy streams
-// byte-for-byte). The sync engine consumes the façade seed directly as
-// its RNG stream; the other engines expand it once more, exactly as
-// their legacy entry points always did. tr and onRound observe rounds;
+// byte-for-byte). Each engine expands the façade seed once more,
+// exactly as its legacy entry point always did. tr observes rounds;
 // graphWorkers bounds the sharded graph rounds (ignored elsewhere).
-func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, onRound func(round int, s Snapshot) bool, graphWorkers int) (TrialResult, error) {
+// Sync trials run on runSyncTrial instead.
+func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, graphWorkers int) (TrialResult, error) {
 	stopped := false
 	var stopFn func(round int64, v *population.Vector) bool
 	if !c.stop.IsZero() {
@@ -816,39 +820,6 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, onRound func(
 		}
 	}
 	switch c.e.Mode {
-	case ModeSync:
-		v, err := c.e.Init.build(c.e.N)
-		if err != nil {
-			return TrialResult{}, err
-		}
-		rc := core.RunConfig{
-			MaxRounds: c.e.MaxRounds,
-			PostRound: c.post,
-			Done:      c.usdDone,
-		}
-		if tr != nil || onRound != nil || stopFn != nil {
-			rc.Observer = func(round int, v *population.Vector) bool {
-				tr.Observe(int64(round), v) // nil-safe no-op when untraced
-				hit := false
-				if onRound != nil && onRound(round, Snapshot{v: v}) {
-					hit = true
-				}
-				if stopFn != nil && stopFn(int64(round), v) {
-					hit = true
-				}
-				return hit
-			}
-		}
-		res := core.Run(rng.New(facadeSeed), c.proto, v, rc)
-		return TrialResult{
-			Mode:      ModeSync,
-			Rounds:    float64(res.Rounds),
-			Consensus: res.Consensus,
-			Stopped:   stopped,
-			Winner:    res.Winner,
-			Gamma:     res.Gamma,
-			Live:      res.Live,
-		}, nil
 	case ModeAsync:
 		v, err := c.e.Init.build(c.e.N)
 		if err != nil {
@@ -932,5 +903,5 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, onRound func(
 			FinalCounts: counts,
 		}, nil
 	}
-	panic(fmt.Sprintf("plurality: unreachable mode %q", c.e.Mode)) // compile validated the mode
+	panic(fmt.Sprintf("plurality: runFacade has no %q engine", c.e.Mode)) // compile validated the mode
 }

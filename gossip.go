@@ -57,7 +57,7 @@ func RunGossip(cfg GossipConfig) (GossipResult, error) {
 	if err != nil {
 		return GossipResult{}, err
 	}
-	tr, err := c.runFacade(cfg.Seed, cfg.Trace, nil, 0)
+	tr, err := c.runFacade(cfg.Seed, cfg.Trace, 0)
 	if err != nil {
 		return GossipResult{}, err
 	}

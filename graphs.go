@@ -172,7 +172,7 @@ func RunOnGraph(cfg GraphConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	tr, err := c.runFacade(cfg.Seed, cfg.Trace, nil, cfg.Parallelism)
+	tr, err := c.runFacade(cfg.Seed, cfg.Trace, cfg.Parallelism)
 	if err != nil {
 		return Result{}, err
 	}

@@ -6,12 +6,17 @@ import (
 )
 
 // View is the read-only observable surface of a running configuration:
-// the aggregates stop conditions and trace samplers consume. Both
-// *population.Vector and the flat batch kernel implement it, so
-// observers written against View run unchanged on either executor.
+// the aggregates stop conditions, trace samplers and OnRound snapshots
+// consume. Both *population.Vector and the flat batch kernel implement
+// it, so observers written against View run unchanged on either
+// executor.
 type View interface {
 	// N returns the number of vertices.
 	N() int64
+	// K returns the number of opinion slots.
+	K() int
+	// Count returns the number of supporters of opinion i.
+	Count(i int) int64
 	// Gamma returns γ = Σ α².
 	Gamma() float64
 	// Live returns the number of live opinions.
@@ -55,7 +60,9 @@ type BatchRunConfig struct {
 //
 // A BatchRunner is not safe for concurrent use: parallel executors
 // create one runner per worker and hand each worker a contiguous trial
-// range (sim.ForEachTrialRangeCtx).
+// range (sim.ForEachTrialRangeCtx). A single trial is a batch of width
+// one: the runner is the sync executor, and Run is its generic engine
+// and test oracle.
 type BatchRunner struct {
 	proto    Protocol
 	template *population.Vector

@@ -18,13 +18,20 @@ type roundObs struct {
 	maxOp    int
 	maxCount int64
 	sumCubes float64
+	k        int
+	counts   []int64 // Count(i) for every slot i < k
 }
 
 func observe(round int, v View) roundObs {
 	op, c := v.MaxOpinion()
+	counts := make([]int64, v.K())
+	for i := range counts {
+		counts[i] = v.Count(i)
+	}
 	return roundObs{
 		round: round, n: v.N(), gamma: v.Gamma(), live: v.Live(),
 		maxOp: op, maxCount: c, sumCubes: v.SumCubes(),
+		k: v.K(), counts: counts,
 	}
 }
 
@@ -67,7 +74,7 @@ func assertTrialMatches(t *testing.T, p Protocol, b *BatchRunner, counts []int64
 	}
 	if !reflect.DeepEqual(gotObs, wantObs) {
 		for i := range wantObs {
-			if i >= len(gotObs) || gotObs[i] != wantObs[i] {
+			if i >= len(gotObs) || !reflect.DeepEqual(gotObs[i], wantObs[i]) {
 				t.Fatalf("%s seed %#x: round %d observables %+v, serial %+v (counts %v)",
 					p.Name(), seed, i, gotObs[i], wantObs[i], counts)
 			}
@@ -151,7 +158,10 @@ func TestBatchRunnerObserverStop(t *testing.T) {
 
 // FuzzBatchRunnerMatchesSerial drives the batch runner from arbitrary
 // configurations, protocols and seeds and requires bitwise identity
-// with the serial engine on the result and every round's observables.
+// with the serial engine on the result and every round's observables,
+// the full per-slot count vector included. The flat kernel compacts
+// once dead slots outnumber live ones, so Count(i) is also checked
+// for opinions whose slot compaction removed.
 func FuzzBatchRunnerMatchesSerial(f *testing.F) {
 	f.Add([]byte{10, 20, 30}, uint64(1), uint8(0), uint8(10))
 	f.Add([]byte{1}, uint64(2), uint8(1), uint8(0))

@@ -58,8 +58,9 @@ type RunResult struct {
 
 // Run executes protocol p from configuration v (mutated in place)
 // until consensus, the Done condition, an Observer stop, or the round
-// bound. It is the single-threaded building block; internal/sim layers
-// parallel multi-trial execution on top of it.
+// bound. It is the generic engine inside BatchRunner — which every
+// sync trial runs on — and the per-trial oracle the runner's
+// equivalence tests compare against.
 func Run(r *rng.Rand, p Protocol, v *population.Vector, cfg RunConfig) RunResult {
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"plurality/internal/population"
 	"plurality/internal/rng"
 )
@@ -93,6 +95,7 @@ type flatState struct {
 	kind flatKind
 	n    int64
 	nf   float64
+	k    int // the template's opinion-slot count
 
 	// Immutable template (the initial configuration).
 	ids0   []int32
@@ -129,7 +132,7 @@ type flatState struct {
 
 // newFlatState captures v as the immutable template of a flat kernel.
 func newFlatState(kind flatKind, v *population.Vector) *flatState {
-	f := &flatState{kind: kind, n: v.N(), nf: float64(v.N())}
+	f := &flatState{kind: kind, n: v.N(), nf: float64(v.N()), k: v.K()}
 	f.ids0 = append([]int32(nil), v.LiveIndices()...)
 	f.cnt0 = append([]int64(nil), v.LiveCounts()...)
 	f.sumSq0 = v.SumSquares()
@@ -180,6 +183,23 @@ func (f *flatState) reset() {
 
 // N returns the number of vertices.
 func (f *flatState) N() int64 { return f.n }
+
+// K returns the template's number of opinion slots.
+func (f *flatState) K() int { return f.k }
+
+// Count returns the supporters of opinion i: a binary search over the
+// ascending slot ids, 0 for an opinion whose slot is gone. Like the
+// Vector, it panics when i is outside [0, K).
+func (f *flatState) Count(i int) int64 {
+	if i < 0 || i >= f.k {
+		panic("core: opinion index out of range")
+	}
+	j, ok := slices.BinarySearch(f.ids, int32(i))
+	if !ok {
+		return 0
+	}
+	return f.cnt[j]
+}
 
 // Gamma returns γ = Σα² from the exact integer Σc² aggregate.
 func (f *flatState) Gamma() float64 { return float64(f.sumSq) / (f.nf * f.nf) }
@@ -675,8 +695,12 @@ func (f *flatState) ensureFen() {
 // maybeCompact drops dead slots once they outnumber the live ones,
 // keeping the per-round passes proportional to the live set. Slot
 // order is preserved, so the effective draw sequence is unchanged.
+// Small templates compact too: a single Voter trial from k = 64
+// spends almost all of its Θ(n) rounds on two or three live opinions.
+// The slot array at least halves each time, so a trial compacts at
+// most log₂ k times.
 func (f *flatState) maybeCompact() {
-	if len(f.ids) < 128 || f.numLive*2 >= len(f.ids) {
+	if f.numLive*2 >= len(f.ids) {
 		return
 	}
 	w := 0

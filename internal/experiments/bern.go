@@ -3,10 +3,10 @@ package experiments
 import (
 	"math"
 
+	"plurality"
 	"plurality/internal/core"
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/sim"
 	"plurality/internal/tablefmt"
 	"plurality/internal/theory"
 )
@@ -47,10 +47,11 @@ func runBern(opts Options) []tablefmt.Table {
 
 	dyns := []struct {
 		proto core.Protocol
+		run   plurality.Protocol // the same dynamics, for whole runs
 		dyn   theory.Dynamics
 	}{
-		{core.ThreeMajority{}, theory.ThreeMajority},
-		{core.TwoChoices{}, theory.TwoChoices},
+		{core.ThreeMajority{}, plurality.ThreeMajority(), theory.ThreeMajority},
+		{core.TwoChoices{}, plurality.TwoChoices(), theory.TwoChoices},
 	}
 	for di, d := range dyns {
 		dd, s := theory.BernsteinParamsAlpha(d.dyn, v0.Alpha(opinion), v0.Gamma(), float64(n))
@@ -77,17 +78,19 @@ func runBern(opts Options) []tablefmt.Table {
 		dd, s := theory.BernsteinParamsGamma(d.dyn, (1+c.CGammaUp)*gamma0, float64(n))
 		for _, T := range []int{5, 20, 80} {
 			drops := 0
-			results := sim.RunMany(sim.Spec{
-				Protocol:    d.proto,
-				Init:        func(int) *population.Vector { return v0.Clone() },
-				Trials:      tailTrials,
+			// Consensus (γ = 1) is absorbing, so a trial that reaches it
+			// first can never drop afterwards.
+			_, dropped := runUntil(plurality.Experiment{
+				N:           n,
+				Protocol:    d.run,
+				Init:        plurality.Counts(v0.Counts()),
 				Seed:        opts.Seed*53 + uint64(di*1000+T),
+				NumTrials:   tailTrials,
 				Parallelism: opts.Parallelism,
 				MaxRounds:   T,
-				Done:        func(v *population.Vector) bool { return v.Gamma() <= hazard },
-			})
-			for _, res := range results {
-				if res.Consensus { // Done fired: γ dropped below the hazard
+			}, func(s plurality.Snapshot) bool { return s.Gamma() <= hazard })
+			for _, hit := range dropped {
+				if hit {
 					drops++
 				}
 			}

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"plurality/internal/adversary"
+	"plurality"
 	"plurality/internal/async"
-	"plurality/internal/core"
 	"plurality/internal/graph"
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/sim"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 )
@@ -34,7 +32,7 @@ func runAsync(opts Options) []tablefmt.Table {
 		Columns: []string{"k", "sync rounds med", "async ticks/n med", "ratio async/sync"},
 	}
 	for ki, k := range ks {
-		syncMed := medianConsensusTime(core.ThreeMajority{}, n, k, trials, opts, 500+uint64(ki))
+		syncMed := medianConsensusTime(plurality.ThreeMajority(), n, k, trials, opts, 500+uint64(ki))
 
 		asyncRounds := make([]float64, 0, trials)
 		for trial := 0; trial < trials; trial++ {
@@ -76,20 +74,21 @@ func runAdv(opts Options) []tablefmt.Table {
 	}
 	baseline := 0.0
 	for fi, f := range fs {
-		results := sim.RunMany(sim.Spec{
-			Protocol:    core.ThreeMajority{},
-			Init:        func(int) *population.Vector { return population.Balanced(n, k) },
-			Trials:      trials,
+		out := runTrials(plurality.Experiment{
+			N:           n,
+			Protocol:    plurality.ThreeMajority(),
+			Init:        plurality.Balanced(k),
 			Seed:        opts.Seed*433 + uint64(fi),
+			NumTrials:   trials,
 			Parallelism: opts.Parallelism,
 			MaxRounds:   maxRounds,
-			PostRound:   adversary.PostRound(adversary.Hinder{F: f}),
+			Adversary:   plurality.HinderAdversary(f),
 		})
-		converged := sim.CountConverged(results)
+		converged := out.Converged()
 		times := make([]float64, 0, converged)
-		for _, res := range results {
-			if res.Consensus {
-				times = append(times, float64(res.Rounds))
+		for _, tr := range out.Trials {
+			if tr.Consensus {
+				times = append(times, tr.Rounds)
 			}
 		}
 		med := stats.Median(times)
@@ -131,7 +130,7 @@ func runHMaj(opts Options) []tablefmt.Table {
 	}
 	medByH := map[int]float64{}
 	for hi, h := range hs {
-		med := medianConsensusTime(core.HMajority{H: h}, n, k, trials, opts, 700+uint64(hi))
+		med := medianConsensusTime(plurality.HMajority(h), n, k, trials, opts, 700+uint64(hi))
 		medByH[h] = med
 	}
 	for _, h := range hs {

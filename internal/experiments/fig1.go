@@ -3,9 +3,7 @@ package experiments
 import (
 	"math"
 
-	"plurality/internal/core"
-	"plurality/internal/population"
-	"plurality/internal/sim"
+	"plurality"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 	"plurality/internal/theory"
@@ -46,8 +44,8 @@ func runFig1(opts Options) []tablefmt.Table {
 	med3 := make([]float64, 0, len(ks))
 	med2 := make([]float64, 0, len(ks))
 	for _, k := range ks {
-		t3 := medianConsensusTime(core.ThreeMajority{}, n, k, trials, opts, 0)
-		t2 := medianConsensusTime(core.TwoChoices{}, n, k, trials, opts, 1)
+		t3 := medianConsensusTime(plurality.ThreeMajority(), n, k, trials, opts, 0)
+		t2 := medianConsensusTime(plurality.TwoChoices(), n, k, trials, opts, 1)
 		med3 = append(med3, t3)
 		med2 = append(med2, t2)
 		shape3 := theory.ConsensusTimeShape(theory.ThreeMajority, float64(n), float64(k))
@@ -76,19 +74,15 @@ func runFig1(opts Options) []tablefmt.Table {
 
 // medianConsensusTime runs trials of proto from Balanced(n, k) and
 // returns the median consensus time in rounds.
-func medianConsensusTime(proto core.Protocol, n int64, k, trials int, opts Options, salt uint64) float64 {
-	results := sim.RunMany(sim.Spec{
+func medianConsensusTime(proto plurality.Protocol, n int64, k, trials int, opts Options, salt uint64) float64 {
+	// The default round bound makes non-convergence practically
+	// impossible for these dynamics; consensusTimes surfaces it loudly.
+	return stats.Median(consensusTimes(runTrials(plurality.Experiment{
+		N:           n,
 		Protocol:    proto,
-		Init:        func(int) *population.Vector { return population.Balanced(n, k) },
-		Trials:      trials,
+		Init:        plurality.Balanced(k),
 		Seed:        opts.Seed*1_000_003 + salt*7919 + uint64(k),
+		NumTrials:   trials,
 		Parallelism: opts.Parallelism,
-	})
-	times, err := sim.ConsensusTimes(results)
-	if err != nil {
-		// The default round bound makes non-convergence practically
-		// impossible for these dynamics; surface loudly if it happens.
-		panic(err)
-	}
-	return stats.Median(times)
+	})))
 }

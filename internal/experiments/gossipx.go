@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"plurality/internal/core"
+	"plurality"
 	"plurality/internal/gossip"
 	"plurality/internal/population"
-	"plurality/internal/sim"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 )
@@ -51,19 +50,15 @@ func runGossip(opts Options) []tablefmt.Table {
 		return stats.Median(times), converged
 	}
 
-	engineMedian := func(proto core.Protocol, salt uint64) float64 {
-		results := sim.RunMany(sim.Spec{
+	engineMedian := func(proto plurality.Protocol, salt uint64) float64 {
+		return stats.Median(consensusTimes(runTrials(plurality.Experiment{
+			N:           int64(n),
 			Protocol:    proto,
-			Init:        func(int) *population.Vector { return population.Balanced(int64(n), k) },
-			Trials:      trials,
+			Init:        plurality.Balanced(k),
 			Seed:        opts.Seed*2221 + salt*131,
+			NumTrials:   trials,
 			Parallelism: opts.Parallelism,
-		})
-		times, err := sim.ConsensusTimes(results)
-		if err != nil {
-			panic(err)
-		}
-		return stats.Median(times)
+		})))
 	}
 
 	crossTable := tablefmt.Table{
@@ -73,11 +68,11 @@ func runGossip(opts Options) []tablefmt.Table {
 		Columns: []string{"dynamics", "engine rounds med", "gossip rounds med", "ratio"},
 	}
 	pairs := []struct {
-		proto core.Protocol
+		proto plurality.Protocol
 		rule  gossip.Rule
 	}{
-		{core.ThreeMajority{}, gossip.ThreeMajority},
-		{core.TwoChoices{}, gossip.TwoChoices},
+		{plurality.ThreeMajority(), gossip.ThreeMajority},
+		{plurality.TwoChoices(), gossip.TwoChoices},
 	}
 	for pi, pair := range pairs {
 		e := engineMedian(pair.proto, uint64(pi))

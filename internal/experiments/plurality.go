@@ -3,9 +3,8 @@ package experiments
 import (
 	"math"
 
-	"plurality/internal/core"
+	"plurality"
 	"plurality/internal/population"
-	"plurality/internal/sim"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 	"plurality/internal/theory"
@@ -42,12 +41,12 @@ func runThm26(opts Options) []tablefmt.Table {
 	for mi, m := range multipliers {
 		margin3 := m * theory.PluralityMargin(theory.ThreeMajority, float64(n), 0)
 		extra3 := int64(margin3 * float64(n))
-		p3, lo3, hi3 := pluralityRate(core.ThreeMajority{}, n, k, extra3, trials, opts, 300+uint64(mi))
+		p3, lo3, hi3 := pluralityRate(plurality.ThreeMajority(), n, k, extra3, trials, opts, 300+uint64(mi))
 
 		alpha1 := 1.0 / float64(k)
 		margin2 := m * theory.PluralityMargin(theory.TwoChoices, float64(n), alpha1)
 		extra2 := int64(margin2 * float64(n))
-		p2, lo2, hi2 := pluralityRate(core.TwoChoices{}, n, k, extra2, trials, opts, 400+uint64(mi))
+		p2, lo2, hi2 := pluralityRate(plurality.TwoChoices(), n, k, extra2, trials, opts, 400+uint64(mi))
 
 		table.AddRow(
 			m, extra3, p3, ciString(lo3, hi3),
@@ -75,10 +74,10 @@ func runThm26(opts Options) []tablefmt.Table {
 		Columns: []string{"dynamics", "n", "k", "γ0", "margin", "P[planted wins]", "95% CI"},
 	}
 	margin3 := 2 * theory.PluralityMargin(theory.ThreeMajority, float64(smallN), 0)
-	p3, lo3, hi3 := pluralityRate(core.ThreeMajority{}, smallN, smallK, int64(margin3*float64(smallN)), trials, opts, 900)
+	p3, lo3, hi3 := pluralityRate(plurality.ThreeMajority(), smallN, smallK, int64(margin3*float64(smallN)), trials, opts, 900)
 	small.AddRow("3-majority", smallN, smallK, gamma0, margin3, p3, ciString(lo3, hi3))
 	margin2 := 2 * theory.PluralityMargin(theory.TwoChoices, float64(smallN), gamma0)
-	p2, lo2, hi2 := pluralityRate(core.TwoChoices{}, smallN, smallK, int64(margin2*float64(smallN)), trials, opts, 901)
+	p2, lo2, hi2 := pluralityRate(plurality.TwoChoices(), smallN, smallK, int64(margin2*float64(smallN)), trials, opts, 901)
 	small.AddRow("2-choices", smallN, smallK, gamma0, margin2, p2, ciString(lo2, hi2))
 
 	return []tablefmt.Table{table, small}
@@ -86,22 +85,23 @@ func runThm26(opts Options) []tablefmt.Table {
 
 // pluralityRate runs trials from PlantedBias(n, k, extra) and returns
 // the rate at which opinion 0 wins, with its Wilson 95% interval.
-func pluralityRate(p core.Protocol, n int64, k int, extra int64, trials int, opts Options, salt uint64) (rate, lo, hi float64) {
-	results := sim.RunMany(sim.Spec{
+func pluralityRate(p plurality.Protocol, n int64, k int, extra int64, trials int, opts Options, salt uint64) (rate, lo, hi float64) {
+	out := runTrials(plurality.Experiment{
+		N:           n,
 		Protocol:    p,
-		Init:        func(int) *population.Vector { return population.PlantedBias(n, k, extra) },
-		Trials:      trials,
+		Init:        plurality.Counts(population.PlantedBias(n, k, extra).Counts()),
 		Seed:        opts.Seed*7907 + salt,
+		NumTrials:   trials,
 		Parallelism: opts.Parallelism,
 	})
 	wins := 0
-	for _, res := range results {
-		if res.Consensus && res.Winner == 0 {
+	for _, tr := range out.Trials {
+		if tr.Consensus && tr.Winner == 0 {
 			wins++
 		}
 	}
-	rate = float64(wins) / float64(len(results))
-	lo, hi = stats.WilsonInterval(wins, len(results), 1.96)
+	rate = float64(wins) / float64(len(out.Trials))
+	lo, hi = stats.WilsonInterval(wins, len(out.Trials), 1.96)
 	return rate, lo, hi
 }
 
@@ -132,20 +132,17 @@ func runThm27(opts Options) []tablefmt.Table {
 	}
 
 	logN := math.Log(float64(n))
-	for _, p := range []core.Protocol{core.ThreeMajority{}, core.TwoChoices{}} {
-		_, is3Maj := p.(core.ThreeMajority)
+	for _, p := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		is3Maj := p.Name() == plurality.ThreeMajority().Name()
 		for ki, k := range ks {
-			results := sim.RunMany(sim.Spec{
+			times := consensusTimes(runTrials(plurality.Experiment{
+				N:           n,
 				Protocol:    p,
-				Init:        func(int) *population.Vector { return population.Balanced(n, k) },
-				Trials:      trials,
+				Init:        plurality.Balanced(k),
 				Seed:        opts.Seed*6133 + uint64(ki),
+				NumTrials:   trials,
 				Parallelism: opts.Parallelism,
-			})
-			times, err := sim.ConsensusTimes(results)
-			if err != nil {
-				panic(err)
-			}
+			}))
 			minT := math.Inf(1)
 			for _, t := range times {
 				if t < minT {
@@ -198,22 +195,19 @@ func runLem52(opts Options) []tablefmt.Table {
 		},
 	}
 
-	for pi, p := range []core.Protocol{core.ThreeMajority{}, core.TwoChoices{}} {
-		results := sim.RunMany(sim.Spec{
+	for pi, p := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		out, vanished := runUntil(plurality.Experiment{
+			N:           n,
 			Protocol:    p,
-			Init:        func(int) *population.Vector { return v0.Clone() },
-			Trials:      trials,
+			Init:        plurality.Counts(v0.Counts()),
 			Seed:        opts.Seed*509 + uint64(pi),
+			NumTrials:   trials,
 			Parallelism: opts.Parallelism,
-			Done:        func(v *population.Vector) bool { return v.Count(weakIdx) == 0 },
-		})
-		times, err := sim.ConsensusTimes(results)
-		if err != nil {
-			panic(err)
-		}
+		}, func(s plurality.Snapshot) bool { return s.Count(weakIdx) == 0 })
+		times := hitTimes(out, vanished)
 		weakWon := 0
-		for _, res := range results {
-			if res.Winner == weakIdx {
+		for _, tr := range out.Trials {
+			if tr.Winner == weakIdx {
 				weakWon++
 			}
 		}
@@ -259,21 +253,17 @@ func runLem55(opts Options) []tablefmt.Table {
 		},
 	}
 
-	for pi, p := range []core.Protocol{core.ThreeMajority{}, core.TwoChoices{}} {
-		results := sim.RunMany(sim.Spec{
+	for pi, p := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		times := hitTimes(runUntil(plurality.Experiment{
+			N:           n,
 			Protocol:    p,
-			Init:        func(int) *population.Vector { return v0.Clone() },
-			Trials:      trials,
+			Init:        plurality.Counts(v0.Counts()),
 			Seed:        opts.Seed*769 + uint64(pi),
+			NumTrials:   trials,
 			Parallelism: opts.Parallelism,
-			Done: func(v *population.Vector) bool {
-				return c.IsWeak(v.Alpha(1), v.Gamma()) || v.Count(1) == 0
-			},
-		})
-		times, err := sim.ConsensusTimes(results)
-		if err != nil {
-			panic(err)
-		}
+		}, func(s plurality.Snapshot) bool {
+			return c.IsWeak(s.Alpha(1), s.Gamma()) || s.Count(1) == 0
+		}))
 		med := stats.Median(times)
 		maxT := stats.Quantile(times, 1)
 		table.AddRow(p.Name(), gamma0, v0.Bias(0, 1), med, med*gamma0/logN, maxT*gamma0/logN)
@@ -302,31 +292,13 @@ func runRem25(opts Options) []tablefmt.Table {
 		Columns: []string{"T", "live(T) mean", "bound n·ln n/T", "live·T/(n·ln n)"},
 	}
 
-	liveAt := make(map[int]*stats.Welford, len(checkpoints))
-	for _, cp := range checkpoints {
-		liveAt[cp] = &stats.Welford{}
-	}
-	maxCheckpoint := checkpoints[len(checkpoints)-1]
-
-	sim.RunMany(sim.Spec{
-		Protocol:    core.ThreeMajority{},
-		Init:        func(int) *population.Vector { return population.Balanced(n, int(n)) },
-		Trials:      trials,
-		Seed:        opts.Seed * 887,
-		Parallelism: 1, // observers write into shared Welfords; keep serial
-		// Consensus is absorbing, so running past it is harmless; keep
-		// going to the last checkpoint so live(T) = 1 is recorded
-		// rather than dropped when consensus arrives early.
-		Done: func(*population.Vector) bool { return false },
-		Observe: func(trial int) func(int, *population.Vector) bool {
-			return func(round int, v *population.Vector) bool {
-				if w, ok := liveAt[round]; ok {
-					w.Add(float64(v.Live()))
-				}
-				return round >= maxCheckpoint
-			}
-		},
-	})
+	liveAt := liveDecay(plurality.Experiment{
+		N:         n,
+		Protocol:  plurality.ThreeMajority(),
+		Init:      plurality.Balanced(int(n)),
+		Seed:      opts.Seed * 887,
+		NumTrials: trials,
+	}, checkpoints)
 
 	for _, cp := range checkpoints {
 		mean := liveAt[cp].Mean()
@@ -343,27 +315,13 @@ func runRem25(opts Options) []tablefmt.Table {
 	logN2 := math.Log(float64(n2))
 	sqrtN2 := int(math.Sqrt(float64(n2)))
 	checkpoints2 := []int{sqrtN2, 2 * sqrtN2, 4 * sqrtN2}
-	liveAt2 := make(map[int]*stats.Welford, len(checkpoints2))
-	for _, cp := range checkpoints2 {
-		liveAt2[cp] = &stats.Welford{}
-	}
-	maxCp2 := checkpoints2[len(checkpoints2)-1]
-	sim.RunMany(sim.Spec{
-		Protocol:    core.TwoChoices{},
-		Init:        func(int) *population.Vector { return population.Balanced(n2, int(n2)) },
-		Trials:      trials,
-		Seed:        opts.Seed * 888,
-		Parallelism: 1,
-		Done:        func(*population.Vector) bool { return false },
-		Observe: func(trial int) func(int, *population.Vector) bool {
-			return func(round int, v *population.Vector) bool {
-				if w, ok := liveAt2[round]; ok {
-					w.Add(float64(v.Live()))
-				}
-				return round >= maxCp2
-			}
-		},
-	})
+	liveAt2 := liveDecay(plurality.Experiment{
+		N:         n2,
+		Protocol:  plurality.TwoChoices(),
+		Init:      plurality.Balanced(int(n2)),
+		Seed:      opts.Seed * 888,
+		NumTrials: trials,
+	}, checkpoints2)
 	contrast := tablefmt.Table{
 		Title: "Contrast: the same decay for 2-Choices (Remark 2.5 says the BCEKMN bound fails here)",
 		Notes: "live·T/(n·ln n) blows up instead of staying constant — the reason the paper's " +
@@ -375,4 +333,34 @@ func runRem25(opts Options) []tablefmt.Table {
 		contrast.AddRow(cp, mean, mean*float64(cp)/(float64(n2)*logN2))
 	}
 	return []tablefmt.Table{table, contrast}
+}
+
+// liveDecay runs e's trials to the last of the ascending checkpoints
+// and accumulates the live-opinion count at each checkpoint across
+// trials. Consensus is absorbing, so a trial that reaches it before a
+// checkpoint ends there and records live(T) = 1 for the checkpoints
+// still ahead. Trials run serially, so every Welford sees its adds in
+// trial order.
+func liveDecay(e plurality.Experiment, checkpoints []int) map[int]*stats.Welford {
+	liveAt := make(map[int]*stats.Welford, len(checkpoints))
+	for _, cp := range checkpoints {
+		liveAt[cp] = &stats.Welford{}
+	}
+	last := checkpoints[len(checkpoints)-1]
+	e.Parallelism = 1
+	e.OnRound = func(_, round int, s plurality.Snapshot) bool {
+		if w, ok := liveAt[round]; ok {
+			w.Add(float64(s.Live()))
+		}
+		if s.Live() == 1 {
+			for _, cp := range checkpoints {
+				if cp > round {
+					liveAt[cp].Add(1)
+				}
+			}
+		}
+		return round >= last
+	}
+	runTrials(e)
+	return liveAt
 }

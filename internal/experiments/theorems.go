@@ -3,9 +3,8 @@ package experiments
 import (
 	"math"
 
-	"plurality/internal/core"
+	"plurality"
 	"plurality/internal/population"
-	"plurality/internal/sim"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 	"plurality/internal/theory"
@@ -32,15 +31,15 @@ func runThm11(opts Options) []tablefmt.Table {
 	sqrtN := int(math.Sqrt(float64(n)))
 	ks := geometricGrid(sqrtN/8, 8*sqrtN)
 
-	measure := func(p core.Protocol, salt uint64) []float64 {
+	measure := func(p plurality.Protocol, salt uint64) []float64 {
 		ys := make([]float64, 0, len(ks))
 		for _, k := range ks {
 			ys = append(ys, medianConsensusTime(p, n, k, trials, opts, salt))
 		}
 		return ys
 	}
-	t3 := measure(core.ThreeMajority{}, 11)
-	t2 := measure(core.TwoChoices{}, 12)
+	t3 := measure(plurality.ThreeMajority(), 11)
+	t2 := measure(plurality.TwoChoices(), 12)
 
 	panelA := tablefmt.Table{
 		Title: "Theorem 1.1 panel A: doubling exponent log2(T(2k)/T(k)) at fixed n",
@@ -73,7 +72,7 @@ func runThm11(opts Options) []tablefmt.Table {
 			"dynamics", "n grid", "T medians", "slope vs n", "R²", "expected",
 		},
 	}
-	slopeOverN := func(p core.Protocol, ns []int64, salt uint64) ([]float64, stats.LinearFit) {
+	slopeOverN := func(p plurality.Protocol, ns []int64, salt uint64) ([]float64, stats.LinearFit) {
 		xs := make([]float64, 0, len(ns))
 		ys := make([]float64, 0, len(ns))
 		for _, nn := range ns {
@@ -82,9 +81,9 @@ func runThm11(opts Options) []tablefmt.Table {
 		}
 		return ys, stats.LogLogSlope(xs, ys)
 	}
-	y3, fit3 := slopeOverN(core.ThreeMajority{}, ns3, 13)
+	y3, fit3 := slopeOverN(plurality.ThreeMajority(), ns3, 13)
 	panelB.AddRow("3-majority", int64GridString(ns3), floatsString(y3), fit3.Slope, fit3.R2, "≈0.5")
-	y2, fit2 := slopeOverN(core.TwoChoices{}, ns2, 14)
+	y2, fit2 := slopeOverN(plurality.TwoChoices(), ns2, 14)
 	panelB.AddRow("2-choices", int64GridString(ns2), floatsString(y2), fit2.Slope, fit2.R2, "≈1")
 
 	return []tablefmt.Table{panelA, panelB}
@@ -138,10 +137,10 @@ func runThm21(opts Options) []tablefmt.Table {
 			panic(err)
 		}
 		gamma0 := v0.Gamma()
-		init := func(int) *population.Vector { return v0.Clone() }
+		init := plurality.Counts(v0.Counts())
 
-		t3 := medianTimeFromInit(core.ThreeMajority{}, init, trials, opts, 100+uint64(ri))
-		t2 := medianTimeFromInit(core.TwoChoices{}, init, trials, opts, 200+uint64(ri))
+		t3 := medianTimeFromInit(plurality.ThreeMajority(), n, init, trials, opts, 100+uint64(ri))
+		t2 := medianTimeFromInit(plurality.TwoChoices(), n, init, trials, opts, 200+uint64(ri))
 		table.AddRow(ratio, gamma0, t3, t3*gamma0/logN, t2, t2*gamma0/logN)
 	}
 	return []tablefmt.Table{table}
@@ -171,22 +170,16 @@ func runThm22(opts Options) []tablefmt.Table {
 		},
 	}
 
-	runOne := func(dyn theory.Dynamics, proto core.Protocol, n int64, salt uint64) {
+	runOne := func(dyn theory.Dynamics, proto plurality.Protocol, n int64, salt uint64) {
 		target := theory.GammaThreshold(dyn, float64(n))
-		times := make([]float64, 0, trials)
-		results := sim.RunMany(sim.Spec{
+		times := hitTimes(runUntil(plurality.Experiment{
+			N:           n,
 			Protocol:    proto,
-			Init:        func(int) *population.Vector { return population.Balanced(n, int(n)) },
-			Trials:      trials,
+			Init:        plurality.Balanced(int(n)),
 			Seed:        opts.Seed*17 + salt,
+			NumTrials:   trials,
 			Parallelism: opts.Parallelism,
-			Done:        func(v *population.Vector) bool { return v.Gamma() >= target },
-		})
-		ts, err := sim.ConsensusTimes(results)
-		if err != nil {
-			panic(err)
-		}
-		times = append(times, ts...)
+		}, func(s plurality.Snapshot) bool { return s.Gamma() >= target }))
 		med := stats.Median(times)
 		shape := theory.NormGrowthTimeShape(dyn, float64(n))
 		bound := theory.GammaHitTimeBound(dyn, 0.5, target, float64(n))
@@ -196,26 +189,22 @@ func runThm22(opts Options) []tablefmt.Table {
 		)
 	}
 
-	runOne(theory.ThreeMajority, core.ThreeMajority{}, n3, 31)
-	runOne(theory.TwoChoices, core.TwoChoices{}, n2, 32)
+	runOne(theory.ThreeMajority, plurality.ThreeMajority(), n3, 31)
+	runOne(theory.TwoChoices, plurality.TwoChoices(), n2, 32)
 	return []tablefmt.Table{table}
 }
 
 // medianTimeFromInit runs trials from a fixed init and returns the
 // median consensus time.
-func medianTimeFromInit(p core.Protocol, init func(int) *population.Vector, trials int, opts Options, salt uint64) float64 {
-	results := sim.RunMany(sim.Spec{
+func medianTimeFromInit(p plurality.Protocol, n int64, init plurality.Init, trials int, opts Options, salt uint64) float64 {
+	return stats.Median(consensusTimes(runTrials(plurality.Experiment{
+		N:           n,
 		Protocol:    p,
 		Init:        init,
-		Trials:      trials,
 		Seed:        opts.Seed*99991 + salt,
+		NumTrials:   trials,
 		Parallelism: opts.Parallelism,
-	})
-	times, err := sim.ConsensusTimes(results)
-	if err != nil {
-		panic(err)
-	}
-	return stats.Median(times)
+	})))
 }
 
 // geometricGrid returns {lo, 2lo, 4lo, ...} capped at hi (inclusive of

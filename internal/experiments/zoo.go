@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"plurality/internal/core"
+	"plurality"
 	"plurality/internal/population"
-	"plurality/internal/sim"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 )
@@ -31,13 +30,13 @@ func runZoo(opts Options) []tablefmt.Table {
 		trials = 9
 	}
 
-	protos := []core.Protocol{
-		core.ThreeMajority{},
-		core.TwoChoices{},
-		core.Median{},
-		core.HMajority{H: 5},
-		core.HMajority{H: 7},
-		core.Undecided{},
+	protos := []plurality.Protocol{
+		plurality.ThreeMajority(),
+		plurality.TwoChoices(),
+		plurality.Median(),
+		plurality.HMajority(5),
+		plurality.HMajority(7),
+		plurality.Undecided(),
 	}
 
 	table := tablefmt.Table{
@@ -52,31 +51,20 @@ func runZoo(opts Options) []tablefmt.Table {
 		row := make([]interface{}, 0, len(protos)+1)
 		row = append(row, k)
 		for pi, p := range protos {
-			spec := sim.Spec{
+			e := plurality.Experiment{
+				N:           n,
 				Protocol:    p,
-				Trials:      trials,
+				Init:        plurality.Balanced(k),
 				Seed:        opts.Seed*1511 + uint64(ki*10+pi),
+				NumTrials:   trials,
 				Parallelism: opts.Parallelism,
 			}
-			if _, isUSD := p.(core.Undecided); isUSD {
-				// k real opinions + one (initially empty) undecided slot.
-				spec.Init = func(int) *population.Vector {
-					counts := append(population.Balanced(n, k).Counts(), 0)
-					return population.MustFromCounts(counts)
-				}
-				spec.Done = func(v *population.Vector) bool {
-					_, ok := core.DecidedConsensus(v)
-					return ok
-				}
-			} else {
-				spec.Init = func(int) *population.Vector { return population.Balanced(n, k) }
+			if p.Name() == plurality.Undecided().Name() {
+				// k real opinions + one (initially empty) undecided slot;
+				// USD runs end at decided consensus.
+				e.Init = plurality.Counts(append(population.Balanced(n, k).Counts(), 0))
 			}
-			results := sim.RunMany(spec)
-			times, err := sim.ConsensusTimes(results)
-			if err != nil {
-				panic(err)
-			}
-			row = append(row, stats.Median(times))
+			row = append(row, stats.Median(consensusTimes(runTrials(e))))
 		}
 		table.AddRow(row...)
 	}

@@ -20,7 +20,7 @@
 //     plurality.Experiment (Request.Experiment), the unified execution
 //     path for all four modes: trial i of any request gets the façade
 //     seed rng.DeriveSeed(Seed, i) (which the non-sync engines expand
-//     once more), and trials fan across workers via sim.ForEachTrial —
+//     once more), and trials fan across workers via the sim schedulers —
 //     with mode graph also sharding each run's vertex loop — so
 //     results are reproducible and independent of the parallelism
 //     budget; see DESIGN.md §Simulation service for the full

@@ -18,7 +18,7 @@ import (
 type Trial struct {
 	// Trial is the trial index. Trial i's façade seed is
 	// rng.DeriveSeed(Request.Seed, i): mode sync consumes it directly
-	// as the trial's RNG stream (sim.RunMany's derivation), while the
+	// as the trial's RNG stream (core.Run's per-trial oracle), while the
 	// async/graph/gossip engines expand it once more —
 	// their root streams are rng.DeriveSeed(rng.DeriveSeed(Seed, i), j)
 	// for engine-specific j. Both derivations are frozen: changing

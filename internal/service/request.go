@@ -79,7 +79,7 @@ const (
 // independent of worker count, of per-request parallelism, and of
 // whether the CLI or the server runs it. Trial i's façade seed is
 // rng.DeriveSeed(Seed, i): mode sync consumes it directly as the
-// trial's RNG stream — exactly sim.RunMany's per-trial derivation, so
+// trial's RNG stream — rng.New(rng.DeriveSeed(Seed, i)), so
 // a 1-trial request reproduces plurality.Run with the same Seed —
 // while the async/graph/gossip façade entry points expand it once
 // more, rooting their streams at

@@ -34,6 +34,22 @@ func TestTrialSeedContractPinned(t *testing.T) {
 			},
 		},
 		{
+			// trials omitted: the default single-trial request shape,
+			// in the paper's k = n 2-Choices regime.
+			name: "sync-single-2-choices",
+			req:  Request{Protocol: "2-choices", N: 1000, K: 1000, Seed: 42},
+			want: []pinned{
+				{342, true, 407, -1},
+			},
+		},
+		{
+			name: "sync-single-3-majority",
+			req:  Request{Protocol: "3-majority", N: 10_000, K: 100, Seed: 42},
+			want: []pinned{
+				{78, true, 66, -1},
+			},
+		},
+		{
 			name: "async",
 			req:  Request{Protocol: "2-choices", N: 300, K: 3, Seed: 42, Trials: 3, Mode: ModeAsync},
 			want: []pinned{

@@ -9,14 +9,14 @@ import (
 	"testing"
 )
 
-// TestForEachTrialRunsEveryTrialOnce covers the scheduler the service
-// layer shares: each trial index is handed to exactly one body call,
-// for serial and parallel worker counts alike.
+// TestForEachTrialRunsEveryTrialOnce covers the index scheduler with no
+// context: each trial index is handed to exactly one body call, for
+// serial and parallel worker counts alike.
 func TestForEachTrialRunsEveryTrialOnce(t *testing.T) {
 	for _, parallelism := range []int{1, 3, 0, 100} {
 		const trials = 57
 		var calls [trials]atomic.Int32
-		err := ForEachTrial(trials, parallelism, func(trial int) error {
+		err := ForEachTrialCtx(nil, trials, parallelism, func(trial int) error {
 			calls[trial].Add(1)
 			return nil
 		})
@@ -37,7 +37,7 @@ func TestForEachTrialRunsEveryTrialOnce(t *testing.T) {
 func TestForEachTrialReturnsLowestIndexError(t *testing.T) {
 	sentinel := errors.New("sentinel")
 	for _, parallelism := range []int{1, 4} {
-		err := ForEachTrial(40, parallelism, func(trial int) error {
+		err := ForEachTrialCtx(nil, 40, parallelism, func(trial int) error {
 			switch trial {
 			case 7:
 				return sentinel
@@ -53,10 +53,10 @@ func TestForEachTrialReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestForEachTrialNoTrials(t *testing.T) {
-	if err := ForEachTrial(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachTrialCtx(nil, 0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEachTrial(-3, 1, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachTrialCtx(nil, -3, 1, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +112,8 @@ func TestForEachTrialCtxStopsClaimingOnCancel(t *testing.T) {
 }
 
 // TestForEachTrialCtxNilContextMatchesForEachTrial: with no context the
-// ctx variant keeps the original run-to-completion semantics.
+// scheduler keeps its run-to-completion semantics: a failing trial
+// does not stop the others.
 func TestForEachTrialCtxNilContextMatchesForEachTrial(t *testing.T) {
 	const trials = 20
 	var calls [trials]atomic.Int32

@@ -6,118 +6,27 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"plurality/internal/core"
-	"plurality/internal/population"
-	"plurality/internal/rng"
 )
 
-// Spec describes a batch of independent trials of one dynamics.
-type Spec struct {
-	// Protocol is the dynamics to run. Required.
-	Protocol core.Protocol
-	// Init returns the initial configuration for a trial. Trials must
-	// not share the returned Vector. Required.
-	Init func(trial int) *population.Vector
-	// Trials is the number of independent runs; it defaults to 1.
-	Trials int
-	// Seed is the base seed; trial i uses rng.DeriveSeed(Seed, i).
-	Seed uint64
-	// MaxRounds bounds each run (0 = core.DefaultMaxRounds).
-	MaxRounds int
-	// PostRound is forwarded to core.RunConfig (adversaries hook here).
-	PostRound func(round int, r *rng.Rand, v *population.Vector)
-	// Done is forwarded to core.RunConfig (custom stopping condition).
-	Done func(v *population.Vector) bool
-	// Observe, if non-nil, constructs a per-trial observer; it runs on
-	// the worker goroutine of that trial.
-	Observe func(trial int) func(round int, v *population.Vector) bool
-	// Parallelism is the worker count; 0 means GOMAXPROCS.
-	Parallelism int
-}
-
-// TrialResult is one trial's outcome.
-type TrialResult struct {
-	Trial int
-	core.RunResult
-}
-
-// ForEachTrial is the deterministic trial scheduler shared by every
-// execution mode (the count-space engine here, and the service layer's
-// async/graph/gossip executors): it runs body(trial) for trial =
+// ForEachTrialCtx is the deterministic trial scheduler behind the
+// async, graph and gossip executors: it runs body(trial) for trial =
 // 0..trials-1 across a pool of parallelism workers (<= 0 means
 // GOMAXPROCS). Work is handed out by trial index and bodies must
 // derive all randomness from that index (e.g. via rng.DeriveSeed), so
 // the outcome of every trial — and anything the bodies write into
 // per-trial slots — is identical for any worker count.
 //
-// All trials run even when some fail; the returned error is that of
-// the lowest failing trial index, so error reporting is deterministic
-// too. (Per-trial errors are config errors, surfaced long before any
-// simulation work, so running the batch to completion costs nothing in
-// practice.)
-func ForEachTrial(trials, parallelism int, body func(trial int) error) error {
-	if trials <= 0 {
-		return nil
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	var firstErr error
-	if workers == 1 {
-		// Serial fast path: no goroutines, but the same
-		// run-to-completion, lowest-index-error semantics.
-		for trial := 0; trial < trials; trial++ {
-			if err := body(trial); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	errs := make([]error, trials)
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				trial := int(atomic.AddInt64(&next, 1))
-				if trial >= trials {
-					return
-				}
-				errs[trial] = body(trial)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForEachTrialCtx is ForEachTrial with cooperative cancellation and
-// per-trial panic containment — the scheduler variant the durable
-// service layer drives: cancelling the context stops workers from
-// *claiming* further trials (trials already claimed run to completion,
-// so cancellation lands exactly at trial boundaries and every result
-// that was produced is a complete, checkpointable trial), and a panic
-// inside body is recovered into that trial's error instead of killing
-// the process — a poisoned configuration fails one job, not the
-// server.
+// Cancelling the context stops workers from *claiming* further trials
+// (trials already claimed run to completion, so cancellation lands
+// exactly at trial boundaries and every result that was produced is a
+// complete, checkpointable trial), and a panic inside body is
+// recovered into that trial's error instead of killing the process — a
+// poisoned configuration fails one job, not the server.
 //
 // The error is the lowest failing trial index among the trials that
 // ran (panics included), or ctx.Err() if the context was cancelled and
-// no trial failed. A nil ctx never cancels.
+// no trial failed. A nil ctx never cancels, so every trial runs even
+// when some fail.
 func ForEachTrialCtx(ctx context.Context, trials, parallelism int, body func(trial int) error) error {
 	if trials <= 0 {
 		return nil
@@ -304,131 +213,4 @@ func ForEachTrialRangeCtx(ctx context.Context, trials, parallelism, width int, b
 		return ctx.Err()
 	}
 	return nil
-}
-
-// RunMany executes the trials and returns the results indexed by
-// trial. Trials are independent: trial i's stream depends only on
-// (Seed, i), so results are reproducible regardless of parallelism.
-func RunMany(spec Spec) []TrialResult {
-	if spec.Protocol == nil || spec.Init == nil {
-		panic("sim: Spec requires Protocol and Init")
-	}
-	trials := spec.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	results := make([]TrialResult, trials)
-	ForEachTrial(trials, spec.Parallelism, func(trial int) error {
-		r := rng.New(rng.DeriveSeed(spec.Seed, uint64(trial)))
-		v := spec.Init(trial)
-		cfg := core.RunConfig{
-			MaxRounds: spec.MaxRounds,
-			PostRound: spec.PostRound,
-			Done:      spec.Done,
-		}
-		if spec.Observe != nil {
-			cfg.Observer = spec.Observe(trial)
-		}
-		res := core.Run(r, spec.Protocol, v, cfg)
-		results[trial] = TrialResult{Trial: trial, RunResult: res}
-		return nil
-	})
-	return results
-}
-
-// ConsensusTimes extracts the round counts of the trials that reached
-// the stopping condition; it errors if any trial failed to converge,
-// since a truncated sample would silently bias time statistics.
-func ConsensusTimes(results []TrialResult) ([]float64, error) {
-	times := make([]float64, 0, len(results))
-	for _, res := range results {
-		if !res.Consensus {
-			return nil, fmt.Errorf("sim: trial %d did not reach the stopping condition within %d rounds", res.Trial, res.Rounds)
-		}
-		times = append(times, float64(res.Rounds))
-	}
-	return times, nil
-}
-
-// WinnerFractions returns, for each opinion, the fraction of converged
-// trials it won.
-func WinnerFractions(results []TrialResult, k int) []float64 {
-	fracs := make([]float64, k)
-	converged := 0
-	for _, res := range results {
-		if res.Consensus {
-			converged++
-			if res.Winner >= 0 && res.Winner < k {
-				fracs[res.Winner]++
-			}
-		}
-	}
-	if converged == 0 {
-		return fracs
-	}
-	for i := range fracs {
-		fracs[i] /= float64(converged)
-	}
-	return fracs
-}
-
-// CountConverged returns how many trials reached the stopping condition.
-func CountConverged(results []TrialResult) int {
-	n := 0
-	for _, res := range results {
-		if res.Consensus {
-			n++
-		}
-	}
-	return n
-}
-
-// Trajectory records per-round scalar summaries of one run. Attach
-// via Spec.Observe (or core.RunConfig.Observer) and read the slices
-// afterwards; entry t corresponds to round t (entry 0 is the initial
-// configuration). Recording is cheap relative to the protocol step:
-// Gamma and Live read the Vector's O(1) incremental aggregates and
-// only MaxOpinion scans, at O(live).
-type Trajectory struct {
-	// Every controls subsampling: a round is recorded when
-	// round % Every == 0 (Every <= 1 records all rounds). The final
-	// recorded round is whatever matched last, so pair coarse Every
-	// values with hitting-time logic, not last-element reads.
-	Every int
-
-	Rounds   []int
-	Gamma    []float64
-	Live     []int
-	MaxAlpha []float64
-}
-
-// Observer returns an observer function that appends to the trajectory
-// and never stops the run.
-func (tr *Trajectory) Observer() func(round int, v *population.Vector) bool {
-	every := tr.Every
-	if every < 1 {
-		every = 1
-	}
-	return func(round int, v *population.Vector) bool {
-		if round%every != 0 {
-			return false
-		}
-		tr.Rounds = append(tr.Rounds, round)
-		tr.Gamma = append(tr.Gamma, v.Gamma())
-		tr.Live = append(tr.Live, v.Live())
-		_, c := v.MaxOpinion()
-		tr.MaxAlpha = append(tr.MaxAlpha, float64(c)/float64(v.N()))
-		return false
-	}
-}
-
-// GammaHitTime returns the first recorded round where γ reached the
-// threshold, or -1 if it never did.
-func (tr *Trajectory) GammaHitTime(threshold float64) int {
-	for i, g := range tr.Gamma {
-		if g >= threshold {
-			return tr.Rounds[i]
-		}
-	}
-	return -1
 }

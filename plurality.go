@@ -16,14 +16,15 @@
 //
 // # Quick start
 //
-//	cfg := plurality.Config{
-//		N:        1_000_000,
-//		Protocol: plurality.ThreeMajority(),
-//		Init:     plurality.Balanced(100),
-//		Seed:     1,
-//	}
-//	res, err := plurality.Run(cfg)
-//	// res.Rounds is the consensus time; res.Winner the final opinion.
+//	out, err := plurality.Experiment{
+//		N:         1_000_000,
+//		Protocol:  plurality.ThreeMajority(),
+//		Init:      plurality.Balanced(100),
+//		Seed:      1,
+//		NumTrials: 8,
+//	}.Run()
+//	// out.Trials[i].Rounds is trial i's consensus time, .Winner its
+//	// final opinion; out.MedianRounds() summarizes the batch.
 //
 // The reproduction of every figure, table and theorem of the paper
 // lives in cmd/conbench; see DESIGN.md for the experiment index and
@@ -108,9 +109,9 @@ type Init struct {
 	build func(n int64) (*population.Vector, error)
 	// stateful marks generators whose successive builds differ (their
 	// draws come from an internal stream). A pure init builds the same
-	// configuration for every trial, which lets the sync batch executor
-	// build it once and reuse it as a shared template; stateful inits
-	// must keep the build-per-trial path.
+	// configuration for every trial, so the sync executor reuses its
+	// validation build as a shared template; a stateful init gets a
+	// fresh build per trial, on the worker that runs the trial.
 	stateful bool
 }
 
@@ -200,11 +201,14 @@ func Fractions(fracs []float64) Init {
 // Small concentrations give spiky starts (large γ₀), large ones
 // near-balanced starts. The returned Init is safe for concurrent use
 // and its draw sequence is deterministic in seed — but unlike every
-// other generator it is draw-stateful: under parallel trial execution
-// the assignment of draws to trial indices depends on scheduling, and
-// multi-trial entry points consume one validation draw up front. For
-// per-trial reproducibility, run with Parallelism: 1 or use a
-// deterministic generator.
+// other generator it is draw-stateful. Each Experiment (and RunMany)
+// consumes one validation draw up front, which a bare Run does not;
+// every trial then draws its own configuration when it starts, so
+// under parallel trial execution the assignment of draws to trial
+// indices depends on scheduling. With Parallelism: 1 the trials draw in
+// index order, right after the validation draw, so for per-trial
+// reproducibility run with Parallelism: 1 or use a deterministic
+// generator.
 func Dirichlet(k int, concentration float64, seed uint64) Init {
 	if k < 1 || concentration <= 0 {
 		return Init{build: func(int64) (*population.Vector, error) {
@@ -243,9 +247,10 @@ func HelpAdversary(f int64) Adversary { return Adversary{impl: adversary.Help{F:
 func ScatterAdversary(f int64) Adversary { return Adversary{impl: adversary.Scatter{F: f}} }
 
 // Snapshot is a read-only view of the configuration passed to
-// Config.OnRound. It must not be retained after the callback returns.
+// Experiment.OnRound (and the deprecated Config.OnRound). It must not
+// be retained after the callback returns.
 type Snapshot struct {
-	v *population.Vector
+	v core.View
 }
 
 // N returns the number of vertices.
@@ -258,7 +263,7 @@ func (s Snapshot) K() int { return s.v.K() }
 func (s Snapshot) Count(i int) int64 { return s.v.Count(i) }
 
 // Alpha returns the fraction α(i) of vertices supporting opinion i.
-func (s Snapshot) Alpha(i int) float64 { return s.v.Alpha(i) }
+func (s Snapshot) Alpha(i int) float64 { return float64(s.v.Count(i)) / float64(s.v.N()) }
 
 // Gamma returns γ = Σ α(i)², the paper's central potential function.
 func (s Snapshot) Gamma() float64 { return s.v.Gamma() }
@@ -343,12 +348,13 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// The legacy stream: rng.New(DeriveSeed(Seed, 0)) — the façade
-	// seed of trial 0, which is why Experiment reproduces Run exactly.
-	tr, err := c.runFacade(rng.DeriveSeed(cfg.Seed, 0), cfg.Trace, cfg.OnRound, 0)
+	runner, err := c.syncRunner()
 	if err != nil {
 		return Result{}, err
 	}
+	// The legacy stream: rng.New(DeriveSeed(Seed, 0)) — the façade
+	// seed of trial 0, which is why Experiment reproduces Run exactly.
+	tr := c.runSyncTrial(runner, rng.DeriveSeed(cfg.Seed, 0), cfg.Trace, cfg.OnRound)
 	return Result{Rounds: int(tr.Rounds), Consensus: tr.Consensus, Winner: tr.Winner}, nil
 }
 
