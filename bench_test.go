@@ -96,20 +96,26 @@ func BenchmarkExperimentZoo(b *testing.B) { benchmarkExperiment(b, "zoo") }
 // cross-validation and the fault sweep.
 func BenchmarkExperimentGossip(b *testing.B) { benchmarkExperiment(b, "gossip") }
 
+// runConsensus runs e's single trial and fails the benchmark unless it
+// reaches consensus.
+func runConsensus(b *testing.B, e plurality.Experiment) {
+	out, err := e.Run()
+	if err != nil || !out.Trials[0].Consensus {
+		b.Fatalf("run failed: %v %+v", err, out)
+	}
+}
+
 // BenchmarkRunThreeMajority measures a full public-API consensus run
 // (n = 10^6, k = 100, ~200 rounds).
 func BenchmarkRunThreeMajority(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.Run(plurality.Config{
+		runConsensus(b, plurality.Experiment{
 			N:        1_000_000,
 			Protocol: plurality.ThreeMajority(),
 			Init:     plurality.Balanced(100),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }
 
@@ -118,15 +124,12 @@ func BenchmarkRunThreeMajority(b *testing.B) {
 func BenchmarkRunTwoChoices(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.Run(plurality.Config{
+		runConsensus(b, plurality.Experiment{
 			N:        1_000_000,
 			Protocol: plurality.TwoChoices(),
 			Init:     plurality.Balanced(100),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }
 
@@ -138,15 +141,12 @@ func BenchmarkRunTwoChoices(b *testing.B) {
 func BenchmarkRunThreeMajorityManyOpinions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.Run(plurality.Config{
+		runConsensus(b, plurality.Experiment{
 			N:        100_000,
 			Protocol: plurality.ThreeMajority(),
 			Init:     plurality.Balanced(100_000),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }
 
@@ -157,15 +157,12 @@ func BenchmarkRunThreeMajorityManyOpinions(b *testing.B) {
 func BenchmarkRunTwoChoicesManyOpinions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.Run(plurality.Config{
+		runConsensus(b, plurality.Experiment{
 			N:        10_000,
 			Protocol: plurality.TwoChoices(),
 			Init:     plurality.Balanced(10_000),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }
 
@@ -178,15 +175,12 @@ func BenchmarkRunTwoChoicesManyOpinions(b *testing.B) {
 // k = 16 on the exact count-space engine.
 func BenchmarkAblationCountsEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.Run(plurality.Config{
+		runConsensus(b, plurality.Experiment{
 			N:        100_000,
 			Protocol: plurality.ThreeMajority(),
 			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }
 
@@ -194,16 +188,14 @@ func BenchmarkAblationCountsEngine(b *testing.B) {
 // per-vertex agent engine (complete-graph topology).
 func BenchmarkAblationAgentEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.RunOnGraph(plurality.GraphConfig{
+		runConsensus(b, plurality.Experiment{
+			Mode:     plurality.ModeGraph,
 			N:        100_000,
 			Topology: plurality.CompleteTopology(),
 			Protocol: plurality.ThreeMajority(),
 			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }
 
@@ -211,15 +203,13 @@ func BenchmarkAblationAgentEngine(b *testing.B) {
 // message-passing network — the cost of actual concurrency.
 func BenchmarkAblationGossipEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.RunGossip(plurality.GossipConfig{
+		runConsensus(b, plurality.Experiment{
+			Mode:     plurality.ModeGossip,
 			N:        1_000,
 			Protocol: plurality.ThreeMajority(),
 			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }
 
@@ -227,14 +217,11 @@ func BenchmarkAblationGossipEngine(b *testing.B) {
 // roughly double the consensus time of the wrapped dynamics.
 func BenchmarkAblationLazy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := plurality.Run(plurality.Config{
+		runConsensus(b, plurality.Experiment{
 			N:        100_000,
 			Protocol: plurality.LazyVariant(plurality.ThreeMajority(), 0.5),
 			Init:     plurality.Balanced(16),
 			Seed:     uint64(i + 1),
 		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
 	}
 }

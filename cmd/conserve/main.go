@@ -61,10 +61,10 @@
 // cap are promoted to the analytic tier automatically instead of
 // being rejected; conserve_analytic_requests_total counts both forms.
 //
-// Results are deterministic in the request alone — trial i's façade
+// Results are deterministic in the request alone — trial i's trial
 // seed is DeriveSeed(seed, i), which mode sync consumes directly and
-// the async/graph/gossip engines expand once more at their entry
-// points; no worker or parallelism setting changes a byte — so
+// the async/graph/gossip engines expand once more; no worker or
+// parallelism setting changes a byte — so
 // identical requests are served from an LRU cache without
 // re-simulation; a full queue answers 429 with Retry-After.
 package main

@@ -50,25 +50,23 @@ const DefaultMaxTicks int64 = 10_000_000_000
 
 // Experiment is the single description of a simulation batch: one mode
 // selector plus the union of every mode's knobs, validated once in one
-// place. It replaces the four divergent entry-point families
-// (Run/RunMany*, RunAsync, RunOnGraph, RunGossip), which remain as
-// deprecated wrappers.
+// place. It is the package's one entry point for running the dynamics.
 //
-// Execute with Run (all trials collected into an Outcome) or Trials
-// (a streaming iterator). Both are deterministic in the Experiment
-// alone: trial i's façade seed is rng.DeriveSeed(Seed, i) — consumed
-// directly as the trial's RNG stream in mode sync, expanded once more
-// by the async/graph/gossip engines — so results are byte-identical
-// for every Parallelism value, and a 1-trial sync Experiment
-// reproduces Run with the same Seed. This is exactly the service
-// layer's frozen per-trial seed contract (see internal/service).
+// Execute with Run (all trials collected into an Outcome), Trials (a
+// streaming iterator) or Stream (streaming with a context). All are
+// deterministic in the Experiment alone: trial i's trial seed is
+// rng.DeriveSeed(Seed, i) — consumed directly as the trial's RNG
+// stream in mode sync, expanded once more by the async/graph/gossip
+// engines — so results are byte-identical for every Parallelism value.
+// This is exactly the service layer's frozen per-trial seed contract
+// (see internal/service).
 //
 // One caveat: the draw-stateful Dirichlet init keeps its own stream
 // outside the per-trial seeds. Every Experiment consumes one validation
-// draw that a bare Run does not, and each trial then draws when it
-// starts, so the draw-to-trial assignment depends on scheduling when
-// Parallelism != 1. Every other Init generator is a pure function of
-// (n, parameters) and is covered by the contract above.
+// draw, and each trial then draws when it starts, so the draw-to-trial
+// assignment depends on scheduling when Parallelism != 1. Every other
+// Init generator is a pure function of (n, parameters) and is covered
+// by the contract above.
 type Experiment struct {
 	// Mode selects the execution engine; the zero value is ModeSync.
 	Mode Mode
@@ -102,9 +100,8 @@ type Experiment struct {
 	// gossip engines — with the leftover budget sharding each graph
 	// run's vertex loop. Results never depend on it.
 	Parallelism int
-	// MaxRounds bounds each trial (<= 0 = the engine default, matching
-	// the legacy entry points). A trial that exhausts the budget
-	// reports Consensus = false, not an error.
+	// MaxRounds bounds each trial (<= 0 = the engine default). A trial
+	// that exhausts the budget reports Consensus = false, not an error.
 	MaxRounds int
 	// MaxTicks bounds each async-mode trial (0 = DefaultMaxTicks).
 	// Only valid in ModeAsync.
@@ -294,8 +291,7 @@ func (e Experiment) normalize() Experiment {
 		e.NumTrials = 1
 	}
 	if e.MaxRounds < 0 {
-		// The legacy entry points treated any non-positive budget as
-		// "use the engine default"; the unified path keeps that.
+		// Any non-positive budget means "use the engine default".
 		e.MaxRounds = 0
 	}
 	if e.Mode == ModeAsync && e.MaxTicks == 0 {
@@ -305,8 +301,7 @@ func (e Experiment) normalize() Experiment {
 }
 
 // compiled is a validated experiment with its mode's engine bindings
-// resolved — the one execution path behind Run, Trials and the
-// deprecated per-mode wrappers.
+// resolved — the one execution path behind Run, Trials and Stream.
 type compiled struct {
 	e    Experiment
 	stop stop.Spec
@@ -315,8 +310,8 @@ type compiled struct {
 	post    func(round int, r *rng.Rand, v *population.Vector)
 	usdDone func(v *population.Vector) bool
 	// template is the shared initial configuration of the sync
-	// executor (nil when each trial builds its own: a stateful init,
-	// a non-sync mode, or the deprecated Run, which never prebuilds).
+	// executor (nil when each trial builds its own: a stateful init or
+	// a non-sync mode).
 	template *population.Vector
 	// async binding
 	dyn async.Dynamics
@@ -327,8 +322,7 @@ type compiled struct {
 }
 
 // compile validates the experiment once and resolves its engine
-// bindings. Error texts match the legacy per-mode entry points, whose
-// wrappers share this path.
+// bindings.
 func (e Experiment) compile() (*compiled, error) {
 	e = e.normalize()
 	c := &compiled{e: e, stop: e.Stop.spec}
@@ -470,8 +464,7 @@ func (e Experiment) compile() (*compiled, error) {
 // prebuild validates the init generator with one throwaway build, so
 // per-trial init errors cannot occur mid-batch (the generator is
 // deterministic given n — draw-stateful inits like Dirichlet just
-// advance their stream by one configuration, exactly as the legacy
-// RunMany validation did).
+// advance their stream by one configuration).
 func (c *compiled) prebuild() error {
 	v, err := c.e.Init.build(c.e.N)
 	if err != nil {
@@ -595,46 +588,7 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 		outs[i] = make(chan trialOutcome, 1)
 	}
 	var cancelled atomic.Bool
-	if c.e.Mode == ModeSync {
-		go c.streamSync(ctx, trialWorkers, samplers, outs, &cancelled)
-	} else {
-		go func() {
-			// The scheduler's own lowest-index error reporting is unused:
-			// the consumer below sees errors in index order already.
-			_ = sim.ForEachTrialCtx(ctx, trials-first, trialWorkers, func(idx int) error {
-				i := first + idx
-				if cancelled.Load() {
-					outs[i] <- trialOutcome{err: errTrialCancelled}
-					return nil
-				}
-				var tr *trace.Sampler
-				if samplers != nil {
-					tr = samplers[i]
-				}
-				res, err := func() (res TrialResult, err error) {
-					// Contain trial panics here, where the per-trial result
-					// slot can still be delivered; the scheduler's own
-					// recovery cannot reach outs[i].
-					defer func() {
-						if p := recover(); p != nil {
-							err = fmt.Errorf("plurality: trial %d panicked: %v", i, p)
-						}
-					}()
-					return c.runFacade(rng.DeriveSeed(c.e.Seed, uint64(i)), tr, graphWorkers)
-				}()
-				if err != nil {
-					outs[i] <- trialOutcome{err: err}
-					return err
-				}
-				res.Trial = i
-				if tr != nil {
-					res.Trace = tr.Points()
-				}
-				outs[i] <- trialOutcome{res: res}
-				return nil
-			})
-		}()
-	}
+	go c.produce(ctx, trialWorkers, graphWorkers, samplers, outs, &cancelled)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -682,24 +636,26 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 // delivery stay responsive on long ranges.
 const batchMaxWidth = 64
 
-// streamSync is stream's producer for ModeSync, the one sync executor:
-// workers claim contiguous trial ranges (sim.ForEachTrialRangeCtx) and
-// run each range through one core.BatchRunner, so the sampler arenas
-// and flat-kernel state are built once per range instead of once per
-// trial. A pure init shares the prebuilt template across the range; a
-// stateful one (Dirichlet) builds a fresh template per trial, here on
-// the worker, in the order the trials start. Each trial consumes
-// rng.DeriveSeed(Seed, i) in the serial order, so the delivered bytes
-// equal core.Run on that trial's own build for every Parallelism and
-// width.
-func (c *compiled) streamSync(ctx context.Context, trialWorkers int, samplers []*trace.Sampler, outs []chan trialOutcome, cancelled *atomic.Bool) {
-	trials := c.e.NumTrials
+// produce is stream's one producer: workers claim contiguous trial
+// ranges (sim.ForEachTrialRangeCtx) and deliver each trial's result,
+// or its error, to outs[i]. A sync range runs on one core.BatchRunner,
+// so the sampler arenas and flat-kernel state are built once per range
+// instead of once per trial; a pure init shares the prebuilt template
+// across the range, while a stateful one (Dirichlet) builds a fresh
+// template per trial, here on the worker, in the order the trials
+// start. The other engines build all their state per trial, so their
+// ranges are one trial wide and trials are claimed one index at a
+// time. Each trial consumes only its trial seed rng.DeriveSeed(Seed, i),
+// so the delivered bytes are the same for every Parallelism and width.
+func (c *compiled) produce(ctx context.Context, trialWorkers, graphWorkers int, samplers []*trace.Sampler, outs []chan trialOutcome, cancelled *atomic.Bool) {
 	first := c.e.FirstTrial
-	span := trials - first
-	width := (span + trialWorkers - 1) / trialWorkers
-	if width > batchMaxWidth {
-		width = batchMaxWidth
+	span := c.e.NumTrials - first
+	width := 1
+	if c.e.Mode == ModeSync {
+		width = min((span+trialWorkers-1)/trialWorkers, batchMaxWidth)
 	}
+	// The scheduler's own lowest-range error reporting is unused: the
+	// consumer in stream sees errors in index order already.
 	_ = sim.ForEachTrialRangeCtx(ctx, span, trialWorkers, width, func(lo, hi int) error {
 		var runner *core.BatchRunner
 		for idx := lo; idx < hi; idx++ {
@@ -712,22 +668,29 @@ func (c *compiled) streamSync(ctx context.Context, trialWorkers int, samplers []
 			if samplers != nil {
 				tr = samplers[i]
 			}
-			var onRound func(round int, s Snapshot) bool
-			if hook := c.e.OnRound; hook != nil {
-				onRound = func(round int, s Snapshot) bool { return hook(i, round, s) }
-			}
 			res, err := func() (res TrialResult, err error) {
+				// Contain trial panics here, where the per-trial result
+				// slot can still be delivered; the scheduler's own
+				// recovery cannot reach outs[i].
 				defer func() {
 					if p := recover(); p != nil {
 						err = fmt.Errorf("plurality: trial %d panicked: %v", i, p)
 					}
 				}()
+				seed := rng.DeriveSeed(c.e.Seed, uint64(i))
+				if c.e.Mode != ModeSync {
+					return c.runEngineTrial(seed, tr, graphWorkers)
+				}
 				if runner == nil || c.template == nil {
 					if runner, err = c.syncRunner(); err != nil {
 						return res, err
 					}
 				}
-				return c.runSyncTrial(runner, rng.DeriveSeed(c.e.Seed, uint64(i)), tr, onRound), nil
+				var onRound func(round int, s Snapshot) bool
+				if hook := c.e.OnRound; hook != nil {
+					onRound = func(round int, s Snapshot) bool { return hook(i, round, s) }
+				}
+				return c.runSyncTrial(runner, seed, tr, onRound), nil
 			}()
 			if err != nil {
 				outs[i] <- trialOutcome{err: err}
@@ -748,8 +711,7 @@ func (c *compiled) streamSync(ctx context.Context, trialWorkers int, samplers []
 
 // syncRunner returns a runner on the experiment's initial
 // configuration: the shared prebuilt template of a pure init, or a
-// fresh build when there is none (a stateful init, or the deprecated
-// Run, which never prebuilds).
+// fresh build for a stateful init.
 func (c *compiled) syncRunner() (*core.BatchRunner, error) {
 	template := c.template
 	if template == nil {
@@ -762,10 +724,9 @@ func (c *compiled) syncRunner() (*core.BatchRunner, error) {
 	return core.NewBatchRunner(c.proto, template), nil
 }
 
-// runSyncTrial is the one sync trial function, shared by Experiment
-// trials and the deprecated Run: it runs the trial seeded by seed on
-// runner, with the trace sampler, the OnRound hook and the stop
-// condition observing every round in that order.
+// runSyncTrial is the one sync trial function: it runs the trial
+// seeded by seed on runner, with the trace sampler, the OnRound hook
+// and the stop condition observing every round in that order.
 func (c *compiled) runSyncTrial(runner *core.BatchRunner, seed uint64, tr *trace.Sampler, onRound func(round int, s Snapshot) bool) TrialResult {
 	stopped := false
 	cfg := core.BatchRunConfig{
@@ -798,15 +759,14 @@ func (c *compiled) runSyncTrial(runner *core.BatchRunner, seed uint64, tr *trace
 	}
 }
 
-// runFacade executes one async, graph or gossip trial from its façade
-// seed — the engine dispatch shared by Experiment trials (facadeSeed =
-// rng.DeriveSeed(Seed, trial)) and the deprecated per-mode wrappers
-// (facadeSeed = their Config's Seed, preserving the legacy streams
-// byte-for-byte). Each engine expands the façade seed once more,
-// exactly as its legacy entry point always did. tr observes rounds;
-// graphWorkers bounds the sharded graph rounds (ignored elsewhere).
-// Sync trials run on runSyncTrial instead.
-func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, graphWorkers int) (TrialResult, error) {
+// runEngineTrial executes one async, graph or gossip trial from its
+// trial seed rng.DeriveSeed(Seed, trial). Each engine expands the seed
+// once more: async and graph draw from rng.DeriveSeed(seed, 0) (graph
+// rounds from rng.DeriveSeed(seed, 1)), and the gossip network takes
+// seed as its own. tr observes rounds; graphWorkers bounds the sharded
+// graph rounds (ignored elsewhere). Sync trials run on runSyncTrial
+// instead.
+func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers int) (TrialResult, error) {
 	stopped := false
 	var stopFn func(round int64, v *population.Vector) bool
 	if !c.stop.IsZero() {
@@ -825,7 +785,7 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, graphWorkers 
 		if err != nil {
 			return TrialResult{}, err
 		}
-		r := rng.New(rng.DeriveSeed(facadeSeed, 0))
+		r := rng.New(rng.DeriveSeed(seed, 0))
 		res := async.RunHooked(r, c.dyn, v, c.e.MaxTicks, tr, stopFn)
 		return TrialResult{
 			Mode:      ModeAsync,
@@ -838,7 +798,7 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, graphWorkers 
 			Live:      res.Live,
 		}, nil
 	case ModeGraph:
-		r := rng.New(rng.DeriveSeed(facadeSeed, 0))
+		r := rng.New(rng.DeriveSeed(seed, 0))
 		g, err := c.e.Topology.build(int(c.e.N), r)
 		if err != nil {
 			return TrialResult{}, err
@@ -855,7 +815,7 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, graphWorkers 
 		if maxRounds <= 0 {
 			maxRounds = 100_000
 		}
-		res := graph.RunShardedHooked(rng.DeriveSeed(facadeSeed, 1), st, c.rule, maxRounds, graphWorkers, tr, stopFn)
+		res := graph.RunShardedHooked(rng.DeriveSeed(seed, 1), st, c.rule, maxRounds, graphWorkers, tr, stopFn)
 		return TrialResult{
 			Mode:      ModeGraph,
 			Rounds:    float64(res.Rounds),
@@ -874,7 +834,7 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, graphWorkers 
 			N:        int(c.e.N),
 			Rule:     c.grule,
 			Init:     v,
-			Seed:     facadeSeed,
+			Seed:     seed,
 			Crashed:  c.e.Crashed,
 			LossProb: c.e.LossProb,
 		})
@@ -903,5 +863,5 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, graphWorkers 
 			FinalCounts: counts,
 		}, nil
 	}
-	panic(fmt.Sprintf("plurality: runFacade has no %q engine", c.e.Mode)) // compile validated the mode
+	panic(fmt.Sprintf("plurality: runEngineTrial has no %q engine", c.e.Mode)) // compile validated the mode
 }

@@ -216,8 +216,9 @@ func TestBatchSerialIdentical(t *testing.T) {
 // kernel cannot take — adversaries, USD, Median, laziness — which the
 // runner routes through the generic engine with a shared template and
 // scratch, plus the stateful Dirichlet init, which builds a fresh
-// template per trial. The property is the same: oracle-identical
-// Outcomes and Snapshots.
+// template per trial, and a traced planted-bias 2-Choices batch on the
+// flat kernel at a larger n. The property is the same:
+// oracle-identical Outcomes and Snapshots.
 func TestBatchGenericPathIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -242,12 +243,17 @@ func TestBatchGenericPathIdentical(t *testing.T) {
 		{"lazy-3majority", Experiment{
 			N: 500, Protocol: LazyVariant(ThreeMajority(), 0.3), Init: Balanced(10),
 		}},
+		{"planted-2choices-traced", Experiment{
+			N: 2500, Protocol: TwoChoices(), Init: PlantedBias(8, 0.05),
+			Seed: 21, NumTrials: 5, Trace: &trace.Spec{Policy: "log2"},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.e
-			e.Seed = 0xabcd
-			e.NumTrials = 6
+			if e.NumTrials == 0 {
+				e.Seed, e.NumTrials = 0xabcd, 6
+			}
 			for _, hooked := range []bool{false, true} {
 				assertMatchesOracle(t, e, e.Init, hooked, true)
 			}

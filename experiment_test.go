@@ -2,24 +2,13 @@ package plurality
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
 
-	"plurality/internal/rng"
 	"plurality/internal/trace"
 )
-
-// equivTrial is the mode-independent projection of one trial used by
-// the equivalence matrix: every field the legacy entry points report.
-type equivTrial struct {
-	rounds      float64
-	ticks       int64
-	consensus   bool
-	winner      int
-	finalCounts string
-	trace       string
-}
 
 func pointsString(pts []trace.Point) string {
 	var b strings.Builder
@@ -29,132 +18,89 @@ func pointsString(pts []trace.Point) string {
 	return b.String()
 }
 
-func countsString(counts []int64) string {
-	return fmt.Sprint(counts)
+// pinnedTrial is the mode-independent projection of one trial: every
+// observable the four engines report, with the trace reduced to the
+// FNV-64a digest of its pointsString.
+type pinnedTrial struct {
+	rounds      float64
+	ticks       int64
+	consensus   bool
+	winner      int
+	finalCounts string
+	traceDigest uint64
 }
 
-// equivalenceCase drives one mode of the old-vs-new matrix: base holds
-// the Experiment (mode, knobs), legacy runs trial i through the
-// deprecated wrapper with the façade seed rng.DeriveSeed(Seed, i) and
-// an optional caller-owned sampler — exactly how the wrappers document
-// their streams.
-type equivalenceCase struct {
-	name   string
-	base   Experiment
-	legacy func(t *testing.T, facadeSeed uint64, sampler *trace.Sampler) equivTrial
-}
-
-func equivalenceCases() []equivalenceCase {
-	syncCfg := Config{N: 3000, Protocol: ThreeMajority(), Init: Balanced(8)}
-	asyncCfg := Config{N: 400, Protocol: TwoChoices(), Init: Balanced(4)}
-	graphCfg := GraphConfig{N: 600, Topology: RandomRegularTopology(8), Protocol: ThreeMajority(), Init: Balanced(4)}
-	gossipCfg := GossipConfig{N: 120, Protocol: Voter(), Init: Balanced(3), LossProb: 0.05, Crashed: []int{3, 7}}
-	return []equivalenceCase{
-		{
-			name: "sync",
-			base: Experiment{Mode: ModeSync, N: syncCfg.N, Protocol: syncCfg.Protocol, Init: syncCfg.Init, Seed: 11},
-			legacy: func(t *testing.T, _ uint64, sampler *trace.Sampler) equivTrial {
-				// Run(cfg) consumes DeriveSeed(cfg.Seed, 0) — the façade
-				// seed of trial 0 — so it pins the sync mode's trial 0
-				// here; trials beyond index 0 are pinned against
-				// RunManyParallel in TestExperimentMatchesRunManyParallel.
-				t.Helper()
-				cfg := syncCfg
-				cfg.Seed = 11
-				cfg.Trace = sampler
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return equivTrial{rounds: float64(res.Rounds), consensus: res.Consensus, winner: res.Winner, trace: pointsString(sampler.Points())}
-			},
-		},
-		{
-			name: "async",
-			base: Experiment{Mode: ModeAsync, N: asyncCfg.N, Protocol: asyncCfg.Protocol, Init: asyncCfg.Init, Seed: 12},
-			legacy: func(t *testing.T, facadeSeed uint64, sampler *trace.Sampler) equivTrial {
-				t.Helper()
-				cfg := asyncCfg
-				cfg.Seed = facadeSeed
-				cfg.Trace = sampler
-				res, err := RunAsync(cfg, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return equivTrial{rounds: res.Rounds, ticks: res.Ticks, consensus: res.Consensus, winner: res.Winner, trace: pointsString(sampler.Points())}
-			},
-		},
-		{
-			name: "graph",
-			base: Experiment{Mode: ModeGraph, N: int64(graphCfg.N), Topology: graphCfg.Topology, Protocol: graphCfg.Protocol, Init: graphCfg.Init, Seed: 13},
-			legacy: func(t *testing.T, facadeSeed uint64, sampler *trace.Sampler) equivTrial {
-				t.Helper()
-				cfg := graphCfg
-				cfg.Seed = facadeSeed
-				cfg.Trace = sampler
-				res, err := RunOnGraph(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return equivTrial{rounds: float64(res.Rounds), consensus: res.Consensus, winner: res.Winner, trace: pointsString(sampler.Points())}
-			},
-		},
-		{
-			name: "gossip",
-			base: Experiment{Mode: ModeGossip, N: int64(gossipCfg.N), Protocol: gossipCfg.Protocol, Init: gossipCfg.Init, LossProb: gossipCfg.LossProb, Crashed: gossipCfg.Crashed, Seed: 14},
-			legacy: func(t *testing.T, facadeSeed uint64, sampler *trace.Sampler) equivTrial {
-				t.Helper()
-				cfg := gossipCfg
-				cfg.Seed = facadeSeed
-				cfg.Trace = sampler
-				res, err := RunGossip(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return equivTrial{rounds: float64(res.Rounds), consensus: res.Consensus, winner: res.Winner, finalCounts: countsString(res.FinalCounts), trace: pointsString(sampler.Points())}
-			},
-		},
-	}
-}
-
-func experimentTrial(tr TrialResult) equivTrial {
-	out := equivTrial{rounds: tr.Rounds, ticks: tr.Ticks, consensus: tr.Consensus, winner: tr.Winner, trace: pointsString(tr.Trace)}
+func pinTrial(tr TrialResult) pinnedTrial {
+	h := fnv.New64a()
+	h.Write([]byte(pointsString(tr.Trace)))
+	out := pinnedTrial{rounds: tr.Rounds, ticks: tr.Ticks, consensus: tr.Consensus, winner: tr.Winner, traceDigest: h.Sum64()}
 	if tr.FinalCounts != nil {
-		out.finalCounts = countsString(tr.FinalCounts)
+		out.finalCounts = fmt.Sprint(tr.FinalCounts)
 	}
 	return out
 }
 
-// TestExperimentEquivalenceMatrix is the old-vs-new contract for all
-// four modes × {serial, parallel} × {untraced, traced}: every trial of
-// an Experiment equals the deprecated wrapper invoked with the façade
-// seed rng.DeriveSeed(Seed, i) (for sync, trial 0 of RunMany-style
-// batches equals Run — the documented identity), traces included, and
-// the Experiment output is identical for every Parallelism value.
-func TestExperimentEquivalenceMatrix(t *testing.T) {
-	spec := trace.Spec{Policy: trace.PolicyLog2}
-	const trials = 3
-	for _, tc := range equivalenceCases() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			// Legacy reference, one wrapper call per trial (traced).
-			want := make([]equivTrial, trials)
-			for i := 0; i < trials; i++ {
-				sampler := trace.NewSampler(spec, i)
-				if tc.name == "sync" && i > 0 {
-					// Run() only reproduces trial 0; trials 1.. of the
-					// sync mode are covered by the RunManyParallel
-					// comparison below.
-					continue
-				}
-				want[i] = tc.legacy(t, rng.DeriveSeed(tc.base.Seed, uint64(i)), sampler)
-			}
+// untracedDigest is the digest of an empty trace.
+var untracedDigest = pinTrial(TrialResult{}).traceDigest
 
+// pinnedCases are one Experiment per mode with the first three trials
+// of each recorded as constants. The references were produced by the
+// per-mode single-run entry points that preceded Experiment, each
+// called with trial i's seed rng.DeriveSeed(Seed, i), so they pin the
+// streams those entry points always produced.
+var pinnedCases = []struct {
+	base   Experiment
+	trials [3]pinnedTrial
+}{
+	{
+		Experiment{Mode: ModeSync, N: 3000, Protocol: ThreeMajority(), Init: Balanced(8), Seed: 11},
+		[3]pinnedTrial{
+			{36, 0, true, 7, "", 0x26793610e32a9574},
+			{24, 0, true, 7, "", 0xb8d7ff99c8649f35},
+			{24, 0, true, 7, "", 0xcd93d4aa6b8f0c84},
+		},
+	},
+	{
+		Experiment{Mode: ModeAsync, N: 400, Protocol: TwoChoices(), Init: Balanced(4), Seed: 12},
+		[3]pinnedTrial{
+			{18.155, 7262, true, 0, "", 0x8872c3586af93e32},
+			{21.735, 8694, true, 3, "", 0xad0e5630223bdfe6},
+			{15.9275, 6371, true, 1, "", 0x83968ed43ec4c82d},
+		},
+	},
+	{
+		Experiment{Mode: ModeGraph, N: 600, Topology: RandomRegularTopology(8), Protocol: ThreeMajority(), Init: Balanced(4), Seed: 13},
+		[3]pinnedTrial{
+			{33, 0, true, 2, "", 0x5cac02928bb8f22},
+			{26, 0, true, 3, "", 0xb68b73e6477ed057},
+			{26, 0, true, 0, "", 0x406ec24f55402402},
+		},
+	},
+	{
+		Experiment{Mode: ModeGossip, N: 120, Protocol: Voter(), Init: Balanced(3), LossProb: 0.05, Crashed: []int{3, 7}, Seed: 14},
+		[3]pinnedTrial{
+			{108, 0, true, 1, "[2 118 0]", 0x8b1346f02d86a812},
+			{74, 0, true, 1, "[2 118 0]", 0x4f44e1df1a060946},
+			{113, 0, true, 0, "[120 0 0]", 0x892acaf936efe700},
+		},
+	},
+}
+
+// TestExperimentEquivalenceMatrixPinned pins all four modes ×
+// {serial, parallel} × {untraced, traced} to the recorded references:
+// every trial of an Experiment reproduces its pinned observables, a
+// traced run its pinned trace digest and an untraced run no trace, so
+// the output is also identical for every Parallelism value.
+func TestExperimentEquivalenceMatrixPinned(t *testing.T) {
+	spec := trace.Spec{Policy: trace.PolicyLog2}
+	for _, tc := range pinnedCases {
+		tc := tc
+		t.Run(string(tc.base.Mode), func(t *testing.T) {
+			t.Parallel()
 			for _, parallelism := range []int{1, 0} {
 				for _, traced := range []bool{false, true} {
 					e := tc.base
-					e.NumTrials = trials
+					e.NumTrials = len(tc.trials)
 					e.Parallelism = parallelism
 					if traced {
 						e.Trace = &spec
@@ -163,65 +109,24 @@ func TestExperimentEquivalenceMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("parallelism=%d traced=%v: %v", parallelism, traced, err)
 					}
-					if len(out.Trials) != trials {
+					if len(out.Trials) != len(tc.trials) {
 						t.Fatalf("got %d trials", len(out.Trials))
 					}
 					for i, tr := range out.Trials {
 						if tr.Trial != i || tr.Mode != tc.base.Mode {
 							t.Fatalf("trial %d mislabeled: %+v", i, tr)
 						}
-						got := experimentTrial(tr)
-						ref := want[i]
-						if tc.name == "sync" && i > 0 {
-							continue
-						}
+						want := tc.trials[i]
 						if !traced {
-							got.trace, ref.trace = "", ""
+							want.traceDigest = untracedDigest
 						}
-						if got != ref {
-							t.Fatalf("parallelism=%d traced=%v trial %d:\n got %+v\nwant %+v", parallelism, traced, i, got, ref)
+						if got := pinTrial(tr); got != want {
+							t.Fatalf("parallelism=%d traced=%v trial %d:\n got %+v\nwant %+v", parallelism, traced, i, got, want)
 						}
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestExperimentMatchesRunManyParallel pins the sync mode's multi-trial
-// equivalence old-vs-new (trials beyond index 0, which the wrapper
-// matrix above cannot reach through Run), serial and parallel, traced
-// and untraced.
-func TestExperimentMatchesRunManyParallel(t *testing.T) {
-	cfg := Config{N: 2500, Protocol: TwoChoices(), Init: PlantedBias(8, 0.05), Seed: 21}
-	const trials = 5
-	spec := trace.Spec{Policy: trace.PolicyLog2}
-	wantResults, wantTraces, err := RunManyTraced(cfg, trials, 1, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parallelism := range []int{1, 0} {
-		for _, traced := range []bool{false, true} {
-			e := cfg.experiment()
-			e.NumTrials = trials
-			e.Parallelism = parallelism
-			if traced {
-				e.Trace = &spec
-			}
-			out, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, tr := range out.Trials {
-				want := wantResults[i]
-				if int(tr.Rounds) != want.Rounds || tr.Consensus != want.Consensus || tr.Winner != want.Winner {
-					t.Fatalf("parallelism=%d trial %d: %+v vs legacy %+v", parallelism, i, tr, want)
-				}
-				if traced && pointsString(tr.Trace) != pointsString(wantTraces[i]) {
-					t.Fatalf("parallelism=%d trial %d trace differs", parallelism, i)
-				}
-			}
-		}
 	}
 }
 
@@ -242,7 +147,7 @@ func TestExperimentTrialsStreaming(t *testing.T) {
 		if i != next {
 			t.Fatalf("yielded index %d, want %d", i, next)
 		}
-		if experimentTrial(tr) != experimentTrial(out.Trials[i]) {
+		if pinTrial(tr) != pinTrial(out.Trials[i]) {
 			t.Fatalf("trial %d: stream %+v vs run %+v", i, tr, out.Trials[i])
 		}
 		next++
@@ -267,7 +172,8 @@ func TestExperimentTrialsStreaming(t *testing.T) {
 }
 
 // TestExperimentValidation: per-mode knobs are rejected outside their
-// mode, and the legacy error classes survive.
+// mode, and every invalid engine or init setting fails the Experiment
+// before any trial runs.
 func TestExperimentValidation(t *testing.T) {
 	valid := Experiment{N: 1000, Protocol: ThreeMajority(), Init: Balanced(4)}
 	cases := []struct {
@@ -299,6 +205,18 @@ func TestExperimentValidation(t *testing.T) {
 		{"negative ticks", func(e *Experiment) { e.Mode = ModeAsync; e.MaxTicks = -1 }, "MaxTicks"},
 		{"async protocol", func(e *Experiment) { e.Mode = ModeAsync; e.Protocol = Median() }, "asynchronous"},
 		{"gossip protocol", func(e *Experiment) { e.Mode = ModeGossip; e.Protocol = HMajority(5) }, "gossip"},
+		{"gossip median", func(e *Experiment) { e.Mode = ModeGossip; e.Protocol = Median() }, "gossip"},
+		{"gossip N = 0", func(e *Experiment) { e.Mode = ModeGossip; e.N = 0 }, "N = 0"},
+		{"gossip no init", func(e *Experiment) { e.Mode = ModeGossip; e.Init = Init{} }, "Init"},
+		{"gossip loss prob 1", func(e *Experiment) { e.Mode = ModeGossip; e.LossProb = 1 }, "LossProb"},
+		{"graph N = 0", func(e *Experiment) { e.Mode = ModeGraph; e.N = 0; e.Topology = CompleteTopology() }, "N = 0"},
+		{"graph no init", func(e *Experiment) { e.Mode = ModeGraph; e.Topology = CompleteTopology(); e.Init = Init{} }, "Init"},
+		{"graph protocol", func(e *Experiment) { e.Mode = ModeGraph; e.Topology = CompleteTopology(); e.Protocol = Median() }, "general-graph"},
+		{"counts sum != N", func(e *Experiment) { e.Init = Counts([]int64{50, 50}) }, "does not match"},
+		{"planted bias too large", func(e *Experiment) { e.Init = PlantedBias(2, 0.9) }, "PlantedBias"},
+		{"planted bias negative", func(e *Experiment) { e.Init = PlantedBias(2, -0.1) }, "PlantedBias"},
+		{"dirichlet k = 0", func(e *Experiment) { e.Init = Dirichlet(0, 1, 1) }, "Dirichlet"},
+		{"dirichlet concentration = 0", func(e *Experiment) { e.Init = Dirichlet(4, 0, 1) }, "Dirichlet"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,25 +244,17 @@ func TestExperimentValidation(t *testing.T) {
 	}
 }
 
-// TestExperimentNegativeMaxRoundsIsDefault: the legacy entry points
-// treated any non-positive round budget as the engine default; the
-// unified path keeps that rather than erroring.
+// TestExperimentNegativeMaxRoundsIsDefault: a negative round budget
+// means the engine default, exactly as MaxRounds 0 does, rather than
+// an error.
 func TestExperimentNegativeMaxRoundsIsDefault(t *testing.T) {
 	e := Experiment{N: 1000, Protocol: ThreeMajority(), Init: Balanced(4), Seed: 2, MaxRounds: -1}
-	out, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runOutcome(t, e)
 	if !out.Trials[0].Consensus {
 		t.Fatalf("negative MaxRounds did not fall back to the default budget: %+v", out.Trials[0])
 	}
-	legacy, err := Run(Config{N: 1000, Protocol: ThreeMajority(), Init: Balanced(4), Seed: 2, MaxRounds: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(legacy.Rounds) != out.Trials[0].Rounds {
-		t.Fatalf("legacy wrapper diverged on negative MaxRounds: %d vs %v", legacy.Rounds, out.Trials[0].Rounds)
-	}
+	e.MaxRounds = 0
+	assertOutcomesIdentical(t, out, runOutcome(t, e), "negative MaxRounds vs the default budget")
 }
 
 // TestStopAtConsensusRoundIsUniform: a condition that first holds at

@@ -2,16 +2,14 @@ package plurality
 
 import "testing"
 
-func TestRunGossipBasics(t *testing.T) {
-	res, err := RunGossip(GossipConfig{
+func TestGossipBasics(t *testing.T) {
+	res := runOutcome(t, Experiment{
+		Mode:     ModeGossip,
 		N:        150,
 		Protocol: ThreeMajority(),
 		Init:     Balanced(3),
 		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Trials[0]
 	if !res.Consensus {
 		t.Fatalf("no consensus: %+v", res)
 	}
@@ -27,17 +25,15 @@ func TestRunGossipBasics(t *testing.T) {
 	}
 }
 
-func TestRunGossipWithCrashes(t *testing.T) {
-	res, err := RunGossip(GossipConfig{
+func TestGossipWithCrashes(t *testing.T) {
+	res := runOutcome(t, Experiment{
+		Mode:     ModeGossip,
 		N:        100,
 		Protocol: TwoChoices(),
 		Init:     Balanced(2),
 		Seed:     2,
 		Crashed:  []int{0, 99}, // one frozen node per side
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Trials[0]
 	if !res.Consensus {
 		t.Fatal("alive nodes did not converge")
 	}
@@ -47,45 +43,15 @@ func TestRunGossipWithCrashes(t *testing.T) {
 	}
 }
 
-func TestRunGossipValidation(t *testing.T) {
-	base := GossipConfig{
-		N:        50,
-		Protocol: ThreeMajority(),
-		Init:     Balanced(2),
-	}
-	bad := base
-	bad.N = 0
-	if _, err := RunGossip(bad); err == nil {
-		t.Error("N=0 accepted")
-	}
-	bad = base
-	bad.Protocol = Median()
-	if _, err := RunGossip(bad); err == nil {
-		t.Error("median gossip accepted")
-	}
-	bad = base
-	bad.Init = Init{}
-	if _, err := RunGossip(bad); err == nil {
-		t.Error("missing init accepted")
-	}
-	bad = base
-	bad.LossProb = 1
-	if _, err := RunGossip(bad); err == nil {
-		t.Error("loss prob 1 accepted")
-	}
-}
-
-func TestRunGossipLossyStillDecides(t *testing.T) {
-	res, err := RunGossip(GossipConfig{
+func TestGossipLossyStillDecides(t *testing.T) {
+	res := runOutcome(t, Experiment{
+		Mode:     ModeGossip,
 		N:        120,
 		Protocol: TwoChoices(),
 		Init:     Balanced(3),
 		Seed:     3,
 		LossProb: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Trials[0]
 	if !res.Consensus {
 		t.Fatal("lossy gossip did not converge")
 	}

@@ -5,12 +5,12 @@ import (
 
 	"plurality/internal/graph"
 	"plurality/internal/rng"
-	"plurality/internal/trace"
 )
 
-// Topology selects a graph family for RunOnGraph — the paper's §2.5
-// open problem of running the dynamics beyond the complete graph.
-// Construct values with the topology constructors below.
+// Topology selects the graph family of a ModeGraph Experiment — the
+// paper's §2.5 open problem of running the dynamics beyond the
+// complete graph. Construct values with the topology constructors
+// below.
 type Topology struct {
 	name string
 	// degree is the per-vertex adjacency-slot count the topology will
@@ -60,8 +60,8 @@ func RingTopology(radius int) Topology {
 	}
 }
 
-// TorusTopology is the side×side two-dimensional torus; RunOnGraph
-// requires N = side².
+// TorusTopology is the side×side two-dimensional torus; the
+// Experiment requires N = side².
 func TorusTopology(side int) Topology {
 	check := func(n int) error {
 		if side*side != n {
@@ -103,7 +103,7 @@ func RandomRegularTopology(d int) Topology {
 	}
 }
 
-// HypercubeTopology is the dim-dimensional hypercube; RunOnGraph
+// HypercubeTopology is the dim-dimensional hypercube; the Experiment
 // requires N = 2^dim.
 func HypercubeTopology(dim int) Topology {
 	check := func(n int) error {
@@ -125,72 +125,6 @@ func HypercubeTopology(dim int) Topology {
 			}
 			return graph.NewHypercube(dim)
 		},
-	}
-}
-
-// GraphConfig describes an agent-based run on an explicit topology.
-// Unlike Config's count-space engine, this engine is O(n) per round
-// but works on any graph.
-type GraphConfig struct {
-	// N is the number of vertices. Required.
-	N int
-	// Topology is the graph family. Required.
-	Topology Topology
-	// Protocol must be one of ThreeMajority(), TwoChoices() or
-	// Voter() — the rules with per-vertex forms on general graphs.
-	Protocol Protocol
-	// Init generates the opinion counts; vertices are assigned
-	// uniformly at random (well-mixed start). Required.
-	Init Init
-	// Seed makes runs reproducible.
-	Seed uint64
-	// MaxRounds bounds the run; 0 means 100000.
-	MaxRounds int
-	// Parallelism bounds the worker goroutines advancing each round
-	// (0 = GOMAXPROCS, 1 = serial). Rounds are sharded by vertex index
-	// into fixed n-derived shards with per-(seed, round, shard) RNG
-	// streams, so the result is identical for every Parallelism value.
-	Parallelism int
-	// Trace, if non-nil, samples the opinion counts between rounds
-	// (after the sharded-round barrier, so the trace too is identical
-	// for every Parallelism value). Nil costs nothing.
-	Trace *trace.Sampler
-}
-
-// RunOnGraph executes an agent-based run on the configured topology.
-// Topology construction and the initial assignment shuffle draw from
-// the stream rng.DeriveSeed(Seed, 0); rounds draw from the sharded
-// per-(rng.DeriveSeed(Seed, 1), round, shard) streams (see
-// internal/graph.StepSharded).
-//
-// Deprecated: use Experiment with Mode: ModeGraph, which adds trials,
-// stop conditions and streaming. This wrapper keeps its exact streams:
-// cfg.Seed is consumed as the engine seed directly, which is what an
-// Experiment derives per trial (rng.DeriveSeed(Seed, i)).
-func RunOnGraph(cfg GraphConfig) (Result, error) {
-	c, err := cfg.experiment().compile()
-	if err != nil {
-		return Result{}, err
-	}
-	tr, err := c.runFacade(cfg.Seed, cfg.Trace, cfg.Parallelism)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Rounds: int(tr.Rounds), Consensus: tr.Consensus, Winner: tr.Winner}, nil
-}
-
-// experiment translates the legacy GraphConfig into its graph-mode
-// Experiment (the caller-owned Trace sampler stays outside).
-func (cfg GraphConfig) experiment() Experiment {
-	return Experiment{
-		Mode:        ModeGraph,
-		N:           int64(cfg.N),
-		Topology:    cfg.Topology,
-		Protocol:    cfg.Protocol,
-		Init:        cfg.Init,
-		Seed:        cfg.Seed,
-		MaxRounds:   cfg.MaxRounds,
-		Parallelism: cfg.Parallelism,
 	}
 }
 

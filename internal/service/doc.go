@@ -18,9 +18,9 @@
 //   - Execute / ExecuteParallel: a pure function from a Request to a
 //     Response. The request maps one-to-one onto a
 //     plurality.Experiment (Request.Experiment), the unified execution
-//     path for all four modes: trial i of any request gets the façade
+//     path for all four modes: trial i of any request gets the trial
 //     seed rng.DeriveSeed(Seed, i) (which the non-sync engines expand
-//     once more), and trials fan across workers via the sim schedulers —
+//     once more), and trials fan across workers via the sim scheduler —
 //     with mode graph also sharding each run's vertex loop — so
 //     results are reproducible and independent of the parallelism
 //     budget; see DESIGN.md §Simulation service for the full

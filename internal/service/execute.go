@@ -16,7 +16,7 @@ import (
 
 // Trial is one run's outcome inside a Response.
 type Trial struct {
-	// Trial is the trial index. Trial i's façade seed is
+	// Trial is the trial index. Trial i's trial seed is
 	// rng.DeriveSeed(Request.Seed, i): mode sync consumes it directly
 	// as the trial's RNG stream (core.Run's per-trial oracle), while the
 	// async/graph/gossip engines expand it once more —

@@ -7,38 +7,29 @@ import (
 	"plurality"
 )
 
-// TestExecuteMatchesFacade pins the CLI⇄service equivalence contract:
-// trial i of a sync request reproduces plurality.Run with the same
-// seed derivation, so a consim invocation and a served request agree.
-func TestExecuteMatchesFacade(t *testing.T) {
+// TestExecuteMatchesExperiment pins the CLI⇄service equivalence
+// contract: every trial of a sync request reproduces a hand-built
+// plurality.Experiment with the same seed, so a consim invocation and a
+// served request agree.
+func TestExecuteMatchesExperiment(t *testing.T) {
 	req := Request{Protocol: "3-majority", N: 2000, K: 8, Seed: 11, Trials: 3}
 	resp, err := Execute(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Trial 0 must equal a single plurality.Run with the same config
-	// (both draw from rng.DeriveSeed(seed, 0)).
-	single, err := plurality.Run(plurality.Config{
-		N: 2000, Protocol: plurality.ThreeMajority(), Init: plurality.Balanced(8), Seed: 11,
-	})
+	out, err := plurality.Experiment{
+		N: 2000, Protocol: plurality.ThreeMajority(), Init: plurality.Balanced(8), Seed: 11, NumTrials: 3,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := resp.Trials[0]
-	if got.Rounds != float64(single.Rounds) || got.Winner != single.Winner || got.Consensus != single.Consensus {
-		t.Fatalf("trial 0 %+v does not match plurality.Run %+v", got, single)
+	if len(resp.Trials) != len(out.Trials) {
+		t.Fatalf("%d response trials, %d experiment trials", len(resp.Trials), len(out.Trials))
 	}
-	// And the whole batch must equal plurality.RunMany.
-	many, err := plurality.RunMany(plurality.Config{
-		N: 2000, Protocol: plurality.ThreeMajority(), Init: plurality.Balanced(8), Seed: 11,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range many {
+	for i, want := range out.Trials {
 		tr := resp.Trials[i]
-		if tr.Rounds != float64(m.Rounds) || tr.Winner != m.Winner {
-			t.Fatalf("trial %d %+v does not match RunMany %+v", i, tr, m)
+		if tr.Rounds != want.Rounds || tr.Winner != want.Winner || tr.Consensus != want.Consensus {
+			t.Fatalf("trial %d %+v does not match the Experiment's %+v", i, tr, want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"plurality"
-	"plurality/internal/rng"
 )
 
 // parallelTestRequests is one representative request per execution
@@ -53,74 +52,59 @@ func TestResponseBytesInvariantAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestModeTrialSeedEquivalence pins the structural half of the seed
-// contract: trial i of an async/graph/gossip request reproduces the
-// legacy façade entry point called directly with the façade seed
-// rng.DeriveSeed(Request.Seed, i) — the derivation every recorded
-// Response depends on. The legacy configs are built by hand, so this
-// cross-checks the unified Request → Experiment mapping against an
+// TestModeRequestMatchesExperiment pins the structural half of the
+// seed contract: trial i of an async/graph/gossip request reproduces
+// trial i of a hand-built plurality.Experiment with the same Seed, whose
+// trial seed is rng.DeriveSeed(Seed, i) — the derivation every
+// recorded Response depends on. The Experiments are built by hand, so
+// this cross-checks the unified Request → Experiment mapping against an
 // independent construction.
-func TestModeTrialSeedEquivalence(t *testing.T) {
+func TestModeRequestMatchesExperiment(t *testing.T) {
 	reqs := parallelTestRequests()
-
-	async := reqs["async"]
-	asyncResp, err := Execute(async)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range asyncResp.Trials {
-		res, err := plurality.RunAsync(plurality.Config{
-			N:        async.N,
+	for _, tc := range []struct {
+		name string
+		e    plurality.Experiment
+	}{
+		{"async", plurality.Experiment{
+			Mode:     plurality.ModeAsync,
 			Protocol: plurality.TwoChoices(),
-			Init:     plurality.Balanced(async.K),
-			Seed:     rng.DeriveSeed(async.Seed, uint64(i)),
-		}, async.MaxTicks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Rounds != res.Rounds || tr.Winner != res.Winner || tr.Consensus != res.Consensus || *tr.Ticks != res.Ticks {
-			t.Fatalf("async trial %d %+v does not match façade %+v", i, tr, res)
-		}
-	}
-
-	graph := reqs["graph"]
-	graphResp, err := Execute(graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range graphResp.Trials {
-		res, err := plurality.RunOnGraph(plurality.GraphConfig{
-			N:        int(graph.N),
+			Init:     plurality.Balanced(reqs["async"].K),
+			MaxTicks: reqs["async"].MaxTicks,
+		}},
+		{"graph", plurality.Experiment{
+			Mode:     plurality.ModeGraph,
 			Topology: plurality.CompleteTopology(),
 			Protocol: plurality.ThreeMajority(),
-			Init:     plurality.Balanced(graph.K),
-			Seed:     rng.DeriveSeed(graph.Seed, uint64(i)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Rounds != float64(res.Rounds) || tr.Winner != res.Winner || tr.Consensus != res.Consensus {
-			t.Fatalf("graph trial %d %+v does not match façade %+v", i, tr, res)
-		}
-	}
-
-	gossip := reqs["gossip"]
-	gossipResp, err := Execute(gossip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range gossipResp.Trials {
-		res, err := plurality.RunGossip(plurality.GossipConfig{
-			N:        int(gossip.N),
+			Init:     plurality.Balanced(reqs["graph"].K),
+		}},
+		{"gossip", plurality.Experiment{
+			Mode:     plurality.ModeGossip,
 			Protocol: plurality.Voter(),
-			Init:     plurality.Balanced(gossip.K),
-			Seed:     rng.DeriveSeed(gossip.Seed, uint64(i)),
-		})
+			Init:     plurality.Balanced(reqs["gossip"].K),
+		}},
+	} {
+		req := reqs[tc.name]
+		resp, err := Execute(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Rounds != float64(res.Rounds) || tr.Winner != res.Winner || tr.Consensus != res.Consensus {
-			t.Fatalf("gossip trial %d %+v does not match façade %+v", i, tr, res)
+		e := tc.e
+		e.N, e.Seed, e.NumTrials = req.N, req.Seed, req.Trials
+		out, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Trials) != len(out.Trials) {
+			t.Fatalf("%s: %d response trials, %d experiment trials", tc.name, len(resp.Trials), len(out.Trials))
+		}
+		for i, want := range out.Trials {
+			tr := resp.Trials[i]
+			if tr.Rounds != want.Rounds || tr.Winner != want.Winner || tr.Consensus != want.Consensus {
+				t.Fatalf("%s trial %d %+v does not match the Experiment's %+v", tc.name, i, tr, want)
+			}
+			if tc.name == "async" && *tr.Ticks != want.Ticks {
+				t.Fatalf("async trial %d ticks %d, Experiment %d", i, *tr.Ticks, want.Ticks)
+			}
 		}
 	}
 }

@@ -77,16 +77,16 @@ const (
 //
 // Equivalence contract: a Request fully determines its Response,
 // independent of worker count, of per-request parallelism, and of
-// whether the CLI or the server runs it. Trial i's façade seed is
+// whether the CLI or the server runs it. Trial i's trial seed is
 // rng.DeriveSeed(Seed, i): mode sync consumes it directly as the
-// trial's RNG stream — rng.New(rng.DeriveSeed(Seed, i)), so
-// a 1-trial request reproduces plurality.Run with the same Seed —
-// while the async/graph/gossip façade entry points expand it once
-// more, rooting their streams at
-// rng.DeriveSeed(rng.DeriveSeed(Seed, i), j) for entry-point-specific
-// j (0 for the async engine and graph topology/assignment, 1 for the
-// sharded graph rounds, the node id for gossip). Both derivations are
-// frozen: cache keys and recorded results depend on them.
+// trial's RNG stream — rng.New(rng.DeriveSeed(Seed, i)), so a 1-trial
+// request reproduces a 1-trial sync plurality.Experiment with the same
+// Seed — while the async/graph/gossip engines expand it once more,
+// rooting their streams at rng.DeriveSeed(rng.DeriveSeed(Seed, i), j)
+// for engine-specific j (0 for the async engine and graph
+// topology/assignment, 1 for the sharded graph rounds, the node id for
+// gossip). Both derivations are frozen: cache keys and recorded
+// results depend on them.
 type Request struct {
 	// Protocol names the dynamics: "3-majority", "2-choices", "voter",
 	// "median", "undecided", "h<m>" (e.g. "h5"), or "lazy:<beta>:<base>"
@@ -404,8 +404,7 @@ func (q Request) Key() string {
 
 // Experiment translates the (normalized) request into its
 // plurality.Experiment — the single Request → engine mapping for all
-// four modes, replacing the old Config/GraphConfig/GossipConfig
-// triple-bridging. Normalize has already cleared the fields the mode
+// four modes. Normalize has already cleared the fields the mode
 // does not consume, so the translation is field-for-field; the caller
 // sets Parallelism (an execution hint outside the request's identity).
 func (q Request) Experiment() (plurality.Experiment, error) {
@@ -455,7 +454,7 @@ func (q Request) Experiment() (plurality.Experiment, error) {
 
 // ParseProtocol resolves a protocol name ("3-majority", "2-choices",
 // "voter", "median", "undecided", "h<m>", "lazy:<beta>:<base>") to its
-// façade constructor. It is the single name→Protocol map shared by the
+// plurality constructor. It is the single name→Protocol map shared by the
 // server and the CLIs.
 func ParseProtocol(name string) (plurality.Protocol, error) {
 	switch name {

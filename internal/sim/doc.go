@@ -1,12 +1,11 @@
-// Package sim is the deterministic trial scheduler: ForEachTrialCtx
-// hands trial indices to a worker pool one at a time, and
-// ForEachTrialRangeCtx hands out contiguous ranges, so a batch
-// executor can reuse per-range state. Bodies derive all randomness
-// from their absolute trial indices, so every trial's outcome is
-// identical for any worker count and range width. Both schedulers
-// stop claiming work when their context is cancelled, turn a panic
-// into that trial's (or range's) error, and report the lowest failing
-// index.
+// Package sim is the deterministic trial scheduler:
+// ForEachTrialRangeCtx hands contiguous trial ranges to a worker pool,
+// so a batch executor can reuse per-range state (width 1 hands out one
+// index at a time). Bodies derive all randomness from their absolute
+// trial indices, so every trial's outcome is identical for any worker
+// count and range width. The scheduler stops claiming work when its
+// context is cancelled, turns a panic into that range's error, and
+// reports the lowest failing range.
 //
 // The contract above is owned by DESIGN.md §"The unified Experiment
 // API".

@@ -44,37 +44,60 @@ func TestForEachTrialRangeCoversEveryTrialOnce(t *testing.T) {
 
 // TestForEachTrialRangeReturnsLowestRangeError pins deterministic
 // error reporting across schedules: the caller sees the error of the
-// lowest-starting failing range.
+// lowest-starting failing range, and with a nil context a failing
+// range does not stop the others — every trial still runs once, at
+// width 1 (one index per claim) as at wider widths.
 func TestForEachTrialRangeReturnsLowestRangeError(t *testing.T) {
 	sentinel := errors.New("sentinel")
 	for _, parallelism := range []int{1, 4} {
-		err := ForEachTrialRangeCtx(nil, 40, parallelism, 4, func(lo, hi int) error {
-			switch lo {
-			case 8:
-				return sentinel
-			case 24:
-				return errors.New("late error")
+		for _, width := range []int{1, 4} {
+			const trials = 40
+			var calls [trials]atomic.Int32
+			err := ForEachTrialRangeCtx(nil, trials, parallelism, width, func(lo, hi int) error {
+				for i := lo; i < hi; i++ {
+					calls[i].Add(1)
+				}
+				switch lo {
+				case 8:
+					return sentinel
+				case 24:
+					return errors.New("late error")
+				}
+				return nil
+			})
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("parallelism %d width %d: got %v, want the range-8 sentinel", parallelism, width, err)
 			}
-			return nil
-		})
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("parallelism %d: got %v, want the range-8 sentinel", parallelism, err)
+			for i := range calls {
+				if n := calls[i].Load(); n != 1 {
+					t.Fatalf("parallelism %d width %d: trial %d ran %d times", parallelism, width, i, n)
+				}
+			}
 		}
 	}
 }
 
 // TestForEachTrialRangePanicBecomesError: a panicking body is
-// recovered into that range's error instead of crashing the scheduler.
+// recovered into that range's error instead of crashing the scheduler;
+// the lowest panicking range is reported and every other range still
+// runs.
 func TestForEachTrialRangePanicBecomesError(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
+		var calls [4]atomic.Int32
 		err := ForEachTrialRangeCtx(nil, 20, parallelism, 5, func(lo, hi int) error {
-			if lo == 10 {
+			calls[lo/5].Add(1)
+			if lo == 10 || lo == 15 {
 				panic("boom")
 			}
 			return nil
 		})
 		if err == nil || !strings.Contains(err.Error(), "[10, 15) panicked: boom") {
 			t.Fatalf("parallelism %d: got %v, want the recovered panic", parallelism, err)
+		}
+		for chunk := range calls {
+			if n := calls[chunk].Load(); n != 1 {
+				t.Fatalf("parallelism %d: range %d ran %d times", parallelism, chunk, n)
+			}
 		}
 	}
 }
@@ -94,8 +117,10 @@ func TestForEachTrialRangeCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallelism %d: got %v, want context.Canceled", parallelism, err)
 		}
-		if n := ran.Load(); n >= 500 {
-			t.Fatalf("parallelism %d: %d ranges ran after cancellation", parallelism, n)
+		// At most the ranges already claimed (one per worker) run after
+		// the cancel in the third.
+		if n := ran.Load(); n < 3 || int(n) > 3+parallelism {
+			t.Fatalf("parallelism %d: %d ranges ran after cancel at 3", parallelism, n)
 		}
 	}
 }

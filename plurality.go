@@ -43,7 +43,6 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/trace"
 )
 
 // Protocol selects a consensus dynamics. Construct values with
@@ -170,8 +169,8 @@ func TwoLeaders(k int, topFrac, bias float64) Init {
 	}}
 }
 
-// Counts uses an explicit count vector; Config.N must equal its sum
-// (or be zero, in which case the sum is used).
+// Counts uses an explicit count vector; Experiment.N must equal its
+// sum (or be zero, in which case the sum is used).
 func Counts(counts []int64) Init {
 	copied := append([]int64(nil), counts...)
 	return Init{build: func(n int64) (*population.Vector, error) {
@@ -201,14 +200,13 @@ func Fractions(fracs []float64) Init {
 // Small concentrations give spiky starts (large γ₀), large ones
 // near-balanced starts. The returned Init is safe for concurrent use
 // and its draw sequence is deterministic in seed — but unlike every
-// other generator it is draw-stateful. Each Experiment (and RunMany)
-// consumes one validation draw up front, which a bare Run does not;
-// every trial then draws its own configuration when it starts, so
-// under parallel trial execution the assignment of draws to trial
-// indices depends on scheduling. With Parallelism: 1 the trials draw in
-// index order, right after the validation draw, so for per-trial
-// reproducibility run with Parallelism: 1 or use a deterministic
-// generator.
+// other generator it is draw-stateful. Each Experiment consumes one
+// validation draw up front; every trial then draws its own
+// configuration when it starts, so under parallel trial execution the
+// assignment of draws to trial indices depends on scheduling. With
+// Parallelism: 1 the trials draw in index order, right after the
+// validation draw, so for per-trial reproducibility run with
+// Parallelism: 1 or use a deterministic generator.
 func Dirichlet(k int, concentration float64, seed uint64) Init {
 	if k < 1 || concentration <= 0 {
 		return Init{build: func(int64) (*population.Vector, error) {
@@ -247,8 +245,8 @@ func HelpAdversary(f int64) Adversary { return Adversary{impl: adversary.Help{F:
 func ScatterAdversary(f int64) Adversary { return Adversary{impl: adversary.Scatter{F: f}} }
 
 // Snapshot is a read-only view of the configuration passed to
-// Experiment.OnRound (and the deprecated Config.OnRound). It must not
-// be retained after the callback returns.
+// Experiment.OnRound. It must not be retained after the callback
+// returns.
 type Snapshot struct {
 	v core.View
 }
@@ -277,165 +275,4 @@ func (s Snapshot) Leader() (opinion int, fraction float64) {
 	return op, float64(c) / float64(s.v.N())
 }
 
-// Config describes a run.
-type Config struct {
-	// N is the number of vertices. Required (except with Counts init,
-	// where it may be 0 to use the counts' sum).
-	N int64
-	// Protocol is the dynamics to run. Required.
-	Protocol Protocol
-	// Init generates the initial configuration. Required.
-	Init Init
-	// Seed makes runs reproducible; same Config (including Seed) ⇒
-	// same result.
-	Seed uint64
-	// MaxRounds bounds the run; 0 uses a large default. A run that
-	// exhausts the bound returns Consensus = false, not an error.
-	MaxRounds int
-	// Adversary, if set, corrupts the configuration after every round.
-	Adversary Adversary
-	// OnRound, if non-nil, observes every round (round 0 = initial
-	// state). Returning true stops the run early.
-	OnRound func(round int, s Snapshot) (stop bool)
-	// Trace, if non-nil, samples per-round observables (round, γ, live
-	// count, max-opinion density, Σα³) into the sampler under its
-	// decimation policy — see internal/trace. Tracing never draws from
-	// the run's RNG stream, so a traced and an untraced run of the same
-	// Config produce identical Results; a nil Trace costs nothing.
-	// Used by Run, RunAsync and RunOnGraph/RunGossip (via their own
-	// configs); RunMany needs one sampler per trial — use
-	// RunManyTraced.
-	Trace *trace.Sampler
-}
-
-// Result reports how a run ended.
-type Result struct {
-	// Rounds is the number of synchronous rounds executed.
-	Rounds int
-	// Consensus reports whether all vertices agreed before MaxRounds.
-	Consensus bool
-	// Winner is the consensus opinion (or the current plurality if the
-	// run was cut off).
-	Winner int
-}
-
 var errConfig = errors.New("plurality: invalid config")
-
-// experiment translates the legacy Config into its sync-mode
-// Experiment. The Config-level OnRound and Trace (a caller-owned
-// sampler) stay outside: the wrappers pass them straight into the
-// shared trial path, preserving the legacy hook semantics exactly.
-func (cfg Config) experiment() Experiment {
-	return Experiment{
-		Mode:      ModeSync,
-		N:         cfg.N,
-		Protocol:  cfg.Protocol,
-		Init:      cfg.Init,
-		Seed:      cfg.Seed,
-		MaxRounds: cfg.MaxRounds,
-		Adversary: cfg.Adversary,
-	}
-}
-
-// Run executes one run of the configured dynamics.
-//
-// Deprecated: Run is the legacy single-run entry point, kept
-// byte-identical forever; new code should use Experiment, which adds
-// trials, parallelism, stop conditions and streaming. Run(cfg) is
-// Experiment{Mode: ModeSync, NumTrials: 1, ...} with the same Seed.
-func Run(cfg Config) (Result, error) {
-	c, err := cfg.experiment().compile()
-	if err != nil {
-		return Result{}, err
-	}
-	runner, err := c.syncRunner()
-	if err != nil {
-		return Result{}, err
-	}
-	// The legacy stream: rng.New(DeriveSeed(Seed, 0)) — the façade
-	// seed of trial 0, which is why Experiment reproduces Run exactly.
-	tr := c.runSyncTrial(runner, rng.DeriveSeed(cfg.Seed, 0), cfg.Trace, cfg.OnRound)
-	return Result{Rounds: int(tr.Rounds), Consensus: tr.Consensus, Winner: tr.Winner}, nil
-}
-
-// RunMany executes trials independent runs in parallel (deterministic
-// in cfg.Seed and the trial index) and returns per-trial results.
-// Config.OnRound is not supported here; use Run for observed runs.
-//
-// Deprecated: use Experiment with NumTrials set; RunMany(cfg, t) is
-// Experiment{..., NumTrials: t}.Run() with the results unwrapped.
-func RunMany(cfg Config, trials int) ([]Result, error) {
-	return RunManyParallel(cfg, trials, 0)
-}
-
-// RunManyParallel is RunMany with an explicit trial-worker count
-// (parallelism <= 0 means GOMAXPROCS). Trial i's stream depends only
-// on (cfg.Seed, i), so the results are identical for every
-// parallelism value.
-//
-// Deprecated: use Experiment with NumTrials and Parallelism set.
-func RunManyParallel(cfg Config, trials, parallelism int) ([]Result, error) {
-	results, _, err := runManyLegacy(cfg, trials, parallelism, nil)
-	return results, err
-}
-
-// RunManyTraced is RunManyParallel with per-round tracing: each trial
-// records its own trace under spec's decimation policy, and the
-// returned traces are indexed by trial — so the output, like the
-// Results, is identical for every parallelism value. Tracing never
-// touches the trial RNG streams: the Results are byte-for-byte the
-// ones RunManyParallel returns for the same Config.
-//
-// Deprecated: use Experiment with Trace set; each TrialResult carries
-// its own points.
-func RunManyTraced(cfg Config, trials, parallelism int, spec trace.Spec) ([]Result, [][]trace.Point, error) {
-	return runManyLegacy(cfg, trials, parallelism, &spec)
-}
-
-// runManyLegacy is the shared body of the multi-trial wrappers: it
-// validates with the legacy error texts, then collects the unified
-// trial stream into the legacy result shapes.
-func runManyLegacy(cfg Config, trials, parallelism int, spec *trace.Spec) ([]Result, [][]trace.Point, error) {
-	e := cfg.experiment()
-	// compile never sees an invalid count: config errors keep their
-	// precedence (legacy order was validate-then-trials) and a bad
-	// trials value keeps the legacy "trials = %d" text below.
-	e.NumTrials = max(trials, 1)
-	e.Parallelism = parallelism
-	e.Trace = spec
-	c, err := e.compile()
-	if err != nil {
-		return nil, nil, err
-	}
-	if trials < 1 {
-		return nil, nil, fmt.Errorf("%w: trials = %d", errConfig, trials)
-	}
-	if cfg.OnRound != nil {
-		return nil, nil, fmt.Errorf("%w: OnRound is not supported by RunMany", errConfig)
-	}
-	if cfg.Trace != nil {
-		return nil, nil, fmt.Errorf("%w: Config.Trace is per-run; use RunManyTraced for multi-trial traces", errConfig)
-	}
-	// Validate the generator once up front so per-trial errors cannot
-	// differ (Init.build is deterministic given n).
-	if err := c.prebuild(); err != nil {
-		return nil, nil, err
-	}
-	results := make([]Result, 0, trials)
-	var traces [][]trace.Point
-	if spec != nil {
-		traces = make([][]trace.Point, 0, trials)
-	}
-	var runErr error
-	c.stream(nil, func(i int, tr TrialResult) bool {
-		results = append(results, Result{Rounds: int(tr.Rounds), Consensus: tr.Consensus, Winner: tr.Winner})
-		if spec != nil {
-			traces = append(traces, tr.Trace)
-		}
-		return true
-	}, &runErr)
-	if runErr != nil {
-		return nil, nil, runErr
-	}
-	return results, traces, nil
-}

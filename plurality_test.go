@@ -1,6 +1,8 @@
 package plurality
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,15 +13,12 @@ func TestRunBasics(t *testing.T) {
 	for _, p := range []Protocol{ThreeMajority(), TwoChoices(), Median(), HMajority(5)} {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
-			res, err := Run(Config{
+			res := runOutcome(t, Experiment{
 				N:        2000,
 				Protocol: p,
 				Init:     Balanced(8),
 				Seed:     1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}).Trials[0]
 			if !res.Consensus {
 				t.Fatalf("no consensus: %+v", res)
 			}
@@ -27,41 +26,36 @@ func TestRunBasics(t *testing.T) {
 				t.Fatalf("winner %d out of range", res.Winner)
 			}
 			if res.Rounds <= 0 {
-				t.Fatalf("rounds = %d", res.Rounds)
+				t.Fatalf("rounds = %v", res.Rounds)
 			}
 		})
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{N: 5000, Protocol: ThreeMajority(), Init: Balanced(16), Seed: 7}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("same config, different results: %+v vs %+v", a, b)
+	e := Experiment{N: 5000, Protocol: ThreeMajority(), Init: Balanced(16), Seed: 7}
+	a, b := runOutcome(t, e), runOutcome(t, e)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same experiment, different results: %+v vs %+v", a, b)
 	}
 }
 
+// TestRunValidation: a single-trial sync Experiment with a missing or
+// invalid field fails from Run with an error naming that field.
 func TestRunValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  Config
+		e    Experiment
 		want string
 	}{
-		{"no protocol", Config{N: 10, Init: Balanced(2)}, "Protocol"},
-		{"no init", Config{N: 10, Protocol: Voter()}, "Init"},
-		{"negative N", Config{N: -1, Protocol: Voter(), Init: Balanced(2)}, "N"},
-		{"k > n", Config{N: 5, Protocol: Voter(), Init: Balanced(10)}, "Balanced"},
+		{"no protocol", Experiment{N: 10, Init: Balanced(2)}, "Protocol"},
+		{"no init", Experiment{N: 10, Protocol: Voter()}, "Init"},
+		{"negative N", Experiment{N: -1, Protocol: Voter(), Init: Balanced(2)}, "N"},
+		{"k > n", Experiment{N: 5, Protocol: Voter(), Init: Balanced(10)}, "Balanced"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Run(c.cfg)
+			_, err := c.e.Run()
 			if err == nil {
 				t.Fatal("expected error")
 			}
@@ -69,6 +63,35 @@ func TestRunValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestRunManyValidation: a multi-trial Experiment is validated before
+// any trial runs — a negative trial count and an invalid init fail
+// from Run, Trials and Stream alike, and no trial is delivered.
+func TestRunManyValidation(t *testing.T) {
+	negative := Experiment{N: 100, Protocol: Voter(), Init: Balanced(2), NumTrials: -1}
+	// Init errors surface from the validation build however many
+	// trials are asked for.
+	badInit := Experiment{N: 10, Protocol: Voter(), Init: Balanced(50), NumTrials: 2}
+	for _, c := range []struct {
+		e    Experiment
+		want string
+	}{{negative, "NumTrials"}, {badInit, "Balanced"}} {
+		if _, err := c.e.Run(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Run: error %v does not mention %q", err, c.want)
+		}
+		if _, err := c.e.Trials(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Trials: error %v does not mention %q", err, c.want)
+		}
+		delivered := 0
+		err := c.e.Stream(context.Background(), func(int, TrialResult) bool { delivered++; return true })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Stream: error %v does not mention %q", err, c.want)
+		}
+		if delivered != 0 {
+			t.Fatalf("Stream delivered %d trials of an invalid experiment", delivered)
+		}
 	}
 }
 
@@ -94,10 +117,7 @@ func TestInitGenerators(t *testing.T) {
 		{"fractions", Fractions([]float64{0.5, 0.3, 0.2})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(Config{N: 1000, Protocol: ThreeMajority(), Init: tc.init, Seed: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runOutcome(t, Experiment{N: 1000, Protocol: ThreeMajority(), Init: tc.init, Seed: 2}).Trials[0]
 			if !res.Consensus {
 				t.Fatal("no consensus")
 			}
@@ -105,39 +125,28 @@ func TestInitGenerators(t *testing.T) {
 	}
 }
 
+// TestCountsInit: N = 0 takes the population size from the counts.
 func TestCountsInit(t *testing.T) {
-	res, err := Run(Config{Protocol: TwoChoices(), Init: Counts([]int64{600, 300, 100}), Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOutcome(t, Experiment{Protocol: TwoChoices(), Init: Counts([]int64{600, 300, 100}), Seed: 3}).Trials[0]
 	if !res.Consensus {
 		t.Fatal("no consensus")
-	}
-	if _, err := Run(Config{N: 99, Protocol: TwoChoices(), Init: Counts([]int64{50, 50})}); err == nil {
-		t.Fatal("mismatched N accepted")
-	}
-}
-
-func TestPlantedBiasValidation(t *testing.T) {
-	if _, err := Run(Config{N: 100, Protocol: Voter(), Init: PlantedBias(2, 0.9)}); err == nil {
-		t.Fatal("oversized extraFraction accepted")
-	}
-	if _, err := Run(Config{N: 100, Protocol: Voter(), Init: PlantedBias(2, -0.1)}); err == nil {
-		t.Fatal("negative extraFraction accepted")
 	}
 }
 
 func TestOnRoundObserverAndSnapshot(t *testing.T) {
 	var gammas []float64
 	var rounds int
-	res, err := Run(Config{
+	res := runOutcome(t, Experiment{
 		N:        3000,
 		Protocol: ThreeMajority(),
 		Init:     Balanced(4),
 		Seed:     4,
-		OnRound: func(round int, s Snapshot) bool {
+		OnRound: func(trial, round int, s Snapshot) bool {
 			rounds++
 			gammas = append(gammas, s.Gamma())
+			if trial != 0 || round != rounds-1 {
+				t.Errorf("hook called for trial %d round %d, want trial 0 round %d", trial, round, rounds-1)
+			}
 			if s.N() != 3000 || s.K() != 4 {
 				t.Errorf("snapshot metadata wrong: n=%d k=%d", s.N(), s.K())
 			}
@@ -153,12 +162,9 @@ func TestOnRoundObserverAndSnapshot(t *testing.T) {
 			}
 			return false
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds != res.Rounds+1 {
-		t.Fatalf("observer called %d times for %d rounds", rounds, res.Rounds)
+	}).Trials[0]
+	if float64(rounds) != res.Rounds+1 {
+		t.Fatalf("observer called %d times for %v rounds", rounds, res.Rounds)
 	}
 	if gammas[0] != 0.25 || gammas[len(gammas)-1] != 1 {
 		t.Fatalf("gamma trajectory endpoints %v, %v", gammas[0], gammas[len(gammas)-1])
@@ -166,32 +172,26 @@ func TestOnRoundObserverAndSnapshot(t *testing.T) {
 }
 
 func TestOnRoundEarlyStop(t *testing.T) {
-	res, err := Run(Config{
+	res := runOutcome(t, Experiment{
 		N:        10000,
 		Protocol: TwoChoices(),
 		Init:     Balanced(64),
 		Seed:     5,
-		OnRound:  func(round int, s Snapshot) bool { return round >= 3 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 3 || res.Consensus {
+		OnRound:  func(trial, round int, s Snapshot) bool { return round >= 3 },
+	}).Trials[0]
+	if res.Rounds != 3 || res.Consensus || res.Stopped {
 		t.Fatalf("early stop result %+v", res)
 	}
 }
 
 func TestMaxRoundsCutoff(t *testing.T) {
-	res, err := Run(Config{
+	res := runOutcome(t, Experiment{
 		N:         100000,
 		Protocol:  TwoChoices(),
 		Init:      Balanced(128),
 		Seed:      6,
 		MaxRounds: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Trials[0]
 	if res.Consensus || res.Rounds != 2 {
 		t.Fatalf("cutoff result %+v", res)
 	}
@@ -199,14 +199,11 @@ func TestMaxRoundsCutoff(t *testing.T) {
 
 func TestUndecidedRun(t *testing.T) {
 	// 3 real opinions + undecided slot, biased toward opinion 0.
-	res, err := Run(Config{
+	res := runOutcome(t, Experiment{
 		Protocol: Undecided(),
 		Init:     Counts([]int64{500, 300, 200, 0}),
 		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Trials[0]
 	if !res.Consensus {
 		t.Fatal("USD did not reach decided consensus")
 	}
@@ -216,66 +213,47 @@ func TestUndecidedRun(t *testing.T) {
 }
 
 func TestAdversaryConfig(t *testing.T) {
-	slow, err := Run(Config{
+	base := Experiment{
 		N:         2000,
 		Protocol:  ThreeMajority(),
 		Init:      Balanced(2),
 		Seed:      8,
 		MaxRounds: 500,
-		Adversary: HinderAdversary(400),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if slow.Consensus {
+	slow := base
+	slow.Adversary = HinderAdversary(400)
+	if runOutcome(t, slow).Trials[0].Consensus {
 		t.Fatal("consensus despite overwhelming adversary")
 	}
-	fast, err := Run(Config{
-		N:         2000,
-		Protocol:  ThreeMajority(),
-		Init:      Balanced(2),
-		Seed:      8,
-		MaxRounds: 500,
-		Adversary: HelpAdversary(100),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.Consensus {
+	fast := base
+	fast.Adversary = HelpAdversary(100)
+	if !runOutcome(t, fast).Trials[0].Consensus {
 		t.Fatal("helped run did not converge")
 	}
 	// Scatter is weak noise; consensus should still happen.
-	noisy, err := Run(Config{
-		N:         2000,
-		Protocol:  ThreeMajority(),
-		Init:      Balanced(2),
-		Seed:      8,
-		MaxRounds: 5000,
-		Adversary: ScatterAdversary(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !noisy.Consensus {
+	noisy := base
+	noisy.MaxRounds = 5000
+	noisy.Adversary = ScatterAdversary(2)
+	if !runOutcome(t, noisy).Trials[0].Consensus {
 		t.Fatal("scatter-noised run did not converge")
 	}
 }
 
-func TestRunMany(t *testing.T) {
-	results, err := RunMany(Config{
-		N:        3000,
-		Protocol: ThreeMajority(),
-		Init:     PlantedBias(8, 0.1),
-		Seed:     9,
-	}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 10 {
-		t.Fatalf("%d results", len(results))
+// TestPlantedBiasWinsTrials: across independent trials, a planted
+// plurality wins nearly always.
+func TestPlantedBiasWinsTrials(t *testing.T) {
+	out := runOutcome(t, Experiment{
+		N:         3000,
+		Protocol:  ThreeMajority(),
+		Init:      PlantedBias(8, 0.1),
+		Seed:      9,
+		NumTrials: 10,
+	})
+	if len(out.Trials) != 10 {
+		t.Fatalf("%d results", len(out.Trials))
 	}
 	wins := 0
-	for _, res := range results {
+	for _, res := range out.Trials {
 		if !res.Consensus {
 			t.Fatal("trial did not converge")
 		}
@@ -290,55 +268,32 @@ func TestRunMany(t *testing.T) {
 	}
 }
 
-func TestRunManyValidation(t *testing.T) {
-	cfg := Config{N: 100, Protocol: Voter(), Init: Balanced(2)}
-	if _, err := RunMany(cfg, 0); err == nil {
-		t.Fatal("trials=0 accepted")
-	}
-	cfg.OnRound = func(int, Snapshot) bool { return false }
-	if _, err := RunMany(cfg, 2); err == nil {
-		t.Fatal("OnRound accepted by RunMany")
-	}
-	bad := Config{N: 10, Protocol: Voter(), Init: Balanced(50)}
-	if _, err := RunMany(bad, 2); err == nil {
-		t.Fatal("invalid init accepted")
-	}
-}
-
 func TestLazyVariantFacade(t *testing.T) {
 	p := LazyVariant(ThreeMajority(), 0.5)
 	if p.Name() != "lazy0.50-3-majority" {
 		t.Fatalf("name = %q", p.Name())
 	}
-	res, err := Run(Config{N: 2000, Protocol: p, Init: Balanced(4), Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOutcome(t, Experiment{N: 2000, Protocol: p, Init: Balanced(4), Seed: 13}).Trials[0]
 	if !res.Consensus {
 		t.Fatal("lazy run did not converge")
 	}
-	plain, err := Run(Config{N: 2000, Protocol: ThreeMajority(), Init: Balanced(4), Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := runOutcome(t, Experiment{N: 2000, Protocol: ThreeMajority(), Init: Balanced(4), Seed: 13}).Trials[0]
 	if res.Rounds <= plain.Rounds {
-		t.Errorf("lazy rounds %d not above plain %d", res.Rounds, plain.Rounds)
+		t.Errorf("lazy rounds %v not above plain %v", res.Rounds, plain.Rounds)
 	}
 }
 
 func TestDirichletInit(t *testing.T) {
-	results, err := RunMany(Config{
-		N:        3000,
-		Protocol: TwoChoices(),
-		Init:     Dirichlet(6, 1, 99),
-		Seed:     14,
-	}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := runOutcome(t, Experiment{
+		N:         3000,
+		Protocol:  TwoChoices(),
+		Init:      Dirichlet(6, 1, 99),
+		Seed:      14,
+		NumTrials: 8,
+	})
 	// Random starts give different trajectories across trials.
-	distinct := map[int]bool{}
-	for _, res := range results {
+	distinct := map[float64]bool{}
+	for _, res := range out.Trials {
 		if !res.Consensus {
 			t.Fatal("trial did not converge")
 		}
@@ -347,39 +302,28 @@ func TestDirichletInit(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Error("all Dirichlet trials identical; random init not random")
 	}
-	if _, err := Run(Config{N: 100, Protocol: Voter(), Init: Dirichlet(0, 1, 1)}); err == nil {
-		t.Error("k=0 Dirichlet accepted")
-	}
-	if _, err := Run(Config{N: 100, Protocol: Voter(), Init: Dirichlet(4, 0, 1)}); err == nil {
-		t.Error("zero concentration accepted")
-	}
 }
 
-func TestRunAsync(t *testing.T) {
-	res, err := RunAsync(Config{
+func TestAsyncMode(t *testing.T) {
+	res := runOutcome(t, Experiment{
+		Mode:     ModeAsync,
 		N:        500,
 		Protocol: ThreeMajority(),
 		Init:     Balanced(4),
 		Seed:     10,
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Trials[0]
 	if !res.Consensus {
 		t.Fatal("async run did not converge")
 	}
 	if res.Rounds != float64(res.Ticks)/500 {
 		t.Fatalf("rounds %v vs ticks %d inconsistent", res.Rounds, res.Ticks)
 	}
-	if _, err := RunAsync(Config{N: 100, Protocol: Median(), Init: Balanced(2)}, 0); err == nil {
-		t.Fatal("median async accepted")
-	}
 }
 
-func TestRunOnGraphTopologies(t *testing.T) {
+func TestGraphTopologies(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		n    int
+		n    int64
 		top  Topology
 		seed uint64
 	}{
@@ -389,20 +333,18 @@ func TestRunOnGraphTopologies(t *testing.T) {
 		// without self-sampling can absorb into a deterministic
 		// period-2 oscillation (each side uniform on a different
 		// opinion) instead of consensus — a sizeable fraction of seeds
-		// do. The pinned seed is one whose trajectory converges.
-		{"hypercube", 256, HypercubeTopology(8), 2},
+		// do. The pinned seed is one whose trial-0 trajectory converges.
+		{"hypercube", 256, HypercubeTopology(8), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunOnGraph(GraphConfig{
+			res := runOutcome(t, Experiment{
+				Mode:     ModeGraph,
 				N:        tc.n,
 				Topology: tc.top,
 				Protocol: ThreeMajority(),
 				Init:     Balanced(4),
 				Seed:     tc.seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}).Trials[0]
 			if !res.Consensus {
 				t.Fatalf("no consensus on %s", tc.name)
 			}
@@ -410,85 +352,35 @@ func TestRunOnGraphTopologies(t *testing.T) {
 	}
 }
 
-func TestRunOnGraphValidation(t *testing.T) {
-	base := GraphConfig{
-		N:        100,
-		Topology: CompleteTopology(),
-		Protocol: ThreeMajority(),
-		Init:     Balanced(4),
-	}
-	bad := base
-	bad.N = 0
-	if _, err := RunOnGraph(bad); err == nil {
-		t.Error("N=0 accepted")
-	}
-	bad = base
-	bad.Topology = Topology{}
-	if _, err := RunOnGraph(bad); err == nil {
-		t.Error("missing topology accepted")
-	}
-	bad = base
-	bad.Protocol = Median()
-	if _, err := RunOnGraph(bad); err == nil {
-		t.Error("median on graphs accepted")
-	}
-	bad = base
-	bad.Topology = TorusTopology(7) // 49 != 100
-	if _, err := RunOnGraph(bad); err == nil {
-		t.Error("mismatched torus accepted")
-	}
-	bad = base
-	bad.Topology = HypercubeTopology(5) // 32 != 100
-	if _, err := RunOnGraph(bad); err == nil {
-		t.Error("mismatched hypercube accepted")
-	}
-	bad = base
-	bad.Init = Init{}
-	if _, err := RunOnGraph(bad); err == nil {
-		t.Error("missing init accepted")
-	}
-}
-
 func TestRingSlowerThanComplete(t *testing.T) {
-	complete, err := RunOnGraph(GraphConfig{
-		N: 256, Topology: CompleteTopology(), Protocol: TwoChoices(),
+	complete := runOutcome(t, Experiment{
+		Mode: ModeGraph, N: 256, Topology: CompleteTopology(), Protocol: TwoChoices(),
 		Init: Balanced(2), Seed: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := RunOnGraph(GraphConfig{
-		N: 256, Topology: RingTopology(2), Protocol: TwoChoices(),
-		Init: Balanced(2), Seed: 12, MaxRounds: complete.Rounds * 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Trials[0]
+	ring := runOutcome(t, Experiment{
+		Mode: ModeGraph, N: 256, Topology: RingTopology(2), Protocol: TwoChoices(),
+		Init: Balanced(2), Seed: 12, MaxRounds: int(complete.Rounds) * 4,
+	}).Trials[0]
 	if ring.Consensus && ring.Rounds <= complete.Rounds {
-		t.Fatalf("ring (%d rounds) not slower than complete (%d rounds)", ring.Rounds, complete.Rounds)
+		t.Fatalf("ring (%v rounds) not slower than complete (%v rounds)", ring.Rounds, complete.Rounds)
 	}
 }
 
 func TestRunWithTraceSampler(t *testing.T) {
-	cfg := Config{N: 2000, Protocol: ThreeMajority(), Init: Balanced(8), Seed: 3}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced := cfg
-	traced.Trace = trace.NewSampler(trace.Spec{Every: 1, MaxPoints: trace.CapMaxPoints}, 0)
-	res, err := Run(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != plain {
+	e := Experiment{N: 2000, Protocol: ThreeMajority(), Init: Balanced(8), Seed: 3}
+	plain := runOutcome(t, e).Trials[0]
+	traced := e
+	traced.Trace = &trace.Spec{Every: 1, MaxPoints: trace.CapMaxPoints}
+	res := runOutcome(t, traced).Trials[0]
+	pts := res.Trace
+	res.Trace = nil
+	if !reflect.DeepEqual(res, plain) {
 		t.Fatalf("tracing changed the result: %+v vs %+v", res, plain)
 	}
-	pts := traced.Trace.Points()
 	// Round 0 through the consensus round inclusive: the observer fires
 	// once per round including the final state.
-	if len(pts) != res.Rounds+1 {
-		t.Fatalf("every=1 trace has %d points for a %d-round run", len(pts), res.Rounds)
+	if float64(len(pts)) != res.Rounds+1 {
+		t.Fatalf("every=1 trace has %d points for a %v-round run", len(pts), res.Rounds)
 	}
 	if pts[0].Round != 0 || pts[0].Live != 8 || pts[0].Gamma != 0.125 {
 		t.Fatalf("initial point %+v", pts[0])
@@ -496,27 +388,5 @@ func TestRunWithTraceSampler(t *testing.T) {
 	last := pts[len(pts)-1]
 	if last.Gamma != 1 || last.Live != 1 || last.MaxAlpha != 1 {
 		t.Fatalf("final point not consensus: %+v", last)
-	}
-
-	// The trace of trial 0 via RunManyTraced is the same stream.
-	_, traces, err := RunManyTraced(cfg, 1, 1, trace.Spec{Every: 1, MaxPoints: trace.CapMaxPoints})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 1 || len(traces[0]) != len(pts) {
-		t.Fatalf("RunManyTraced trial 0 trace differs: %d vs %d points", len(traces[0]), len(pts))
-	}
-	for i := range pts {
-		if traces[0][i] != pts[i] {
-			t.Fatalf("point %d differs: %+v vs %+v", i, traces[0][i], pts[i])
-		}
-	}
-}
-
-func TestRunManyRejectsConfigTrace(t *testing.T) {
-	cfg := Config{N: 1000, Protocol: ThreeMajority(), Init: Balanced(4), Seed: 1,
-		Trace: trace.NewSampler(trace.Spec{}, 0)}
-	if _, err := RunMany(cfg, 2); err == nil || !strings.Contains(err.Error(), "RunManyTraced") {
-		t.Fatalf("RunMany accepted Config.Trace: %v", err)
 	}
 }
