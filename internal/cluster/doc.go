@@ -24,7 +24,7 @@
 // replicated record. The leader leases a shard to one worker and holds
 // the execution connection open; a connection error or lease timeout
 // proposes a requeue (leased → pending) and the shard rotates to the
-// next worker in ring order. A new leader requeues every lease it
+// next worker in sorted worker order. A new leader requeues every lease it
 // inherits — the deposed leader's dispatchers are gone. Transitions
 // are state-guarded and first-wins (a duplicate completion or stale
 // requeue applies as a no-op), so crashes and races never lose or
@@ -38,7 +38,10 @@
 // the response precisely as the single-process path does. Shard
 // results ride inside the replicated log, so any coordinator — not
 // just the leader that dispatched them — can merge and answer the
-// client, including after a failover.
+// client, including after a failover. The ledger is also the only
+// fleet-wide store of answers: Lookup re-merges a decided job from the
+// local replica and serves it only if its bytes hash to the digest the
+// decide record pinned.
 //
 // The DESIGN.md "Cluster" section documents the ledger record format,
 // the lease/requeue state machine, quorum rules, and the byte-identity

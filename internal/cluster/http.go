@@ -102,48 +102,6 @@ func (n *Node) forwardPropose(ctx context.Context, leader string, rec LedgerReco
 	return n.client().roundTrip(ctx, leader, "/cluster/propose", rec, nil)
 }
 
-func (n *Node) cacheGetRemote(ctx context.Context, owner, key string) ([]byte, bool) {
-	t := n.client()
-	addr, ok := t.peers[owner]
-	if !ok {
-		return nil, false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/cluster/cache/"+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := t.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxClusterBody))
-	if err != nil {
-		return nil, false
-	}
-	return body, true
-}
-
-func (n *Node) cachePutRemote(ctx context.Context, owner, key string, body []byte) {
-	t := n.client()
-	addr, ok := t.peers[owner]
-	if !ok {
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, addr+"/cluster/cache/"+key, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	resp, err := t.client.Do(req)
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
-}
-
 // Handler returns the node's /cluster/* HTTP surface, mounted into the
 // conserve server via service.Extra.Routes:
 //
@@ -151,8 +109,6 @@ func (n *Node) cachePutRemote(ctx context.Context, owner, key string, body []byt
 //	POST /cluster/append      replica append/heartbeat RPC
 //	POST /cluster/propose     leader-only: commit a ledger record
 //	POST /cluster/execute     run one shard here (workers)
-//	GET  /cluster/cache/{key} read this node's peer-cache slice
-//	PUT  /cluster/cache/{key} write this node's peer-cache slice
 //	GET  /cluster/status      replica status snapshot
 //	GET  /cluster/jobs        applied ledger job views
 func (n *Node) Handler() http.Handler {
@@ -162,14 +118,24 @@ func (n *Node) Handler() http.Handler {
 		if !decodeClusterJSON(w, r, &req) {
 			return
 		}
-		writeClusterJSON(w, n.replica.HandleVote(req))
+		resp, err := n.replica.HandleVote(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		writeClusterJSON(w, resp)
 	})
 	mux.HandleFunc("POST /cluster/append", func(w http.ResponseWriter, r *http.Request) {
 		var req AppendRequest
 		if !decodeClusterJSON(w, r, &req) {
 			return
 		}
-		writeClusterJSON(w, n.replica.HandleAppend(req))
+		resp, err := n.replica.HandleAppend(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		writeClusterJSON(w, resp)
 	})
 	mux.HandleFunc("POST /cluster/propose", func(w http.ResponseWriter, r *http.Request) {
 		var rec LedgerRecord
@@ -203,24 +169,6 @@ func (n *Node) Handler() http.Handler {
 			return
 		}
 		writeClusterJSON(w, res)
-	})
-	mux.HandleFunc("GET /cluster/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		body, ok := n.cacheGetLocal(r.PathValue("key"))
-		if !ok {
-			http.Error(w, "not cached", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	})
-	mux.HandleFunc("PUT /cluster/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxClusterBody))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n.cacheSetLocal(r.PathValue("key"), body)
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /cluster/status", func(w http.ResponseWriter, r *http.Request) {
 		st := n.replica.Status()

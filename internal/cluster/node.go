@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -24,10 +25,9 @@ const (
 	// RoleCoordinator nodes accept client requests, may lead the
 	// ledger, plan and dispatch shards, and merge results.
 	RoleCoordinator Role = "coordinator"
-	// RoleWorker nodes replicate the ledger, vote, execute shards, and
-	// host their slice of the peer cache. They lead only as a last
-	// resort, when no coordinator can win an election (see
-	// fallbackCandidateSlack).
+	// RoleWorker nodes replicate the ledger, vote, and execute shards.
+	// They lead only as a last resort, when no coordinator can win an
+	// election (see fallbackCandidateSlack).
 	RoleWorker Role = "worker"
 )
 
@@ -39,7 +39,7 @@ type NodeConfig struct {
 	Role Role
 	// Peers maps every node ID (self included) to its base URL
 	// (e.g. "http://127.0.0.1:8081"). The set must agree fleet-wide:
-	// the consistent-hash ring and shard plans derive from it.
+	// quorum sizes, shard plans and worker placement derive from it.
 	Peers map[string]string
 	// Coordinators lists the coordinator IDs — the election candidates.
 	Coordinators []string
@@ -63,21 +63,19 @@ type NodeConfig struct {
 
 // Node is one member of a conserve cluster: a ledger replica plus the
 // role-dependent machinery — coordinators submit, dispatch, and merge;
-// workers execute shards. Every node hosts a slice of the fleet-wide
-// result cache keyed by the consistent-hash ring. Coordinator nodes
-// implement service.Remote, which is how the local Runner routes jobs
-// through the cluster.
+// workers execute shards. Every node's applied ledger holds every
+// decided job's shard results, so any node can answer a decided key
+// from its own replica. Coordinator nodes implement service.Remote,
+// which is how the local Runner routes jobs through the cluster.
 type Node struct {
 	cfg     NodeConfig
 	ledger  *Ledger
 	replica *Replica
-	ring    *Ring
 	workers []string // sorted worker IDs (peers minus coordinators)
 
 	mu       sync.Mutex
 	inflight map[string]bool // shard dispatches owned by this process
 	attempts map[string]int  // per-shard dispatch count, rotates workers
-	cache    map[string][]byte
 
 	peerCacheHits atomic.Uint64
 
@@ -109,7 +107,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		ledger:   NewLedger(),
 		inflight: make(map[string]bool),
 		attempts: make(map[string]int),
-		cache:    make(map[string][]byte),
 		closed:   make(chan struct{}),
 	}
 	isCoord := make(map[string]bool, len(cfg.Coordinators))
@@ -119,9 +116,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		isCoord[c] = true
 	}
-	ring := NewRing(peerIDs(cfg.Peers))
-	n.ring = ring
-	for _, p := range ring.Peers() {
+	peers := peerIDs(cfg.Peers)
+	for _, p := range peers {
 		if !isCoord[p] {
 			n.workers = append(n.workers, p)
 		}
@@ -132,7 +128,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.replica = NewReplica(ReplicaConfig{
 		ID:            cfg.ID,
-		Peers:         ring.Peers(),
+		Peers:         peers,
 		Candidates:    cfg.Coordinators,
 		Transport:     &httpTransport{peers: cfg.Peers, client: transport},
 		Journal:       cfg.Journal,
@@ -266,7 +262,7 @@ func (n *Node) dispatchShard(job JobView, shard int) {
 	attempt := n.attempts[id]
 	n.attempts[id]++
 	n.mu.Unlock()
-	worker := n.workerFor(id, attempt)
+	worker := placeShard(n.workers, job.Key, shard, attempt)
 	if worker == "" {
 		return
 	}
@@ -306,16 +302,26 @@ func (n *Node) dispatchShard(job JobView, shard int) {
 	}
 }
 
-// workerFor picks the executing worker for a shard: consistent-hash
-// placement for attempt 0, then rotation through the ring order on
-// each requeue so a dead worker cannot pin its shards forever.
-func (n *Node) workerFor(id string, attempt int) string {
-	if len(n.workers) == 0 {
+// placeShard picks the worker for shard of key on its attempt-th
+// dispatch: workers[(h(key) + shard + attempt) mod W]. A request's
+// shards land on distinct workers whenever there are at least as many
+// workers as shards, and each requeue moves the shard to the next
+// worker, so a dead worker cannot pin it. Membership is static, so the
+// rotation is the same on every node.
+func placeShard(workers []string, key string, shard, attempt int) string {
+	w := uint64(len(workers))
+	if w == 0 {
 		return ""
 	}
-	ring := NewRing(n.workers)
-	owners := ring.Owners(id, len(n.workers))
-	return owners[attempt%len(owners)]
+	return workers[(hash64(key)%w+uint64(shard+attempt))%w]
+}
+
+// hash64 is the first 8 bytes of SHA-256, big-endian: stable across Go
+// versions and architectures, and aligned with the request-key hash
+// family. Shard placement and the replica's election jitter use it.
+func hash64(s string) uint64 {
+	sum := sha256.Sum256([]byte(s))
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // ExecuteShardLocal runs one shard on this node via the deterministic
@@ -360,59 +366,88 @@ func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response,
 	if err != nil {
 		return nil, err
 	}
+	resp, digest, err := mergeJob(jv)
+	if err != nil || jv.Decided {
+		return resp, err
+	}
+	decide := LedgerRecord{Op: OpDecide, Key: key, MergedSHA: digest}
+	if err := n.proposeRouted(ctx, decide); err != nil {
+		return nil, fmt.Errorf("cluster: decide %s: %w", key, err)
+	}
+	// The decision committed; wait for the local apply so callers that
+	// read this node's ledger right after Run observe it. A racing
+	// coordinator's decide may have won: its digest must be ours.
+	jv, err = n.ledger.WaitDecided(ctx.Done(), key)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkDigest(jv, digest); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// Lookup implements service.Remote's read-through against this node's
+// applied ledger: a decided job's response is re-merged from the shard
+// results the ledger holds and served only if its bytes hash to the
+// digest the decide pinned. Anything else misses, and a miss is always
+// safe — the runner falls through to Run.
+func (n *Node) Lookup(ctx context.Context, key string) (*service.Response, bool) {
+	jv, ok := n.ledger.Job(key)
+	if !ok || !jv.Decided {
+		return nil, false
+	}
+	resp, _, err := mergeJob(jv)
+	if err != nil {
+		n.cfg.Logf("cluster: ledger lookup missed: %v", err)
+		return nil, false
+	}
+	n.peerCacheHits.Add(1)
+	return resp, true
+}
+
+// mergeJob reassembles a job's canonical response from the shard
+// results in its ledger view, exactly as the single-process path
+// would, and returns it with the hex SHA-256 of its canonical bytes.
+// For a decided job it is also the byte-identity check: the digest
+// must equal the one the decide pinned.
+func mergeJob(jv JobView) (*service.Response, string, error) {
+	var q service.Request
+	if err := json.Unmarshal(jv.Request, &q); err != nil {
+		return nil, "", fmt.Errorf("cluster: job %s request: %w", jv.Key, err)
+	}
 	shards := make([]*service.ShardResult, 0, len(jv.Shards))
 	for i, s := range jv.Shards {
 		var sr service.ShardResult
 		if err := json.Unmarshal(s.Result, &sr); err != nil {
-			return nil, fmt.Errorf("cluster: shard %d result: %w", i, err)
+			return nil, "", fmt.Errorf("cluster: shard %d result: %w", i, err)
 		}
 		shards = append(shards, &sr)
 	}
 	resp, err := service.MergeShards(q, shards)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	sum := sha256.Sum256(body)
-	decide := LedgerRecord{Op: OpDecide, Key: key, MergedSHA: hex.EncodeToString(sum[:])}
-	if err := n.proposeRouted(ctx, decide); err != nil {
-		return nil, fmt.Errorf("cluster: decide %s: %w", key, err)
+	digest := hex.EncodeToString(sum[:])
+	if jv.Decided {
+		if err := checkDigest(jv, digest); err != nil {
+			return nil, "", err
+		}
 	}
-	// The decision committed; wait for the local apply so callers that
-	// read this node's ledger right after Run observe it.
-	if _, err := n.ledger.WaitDecided(ctx.Done(), key); err != nil {
-		return nil, err
-	}
-	n.cachePut(ctx, key, body)
-	return resp, nil
+	return resp, digest, nil
 }
 
-// Lookup implements service.Remote's read-through against the
-// fleet-wide peer cache: ask the key's consistent-hash owner (then its
-// successor) for cached canonical bytes.
-func (n *Node) Lookup(ctx context.Context, key string) (*service.Response, bool) {
-	for _, owner := range n.ring.Owners(key, 2) {
-		var body []byte
-		var ok bool
-		if owner == n.cfg.ID {
-			body, ok = n.cacheGetLocal(key)
-		} else {
-			body, ok = n.cacheGetRemote(ctx, owner, key)
-		}
-		if !ok {
-			continue
-		}
-		var resp service.Response
-		if json.Unmarshal(body, &resp) != nil {
-			continue
-		}
-		n.peerCacheHits.Add(1)
-		return &resp, true
+// checkDigest compares merged bytes' digest with a decided job's pin.
+func checkDigest(jv JobView, digest string) error {
+	if digest != jv.MergedSHA {
+		return fmt.Errorf("cluster: job %s merged to sha256 %s, decided %s", jv.Key, digest, jv.MergedSHA)
 	}
-	return nil, false
+	return nil
 }
 
 // proposeRouted lands a record in the replicated log from any node:
@@ -448,37 +483,13 @@ func (n *Node) proposeRouted(ctx context.Context, rec LedgerRecord) error {
 	}
 }
 
-// cachePut writes canonical response bytes to the key's ring owners
-// (self included when owning). Best-effort: the cache is an
-// optimization layered over the deterministic recompute path.
-func (n *Node) cachePut(ctx context.Context, key string, body []byte) {
-	for _, owner := range n.ring.Owners(key, 2) {
-		if owner == n.cfg.ID {
-			n.cacheSetLocal(key, body)
-		} else {
-			n.cachePutRemote(ctx, owner, key, body)
-		}
-	}
-}
-
-func (n *Node) cacheGetLocal(key string) ([]byte, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	body, ok := n.cache[key]
-	return body, ok
-}
-
-func (n *Node) cacheSetLocal(key string, body []byte) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cache[key] = body
-}
-
-// Metrics is the node's metric snapshot.
+// NodeMetrics is the node's metric snapshot.
 type NodeMetrics struct {
-	Leader        bool
-	Term          uint64
-	Requeues      uint64
+	Leader   bool
+	Term     uint64
+	Requeues uint64
+	// PeerCacheHits counts requests Lookup answered from a decided job
+	// in this node's ledger (conserve_peer_cache_hits_total).
 	PeerCacheHits uint64
 }
 
@@ -506,6 +517,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "conserve_cluster_term %d\n", m.Term)
 	fmt.Fprintf(w, "# HELP conserve_shard_requeues_total Shard leases expired or revoked and returned to pending.\n")
 	fmt.Fprintf(w, "conserve_shard_requeues_total %d\n", m.Requeues)
-	fmt.Fprintf(w, "# HELP conserve_peer_cache_hits_total Requests served from another replica's slice of the fleet cache.\n")
+	fmt.Fprintf(w, "# HELP conserve_peer_cache_hits_total Requests answered from a decided job in this node's replicated ledger.\n")
 	fmt.Fprintf(w, "conserve_peer_cache_hits_total %d\n", m.PeerCacheHits)
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"plurality/internal/durable"
 	"plurality/internal/service"
 )
 
@@ -37,50 +39,40 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 type testCluster struct {
-	nodes    map[string]*Node
-	servers  map[string]*httptest.Server
-	handlers map[string]*lateHandler
+	t          *testing.T
+	journalDir string // "" = no journals
+	peers      map[string]string
+	nodes      map[string]*Node
+	journals   map[string]*durable.Journal
+	servers    map[string]*httptest.Server
+	handlers   map[string]*lateHandler
 }
 
 // newTestCluster stands up an in-process fleet over loopback HTTP:
-// 2 coordinators (c1, c2) + 3 workers (w1..w3), no journals.
-func newTestCluster(t *testing.T) *testCluster {
+// 2 coordinators (c1, c2) + 3 workers (w1..w3). With a non-empty
+// journalDir every replica persists to its own journal there, so a
+// node can be restarted from disk.
+func newTestCluster(t *testing.T, journalDir string) *testCluster {
 	t.Helper()
 	ids := []string{"c1", "c2", "w1", "w2", "w3"}
 	tc := &testCluster{
-		nodes:    make(map[string]*Node),
-		servers:  make(map[string]*httptest.Server),
-		handlers: make(map[string]*lateHandler),
+		t:          t,
+		journalDir: journalDir,
+		peers:      make(map[string]string),
+		nodes:      make(map[string]*Node),
+		journals:   make(map[string]*durable.Journal),
+		servers:    make(map[string]*httptest.Server),
+		handlers:   make(map[string]*lateHandler),
 	}
-	peers := make(map[string]string)
 	for _, id := range ids {
 		lh := &lateHandler{}
 		srv := httptest.NewServer(lh)
 		tc.handlers[id] = lh
 		tc.servers[id] = srv
-		peers[id] = srv.URL
+		tc.peers[id] = srv.URL
 	}
 	for _, id := range ids {
-		role := RoleWorker
-		if id[0] == 'c' {
-			role = RoleCoordinator
-		}
-		n, err := NewNode(NodeConfig{
-			ID:            id,
-			Role:          role,
-			Peers:         peers,
-			Coordinators:  []string{"c1", "c2"},
-			Parallelism:   2,
-			Heartbeat:     10 * time.Millisecond,
-			ElectionTicks: 4,
-			LeaseTimeout:  30 * time.Second,
-			Logf:          t.Logf,
-		})
-		if err != nil {
-			t.Fatalf("node %s: %v", id, err)
-		}
-		tc.nodes[id] = n
-		tc.handlers[id].set(n.Handler())
+		tc.start(id)
 	}
 	t.Cleanup(tc.close)
 	if _, ok := tc.nodes["c1"].WaitLeader(10 * time.Second); !ok {
@@ -89,9 +81,53 @@ func newTestCluster(t *testing.T) *testCluster {
 	return tc
 }
 
+// start builds node id (recovering its journal, if any) and serves it.
+func (tc *testCluster) start(id string) {
+	t := tc.t
+	t.Helper()
+	role := RoleWorker
+	if id[0] == 'c' {
+		role = RoleCoordinator
+	}
+	cfg := NodeConfig{
+		ID:            id,
+		Role:          role,
+		Peers:         tc.peers,
+		Coordinators:  []string{"c1", "c2"},
+		Parallelism:   2,
+		Heartbeat:     10 * time.Millisecond,
+		ElectionTicks: 4,
+		LeaseTimeout:  30 * time.Second,
+		Logf:          t.Logf,
+	}
+	if tc.journalDir != "" {
+		j, recs, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(tc.journalDir, id+".journal"))
+		if err != nil {
+			t.Fatalf("journal %s: %v", id, err)
+		}
+		tc.journals[id] = j
+		cfg.Journal, cfg.Records = j, recs
+	}
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatalf("node %s: %v", id, err)
+	}
+	tc.nodes[id] = n
+	tc.handlers[id].set(n.Handler())
+}
+
+// stop takes node id off the network and closes it and its journal.
+func (tc *testCluster) stop(id string) {
+	tc.handlers[id].set(nil)
+	tc.nodes[id].Close()
+	if j := tc.journals[id]; j != nil {
+		j.Close()
+	}
+}
+
 func (tc *testCluster) close() {
-	for _, n := range tc.nodes {
-		n.Close()
+	for id := range tc.nodes {
+		tc.stop(id)
 	}
 	for _, s := range tc.servers {
 		s.Close()
@@ -109,10 +145,12 @@ func (tc *testCluster) follower() *Node {
 
 // TestNodeClusterByteIdentity runs a request through the cluster from
 // a follower coordinator and expects the exact bytes of a
-// single-process run, a sharded ledger, exactly one decision, and a
-// peer-cache hit afterwards.
+// single-process run, a sharded ledger, and exactly one decision. Both
+// coordinators then answer the key from their own applied ledger —
+// including one restarted from its journal — and a decided job whose
+// pinned digest does not match its shards misses.
 func TestNodeClusterByteIdentity(t *testing.T) {
-	tc := newTestCluster(t)
+	tc := newTestCluster(t, t.TempDir())
 	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 42, Trials: 7}
 
 	want, err := service.ExecuteParallel(req, 4)
@@ -124,6 +162,7 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	co := tc.follower()
+	coID := co.cfg.ID
 	got, err := co.Run(ctx, req)
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
@@ -144,25 +183,72 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 	if !jv.Decided {
 		t.Fatal("job not decided")
 	}
+	workers := map[string]bool{}
 	for i, s := range jv.Shards {
 		if s.Status != ShardDone {
 			t.Fatalf("shard %d not done: %+v", i, s)
 		}
+		workers[s.Worker] = true
+	}
+	if len(workers) != len(jv.Shards) {
+		t.Fatalf("shards ran on %d distinct workers, want %d", len(workers), len(jv.Shards))
 	}
 
-	// Read-through: any coordinator finds the cached canonical bytes.
-	for _, id := range []string{"c1", "c2"} {
-		cached, ok := tc.nodes[id].Lookup(ctx, key)
-		if !ok {
-			t.Fatalf("%s: peer-cache lookup missed after completion", id)
+	// Read-through: every coordinator answers from its applied ledger.
+	lookup := func(id string) {
+		t.Helper()
+		n := tc.nodes[id]
+		if _, err := n.Ledger().WaitDecided(ctx.Done(), key); err != nil {
+			t.Fatalf("%s: %v", id, err)
 		}
-		cachedJSON, _ := json.Marshal(cached)
-		if string(cachedJSON) != string(wantJSON) {
-			t.Fatalf("%s: cached bytes differ from ground truth", id)
+		hits := n.Metrics().PeerCacheHits
+		resp, ok := n.Lookup(ctx, key)
+		if !ok {
+			t.Fatalf("%s: ledger lookup missed a decided key", id)
+		}
+		respJSON, _ := json.Marshal(resp)
+		if string(respJSON) != string(wantJSON) {
+			t.Fatalf("%s: ledger bytes differ from ground truth", id)
+		}
+		if n.Metrics().PeerCacheHits != hits+1 {
+			t.Fatalf("%s: ledger hit not counted", id)
 		}
 	}
-	if tc.nodes["c1"].Metrics().PeerCacheHits+tc.nodes["c2"].Metrics().PeerCacheHits == 0 {
-		t.Fatal("peer cache hits not counted")
+	lookup("c1")
+	lookup("c2")
+
+	// A coordinator restarted from its journal replays the decided job.
+	tc.stop(coID)
+	tc.start(coID)
+	lookup(coID)
+
+	// The digest check: the same shard results hit under the real pin,
+	// miss under a wrong one, and an undecided job always misses.
+	wrong := []byte(jv.MergedSHA)
+	wrong[0] ^= 1
+	for _, tt := range []struct {
+		name, pin string
+		hit       bool
+	}{
+		{"undecided", "", false},
+		{"pinned", jv.MergedSHA, true},
+		{"mismatched", string(wrong), false},
+	} {
+		l := NewLedger()
+		l.Apply(1, LedgerRecord{Op: OpSubmit, Key: key, Request: jv.Request, Shards: PlanShards(req.Trials, 3)})
+		for i, s := range jv.Shards {
+			l.Apply(uint64(2+i), LedgerRecord{Op: OpShardDone, Key: key, Shard: i, Worker: s.Worker, Result: s.Result})
+		}
+		if tt.pin != "" {
+			l.Apply(5, LedgerRecord{Op: OpDecide, Key: key, MergedSHA: tt.pin})
+		}
+		n := &Node{cfg: NodeConfig{Logf: t.Logf}, ledger: l}
+		if _, ok := n.Lookup(ctx, key); ok != tt.hit {
+			t.Errorf("%s: Lookup hit = %v, want %v", tt.name, ok, tt.hit)
+		}
+		if hits := n.peerCacheHits.Load(); (hits == 1) != tt.hit || hits > 1 {
+			t.Errorf("%s: %d ledger hits counted for hit = %v", tt.name, hits, tt.hit)
+		}
 	}
 }
 
@@ -170,7 +256,7 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 // concurrently: the ledger admits one job, both callers get identical
 // bytes.
 func TestNodeClusterDedup(t *testing.T) {
-	tc := newTestCluster(t)
+	tc := newTestCluster(t, "")
 	req := service.Request{Protocol: "2-choices", N: 400, K: 4, Seed: 7, Trials: 6}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -205,7 +291,7 @@ func TestNodeClusterDedup(t *testing.T) {
 // the run: its shard leases fail, requeue, and rotate to live workers;
 // the run still completes with the single-process bytes.
 func TestNodeWorkerFailureRequeues(t *testing.T) {
-	tc := newTestCluster(t)
+	tc := newTestCluster(t, "")
 	// Dead worker: still a registered peer (quorum math unchanged at
 	// 4/5 live) but refuses every request.
 	tc.handlers["w2"].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -215,14 +301,14 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 
 	// Pick a seed whose first-attempt shard placement hits the dead
 	// worker (placement is a pure function of key and worker set).
-	ring := NewRing([]string{"w1", "w2", "w3"})
+	workers := []string{"w1", "w2", "w3"}
 	var req service.Request
 	for seed := uint64(1); ; seed++ {
 		req = service.Request{Protocol: "3-majority", N: 500, K: 4, Seed: seed, Trials: 6}
 		key := req.Normalize().Key()
 		hit := false
 		for i := 0; i < 3; i++ {
-			if ring.Owner(shardID(key, i)) == "w2" {
+			if placeShard(workers, key, i, 0) == "w2" {
 				hit = true
 			}
 		}

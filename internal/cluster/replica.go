@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -144,6 +145,7 @@ type Replica struct {
 	applied  uint64
 	role     int
 	leader   string // leader known for the current term ("" if none)
+	failed   bool   // a journal append failed: fail-stopped for good
 
 	// Leader bookkeeping, rebuilt on each election win.
 	nextIndex  map[string]uint64
@@ -218,31 +220,54 @@ func (r *Replica) Close() {
 	})
 }
 
-// persistTerm journals a term/vote change (caller holds mu). A failed
-// append degrades durability, not availability: the in-memory protocol
-// stays correct for this process's lifetime.
-func (r *Replica) persistTerm() {
+// persistTerm journals a term/vote change (caller holds mu). Every
+// persist runs before the reply or count that relies on it, and its
+// error fail-stops the replica (see fail).
+func (r *Replica) persistTerm() error {
 	if r.cfg.Journal == nil {
-		return
+		return nil
 	}
 	data, _ := json.Marshal(termRecord{Term: r.term, VotedFor: r.votedFor})
-	_ = r.cfg.Journal.Append(durable.Record{Op: opClusterTerm, State: data})
+	return r.fail(r.cfg.Journal.Append(durable.Record{Op: opClusterTerm, State: data}))
 }
 
-func (r *Replica) persistEntry(e Entry) {
+func (r *Replica) persistEntry(e Entry) error {
 	if r.cfg.Journal == nil {
-		return
+		return nil
 	}
 	data, _ := json.Marshal(e)
-	_ = r.cfg.Journal.Append(durable.Record{Op: opClusterEntry, Key: e.Rec.Key, State: data})
+	return r.fail(r.cfg.Journal.Append(durable.Record{Op: opClusterEntry, Key: e.Rec.Key, State: data}))
 }
 
-func (r *Replica) persistTruncate(index uint64) {
+func (r *Replica) persistTruncate(index uint64) error {
 	if r.cfg.Journal == nil {
-		return
+		return nil
 	}
 	data, _ := json.Marshal(truncateRecord{Index: index})
-	_ = r.cfg.Journal.Append(durable.Record{Op: opClusterTruncate, State: data})
+	return r.fail(r.cfg.Journal.Append(durable.Record{Op: opClusterTruncate, State: data}))
+}
+
+// errFailStopped is returned by every RPC handler and Propose once a
+// journal append has failed.
+var errFailStopped = errors.New("cluster: replica fail-stopped after a journal error")
+
+// fail fail-stops the replica on a persist error (caller holds mu) and
+// returns err. A vote or ack whose record may not be on disk must never
+// be sent: after a crash the replica would forget it and could vote
+// twice in a term or lose an entry it acknowledged. So the replica
+// stops for good — it refuses every later RPC and never campaigns —
+// and the fleet treats it as down until it restarts from its journal's
+// valid prefix.
+func (r *Replica) fail(err error) error {
+	if err == nil || r.failed {
+		return err
+	}
+	r.failed = true
+	r.role = roleFollower
+	r.leader = ""
+	r.wakeLocked()
+	r.cfg.Logf("cluster: replica %s fail-stopped: %v", r.cfg.ID, err)
+	return err
 }
 
 func (r *Replica) lastIndexLocked() uint64 { return uint64(len(r.log)) }
@@ -290,7 +315,7 @@ func (r *Replica) electionTimeoutTicks() int {
 	if !r.isCandidate(r.cfg.ID) {
 		base *= fallbackCandidateSlack
 	}
-	return base + int(ringHash(fmt.Sprintf("%s/election/%d", r.cfg.ID, r.term))%uint64(base))
+	return base + int(hash64(fmt.Sprintf("%s/election/%d", r.cfg.ID, r.term))%uint64(base))
 }
 
 // tickLoop drives time-dependent behavior off one ticker: leaders
@@ -329,6 +354,10 @@ func (r *Replica) tickLoop() {
 // fleet, and take leadership on a majority.
 func (r *Replica) campaign() {
 	r.mu.Lock()
+	if r.failed { // fail-stopped: never campaigns again
+		r.mu.Unlock()
+		return
+	}
 	r.term++
 	r.role = roleCandidate
 	r.votedFor = r.cfg.ID
@@ -340,7 +369,10 @@ func (r *Replica) campaign() {
 		LastIndex: r.lastIndexLocked(),
 		LastTerm:  r.termAtLocked(r.lastIndexLocked()),
 	}
-	r.persistTerm()
+	if r.persistTerm() != nil {
+		r.mu.Unlock()
+		return
+	}
 	r.wakeLocked()
 	r.mu.Unlock()
 	r.cfg.Logf("cluster: %s campaigning in term %d", r.cfg.ID, term)
@@ -398,8 +430,11 @@ func (r *Replica) campaign() {
 		// current term, so a fresh leader proposes a no-op to unlock
 		// commitment of any older-term tail it inherited.
 		e := Entry{Index: r.lastIndexLocked() + 1, Term: term, Rec: LedgerRecord{Op: "noop"}}
+		if r.persistEntry(e) != nil {
+			r.mu.Unlock()
+			return
+		}
 		r.log = append(r.log, e)
-		r.persistEntry(e)
 		r.wakeLocked()
 		r.mu.Unlock()
 		r.cfg.Logf("cluster: %s leads term %d", r.cfg.ID, term)
@@ -418,15 +453,16 @@ func (r *Replica) campaign() {
 func (r *Replica) stepDown(term uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if term <= r.term {
+	if r.failed || term <= r.term {
 		return
 	}
 	r.term = term
 	r.votedFor = ""
 	r.role = roleFollower
 	r.leader = ""
-	r.persistTerm()
-	r.wakeLocked()
+	if r.persistTerm() == nil {
+		r.wakeLocked()
+	}
 }
 
 // broadcast pushes log state to every peer: entries from nextIndex for
@@ -548,43 +584,59 @@ func (r *Replica) applyLoop() {
 	}
 }
 
-// HandleVote answers a peer's vote solicitation.
-func (r *Replica) HandleVote(req VoteRequest) VoteResponse {
+// HandleVote answers a peer's vote solicitation. A grant is returned
+// only after the vote is on disk; a replica whose journal failed
+// refuses with errFailStopped.
+func (r *Replica) HandleVote(req VoteRequest) (VoteResponse, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.failed {
+		return VoteResponse{}, errFailStopped
+	}
 	if req.Term < r.term {
-		return VoteResponse{Term: r.term, Granted: false}
+		return VoteResponse{Term: r.term, Granted: false}, nil
 	}
 	if req.Term > r.term {
 		r.term = req.Term
 		r.votedFor = ""
 		r.role = roleFollower
 		r.leader = ""
-		r.persistTerm()
+		if err := r.persistTerm(); err != nil {
+			return VoteResponse{}, err
+		}
 		r.wakeLocked()
 	}
 	upToDate := req.LastTerm > r.termAtLocked(r.lastIndexLocked()) ||
 		(req.LastTerm == r.termAtLocked(r.lastIndexLocked()) && req.LastIndex >= r.lastIndexLocked())
 	if (r.votedFor == "" || r.votedFor == req.Candidate) && upToDate {
 		r.votedFor = req.Candidate
+		if err := r.persistTerm(); err != nil {
+			return VoteResponse{}, err
+		}
 		r.electionElapsed = 0
-		r.persistTerm()
-		return VoteResponse{Term: r.term, Granted: true}
+		return VoteResponse{Term: r.term, Granted: true}, nil
 	}
-	return VoteResponse{Term: r.term, Granted: false}
+	return VoteResponse{Term: r.term, Granted: false}, nil
 }
 
-// HandleAppend answers a leader's replication push.
-func (r *Replica) HandleAppend(req AppendRequest) AppendResponse {
+// HandleAppend answers a leader's replication push. Success is
+// returned only after every appended entry (and any truncation) is on
+// disk; a replica whose journal failed refuses with errFailStopped.
+func (r *Replica) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.failed {
+		return AppendResponse{}, errFailStopped
+	}
 	if req.Term < r.term {
-		defer r.mu.Unlock()
-		return AppendResponse{Term: r.term, Success: false}
+		return AppendResponse{Term: r.term, Success: false}, nil
 	}
 	if req.Term > r.term {
 		r.term = req.Term
 		r.votedFor = ""
-		r.persistTerm()
+		if err := r.persistTerm(); err != nil {
+			return AppendResponse{}, err
+		}
 	}
 	r.role = roleFollower
 	if r.leader != req.Leader {
@@ -595,8 +647,7 @@ func (r *Replica) HandleAppend(req AppendRequest) AppendResponse {
 
 	// Log-matching check.
 	if req.PrevIndex > r.lastIndexLocked() || r.termAtLocked(req.PrevIndex) != req.PrevTerm {
-		defer r.mu.Unlock()
-		return AppendResponse{Term: r.term, Success: false}
+		return AppendResponse{Term: r.term, Success: false}, nil
 	}
 	// Append, truncating a conflicting suffix exactly once.
 	for _, e := range req.Entries {
@@ -604,11 +655,15 @@ func (r *Replica) HandleAppend(req AppendRequest) AppendResponse {
 			if r.termAtLocked(e.Index) == e.Term {
 				continue // already have it
 			}
+			if err := r.persistTruncate(e.Index); err != nil {
+				return AppendResponse{}, err
+			}
 			r.log = r.log[:e.Index-1]
-			r.persistTruncate(e.Index)
+		}
+		if err := r.persistEntry(e); err != nil {
+			return AppendResponse{}, err
 		}
 		r.log = append(r.log, e)
-		r.persistEntry(e)
 	}
 	match := req.PrevIndex + uint64(len(req.Entries))
 	if req.Commit > r.commit {
@@ -625,23 +680,30 @@ func (r *Replica) HandleAppend(req AppendRequest) AppendResponse {
 			}
 		}
 	}
-	term := r.term
-	r.mu.Unlock()
-	return AppendResponse{Term: term, Success: true, MatchIndex: match}
+	return AppendResponse{Term: r.term, Success: true, MatchIndex: match}, nil
 }
 
 // Propose appends a record to the log if this replica currently leads.
 // It returns the entry's (index, term) for WaitCommitted; followers
-// get ErrNotLeader and should redirect to Leader().
+// get ErrNotLeader and should redirect to Leader(). The leader's own
+// copy counts toward commit only once it is on disk: a journal error
+// fail-stops the replica and is returned.
 func (r *Replica) Propose(rec LedgerRecord) (uint64, uint64, error) {
 	r.mu.Lock()
+	if r.failed {
+		r.mu.Unlock()
+		return 0, 0, errFailStopped
+	}
 	if r.role != roleLeader {
 		r.mu.Unlock()
 		return 0, 0, ErrNotLeader
 	}
 	e := Entry{Index: r.lastIndexLocked() + 1, Term: r.term, Rec: rec}
+	if err := r.persistEntry(e); err != nil {
+		r.mu.Unlock()
+		return 0, 0, err
+	}
 	r.log = append(r.log, e)
-	r.persistEntry(e)
 	r.mu.Unlock()
 	r.broadcast()
 	return e.Index, e.Term, nil

@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +63,7 @@ func (p *peerTransport) Vote(ctx context.Context, peer string, req VoteRequest) 
 	if err != nil {
 		return VoteResponse{}, err
 	}
-	return r.HandleVote(req), nil
+	return r.HandleVote(req)
 }
 
 func (p *peerTransport) Append(ctx context.Context, peer string, req AppendRequest) (AppendResponse, error) {
@@ -69,7 +71,7 @@ func (p *peerTransport) Append(ctx context.Context, peer string, req AppendReque
 	if err != nil {
 		return AppendResponse{}, err
 	}
-	return r.HandleAppend(req), nil
+	return r.HandleAppend(req)
 }
 
 // applyLog collects each replica's applied sequence for convergence
@@ -334,4 +336,143 @@ func TestReplicaJournalRecovery(t *testing.T) {
 		t.Fatalf("restarted w1 applied %+v, want submit then lease", recs[:2])
 	}
 	f.close()
+}
+
+// faultyReplica starts replica "a" of peers on a journal written
+// through a durable.FaultFS whose writes fail while the returned flag
+// is set. The journal path is returned for a restart.
+func faultyReplica(t *testing.T, peers []string, heartbeat time.Duration) (*Replica, *atomic.Bool, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "a.journal")
+	ffs := durable.NewFaultFS(durable.OSFS{})
+	failing := &atomic.Bool{}
+	ffs.WriteHook = func(string, int) (int, error) {
+		if failing.Load() {
+			return 0, errors.New("injected: no space left on device")
+		}
+		return -1, nil
+	}
+	j, recs, _, err := durable.OpenJournal(ffs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplica(ReplicaConfig{
+		ID:            "a",
+		Peers:         peers,
+		Candidates:    peers[:1],
+		Transport:     &peerTransport{id: "a", m: newMemTransport()},
+		Journal:       j,
+		Records:       recs,
+		Heartbeat:     heartbeat,
+		ElectionTicks: 2,
+		Logf:          t.Logf,
+	})
+	t.Cleanup(func() {
+		r.Close()
+		j.Close()
+	})
+	return r, failing, path
+}
+
+// requireFailStopped checks a replica refuses every RPC and proposal.
+func requireFailStopped(t *testing.T, r *Replica) {
+	t.Helper()
+	if _, err := r.HandleVote(VoteRequest{Term: 99, Candidate: "b"}); !errors.Is(err, errFailStopped) {
+		t.Errorf("vote after a journal error: err = %v, want errFailStopped", err)
+	}
+	if _, err := r.HandleAppend(AppendRequest{Term: 99, Leader: "b"}); !errors.Is(err, errFailStopped) {
+		t.Errorf("append after a journal error: err = %v, want errFailStopped", err)
+	}
+	if _, _, err := r.Propose(LedgerRecord{Op: OpSubmit, Key: "k"}); !errors.Is(err, errFailStopped) {
+		t.Errorf("propose after a journal error: err = %v, want errFailStopped", err)
+	}
+}
+
+// TestReplicaPersistBeforeReply injects journal write failures: a vote
+// or append ack whose record did not reach disk is never sent, a
+// leader's own copy is never counted, and the replica fail-stops.
+func TestReplicaPersistBeforeReply(t *testing.T) {
+	peers := []string{"a", "b", "c"}
+	// A heartbeat of an hour keeps the tick loop (and any campaign)
+	// out of the RPC-driven subtests.
+	t.Run("vote", func(t *testing.T) {
+		r, failing, path := faultyReplica(t, peers, time.Hour)
+		// Adopt term 1 with the disk healthy, so the injected failure
+		// hits the vote record itself.
+		if resp, err := r.HandleAppend(AppendRequest{Term: 1, Leader: "c"}); err != nil || !resp.Success {
+			t.Fatalf("heartbeat: %+v, %v", resp, err)
+		}
+		failing.Store(true)
+		resp, err := r.HandleVote(VoteRequest{Term: 1, Candidate: "b"})
+		if err == nil || resp.Granted {
+			t.Fatalf("vote with a failed term append: %+v, %v; want refused with the error", resp, err)
+		}
+		failing.Store(false)
+		requireFailStopped(t, r)
+
+		// The vote never reached disk, and a restart from the valid
+		// prefix recovers term 1 with no vote cast.
+		recs := reopen(t, path)
+		r2 := NewReplica(ReplicaConfig{ID: "a", Peers: peers, Candidates: peers[:1],
+			Transport: &peerTransport{id: "a", m: newMemTransport()}, Records: recs, Heartbeat: time.Hour})
+		defer r2.Close()
+		if r2.term != 1 || r2.votedFor != "" {
+			t.Fatalf("restart recovered term %d vote %q, want term 1 and no vote", r2.term, r2.votedFor)
+		}
+	})
+	t.Run("append", func(t *testing.T) {
+		r, failing, _ := faultyReplica(t, peers, time.Hour)
+		if resp, err := r.HandleAppend(AppendRequest{Term: 1, Leader: "c"}); err != nil || !resp.Success {
+			t.Fatalf("heartbeat: %+v, %v", resp, err)
+		}
+		failing.Store(true)
+		resp, err := r.HandleAppend(AppendRequest{
+			Term: 1, Leader: "c",
+			Entries: []Entry{{Index: 1, Term: 1, Rec: LedgerRecord{Op: OpSubmit, Key: "k"}}},
+			Commit:  1,
+		})
+		if err == nil || resp.Success {
+			t.Fatalf("append with a failed entry append: %+v, %v; want refused with the error", resp, err)
+		}
+		if st := r.Status(); st.LastIndex != 0 || st.Commit != 0 {
+			t.Fatalf("unpersisted entry kept: last=%d commit=%d, want 0/0", st.LastIndex, st.Commit)
+		}
+		failing.Store(false)
+		requireFailStopped(t, r)
+	})
+	t.Run("propose", func(t *testing.T) {
+		// A one-replica fleet elects itself within a few fast ticks.
+		r, failing, _ := faultyReplica(t, peers[:1], 5*time.Millisecond)
+		waitFor(t, 5*time.Second, "self-election", r.IsLeader)
+		before := r.Status()
+		failing.Store(true)
+		if _, _, err := r.Propose(LedgerRecord{Op: OpSubmit, Key: "k"}); err == nil {
+			t.Fatal("propose with a failed entry append succeeded")
+		}
+		failing.Store(false)
+		if r.IsLeader() {
+			t.Fatal("replica still leads after a journal error")
+		}
+		if st := r.Status(); st.LastIndex != before.LastIndex {
+			t.Fatalf("unpersisted proposal kept: last=%d, want %d", st.LastIndex, before.LastIndex)
+		}
+		requireFailStopped(t, r)
+		// Fail-stopped for good: many election timeouts pass with no
+		// campaign.
+		time.Sleep(100 * time.Millisecond)
+		if st := r.Status(); st.Term != before.Term || st.IsLeader {
+			t.Fatalf("fail-stopped replica campaigned: term %d -> %d, leader %v", before.Term, st.Term, st.IsLeader)
+		}
+	})
+}
+
+// reopen replays a journal's valid prefix.
+func reopen(t *testing.T, path string) []durable.Record {
+	t.Helper()
+	j, recs, _, err := durable.OpenJournal(durable.OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	return recs
 }

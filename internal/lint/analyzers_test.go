@@ -44,6 +44,12 @@ func TestDurableOrder(t *testing.T) {
 	linttest.Run(t, "testdata", lint.DurableOrder, "durableorder/internal/durable")
 }
 
+// durableorder also scopes the cluster: the replica journal's appends
+// must be observed before a vote or ack goes out.
+func TestDurableOrderClusterScope(t *testing.T) {
+	linttest.Run(t, "testdata", lint.DurableOrder, "durableorder/internal/cluster")
+}
+
 func TestGammaFloat(t *testing.T) {
 	linttest.Run(t, "testdata", lint.GammaFloat, "gammafloat/internal/population")
 }

@@ -11,7 +11,8 @@
 //     rngpurity;
 //   - the durability write-ordering contract (result bytes durable
 //     before the completed journal record; no silently dropped
-//     Sync/Close/Rename/Write errors) — analyzer durableorder.
+//     Sync/Close/Rename/Write/Append errors, and in the cluster no
+//     dropped replica-journal Append error) — analyzer durableorder.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf) but is self-contained on the standard

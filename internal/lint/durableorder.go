@@ -15,15 +15,20 @@ import (
 // silently dropped, because an unobserved failed fsync is
 // indistinguishable from durability.
 //
-// Both checks are conservative and syntactic, scoped to
-// internal/durable, and annotatable with //lint:allow durableorder for
-// the few legitimate best-effort sites (e.g. Close on an
-// already-failing error path).
+// The same ignored-error check covers internal/cluster, whose only
+// durable state is the replica journal: a term, vote or log entry must
+// be on disk before the reply that relies on it (DESIGN.md "Cluster"),
+// so a discarded Append error there is flagged. The cluster's Close and
+// Write calls are network I/O and stay out of scope.
+//
+// Both checks are conservative and syntactic, and annotatable with
+// //lint:allow durableorder for the few legitimate best-effort sites
+// (e.g. Close on an already-failing error path).
 var DurableOrder = &Analyzer{
 	Name: "durableorder",
-	Doc: "in internal/durable, flags ignored Sync/Close/Rename/Write/Truncate " +
+	Doc: "in internal/durable, flags ignored Sync/Close/Rename/Write/Truncate/Append " +
 		"errors and completed-record appends not preceded by a result-durability " +
-		"Put in the same function",
+		"Put in the same function; in internal/cluster, flags ignored Append errors",
 	Contract: `DESIGN.md "Durability & crash-recovery contract"`,
 	Run:      runDurableOrder,
 }
@@ -37,24 +42,35 @@ var durableCriticalMethods = map[string]bool{
 	"Write":       true,
 	"WriteString": true,
 	"Truncate":    true,
+	"Append":      true,
 }
 
+// clusterCriticalMethods are the durability-critical operations in
+// internal/cluster: journal appends.
+var clusterCriticalMethods = map[string]bool{"Append": true}
+
 func runDurableOrder(pass *Pass) error {
-	if !hasPathSuffix(pass.Pkg.Path(), "internal/durable") {
+	var critical map[string]bool
+	switch path := pass.Pkg.Path(); {
+	case hasPathSuffix(path, "internal/durable"):
+		critical = durableCriticalMethods
+	case hasPathSuffix(path, "internal/cluster"):
+		critical = clusterCriticalMethods
+	default:
 		return nil
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				checkIgnoredError(pass, n.X)
+				checkIgnoredError(pass, critical, n.X)
 			case *ast.DeferStmt:
-				checkIgnoredError(pass, n.Call)
+				checkIgnoredError(pass, critical, n.Call)
 			case *ast.GoStmt:
-				checkIgnoredError(pass, n.Call)
+				checkIgnoredError(pass, critical, n.Call)
 			case *ast.AssignStmt:
 				if allBlank(n.Lhs) && len(n.Rhs) == 1 {
-					checkIgnoredError(pass, n.Rhs[0])
+					checkIgnoredError(pass, critical, n.Rhs[0])
 				}
 			case *ast.FuncDecl:
 				if n.Body != nil {
@@ -68,20 +84,20 @@ func runDurableOrder(pass *Pass) error {
 }
 
 // checkIgnoredError flags a statement that discards the error result
-// of a durability-critical call.
-func checkIgnoredError(pass *Pass, expr ast.Expr) {
+// of a call to one of the critical methods.
+func checkIgnoredError(pass *Pass, critical map[string]bool, expr ast.Expr) {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)
 	if !ok {
 		return
 	}
 	fn := calleeFunc(pass.Info, call)
-	if fn == nil || !durableCriticalMethods[fn.Name()] {
+	if fn == nil || !critical[fn.Name()] {
 		return
 	}
 	if !returnsError(fn) {
 		return
 	}
-	pass.Reportf(call.Pos(), "%s error ignored on a durability path; an unobserved failure here breaks the completed-implies-readable invariant — handle it or annotate with //lint:allow durableorder <reason>", fn.Name())
+	pass.Reportf(call.Pos(), "%s error ignored on a durability path; an unobserved failure here is indistinguishable from durability — handle it or annotate with //lint:allow durableorder <reason>", fn.Name())
 }
 
 // returnsError reports whether fn's last result is error.

@@ -68,6 +68,11 @@ func RawStringOp(j *journal, key string) error {
 	return j.Append(Record{Op: "completed", Key: key}) // want `completed record appended before any result-durability Put`
 }
 
+// DroppedAppend discards a journal append's error: flagged.
+func DroppedAppend(j *journal, key string) {
+	_ = j.Append(Record{Op: "started", Key: key}) // want `Append error ignored on a durability path`
+}
+
 // OtherOps are not completion records: clean.
 func OtherOps(j *journal, key string) error {
 	return j.Append(Record{Op: "started", Key: key})

@@ -95,9 +95,9 @@ func TestRemoteDedupJoinedWaitersObserveClusterCompletion(t *testing.T) {
 	}
 }
 
-// TestRemoteLookupServesPeerResult: a key already computed elsewhere in
-// the fleet is served from the peer cache read-through — byte-identical
-// bytes, zero local executions.
+// TestRemoteLookupServesPeerResult: a key the fleet already decided is
+// served from the Remote's Lookup — byte-identical bytes, zero local
+// executions, no Run.
 func TestRemoteLookupServesPeerResult(t *testing.T) {
 	want, err := Execute(testRequest(9).Normalize())
 	if err != nil {
@@ -120,10 +120,10 @@ func TestRemoteLookupServesPeerResult(t *testing.T) {
 	a, _ := json.Marshal(want)
 	b, _ := json.Marshal(got)
 	if string(a) != string(b) {
-		t.Fatalf("peer-cached bytes differ:\n%s\n%s", a, b)
+		t.Fatalf("looked-up bytes differ:\n%s\n%s", a, b)
 	}
 	if m := r.Metrics(); m.Executions != 0 {
-		t.Fatalf("executions = %d, want 0 (served from the fleet cache)", m.Executions)
+		t.Fatalf("executions = %d, want 0 (served from the Remote's Lookup)", m.Executions)
 	}
 	if remote.runs.Load() != 0 {
 		t.Fatalf("remote runs = %d, want 0", remote.runs.Load())

@@ -44,8 +44,9 @@ var ErrNotClustered = errors.New("service: request not executed on the cluster")
 // which makes cross-machine trial shards merge into the exact local
 // trial sequence.
 type Remote interface {
-	// Lookup consults the fleet's shared result cache (consistent-hash
-	// read-through) for a finished response under key.
+	// Lookup returns a finished response under key if the cluster
+	// already decided it (internal/cluster reads its replicated
+	// ledger). A miss is always safe: the runner goes on to Run.
 	Lookup(ctx context.Context, key string) (*Response, bool)
 	// Run executes the request on the cluster — coordinator shard
 	// fan-out, worker execution, in-order merge — and returns the
@@ -105,9 +106,9 @@ type Options struct {
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
 	// Remote, when non-nil, executes simulation jobs through the
-	// cluster instead of the local engines: each job first consults the
-	// fleet's shared result cache (Lookup), then runs via coordinated
-	// shard fan-out (Run). Waiters — including clients dedup-joined
+	// cluster instead of the local engines: each job first asks the
+	// cluster for an already-decided answer (Lookup), then runs via
+	// coordinated shard fan-out (Run). Waiters — including clients dedup-joined
 	// onto the job — observe a cluster-remote completion exactly as a
 	// local one: same finishJob path, same cache insertion, same
 	// response bytes. Analytic-tier jobs always run locally (closed
@@ -675,8 +676,8 @@ func (r *Runner) runJob(j *Job) {
 				}
 			}()
 			if remote := r.opts.Remote; remote != nil && j.req.Tier != TierAnalytic {
-				// A peer may already hold the finished result (computed
-				// on another node of the fleet); serving it completes
+				// The fleet may already have decided this key (computed
+				// through another coordinator); serving it completes
 				// this job — and every dedup-joined waiter — without a
 				// recompute.
 				if pr, ok := remote.Lookup(ctx, j.Key); ok {
