@@ -5,7 +5,7 @@
 //	POST /run          one Request (see internal/service), canonical body;
 //	                   ?trace=1 streams a round trace as NDJSON
 //	POST /sweep        batch sweep, NDJSON stream of per-point medians
-//	GET  /jobs/{id}    poll a detached (?detach=1) run
+//	GET  /jobs/{id}    poll a detached (?detach=1) run; the ID is the request key
 //	GET  /healthz      liveness
 //	GET  /metrics      Prometheus-style counters
 //

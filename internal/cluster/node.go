@@ -512,11 +512,8 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	if m.Leader {
 		leader = 1
 	}
-	fmt.Fprintf(w, "# HELP conserve_cluster_leader Whether this node currently leads the job ledger (0/1).\n")
-	fmt.Fprintf(w, "conserve_cluster_leader %d\n", leader)
-	fmt.Fprintf(w, "conserve_cluster_term %d\n", m.Term)
-	fmt.Fprintf(w, "# HELP conserve_shard_requeues_total Shard leases expired or revoked and returned to pending.\n")
-	fmt.Fprintf(w, "conserve_shard_requeues_total %d\n", m.Requeues)
-	fmt.Fprintf(w, "# HELP conserve_peer_cache_hits_total Requests answered from a decided job in this node's replicated ledger.\n")
-	fmt.Fprintf(w, "conserve_peer_cache_hits_total %d\n", m.PeerCacheHits)
+	service.WriteMetric(w, "conserve_cluster_leader", "gauge", "Whether this node currently leads the job ledger (0/1).", leader)
+	service.WriteMetric(w, "conserve_cluster_term", "gauge", "This node's current ledger term.", m.Term)
+	service.WriteMetric(w, "conserve_shard_requeues_total", "counter", "Shard leases expired or revoked and returned to pending.", m.Requeues)
+	service.WriteMetric(w, "conserve_peer_cache_hits_total", "counter", "Requests answered from a decided job in this node's replicated ledger.", m.PeerCacheHits)
 }

@@ -16,7 +16,8 @@ var keyPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 // ResultCache is the disk half of the result store: one file per
 // canonical request key, written atomically (temp file, fsync, rename)
 // so a reader never observes a torn result. It is safe for concurrent
-// use with distinct keys; the Store serializes same-key writes.
+// use with distinct keys; the runner, which runs at most one job per
+// key at a time, serializes same-key writes.
 type ResultCache struct {
 	fs  FS
 	dir string

@@ -4,11 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 )
 
-// JobState is the replayed state of one journaled key.
+// JobState is the replayed state of one interrupted job.
 type JobState struct {
 	// Key is the canonical request key.
 	Key string
@@ -19,13 +18,6 @@ type JobState struct {
 	Attempts int
 	// Checkpoint is the latest checkpoint payload (nil if none).
 	Checkpoint json.RawMessage
-	// Completed reports a completed record whose result bytes are
-	// readable from the cache.
-	Completed bool
-	// Failed reports a terminal failure record.
-	Failed bool
-	// Error is the terminal failure message.
-	Error string
 }
 
 // Recovery is what Open found on disk, shaped for the runner's
@@ -55,16 +47,13 @@ type Recovery struct {
 //	<dir>/journal.log
 //	<dir>/results/<key>.json
 //
-// with replay-on-open. Safe for concurrent use.
+// with replay-on-open. It keeps no per-key state after Open: the
+// lifecycle methods only write, and what a restart needs is replayed
+// from disk. Safe for concurrent use.
 type Store struct {
-	mu      sync.Mutex
 	journal *Journal
 	cache   *ResultCache
-	// states carries replayed + live job states by key; completion
-	// ordering decisions (duplicate completions, requeue-or-serve) are
-	// made against it.
-	states map[string]*JobState
-	rec    Recovery
+	rec     Recovery
 }
 
 // Open mounts (creating if needed) the store at dir and replays the
@@ -84,7 +73,7 @@ func Open(fsys FS, dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{journal: journal, cache: cache, states: make(map[string]*JobState)}
+	s := &Store{journal: journal, cache: cache}
 	s.rec.Journal = info
 	if info.CorruptTail != "" {
 		s.rec.Anomalies = append(s.rec.Anomalies, info.CorruptTail)
@@ -92,37 +81,36 @@ func Open(fsys FS, dir string) (*Store, error) {
 
 	// Fold the records into per-key states, journal order. order keeps
 	// first-submission order for deterministic re-queueing.
+	states := make(map[string]*JobState)
+	completed, failed := make(map[string]bool), make(map[string]bool)
 	var order []string
 	for _, rec := range records {
-		st, ok := s.states[rec.Key]
+		st, ok := states[rec.Key]
 		if !ok {
 			st = &JobState{Key: rec.Key}
-			s.states[rec.Key] = st
+			states[rec.Key] = st
 			order = append(order, rec.Key)
 		}
 		switch rec.Op {
 		case OpSubmitted:
-			if st.Completed {
-				// A fresh submission after completion means the caller
-				// decided to re-run (result evicted out-of-band); the
-				// new lifecycle supersedes the old completion.
-				st.Completed = false
-			}
+			// A fresh submission after completion means the caller
+			// decided to re-run (result evicted out-of-band); the new
+			// lifecycle supersedes the old completion or failure.
 			st.Request = rec.Request
-			st.Failed, st.Error = false, ""
+			completed[rec.Key], failed[rec.Key] = false, false
 		case OpStarted:
 			st.Attempts++
 		case OpCheckpoint:
 			st.Checkpoint = rec.State
 		case OpCompleted:
-			if st.Completed {
+			if completed[rec.Key] {
 				s.rec.Anomalies = append(s.rec.Anomalies,
 					fmt.Sprintf("durable: duplicate completion record for key %s (kept the first)", rec.Key))
 				continue
 			}
-			st.Completed = true
+			completed[rec.Key] = true
 		case OpFailed:
-			st.Failed, st.Error = true, rec.Error
+			failed[rec.Key] = true
 		default:
 			s.rec.Anomalies = append(s.rec.Anomalies,
 				fmt.Sprintf("durable: unknown record op %q for key %s (ignored)", rec.Op, rec.Key))
@@ -133,18 +121,17 @@ func Open(fsys FS, dir string) (*Store, error) {
 	// guarantees it, so a miss is an anomaly and the job re-queues);
 	// submitted-but-unfinished ⇒ interrupted.
 	for _, key := range order {
-		st := s.states[key]
-		if st.Completed {
+		st := states[key]
+		if completed[key] {
 			if _, ok, err := cache.Get(key); err != nil || !ok {
 				s.rec.Anomalies = append(s.rec.Anomalies,
 					fmt.Sprintf("durable: completed key %s has no readable result (%v); re-queueing", key, err))
-				st.Completed = false
 			} else {
 				s.rec.CompletedKeys++
 				continue
 			}
 		}
-		if st.Failed {
+		if failed[key] {
 			continue
 		}
 		if len(st.Request) == 0 {
@@ -158,41 +145,21 @@ func Open(fsys FS, dir string) (*Store, error) {
 	return s, nil
 }
 
-// Recovered returns what Open replayed. The Interrupted states are
-// live pointers; treat them as read-only.
+// Recovered returns what Open replayed.
 func (s *Store) Recovered() Recovery { return s.rec }
 
 // Submitted journals a job admission.
 func (s *Store) Submitted(key string, request []byte) error {
-	s.mu.Lock()
-	st, ok := s.states[key]
-	if !ok {
-		st = &JobState{Key: key}
-		s.states[key] = st
-	}
-	st.Request = request
-	st.Completed, st.Failed, st.Error = false, false, ""
-	s.mu.Unlock()
 	return s.journal.Append(Record{Op: OpSubmitted, Key: key, Request: request})
 }
 
 // Started journals an execution attempt (1-based).
 func (s *Store) Started(key string, attempt int) error {
-	s.mu.Lock()
-	if st, ok := s.states[key]; ok {
-		st.Attempts = attempt
-	}
-	s.mu.Unlock()
 	return s.journal.Append(Record{Op: OpStarted, Key: key, Attempt: attempt})
 }
 
 // Checkpoint journals resumable progress for the key.
 func (s *Store) Checkpoint(key string, state []byte) error {
-	s.mu.Lock()
-	if st, ok := s.states[key]; ok {
-		st.Checkpoint = state
-	}
-	s.mu.Unlock()
 	return s.journal.Append(Record{Op: OpCheckpoint, Key: key, State: state})
 }
 
@@ -203,21 +170,11 @@ func (s *Store) Completed(key string, result []byte) error {
 	if err := s.cache.Put(key, result); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if st, ok := s.states[key]; ok {
-		st.Completed = true
-	}
-	s.mu.Unlock()
 	return s.journal.Append(Record{Op: OpCompleted, Key: key})
 }
 
 // Failed journals a terminal failure.
 func (s *Store) Failed(key string, msg string) error {
-	s.mu.Lock()
-	if st, ok := s.states[key]; ok {
-		st.Failed, st.Error = true, msg
-	}
-	s.mu.Unlock()
 	return s.journal.Append(Record{Op: OpFailed, Key: key, Error: msg})
 }
 

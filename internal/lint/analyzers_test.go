@@ -50,6 +50,12 @@ func TestDurableOrderClusterScope(t *testing.T) {
 	linttest.Run(t, "testdata", lint.DurableOrder, "durableorder/internal/cluster")
 }
 
+// durableorder also scopes the service: a Store lifecycle error must be
+// handled — refusing the job on a failed submit, counting the rest.
+func TestDurableOrderServiceScope(t *testing.T) {
+	linttest.Run(t, "testdata", lint.DurableOrder, "durableorder/internal/service")
+}
+
 func TestGammaFloat(t *testing.T) {
 	linttest.Run(t, "testdata", lint.GammaFloat, "gammafloat/internal/population")
 }

@@ -11,8 +11,9 @@
 //     rngpurity;
 //   - the durability write-ordering contract (result bytes durable
 //     before the completed journal record; no silently dropped
-//     Sync/Close/Rename/Write/Append errors, and in the cluster no
-//     dropped replica-journal Append error) — analyzer durableorder.
+//     Sync/Close/Rename/Write/Append errors in the store, Append errors
+//     in the cluster, or Store lifecycle errors in the service) —
+//     analyzer durableorder.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf) but is self-contained on the standard

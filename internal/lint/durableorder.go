@@ -19,7 +19,11 @@ import (
 // durable state is the replica journal: a term, vote or log entry must
 // be on disk before the reply that relies on it (DESIGN.md "Cluster"),
 // so a discarded Append error there is flagged. The cluster's Close and
-// Write calls are network I/O and stay out of scope.
+// Write calls are network I/O and stay out of scope. It also covers
+// internal/service, where a discarded error from a Store lifecycle call
+// (Submitted/Started/Checkpoint/Completed/Failed) is flagged: a failed
+// submitted record must refuse the job, and any other failure must at
+// least be counted.
 //
 // Both checks are conservative and syntactic, and annotatable with
 // //lint:allow durableorder for the few legitimate best-effort sites
@@ -28,7 +32,8 @@ var DurableOrder = &Analyzer{
 	Name: "durableorder",
 	Doc: "in internal/durable, flags ignored Sync/Close/Rename/Write/Truncate/Append " +
 		"errors and completed-record appends not preceded by a result-durability " +
-		"Put in the same function; in internal/cluster, flags ignored Append errors",
+		"Put in the same function; in internal/cluster, flags ignored Append errors; " +
+		"in internal/service, flags ignored Store lifecycle errors",
 	Contract: `DESIGN.md "Durability & crash-recovery contract"`,
 	Run:      runDurableOrder,
 }
@@ -49,6 +54,16 @@ var durableCriticalMethods = map[string]bool{
 // internal/cluster: journal appends.
 var clusterCriticalMethods = map[string]bool{"Append": true}
 
+// serviceCriticalMethods are the durability-critical operations in
+// internal/service: durable.Store's lifecycle writes.
+var serviceCriticalMethods = map[string]bool{
+	"Submitted":  true,
+	"Started":    true,
+	"Checkpoint": true,
+	"Completed":  true,
+	"Failed":     true,
+}
+
 func runDurableOrder(pass *Pass) error {
 	var critical map[string]bool
 	switch path := pass.Pkg.Path(); {
@@ -56,6 +71,8 @@ func runDurableOrder(pass *Pass) error {
 		critical = durableCriticalMethods
 	case hasPathSuffix(path, "internal/cluster"):
 		critical = clusterCriticalMethods
+	case hasPathSuffix(path, "internal/service"):
+		critical = serviceCriticalMethods
 	default:
 		return nil
 	}

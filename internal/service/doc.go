@@ -25,9 +25,10 @@
 //     results are reproducible and independent of the parallelism
 //     budget; see DESIGN.md §Simulation service for the full
 //     determinism contract.
-//   - Runner: a bounded worker pool with an LRU result cache keyed by
-//     Request.Key, in-flight deduplication, a job store for detached
-//     submissions, and backpressure (ErrBusy when the queue is full,
-//     surfaced as HTTP 429 by the server). NewServer wraps a Runner
-//     into the conserve HTTP handler.
+//   - Runner: a bounded worker pool with an LRU result cache and a job
+//     table (in-flight deduplication, detached-job polling), both keyed
+//     by Request.Key — a job's ID is its key, stable across restarts
+//     and coordinators — and backpressure (ErrBusy when the queue is
+//     full, surfaced as HTTP 429). NewServer wraps a Runner into the
+//     conserve HTTP handler.
 package service

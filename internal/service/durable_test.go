@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -176,8 +178,9 @@ func TestDrainInterruptsAndRestartResumes(t *testing.T) {
 // TestRetryResumesFromCheckpoint: a failing attempt's checkpoint feeds
 // the retry — completed trials are not re-run.
 func TestRetryResumesFromCheckpoint(t *testing.T) {
-	r := NewRunner(Options{Workers: 1, MaxAttempts: 2, RetryBaseDelay: time.Microsecond})
+	r := NewRunner(Options{Workers: 1, MaxAttempts: 2})
 	defer r.Close()
+	r.retryBaseDelay = time.Microsecond
 	var attempt atomic.Int32
 	var resumedFrom atomic.Int32
 	r.exec = func(ctx context.Context, q Request, p int, resume *ResumeState, every int, onCheckpoint func(ResumeState)) (*Response, error) {
@@ -220,7 +223,8 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 func TestTerminalFailureAfterBudget(t *testing.T) {
 	dir := t.TempDir()
 	store := openTestStore(t, dir)
-	r := NewRunner(Options{Workers: 1, Store: store, MaxAttempts: 3, RetryBaseDelay: time.Microsecond})
+	r := NewRunner(Options{Workers: 1, Store: store, MaxAttempts: 3})
+	r.retryBaseDelay = time.Microsecond
 	var attempts atomic.Int32
 	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, _ func(ResumeState)) (*Response, error) {
 		attempts.Add(1)
@@ -366,6 +370,9 @@ func TestCancelledWaiterDoesNotResubmitAbandonedJob(t *testing.T) {
 	go r.Do(context.Background(), testRequest(100))
 	<-started
 	go r.Do(context.Background(), testRequest(101))
+	for r.Metrics().QueueLen != 1 {
+		time.Sleep(time.Millisecond)
+	}
 
 	// A blocking submitter parks on the full queue...
 	bctx, bcancel := context.WithCancel(context.Background())
@@ -374,6 +381,9 @@ func TestCancelledWaiterDoesNotResubmitAbandonedJob(t *testing.T) {
 		_, _, err := r.DoWait(bctx, testRequest(102))
 		blockedErr <- err
 	}()
+	for r.Metrics().JobsInFlight != 3 {
+		time.Sleep(time.Millisecond)
+	}
 	// ...and a second waiter dedup-joins the parked job.
 	wctx, wcancel := context.WithCancel(context.Background())
 	joinedErr := make(chan error, 1)
@@ -450,4 +460,227 @@ func TestResumeStateJSONRoundTrip(t *testing.T) {
 	if decodeResume(nil) != nil {
 		t.Fatal("empty checkpoint not nil")
 	}
+}
+
+// TestRestartedDetachedJobKeepsID: a detached job's ID is its request
+// key, so after a drain mid-run and a restart on the same data
+// directory, GET /jobs/{id} from before the restart still names the
+// same request — not whichever job the new process happened to number
+// first — and the resumed job finishes byte-identical to an
+// uninterrupted run. A job that finished before the restart keeps
+// answering from disk.
+func TestRestartedDetachedJobKeepsID(t *testing.T) {
+	dir := t.TempDir()
+	parked := Request{Protocol: "3-majority", N: 1000, K: 4, Seed: 77, Trials: 5}
+	want, err := ExecuteParallel(parked.Normalize(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detach := func(srv *httptest.Server, req Request) Info {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := postJSON(t, srv.URL+"/run?detach=1", string(body))
+		var info Info
+		if err := json.Unmarshal(readAll(t, resp), &info); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Location") != "/jobs/"+req.Key() || info.ID != req.Key() {
+			t.Fatalf("detach: status %d location %q info %+v", resp.StatusCode, resp.Header.Get("Location"), info)
+		}
+		return info
+	}
+	poll := func(srv *httptest.Server, id string) Info {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			resp, err := http.Get(srv.URL + "/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var info Info
+			data := readAll(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /jobs/%s: status %d body %s", id, resp.StatusCode, data)
+			}
+			if err := json.Unmarshal(data, &info); err != nil {
+				t.Fatal(err)
+			}
+			if info.ID != id {
+				t.Fatalf("GET /jobs/%s answered job %s", id, info.ID)
+			}
+			if info.Status == StatusDone || info.Status == StatusFailed || time.Now().After(deadline) {
+				return info
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	store := openTestStore(t, dir)
+	r := NewRunner(Options{Workers: 1, Store: store})
+	running := make(chan struct{})
+	r.exec = func(ctx context.Context, q Request, p int, rs *ResumeState, every int, onCheckpoint func(ResumeState)) (*Response, error) {
+		if q.Key() != parked.Key() {
+			return ExecuteResumable(ctx, q, p, rs, every, onCheckpoint)
+		}
+		onCheckpoint(ResumeState{NextTrial: 2, Trials: want.Trials[:2]})
+		close(running)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	srv := httptest.NewServer(NewServer(r))
+	finished := detach(srv, testRequest(41))
+	if info := poll(srv, finished.ID); info.Status != StatusDone {
+		t.Fatalf("first job: %+v", info)
+	}
+	interrupted := detach(srv, parked)
+	<-running
+	if err := r.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	store.Close()
+
+	store2 := openTestStore(t, dir)
+	defer store2.Close()
+	r2 := NewRunner(Options{Workers: 1, Store: store2})
+	defer r2.Close()
+	srv2 := httptest.NewServer(NewServer(r2))
+	defer srv2.Close()
+	if info := poll(srv2, finished.ID); info.Status != StatusDone || info.Result == nil {
+		t.Fatalf("finished job after restart: %+v", info)
+	}
+	info := poll(srv2, interrupted.ID)
+	if info.Status != StatusDone || info.Result == nil {
+		t.Fatalf("resumed job after restart: %+v", info)
+	}
+	if !bytes.Equal(respBytes(t, info.Result), respBytes(t, want)) {
+		t.Fatalf("resumed job diverged:\n got %s\nwant %s", respBytes(t, info.Result), respBytes(t, want))
+	}
+	if m := r2.Metrics(); m.Recovered != 1 || m.Executions != 1 {
+		t.Fatalf("metrics after restart: %+v", m)
+	}
+}
+
+// failingJournal opens a store whose journal accepts only as many more
+// writes as *okWrites allows; later journal writes fail. Result-file
+// writes always succeed.
+func failingJournal(t *testing.T, dir string, okWrites *atomic.Int64) *durable.Store {
+	t.Helper()
+	fsys := durable.NewFaultFS(durable.OSFS{})
+	fsys.WriteHook = func(name string, _ int) (int, error) {
+		if filepath.Base(name) == "journal.log" && okWrites.Add(-1) < 0 {
+			return 0, errors.New("injected: no space left on device")
+		}
+		return -1, nil
+	}
+	store, err := durable.Open(fsys, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
+// TestDurableSubmitFailureIs503: a detached job whose submitted record
+// cannot be journaled is refused with 503 — never acknowledged with a
+// 202 — and leaves no job behind. Once the journal recovers, the same
+// request is admitted.
+func TestDurableSubmitFailureIs503(t *testing.T) {
+	var okWrites atomic.Int64
+	okWrites.Store(1 << 30)
+	store := failingJournal(t, t.TempDir(), &okWrites)
+	srv, rn := newTestServer(t, Options{Workers: 1, Store: store})
+	key := testRequest(51).Key()
+
+	okWrites.Store(0)
+	resp := postJSON(t, srv.URL+"/run?detach=1", `{"protocol":"3-majority","n":1000,"k":4,"seed":51,"trials":2}`)
+	data := readAll(t, resp)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("detach with a failing journal: status %d Retry-After %q body %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), data)
+	}
+	if !strings.Contains(string(data), ErrStore.Error()) {
+		t.Fatalf("503 body %s does not name the store failure", data)
+	}
+	if _, ok := rn.Job(key); ok {
+		t.Fatal("refused job left in the job table")
+	}
+	if m := rn.Metrics(); m.JobsInFlight != 0 || m.Executions != 0 || m.StoreErrors != 0 {
+		t.Fatalf("metrics after refusal: %+v", m)
+	}
+	if _, _, err := rn.Do(context.Background(), testRequest(51)); !errors.Is(err, ErrStore) {
+		t.Fatalf("Do with a failing journal: err = %v, want ErrStore", err)
+	}
+
+	okWrites.Store(1 << 30)
+	resp = postJSON(t, srv.URL+"/run?detach=1", `{"protocol":"3-majority","n":1000,"k":4,"seed":51,"trials":2}`)
+	if readAll(t, resp); resp.StatusCode != http.StatusAccepted || resp.Header.Get("Location") != "/jobs/"+key {
+		t.Fatalf("detach after recovery: status %d location %q", resp.StatusCode, resp.Header.Get("Location"))
+	}
+}
+
+// TestDurableStoreErrorsCounted: store writes that fail after admission
+// no longer vanish — each is counted in StoreErrors while the job goes
+// on — including the failed records recovery writes for unusable
+// journaled requests.
+func TestDurableStoreErrorsCounted(t *testing.T) {
+	t.Run("lifecycle", func(t *testing.T) {
+		var okWrites atomic.Int64
+		okWrites.Store(1 << 30)
+		store := failingJournal(t, t.TempDir(), &okWrites)
+		r := NewRunner(Options{Workers: 1, Store: store})
+		defer r.Close()
+		r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, onCheckpoint func(ResumeState)) (*Response, error) {
+			if q.Seed == 53 {
+				return nil, fmt.Errorf("boom")
+			}
+			onCheckpoint(ResumeState{NextTrial: 1})
+			return Execute(q)
+		}
+		// Submitted and started records land; the checkpoint and
+		// completed records fail, and the job still answers.
+		okWrites.Store(2)
+		if resp, _, err := r.Do(context.Background(), testRequest(52)); err != nil || resp == nil {
+			t.Fatalf("job failed on store errors: %v", err)
+		}
+		if m := r.Metrics(); m.StoreErrors != 2 {
+			t.Fatalf("StoreErrors = %d after checkpoint and completed, want 2", m.StoreErrors)
+		}
+		// The submitted record lands; the started and failed records
+		// fail.
+		okWrites.Store(1)
+		if _, _, err := r.Do(context.Background(), testRequest(53)); err == nil || err.Error() != "boom" {
+			t.Fatalf("failing job: err = %v, want boom", err)
+		}
+		if m := r.Metrics(); m.StoreErrors != 4 {
+			t.Fatalf("StoreErrors = %d after started and failed, want 4", m.StoreErrors)
+		}
+	})
+	t.Run("recovery", func(t *testing.T) {
+		dir := t.TempDir()
+		j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(dir, "journal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, body := range []string{`"unreadable"`, `{"protocol":"nope","n":10,"k":2}`} {
+			key := fmt.Sprintf("%064x", i)
+			if err := j.Append(durable.Record{Op: durable.OpSubmitted, Key: key, Request: json.RawMessage(body)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		var okWrites atomic.Int64
+		store := failingJournal(t, dir, &okWrites)
+		if n := len(store.Recovered().Interrupted); n != 2 {
+			t.Fatalf("replayed %d interrupted jobs, want 2", n)
+		}
+		r := NewRunner(Options{Workers: 1, Store: store})
+		defer r.Close()
+		if m := r.Metrics(); m.StoreErrors != 2 || m.Recovered != 0 {
+			t.Fatalf("metrics after recovering two unusable requests: %+v", m)
+		}
+	})
 }

@@ -22,12 +22,17 @@ var ErrBusy = errors.New("service: queue full, retry later")
 // shutdown; the server surfaces it as HTTP 503.
 var ErrDraining = errors.New("service: draining, not accepting work")
 
+// ErrStore is returned for submissions whose submitted record the
+// durable store failed to journal; the server surfaces it as HTTP 503.
+var ErrStore = errors.New("service: durable store unavailable")
+
 // errClosed is returned for submissions after Close.
 var errClosed = errors.New("service: runner is closed")
 
-// errAbandoned marks a job whose submitter gave up (ctx cancel or
-// ErrBusy) before the job reached the queue. Callers that dedup-joined
-// such a job resubmit instead of inheriting the stranger's failure.
+// errAbandoned marks a job whose submitter gave up (ctx cancel,
+// ErrBusy or ErrStore) before the job reached the queue. Callers that
+// dedup-joined such a job resubmit instead of inheriting the
+// stranger's failure.
 var errAbandoned = errors.New("service: job abandoned before execution")
 
 // ErrNotClustered is returned by a Remote whose cluster declines the
@@ -76,9 +81,6 @@ type Options struct {
 	// CacheSize bounds the LRU result cache in entries (default 256;
 	// negative disables caching).
 	CacheSize int
-	// MaxJobs bounds how many finished jobs stay queryable via Job
-	// (default 1024); the oldest finished jobs are evicted first.
-	MaxJobs int
 	// Store, when non-nil, makes jobs durable: admissions, attempts,
 	// checkpoints, completions and terminal failures are journaled;
 	// completed results are served from disk across restarts; jobs the
@@ -97,14 +99,6 @@ type Options struct {
 	// from the last checkpoint, a retried timeout continues rather than
 	// starts over.
 	JobTimeout time.Duration
-	// CheckpointEvery is the checkpoint cadence in completed trials
-	// (default 1 — checkpoint after every trial).
-	CheckpointEvery int
-	// RetryBaseDelay and RetryMaxDelay shape the retry backoff: attempt
-	// n sleeps base·2^(n-1) jittered by ±50%, capped at max (defaults
-	// 100ms and 5s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// Remote, when non-nil, executes simulation jobs through the
 	// cluster instead of the local engines: each job first asks the
 	// cluster for an already-decided answer (Lookup), then runs via
@@ -132,23 +126,15 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize < 0 {
 		o.CacheSize = 0
 	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 1024
-	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 1
 	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 100 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 5 * time.Second
-	}
 	return o
 }
+
+// checkpointEvery is the checkpoint cadence in completed trials, and
+// retryMaxDelay caps the retry backoff.
+const checkpointEvery, retryMaxDelay = 1, 5 * time.Second
 
 // backoffDelay is the sleep before retry attempt next (2-based: the
 // sleep after the first failure is backoffDelay(2)): base·2^(next-2)
@@ -184,10 +170,11 @@ const (
 // Submissions that dedupe onto an identical in-flight request share a
 // single Job.
 type Job struct {
-	// ID is the runner-unique job identifier ("j" + counter).
+	// ID is the request's canonical config key (Request.Key). A request
+	// is a pure function of its key, so the ID names the same request
+	// across restarts and on every coordinator, and keeps answering
+	// from the result cache after the job itself is evicted.
 	ID string
-	// Key is the request's canonical config key.
-	Key string
 
 	req    Request
 	runner *Runner
@@ -225,7 +212,7 @@ type Info struct {
 func (j *Job) Snapshot() Info {
 	j.runner.mu.Lock()
 	defer j.runner.mu.Unlock()
-	info := Info{ID: j.ID, Key: j.Key, Status: j.status, Result: j.resp}
+	info := Info{ID: j.ID, Key: j.ID, Status: j.status, Result: j.resp}
 	if j.err != nil {
 		info.Error = j.err.Error()
 	}
@@ -259,6 +246,9 @@ type Metrics struct {
 	// DiskHits counts results served from the durable result cache
 	// after an LRU miss.
 	DiskHits uint64
+	// StoreErrors counts failed store writes after admission (a failed
+	// submitted record fails the submission with ErrStore instead).
+	StoreErrors uint64
 	// ReplaySeconds is how long the startup journal replay took (0
 	// without a store).
 	ReplaySeconds float64
@@ -307,15 +297,20 @@ type Runner struct {
 	retries     atomic.Uint64
 	recovered   atomic.Uint64
 	diskHits    atomic.Uint64
-	nextID      atomic.Uint64
+	storeErrors atomic.Uint64
 	replay      time.Duration
+
+	// maxJobs bounds how many finished jobs stay in the job table, and
+	// retryBaseDelay is the first retry's backoff before jitter. Both
+	// are fixed except in tests.
+	maxJobs        int
+	retryBaseDelay time.Duration
 
 	mu       sync.Mutex
 	closed   bool
 	draining bool
-	jobs     map[string]*Job // by ID, queued/running/finished (bounded)
-	byKey    map[string]*Job // queued/running only, for dedup
-	finished []string        // finished job IDs, oldest first
+	jobs     map[string]*Job // by ID (= key): queued/running, plus the last maxJobs finished
+	finished []*Job          // finished jobs, oldest first (stale once their key is resubmitted)
 	inFlight int
 	cache    *lru
 }
@@ -323,20 +318,21 @@ type Runner struct {
 // NewRunner starts the worker pool. With Options.Store set it also
 // re-queues every job the journal replayed as interrupted — each
 // resumes from its last checkpoint — before any new admission can
-// race them (their dedup entries are registered synchronously, so an
-// early client submitting the same key joins the recovered job).
+// race them (they enter the job table synchronously, so an early
+// client submitting the same key joins the recovered job).
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
 	baseCtx, cancelBase := context.WithCancel(context.Background())
 	r := &Runner{
-		opts:       opts,
-		queue:      make(chan *Job, opts.QueueDepth),
-		exec:       ExecuteResumable,
-		baseCtx:    baseCtx,
-		cancelBase: cancelBase,
-		jobs:       make(map[string]*Job),
-		byKey:      make(map[string]*Job),
-		cache:      newLRU(opts.CacheSize),
+		opts:           opts,
+		queue:          make(chan *Job, opts.QueueDepth),
+		exec:           ExecuteResumable,
+		baseCtx:        baseCtx,
+		cancelBase:     cancelBase,
+		maxJobs:        1024,
+		retryBaseDelay: 100 * time.Millisecond,
+		jobs:           make(map[string]*Job),
+		cache:          newLRU(opts.CacheSize),
 	}
 	for w := 0; w < opts.Workers; w++ {
 		r.wg.Add(1)
@@ -355,38 +351,23 @@ func NewRunner(opts Options) *Runner {
 func (r *Runner) requeueRecovered(rec durable.Recovery) {
 	r.replay = rec.Elapsed
 	var requeued []*Job
-	r.mu.Lock()
 	for _, st := range rec.Interrupted {
 		var req Request
-		if err := json.Unmarshal(st.Request, &req); err != nil {
-			r.mu.Unlock()
-			r.opts.Store.Failed(st.Key, fmt.Sprintf("service: recovered request unreadable: %v", err))
-			r.mu.Lock()
+		err := json.Unmarshal(st.Request, &req)
+		if err == nil {
+			req = req.Normalize()
+			err = req.Validate()
+		}
+		if err != nil {
+			r.noteStoreErr(r.opts.Store.Failed(st.Key, fmt.Sprintf("service: recovered request unusable: %v", err)))
 			continue
 		}
-		req = req.Normalize()
-		if err := req.Validate(); err != nil {
-			r.mu.Unlock()
-			r.opts.Store.Failed(st.Key, fmt.Sprintf("service: recovered request invalid: %v", err))
-			r.mu.Lock()
-			continue
-		}
-		j := &Job{
-			ID:         fmt.Sprintf("j%06d", r.nextID.Add(1)),
-			Key:        st.Key,
-			req:        req,
-			runner:     r,
-			done:       make(chan struct{}),
-			status:     StatusQueued,
-			attempts:   st.Attempts,
-			resumeData: st.Checkpoint,
-		}
-		r.jobs[j.ID] = j
-		r.byKey[j.Key] = j
-		r.inFlight++
+		r.mu.Lock()
+		j := r.newJob(st.Key, req)
+		j.attempts, j.resumeData = st.Attempts, st.Checkpoint
+		r.mu.Unlock()
 		requeued = append(requeued, j)
 	}
-	r.mu.Unlock()
 	r.recovered.Add(uint64(len(requeued)))
 	if len(requeued) == 0 {
 		return
@@ -535,47 +516,35 @@ func (r *Runner) submit(ctx context.Context, req Request, block bool) (*Job, *Re
 		r.mu.Unlock()
 		return nil, resp, nil
 	}
-	if j, ok := r.byKey[key]; ok {
+	if j, ok := r.jobs[key]; ok && (j.status == StatusQueued || j.status == StatusRunning) {
 		r.joined.Add(1)
 		r.mu.Unlock()
 		return j, nil, nil
 	}
 	// LRU miss: the durable result cache may still hold the key from a
 	// previous run (or a previous process).
-	if r.opts.Store != nil {
-		if data, ok := r.opts.Store.Result(key); ok {
-			var resp Response
-			if err := json.Unmarshal(data, &resp); err == nil {
-				r.diskHits.Add(1)
-				r.cacheHits.Add(1)
-				r.cache.add(key, &resp)
-				r.mu.Unlock()
-				return nil, &resp, nil
-			}
-			// An unreadable result file falls through to re-execution.
-		}
+	if resp, ok := r.diskResult(key); ok {
+		r.cacheHits.Add(1)
+		r.mu.Unlock()
+		return nil, resp, nil
 	}
 	r.cacheMisses.Add(1)
-	j := &Job{
-		ID:     fmt.Sprintf("j%06d", r.nextID.Add(1)),
-		Key:    key,
-		req:    req,
-		runner: r,
-		done:   make(chan struct{}),
-		status: StatusQueued,
-	}
-	r.jobs[j.ID] = j
-	r.byKey[key] = j
-	r.inFlight++
+	j := r.newJob(key, req)
 	r.senders.Add(1)
 	r.mu.Unlock()
 	defer r.senders.Done()
 
 	if r.opts.Store != nil {
-		if data, err := json.Marshal(req); err == nil {
-			// Best-effort: a failed journal append degrades durability
-			// for this job, not availability.
-			_ = r.opts.Store.Submitted(key, data)
+		// The submitted record backs a detached job's 202: a job the
+		// journal never saw is refused, not acknowledged.
+		data, err := json.Marshal(req)
+		if err == nil {
+			err = r.opts.Store.Submitted(key, data)
+		}
+		if err != nil {
+			err = fmt.Errorf("%w: %v", ErrStore, err)
+			r.abandon(j, err)
+			return nil, nil, err
 		}
 	}
 
@@ -598,37 +567,89 @@ func (r *Runner) submit(ctx context.Context, req Request, block bool) (*Job, *Re
 	}
 }
 
+// newJob enters a queued job for req into the job table under key,
+// replacing any finished job there (caller holds mu).
+func (r *Runner) newJob(key string, req Request) *Job {
+	j := &Job{ID: key, req: req, runner: r, done: make(chan struct{}), status: StatusQueued}
+	r.jobs[key] = j
+	r.inFlight++
+	return j
+}
+
+// diskResult serves key from the durable result cache and promotes it
+// into the LRU (caller holds mu). An unreadable result file is a miss,
+// so the key is simply re-executed.
+func (r *Runner) diskResult(key string) (*Response, bool) {
+	if r.opts.Store == nil {
+		return nil, false
+	}
+	data, ok := r.opts.Store.Result(key)
+	if !ok {
+		return nil, false
+	}
+	var resp Response
+	if err := json.Unmarshal(data, &resp); err != nil {
+		return nil, false
+	}
+	r.diskHits.Add(1)
+	r.cache.add(key, &resp)
+	return &resp, true
+}
+
 // abandon fails a job that was never enqueued. Its error wraps
 // errAbandoned so dedup-joined waiters know to resubmit rather than
-// surface the submitter's cause as their own; the job itself stays in
-// the finished ring so a detach client that joined it can still poll
-// /jobs/{id} and see the failure instead of a 404.
+// surface the submitter's cause as their own. The job stays in the
+// finished ring so a detach client that joined it can still poll
+// /jobs/{id} and see the failure instead of a 404 — unless its
+// submitted record failed (ErrStore): nothing was acknowledged, so
+// nothing is left to answer for it.
 func (r *Runner) abandon(j *Job, cause error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.byKey, j.Key)
 	r.inFlight--
 	j.status = StatusFailed
 	j.err = fmt.Errorf("%w: %v", errAbandoned, cause)
-	r.finish(j)
+	if errors.Is(cause, ErrStore) {
+		delete(r.jobs, j.ID)
+	} else {
+		r.finish(j)
+	}
 	close(j.done)
 }
 
 // finish moves a job into the bounded finished ring (caller holds mu).
+// Evicting a stale entry — one whose key was resubmitted since — leaves
+// the table alone: it holds a newer job.
 func (r *Runner) finish(j *Job) {
-	r.finished = append(r.finished, j.ID)
-	for len(r.finished) > r.opts.MaxJobs {
-		delete(r.jobs, r.finished[0])
+	r.finished = append(r.finished, j)
+	for len(r.finished) > r.maxJobs {
+		if old := r.finished[0]; r.jobs[old.ID] == old {
+			delete(r.jobs, old.ID)
+		}
 		r.finished = r.finished[1:]
 	}
 }
 
-// Job returns the job with the given ID, if it is still retained.
+// Job returns the job with the given ID (its request key). A key that
+// is no longer in the job table but finished earlier — in this process
+// or, with a Store, any process on the same data directory — answers
+// as a done job from the result cache.
 func (r *Runner) Job(id string) (*Job, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	return j, ok
+	if j, ok := r.jobs[id]; ok {
+		return j, true
+	}
+	resp, ok := r.cache.get(id)
+	if !ok {
+		resp, ok = r.diskResult(id)
+	}
+	if !ok {
+		return nil, false
+	}
+	done := make(chan struct{})
+	close(done)
+	return &Job{ID: id, runner: r, done: done, status: StatusDone, resp: resp}, true
 }
 
 func (r *Runner) worker() {
@@ -658,7 +679,7 @@ func (r *Runner) runJob(j *Job) {
 		resume := decodeResume(j.resumeData)
 		r.mu.Unlock()
 		if r.opts.Store != nil {
-			_ = r.opts.Store.Started(j.Key, attempts)
+			r.noteStoreErr(r.opts.Store.Started(j.ID, attempts))
 		}
 
 		ctx := r.baseCtx
@@ -680,7 +701,7 @@ func (r *Runner) runJob(j *Job) {
 				// through another coordinator); serving it completes
 				// this job — and every dedup-joined waiter — without a
 				// recompute.
-				if pr, ok := remote.Lookup(ctx, j.Key); ok {
+				if pr, ok := remote.Lookup(ctx, j.ID); ok {
 					return pr, nil
 				}
 				pr, rerr := remote.Run(ctx, j.req)
@@ -691,7 +712,7 @@ func (r *Runner) runJob(j *Job) {
 			}
 			r.executions.Add(1)
 			return r.exec(ctx, j.req, r.opts.Parallelism, resume,
-				r.opts.CheckpointEvery, func(rs ResumeState) { r.checkpoint(j, rs) })
+				checkpointEvery, func(rs ResumeState) { r.checkpoint(j, rs) })
 		}()
 		cancel()
 
@@ -724,7 +745,7 @@ func (r *Runner) runJob(j *Job) {
 // runner started draining mid-sleep (the retry is abandoned so the
 // restart can pick the job up instead).
 func (r *Runner) sleepBackoff(next int) bool {
-	t := time.NewTimer(backoffDelay(next, r.opts.RetryBaseDelay, r.opts.RetryMaxDelay))
+	t := time.NewTimer(backoffDelay(next, r.retryBaseDelay, retryMaxDelay))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -747,7 +768,7 @@ func (r *Runner) checkpoint(j *Job, rs ResumeState) {
 	j.resumeData = data
 	r.mu.Unlock()
 	if r.opts.Store != nil {
-		_ = r.opts.Store.Checkpoint(j.Key, data)
+		r.noteStoreErr(r.opts.Store.Checkpoint(j.ID, data))
 	}
 }
 
@@ -771,11 +792,13 @@ func decodeResume(data []byte) *ResumeState {
 func (r *Runner) finishJob(j *Job, resp *Response, err error, terminal bool) {
 	if r.opts.Store != nil {
 		if err == nil {
-			if data, merr := json.Marshal(resp); merr == nil {
-				_ = r.opts.Store.Completed(j.Key, data)
+			data, merr := json.Marshal(resp)
+			if merr == nil {
+				merr = r.opts.Store.Completed(j.ID, data)
 			}
+			r.noteStoreErr(merr)
 		} else if terminal {
-			_ = r.opts.Store.Failed(j.Key, err.Error())
+			r.noteStoreErr(r.opts.Store.Failed(j.ID, err.Error()))
 		}
 	}
 	r.mu.Lock()
@@ -784,13 +807,20 @@ func (r *Runner) finishJob(j *Job, resp *Response, err error, terminal bool) {
 		j.status = StatusFailed
 	} else {
 		j.status = StatusDone
-		r.cache.add(j.Key, resp)
+		r.cache.add(j.ID, resp)
 	}
-	delete(r.byKey, j.Key)
 	r.inFlight--
 	r.finish(j)
 	r.mu.Unlock()
 	close(j.done)
+}
+
+// noteStoreErr counts a failed durable-store write that no client
+// sees: the job goes on, with durability degraded for that record.
+func (r *Runner) noteStoreErr(err error) {
+	if err != nil {
+		r.storeErrors.Add(1)
+	}
 }
 
 // Metrics returns a snapshot of the runner's counters.
@@ -813,6 +843,7 @@ func (r *Runner) Metrics() Metrics {
 		Retries:       r.retries.Load(),
 		Recovered:     r.recovered.Load(),
 		DiskHits:      r.diskHits.Load(),
+		StoreErrors:   r.storeErrors.Load(),
 		ReplaySeconds: r.replay.Seconds(),
 		QueueLen:      len(r.queue),
 		QueueCap:      cap(r.queue),

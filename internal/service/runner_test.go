@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -160,7 +161,7 @@ func TestJoinerSurvivesAbandonedJob(t *testing.T) {
 		_, _, err := r.DoWait(subCtx, testRequest(3))
 		subErr <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // X is now in byKey, unenqueued
+	time.Sleep(10 * time.Millisecond) // X is now in the job table, unenqueued
 
 	// Joiner: joins X's pending job.
 	type out struct {
@@ -250,12 +251,17 @@ func TestSubmitJobLifecycle(t *testing.T) {
 	if info.Status != StatusDone || info.Result == nil || info.Error != "" {
 		t.Fatalf("snapshot: %+v", info)
 	}
+	if job.ID != testRequest(21).Key() {
+		t.Fatalf("job ID %q is not the request key", job.ID)
+	}
 	got, ok := r.Job(job.ID)
 	if !ok || got != job {
 		t.Fatal("job not retrievable by ID")
 	}
-	if _, ok := r.Job("j999999"); ok {
-		t.Fatal("unknown job ID resolved")
+	for _, id := range []string{testRequest(22).Key(), "j000001", "../journal.log", ""} {
+		if _, ok := r.Job(id); ok {
+			t.Fatalf("unknown job ID %q resolved", id)
+		}
 	}
 	// Submitting again is a cache hit: no job, immediate response.
 	job2, resp2, err := r.Submit(testRequest(21))
@@ -297,8 +303,9 @@ func TestFailedJobSnapshot(t *testing.T) {
 }
 
 func TestFinishedJobEviction(t *testing.T) {
-	r := NewRunner(Options{Workers: 1, MaxJobs: 2, CacheSize: -1})
+	r := NewRunner(Options{Workers: 1, CacheSize: -1})
 	defer r.Close()
+	r.maxJobs = 2
 	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, _ func(ResumeState)) (*Response, error) {
 		return &Response{Key: q.Key()}, nil
 	}
@@ -344,5 +351,117 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d", c.len())
+	}
+}
+
+// TestEvictedJobAnswersFromCache: a finished job evicted from the job
+// table still answers under its ID — from the LRU here, from the
+// durable result cache when the LRU is off.
+func TestEvictedJobAnswersFromCache(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) Options
+		disk uint64
+	}{
+		{name: "lru", opts: func(*testing.T) Options { return Options{Workers: 1} }},
+		{name: "store", disk: 1, opts: func(t *testing.T) Options {
+			store := openTestStore(t, t.TempDir())
+			t.Cleanup(func() { store.Close() })
+			return Options{Workers: 1, CacheSize: -1, Store: store}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner(tc.opts(t))
+			defer r.Close()
+			r.maxJobs = 1
+			first, _, err := r.Submit(testRequest(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-first.Done()
+			want := first.Snapshot()
+			second, _, err := r.Submit(testRequest(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-second.Done()
+
+			got, ok := r.Job(first.ID)
+			if !ok {
+				t.Fatal("evicted job no longer answers under its ID")
+			}
+			if got == first {
+				t.Fatal("first job was not evicted from the table")
+			}
+			info := got.Snapshot()
+			if info.Status != StatusDone || info.ID != want.ID || info.Key != want.Key ||
+				!bytes.Equal(respBytes(t, info.Result), respBytes(t, want.Result)) {
+				t.Fatalf("evicted job answers %+v, want %+v", info, want)
+			}
+			select {
+			case <-got.Done():
+			default:
+				t.Fatal("a done job's Done channel is open")
+			}
+			if m := r.Metrics(); m.DiskHits != tc.disk || m.Executions != 2 {
+				t.Fatalf("metrics: %+v", m)
+			}
+		})
+	}
+}
+
+// TestStaleFinishedEntryKeepsLiveJob: a key that failed and was
+// resubmitted has a stale entry in the finished-job eviction queue;
+// popping that entry must not evict the key's live job.
+func TestStaleFinishedEntryKeepsLiveJob(t *testing.T) {
+	r := NewRunner(Options{Workers: 2})
+	defer r.Close()
+	r.maxJobs = 1
+	key := testRequest(7).Key()
+	var calls atomic.Int32
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, _ func(ResumeState)) (*Response, error) {
+		if q.Key() == key {
+			if calls.Add(1) == 1 {
+				return nil, fmt.Errorf("boom")
+			}
+			started <- struct{}{}
+			<-release
+		}
+		return &Response{Key: q.Key()}, nil
+	}
+	defer close(release)
+
+	failed, _, err := r.Submit(testRequest(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-failed.Done()
+	live, _, err := r.Submit(testRequest(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live == failed {
+		t.Fatal("resubmission joined the failed job")
+	}
+	<-started
+	// Another job finishing on the second worker pushes the failed
+	// job's stale entry out of the one-slot finished queue.
+	other, _, err := r.Submit(testRequest(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-other.Done()
+	got, ok := r.Job(key)
+	if !ok || got != live {
+		t.Fatalf("Job(key) = %v, %v; want the live resubmitted job", got, ok)
+	}
+	if info := got.Snapshot(); info.Status != StatusRunning {
+		t.Fatalf("live job: %+v", info)
+	}
+	// A detach client polling the key joins the live job.
+	if joined, _, err := r.Submit(testRequest(7)); err != nil || joined != live {
+		t.Fatalf("resubmit while live: job %v err %v", joined, err)
 	}
 }

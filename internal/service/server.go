@@ -100,12 +100,8 @@ func handleRun(rn *Runner, w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("detach") != "" {
 		job, resp, err := rn.Submit(req)
 		switch {
-		case errors.Is(err, ErrBusy):
-			writeBusy(w)
-		case errors.Is(err, ErrDraining):
-			writeDraining(w)
 		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
+			writeSubmitError(w, err)
 		case resp != nil: // already cached; no job needed
 			w.Header().Set(CacheHeader, "hit")
 			writeResponse(w, resp)
@@ -118,30 +114,25 @@ func handleRun(rn *Runner, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, cached, err := rn.Do(r.Context(), req)
-	switch {
-	case errors.Is(err, ErrBusy):
-		writeBusy(w)
-	case errors.Is(err, ErrDraining):
-		writeDraining(w)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		if cached {
-			w.Header().Set(CacheHeader, "hit")
-		} else {
-			w.Header().Set(CacheHeader, "miss")
-		}
-		if traceNDJSON {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			flusher, _ := w.(http.Flusher)
-			WriteTraceNDJSON(w, resp, func() {
-				if flusher != nil {
-					flusher.Flush()
-				}
-			})
-		} else {
-			writeResponse(w, resp)
-		}
+	if err != nil {
+		writeSubmitError(w, err)
+		return
+	}
+	if cached {
+		w.Header().Set(CacheHeader, "hit")
+	} else {
+		w.Header().Set(CacheHeader, "miss")
+	}
+	if traceNDJSON {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		flusher, _ := w.(http.Flusher)
+		WriteTraceNDJSON(w, resp, func() {
+			if flusher != nil {
+				flusher.Flush()
+			}
+		})
+	} else {
+		writeResponse(w, resp)
 	}
 }
 
@@ -195,14 +186,7 @@ func handleSweep(rn *Runner, w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil && !emitted {
-		switch {
-		case errors.Is(err, ErrBusy):
-			writeBusy(w)
-		case errors.Is(err, ErrDraining):
-			writeDraining(w)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		writeSubmitError(w, err)
 	}
 }
 
@@ -236,49 +220,51 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	EncodeJSONLine(w, map[string]string{"error": err.Error()})
 }
 
-func writeBusy(w http.ResponseWriter) {
-	after := RetryAfterMinSeconds + rand.IntN(RetryAfterMaxSeconds-RetryAfterMinSeconds+1)
-	w.Header().Set("Retry-After", fmt.Sprint(after))
-	writeError(w, http.StatusTooManyRequests, ErrBusy)
-}
-
-// writeDraining answers a submission rejected because the server is
-// shutting down: 503 tells load balancers (unlike 429) to take the
-// instance out of rotation rather than retry against it.
-func writeDraining(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", fmt.Sprint(RetryAfterMaxSeconds))
-	writeError(w, http.StatusServiceUnavailable, ErrDraining)
+// writeSubmitError answers a refused submission. A full queue is 429
+// with a Retry-After jittered in [min, max], so rejected clients do not
+// retry in lockstep. A draining server, or one whose store cannot
+// journal the job, is 503: unlike 429 it tells load balancers to take
+// the instance out of rotation rather than retry against it. Anything
+// else is the request's fault: 400.
+func writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrBusy):
+		after := RetryAfterMinSeconds + rand.IntN(RetryAfterMaxSeconds-RetryAfterMinSeconds+1)
+		w.Header().Set("Retry-After", fmt.Sprint(after))
+		writeError(w, http.StatusTooManyRequests, ErrBusy)
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrStore):
+		w.Header().Set("Retry-After", fmt.Sprint(RetryAfterMaxSeconds))
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeError(w, http.StatusBadRequest, err)
+	}
 }
 
 func writeMetrics(w http.ResponseWriter, m Metrics) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP conserve_requests_total Admission attempts (run + sweep points).\n")
-	fmt.Fprintf(w, "conserve_requests_total %d\n", m.Requests)
-	fmt.Fprintf(w, "# HELP conserve_analytic_requests_total Admissions dispatched to the analytic answer tier.\n")
-	fmt.Fprintf(w, "conserve_analytic_requests_total %d\n", m.Analytic)
-	fmt.Fprintf(w, "# HELP conserve_cache_hits_total Requests served from the result cache.\n")
-	fmt.Fprintf(w, "conserve_cache_hits_total %d\n", m.CacheHits)
-	fmt.Fprintf(w, "conserve_cache_misses_total %d\n", m.CacheMisses)
-	fmt.Fprintf(w, "# HELP conserve_joined_total Requests deduped onto an in-flight identical job.\n")
-	fmt.Fprintf(w, "conserve_joined_total %d\n", m.Joined)
-	fmt.Fprintf(w, "# HELP conserve_rejected_total Backpressure rejections (HTTP 429).\n")
-	fmt.Fprintf(w, "conserve_rejected_total %d\n", m.Rejected)
-	fmt.Fprintf(w, "# HELP conserve_executions_total Simulations actually run by workers.\n")
-	fmt.Fprintf(w, "conserve_executions_total %d\n", m.Executions)
-	fmt.Fprintf(w, "conserve_queue_len %d\n", m.QueueLen)
-	fmt.Fprintf(w, "conserve_queue_cap %d\n", m.QueueCap)
-	fmt.Fprintf(w, "conserve_workers %d\n", m.Workers)
-	fmt.Fprintf(w, "conserve_parallelism %d\n", m.Parallelism)
-	fmt.Fprintf(w, "conserve_cache_len %d\n", m.CacheLen)
-	fmt.Fprintf(w, "conserve_jobs_in_flight %d\n", m.JobsInFlight)
-	fmt.Fprintf(w, "# HELP conserve_job_retries_total Execution attempts beyond each job's first.\n")
-	fmt.Fprintf(w, "conserve_job_retries_total %d\n", m.Retries)
-	fmt.Fprintf(w, "# HELP conserve_jobs_recovered_total Interrupted jobs re-queued from the journal at startup.\n")
-	fmt.Fprintf(w, "conserve_jobs_recovered_total %d\n", m.Recovered)
-	fmt.Fprintf(w, "# HELP conserve_disk_hits_total Results served from the durable result cache after an LRU miss.\n")
-	fmt.Fprintf(w, "conserve_disk_hits_total %d\n", m.DiskHits)
-	fmt.Fprintf(w, "# HELP conserve_journal_replay_seconds Startup journal replay duration.\n")
-	fmt.Fprintf(w, "conserve_journal_replay_seconds %g\n", m.ReplaySeconds)
-	fmt.Fprintf(w, "# HELP conserve_drain_inflight Jobs still in flight while draining (0 when not draining).\n")
-	fmt.Fprintf(w, "conserve_drain_inflight %d\n", m.DrainInFlight)
+	WriteMetric(w, "conserve_requests_total", "counter", "Admission attempts (run + sweep points).", m.Requests)
+	WriteMetric(w, "conserve_analytic_requests_total", "counter", "Admissions dispatched to the analytic answer tier.", m.Analytic)
+	WriteMetric(w, "conserve_cache_hits_total", "counter", "Requests served from the result cache.", m.CacheHits)
+	WriteMetric(w, "conserve_cache_misses_total", "counter", "Requests the result cache could not serve.", m.CacheMisses)
+	WriteMetric(w, "conserve_joined_total", "counter", "Requests deduped onto an in-flight identical job.", m.Joined)
+	WriteMetric(w, "conserve_rejected_total", "counter", "Backpressure rejections (HTTP 429).", m.Rejected)
+	WriteMetric(w, "conserve_executions_total", "counter", "Simulations actually run by workers.", m.Executions)
+	WriteMetric(w, "conserve_queue_len", "gauge", "Jobs waiting in the admission queue.", m.QueueLen)
+	WriteMetric(w, "conserve_queue_cap", "gauge", "Admission queue capacity.", m.QueueCap)
+	WriteMetric(w, "conserve_workers", "gauge", "Simulation workers in the pool.", m.Workers)
+	WriteMetric(w, "conserve_parallelism", "gauge", "Per-request parallelism budget.", m.Parallelism)
+	WriteMetric(w, "conserve_cache_len", "gauge", "Responses held in the LRU result cache.", m.CacheLen)
+	WriteMetric(w, "conserve_jobs_in_flight", "gauge", "Jobs queued or running.", m.JobsInFlight)
+	WriteMetric(w, "conserve_job_retries_total", "counter", "Execution attempts beyond each job's first.", m.Retries)
+	WriteMetric(w, "conserve_jobs_recovered_total", "counter", "Interrupted jobs re-queued from the journal at startup.", m.Recovered)
+	WriteMetric(w, "conserve_disk_hits_total", "counter", "Results served from the durable result cache after an LRU miss.", m.DiskHits)
+	WriteMetric(w, "conserve_store_errors_total", "counter", "Durable-store writes that failed after admission (durability degraded, job kept going).", m.StoreErrors)
+	WriteMetric(w, "conserve_journal_replay_seconds", "gauge", "Startup journal replay duration.", m.ReplaySeconds)
+	WriteMetric(w, "conserve_drain_inflight", "gauge", "Jobs still in flight while draining (0 when not draining).", m.DrainInFlight)
+}
+
+// WriteMetric writes one Prometheus text-format family: its HELP and
+// TYPE lines (kind is "counter" or "gauge") and its single sample.
+func WriteMetric(w io.Writer, name, kind, help string, value any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, kind, name, value)
 }

@@ -158,7 +158,7 @@ func TestRunQueueFull(t *testing.T) {
 func TestBusyRetryAfterJitterRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rec := httptest.NewRecorder()
-		writeBusy(rec)
+		writeSubmitError(rec, ErrBusy)
 		if rec.Code != http.StatusTooManyRequests {
 			t.Fatalf("status %d", rec.Code)
 		}
@@ -232,8 +232,12 @@ func TestRunDetachAndJobs(t *testing.T) {
 	if err := json.Unmarshal(readAll(t, resp), &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.ID == "" || loc != "/jobs/"+info.ID {
-		t.Fatalf("info %+v location %q", info, loc)
+	var req Request
+	if err := json.Unmarshal([]byte(runBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	if info.ID != req.Key() || info.Key != info.ID || loc != "/jobs/"+info.ID {
+		t.Fatalf("info %+v location %q: the job ID must be the request key", info, loc)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -264,12 +268,22 @@ func TestRunDetachAndJobs(t *testing.T) {
 	}
 	readAll(t, again)
 
-	missing, err := http.Get(srv.URL + "/jobs/j999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if readAll(t, missing); missing.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job status %d", missing.StatusCode)
+	// The finished job keeps answering under its key; an unknown but
+	// well-formed key and a malformed ID are both 404.
+	for id, want := range map[string]int{
+		info.ID:                  http.StatusOK,
+		testRequest(999).Key():   http.StatusNotFound,
+		"j000001":                http.StatusNotFound,
+		"..%2F..%2Fjournal.log":  http.StatusNotFound,
+		strings.ToUpper(info.ID): http.StatusNotFound,
+	} {
+		resp, err := http.Get(srv.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readAll(t, resp); resp.StatusCode != want {
+			t.Errorf("GET /jobs/%s: status %d, want %d", id, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -370,12 +384,69 @@ func TestMetricsEndpoint(t *testing.T) {
 		"conserve_job_retries_total 0",
 		"conserve_jobs_recovered_total 0",
 		"conserve_disk_hits_total 0",
+		"conserve_store_errors_total 0",
 		"conserve_journal_replay_seconds 0",
 		"conserve_drain_inflight 0",
 	} {
 		if !bytes.Contains(data, []byte(metric)) {
 			t.Errorf("metrics missing %q in:\n%s", metric, data)
 		}
+	}
+}
+
+// TestMetricsExpositionTyped parses /metrics strictly: every family
+// has one HELP and one TYPE line (counter or gauge) before its single
+// sample, and no family appears twice.
+func TestMetricsExpositionTyped(t *testing.T) {
+	srv, _ := newTestServer(t, Options{Workers: 1})
+	readAll(t, postJSON(t, srv.URL+"/run", runBody))
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	help, kind, sampled := map[string]bool{}, map[string]string{}, map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(readAll(t, resp)), "\n"), "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) >= 4 && fields[0] == "#" && fields[1] == "HELP":
+			if help[fields[2]] || sampled[fields[2]] {
+				t.Errorf("HELP for %s repeated or after its sample", fields[2])
+			}
+			help[fields[2]] = true
+		case len(fields) == 4 && fields[0] == "#" && fields[1] == "TYPE":
+			if kind[fields[2]] != "" || sampled[fields[2]] {
+				t.Errorf("TYPE for %s repeated or after its sample", fields[2])
+			}
+			if fields[3] != "counter" && fields[3] != "gauge" {
+				t.Errorf("%s has type %q", fields[2], fields[3])
+			}
+			kind[fields[2]] = fields[3]
+		case len(fields) == 2 && !strings.HasPrefix(line, "#"):
+			name := fields[0]
+			if _, err := strconv.ParseFloat(fields[1], 64); err != nil {
+				t.Errorf("%s: value %q: %v", name, fields[1], err)
+			}
+			if kind[name] == "" || !help[name] {
+				t.Errorf("sample %s has no TYPE or HELP line", name)
+			}
+			if sampled[name] {
+				t.Errorf("family %s appears twice", name)
+			}
+			if strings.HasSuffix(name, "_total") != (kind[name] == "counter") {
+				t.Errorf("%s: type %s does not match its _total suffix", name, kind[name])
+			}
+			sampled[name] = true
+		default:
+			t.Errorf("unparseable line %q", line)
+		}
+	}
+	for name := range kind {
+		if !sampled[name] {
+			t.Errorf("family %s has no sample", name)
+		}
+	}
+	if len(sampled) < 19 {
+		t.Errorf("only %d families exposed", len(sampled))
 	}
 }
 
