@@ -786,7 +786,7 @@ func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers i
 			return TrialResult{}, err
 		}
 		r := rng.New(rng.DeriveSeed(seed, 0))
-		res := async.RunHooked(r, c.dyn, v, c.e.MaxTicks, tr, stopFn)
+		res := async.Run(r, c.dyn, v, c.e.MaxTicks, tr, stopFn)
 		return TrialResult{
 			Mode:      ModeAsync,
 			Rounds:    res.Rounds,
@@ -815,7 +815,7 @@ func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers i
 		if maxRounds <= 0 {
 			maxRounds = 100_000
 		}
-		res := graph.RunShardedHooked(rng.DeriveSeed(seed, 1), st, c.rule, maxRounds, graphWorkers, tr, stopFn)
+		res := graph.RunSharded(rng.DeriveSeed(seed, 1), st, c.rule, maxRounds, graphWorkers, tr, stopFn)
 		return TrialResult{
 			Mode:      ModeGraph,
 			Rounds:    float64(res.Rounds),
@@ -846,7 +846,7 @@ func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers i
 		if maxRounds <= 0 {
 			maxRounds = 100_000
 		}
-		res := nw.RunHooked(maxRounds, tr, stopFn)
+		res := nw.Run(maxRounds, tr, stopFn)
 		final := nw.Counts()
 		counts := make([]int64, final.K())
 		for i := range counts {

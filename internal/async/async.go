@@ -87,28 +87,17 @@ type RunResult struct {
 
 // Run executes d from configuration v until consensus or maxTicks
 // updates. v is not modified.
-func Run(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64) RunResult {
-	return RunHooked(r, d, v, maxTicks, nil, nil)
-}
-
-// RunTraced is Run with an optional round tracer: tr samples the
-// configuration at full synchronous-equivalent round boundaries (every
-// n ticks; round 0 is the initial configuration). A nil tr is inert —
-// the per-tick cost is one modulus — and the O(k) count
-// materialisation is paid only for rounds the tracer's decimation
-// policy actually keeps.
-func RunTraced(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64, tr *trace.Sampler) RunResult {
-	return RunHooked(r, d, v, maxTicks, tr, nil)
-}
-
-// RunHooked is RunTraced with an optional stop condition: stop, if
-// non-nil, is evaluated on the materialised configuration at full
-// synchronous-equivalent round boundaries only (every n ticks, and at
-// round 0 before any tick), and a true return ends the run there.
-// Like tracing, the hook draws no randomness from the run's stream —
-// a stopped run is byte-for-byte the prefix of the unstopped run of
-// the same seed — and a nil stop costs one comparison per tick.
-func RunHooked(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) RunResult {
+//
+// tr, if non-nil, samples the configuration at full
+// synchronous-equivalent round boundaries (every n ticks; round 0 is
+// the initial configuration); the O(k) count materialisation is paid
+// only for rounds the tracer's decimation policy keeps. stop, if
+// non-nil, is evaluated on the materialised configuration at the same
+// boundaries, and a true return ends the run there. Neither draws
+// randomness from the run's stream — a traced run matches the plain
+// run of the same seed, and a stopped run is byte-for-byte its prefix
+// — and when both are nil the per-tick cost is one comparison.
+func Run(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) RunResult {
 	f := population.NewFenwick(v.Counts())
 	n := f.Total()
 	finish := func(ticks int64, consensus bool, winner int, gamma float64, live int) RunResult {

@@ -163,7 +163,9 @@ func (n *Node) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		res, err := n.ExecuteShardLocal(r.Context(), q, req.Lo, req.Hi)
+		// The shard's trials are byte-identical to the same range of a
+		// single-process run by the (seed, trial) stream contract.
+		res, err := service.ExecuteShard(r.Context(), q, n.cfg.Parallelism, req.Lo, req.Hi)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -324,13 +324,6 @@ func hash64(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// ExecuteShardLocal runs one shard on this node via the deterministic
-// service shard path. The result is byte-identical to the same trial
-// range of a single-process run by the (seed, trial) stream contract.
-func (n *Node) ExecuteShardLocal(ctx context.Context, q service.Request, lo, hi int) (*service.ShardResult, error) {
-	return service.ExecuteShard(ctx, q, n.cfg.Parallelism, lo, hi)
-}
-
 // Run implements service.Remote for coordinator nodes: submit the job
 // to the ledger (through whichever coordinator currently leads), wait
 // for every shard to commit as done, merge locally, and record the

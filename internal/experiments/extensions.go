@@ -2,10 +2,6 @@ package experiments
 
 import (
 	"plurality"
-	"plurality/internal/async"
-	"plurality/internal/graph"
-	"plurality/internal/population"
-	"plurality/internal/rng"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 )
@@ -33,17 +29,16 @@ func runAsync(opts Options) []tablefmt.Table {
 	}
 	for ki, k := range ks {
 		syncMed := medianConsensusTime(plurality.ThreeMajority(), n, k, trials, opts, 500+uint64(ki))
-
-		asyncRounds := make([]float64, 0, trials)
-		for trial := 0; trial < trials; trial++ {
-			r := rng.New(rng.DeriveSeed(opts.Seed*601+uint64(ki), uint64(trial)))
-			res := async.Run(r, async.ThreeMajority, population.Balanced(n, k), 1_000_000_000)
-			if !res.Consensus {
-				panic("experiments: async run did not converge")
-			}
-			asyncRounds = append(asyncRounds, res.Rounds)
-		}
-		asyncMed := stats.Median(asyncRounds)
+		asyncMed := stats.Median(consensusTimes(runTrials(plurality.Experiment{
+			Mode:        plurality.ModeAsync,
+			N:           n,
+			Protocol:    plurality.ThreeMajority(),
+			Init:        plurality.Balanced(k),
+			Seed:        opts.Seed*601 + uint64(ki),
+			NumTrials:   trials,
+			Parallelism: opts.Parallelism,
+			MaxTicks:    1_000_000_000,
+		})))
 		table.AddRow(k, syncMed, asyncMed, asyncMed/syncMed)
 	}
 	return []tablefmt.Table{table}
@@ -85,13 +80,7 @@ func runAdv(opts Options) []tablefmt.Table {
 			Adversary:   plurality.HinderAdversary(f),
 		})
 		converged := out.Converged()
-		times := make([]float64, 0, converged)
-		for _, tr := range out.Trials {
-			if tr.Consensus {
-				times = append(times, tr.Rounds)
-			}
-		}
-		med := stats.Median(times)
+		med := stats.Median(convergedTimes(out))
 		if f == 0 {
 			baseline = med
 		}
@@ -103,7 +92,7 @@ func runAdv(opts Options) []tablefmt.Table {
 		if converged > 0 {
 			medCell = tablefmt.Cell(med)
 		}
-		table.AddRow(f, tablefmt.Cell(converged)+"/"+tablefmt.Cell(trials), medCell, ratio)
+		table.AddRow(f, convergedCell(out), medCell, ratio)
 	}
 	return []tablefmt.Table{table}
 }
@@ -157,23 +146,6 @@ func runGraphs(opts Options) []tablefmt.Table {
 		maxRounds = 100_000
 	}
 
-	build := func(r *rng.Rand) []graph.Graph {
-		var gs []graph.Graph
-		if g, err := graph.NewComplete(n); err == nil {
-			gs = append(gs, g)
-		}
-		if g, err := graph.NewRandomRegular(n, 8, r); err == nil {
-			gs = append(gs, g)
-		}
-		if g, err := graph.NewTorus(nSide, nSide); err == nil {
-			gs = append(gs, g)
-		}
-		if g, err := graph.NewRing(n, 2); err == nil {
-			gs = append(gs, g)
-		}
-		return gs
-	}
-
 	table := tablefmt.Table{
 		Title: "3-Majority beyond the complete graph (k = 4, shuffled balanced start)",
 		Notes: "expanders (complete, random-regular) converge fast; low-conductance topologies " +
@@ -181,28 +153,33 @@ func runGraphs(opts Options) []tablefmt.Table {
 		Columns: []string{"graph", "converged", "median rounds (converged)"},
 	}
 
-	seedRand := rng.New(opts.Seed * 911)
-	for _, g := range build(seedRand) {
-		times := make([]float64, 0, trials)
-		converged := 0
-		for trial := 0; trial < trials; trial++ {
-			r := rng.New(rng.DeriveSeed(opts.Seed*977, uint64(trial)))
-			v := population.Balanced(int64(n), k)
-			st, err := graph.NewState(g, k, graph.ShuffledAssignment(v, r))
-			if err != nil {
-				panic(err)
-			}
-			res := graph.Run(r, st, graph.ThreeMajorityRule{}, maxRounds)
-			if res.Consensus {
-				converged++
-				times = append(times, float64(res.Rounds))
-			}
-		}
+	// The row labels are the topologies' graph names.
+	topologies := []struct {
+		name string
+		topo plurality.Topology
+	}{
+		{"complete", plurality.CompleteTopology()},
+		{"random-8-regular", plurality.RandomRegularTopology(8)},
+		{"torus", plurality.TorusTopology(nSide)},
+		{"ring-r2", plurality.RingTopology(2)},
+	}
+	for _, tc := range topologies {
+		out := runTrials(plurality.Experiment{
+			Mode:        plurality.ModeGraph,
+			N:           int64(n),
+			Protocol:    plurality.ThreeMajority(),
+			Init:        plurality.Balanced(k),
+			Seed:        opts.Seed * 977,
+			NumTrials:   trials,
+			Parallelism: opts.Parallelism,
+			MaxRounds:   maxRounds,
+			Topology:    tc.topo,
+		})
 		medCell := "no consensus within budget"
-		if converged > 0 {
-			medCell = tablefmt.Cell(stats.Median(times))
+		if out.Converged() > 0 {
+			medCell = tablefmt.Cell(stats.Median(convergedTimes(out)))
 		}
-		table.AddRow(g.Name(), tablefmt.Cell(converged)+"/"+tablefmt.Cell(trials), medCell)
+		table.AddRow(tc.name, convergedCell(out), medCell)
 	}
 	return []tablefmt.Table{table}
 }

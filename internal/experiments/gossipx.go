@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"plurality"
-	"plurality/internal/gossip"
-	"plurality/internal/population"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 )
@@ -25,40 +23,21 @@ func runGossip(opts Options) []tablefmt.Table {
 		trials = 7
 	}
 
-	gossipMedian := func(rule gossip.Rule, crashed []int, loss float64, salt uint64) (float64, int) {
-		times := make([]float64, 0, trials)
-		converged := 0
-		for trial := 0; trial < trials; trial++ {
-			nw, err := gossip.New(gossip.Config{
-				N:        n,
-				Rule:     rule,
-				Init:     population.Balanced(int64(n), k),
-				Seed:     opts.Seed*2221 + salt*131 + uint64(trial),
-				Crashed:  crashed,
-				LossProb: loss,
-			})
-			if err != nil {
-				panic(err)
-			}
-			res := nw.Run(maxRounds)
-			nw.Close()
-			if res.Consensus {
-				converged++
-				times = append(times, float64(res.Rounds))
-			}
-		}
-		return stats.Median(times), converged
-	}
-
-	engineMedian := func(proto plurality.Protocol, salt uint64) float64 {
-		return stats.Median(consensusTimes(runTrials(plurality.Experiment{
+	// run executes one batch; the salts keep every batch's trial seeds
+	// distinct.
+	run := func(mode plurality.Mode, proto plurality.Protocol, crashed []int, loss float64, salt uint64) *plurality.Outcome {
+		return runTrials(plurality.Experiment{
+			Mode:        mode,
 			N:           int64(n),
 			Protocol:    proto,
 			Init:        plurality.Balanced(k),
 			Seed:        opts.Seed*2221 + salt*131,
 			NumTrials:   trials,
 			Parallelism: opts.Parallelism,
-		})))
+			MaxRounds:   maxRounds,
+			Crashed:     crashed,
+			LossProb:    loss,
+		})
 	}
 
 	crossTable := tablefmt.Table{
@@ -67,17 +46,10 @@ func runGossip(opts Options) []tablefmt.Table {
 			"simulate the same process; median consensus times must agree up to trial noise.",
 		Columns: []string{"dynamics", "engine rounds med", "gossip rounds med", "ratio"},
 	}
-	pairs := []struct {
-		proto plurality.Protocol
-		rule  gossip.Rule
-	}{
-		{plurality.ThreeMajority(), gossip.ThreeMajority},
-		{plurality.TwoChoices(), gossip.TwoChoices},
-	}
-	for pi, pair := range pairs {
-		e := engineMedian(pair.proto, uint64(pi))
-		g, _ := gossipMedian(pair.rule, nil, 0, uint64(pi)+10)
-		crossTable.AddRow(pair.proto.Name(), e, g, g/e)
+	for pi, proto := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		e := stats.Median(consensusTimes(run(plurality.ModeSync, proto, nil, 0, uint64(pi))))
+		g := stats.Median(convergedTimes(run(plurality.ModeGossip, proto, nil, 0, uint64(pi)+10)))
+		crossTable.AddRow(proto.Name(), e, g, g/e)
 	}
 
 	faultTable := tablefmt.Table{
@@ -86,18 +58,22 @@ func runGossip(opts Options) []tablefmt.Table {
 			"puller keep its opinion for the round. Consensus is among alive nodes.",
 		Columns: []string{"scenario", "converged", "median rounds"},
 	}
-	clean, conv := gossipMedian(gossip.TwoChoices, nil, 0, 20)
-	faultTable.AddRow("clean", tablefmt.Cell(conv)+"/"+tablefmt.Cell(trials), clean)
-
 	crashed := make([]int, 0, n/20)
 	for id := 0; id < n; id += 20 {
 		crashed = append(crashed, id)
 	}
-	withCrash, conv := gossipMedian(gossip.TwoChoices, crashed, 0, 21)
-	faultTable.AddRow("5% crashed", tablefmt.Cell(conv)+"/"+tablefmt.Cell(trials), withCrash)
-
-	withLoss, conv := gossipMedian(gossip.TwoChoices, nil, 0.4, 22)
-	faultTable.AddRow("40% pull loss", tablefmt.Cell(conv)+"/"+tablefmt.Cell(trials), withLoss)
+	for si, sc := range []struct {
+		name    string
+		crashed []int
+		loss    float64
+	}{
+		{"clean", nil, 0},
+		{"5% crashed", crashed, 0},
+		{"40% pull loss", nil, 0.4},
+	} {
+		out := run(plurality.ModeGossip, plurality.TwoChoices(), sc.crashed, sc.loss, 20+uint64(si))
+		faultTable.AddRow(sc.name, convergedCell(out), stats.Median(convergedTimes(out)))
+	}
 
 	return []tablefmt.Table{crossTable, faultTable}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"plurality"
+	"plurality/internal/tablefmt"
 )
 
 // runTrials executes e and panics on error: every driver builds its
@@ -46,6 +47,24 @@ func consensusTimes(out *plurality.Outcome) []float64 {
 		times[i] = tr.Rounds
 	}
 	return times
+}
+
+// convergedTimes returns the consensus times of the trials that
+// converged within their budget, for drivers that tabulate stalled
+// trials separately.
+func convergedTimes(out *plurality.Outcome) []float64 {
+	times := make([]float64, 0, len(out.Trials))
+	for _, tr := range out.Trials {
+		if tr.Consensus {
+			times = append(times, tr.Rounds)
+		}
+	}
+	return times
+}
+
+// convergedCell renders an outcome's converged share as "c/trials".
+func convergedCell(out *plurality.Outcome) string {
+	return tablefmt.Cell(out.Converged()) + "/" + tablefmt.Cell(len(out.Trials))
 }
 
 // hitTimes is consensusTimes for a runUntil outcome: the rounds at

@@ -395,29 +395,18 @@ type Result struct {
 }
 
 // Run executes rounds until all alive nodes agree or maxRounds.
-func (nw *Network) Run(maxRounds int) Result {
-	return nw.RunHooked(maxRounds, nil, nil)
-}
-
-// RunTraced is Run with an optional round tracer: tr samples the
-// coordinator's authoritative opinion counts between rounds — after
-// the commit barrier, when no node goroutine is mutating state — so
-// the trace is deterministic in the network's seed regardless of
-// goroutine scheduling. A nil tr costs one pointer test per round;
-// kept rounds reuse the counts Round materializes anyway, so tracing
-// adds only the O(live) observable reads.
-func (nw *Network) RunTraced(maxRounds int, tr *trace.Sampler) Result {
-	return nw.RunHooked(maxRounds, tr, nil)
-}
-
-// RunHooked is RunTraced with an optional stop condition: stop, if
-// non-nil, is evaluated on the coordinator's counts between rounds
-// (after the commit barrier, like tracing, and at round 0 before any
-// pull) and a true return ends the run there. The hook reads only the
-// coordinator's state — node PRNG streams are untouched — so a stopped
-// run is byte-for-byte the prefix of the unstopped run of the same
-// seed.
-func (nw *Network) RunHooked(maxRounds int, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) Result {
+//
+// tr, if non-nil, samples the coordinator's authoritative opinion
+// counts between rounds, and stop, if non-nil, is evaluated on them
+// (at round 0 before any pull too); a true return ends the run there.
+// Both read only the coordinator's state after the commit barrier,
+// when no node goroutine is mutating it, and never touch the node PRNG
+// streams — so traces are deterministic in the network's seed
+// regardless of goroutine scheduling, and a stopped run is
+// byte-for-byte the prefix of the unstopped run of the same seed. Kept
+// rounds reuse the counts Round materializes anyway; when both are nil
+// the per-round cost is one comparison.
+func (nw *Network) Run(maxRounds int, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) Result {
 	finish := func(rounds int, consensus bool, winner int32, v *population.Vector) Result {
 		if v == nil {
 			v = nw.Counts()

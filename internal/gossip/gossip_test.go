@@ -76,7 +76,7 @@ func TestRunReachesConsensus(t *testing.T) {
 				Init: population.Balanced(120, 4),
 				Seed: 2,
 			})
-			res := nw.Run(20000)
+			res := nw.Run(20000, nil, nil)
 			if !res.Consensus {
 				t.Fatalf("no consensus in %d rounds", res.Rounds)
 			}
@@ -95,7 +95,7 @@ func TestImmediateConsensus(t *testing.T) {
 		Init: population.MustFromCounts([]int64{0, 10}),
 		Seed: 3,
 	})
-	res := nw.Run(100)
+	res := nw.Run(100, nil, nil)
 	if !res.Consensus || res.Rounds != 0 || res.Winner != 1 {
 		t.Fatalf("result %+v", res)
 	}
@@ -153,7 +153,7 @@ func TestCrashedNodesFrozen(t *testing.T) {
 		Seed:    4,
 		Crashed: crashed,
 	})
-	res := nw.Run(20000)
+	res := nw.Run(20000, nil, nil)
 	if !res.Consensus {
 		t.Fatalf("alive nodes did not converge in %d rounds", res.Rounds)
 	}
@@ -183,7 +183,7 @@ func TestAllCrashedNoConsensus(t *testing.T) {
 		Seed:    5,
 		Crashed: all,
 	})
-	res := nw.Run(5)
+	res := nw.Run(5, nil, nil)
 	if res.Consensus {
 		t.Fatal("consensus among zero alive nodes")
 	}
@@ -209,7 +209,7 @@ func TestLossSlowsButPreservesConsensus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := nw.Run(50000)
+			res := nw.Run(50000, nil, nil)
 			nw.Close()
 			if !res.Consensus {
 				t.Fatalf("no consensus at loss %v", loss)

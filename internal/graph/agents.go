@@ -158,9 +158,10 @@ func (st *State) Consensus() (opinion int32, ok bool) {
 }
 
 // Step advances the state by one synchronous round of rule, drawing
-// every vertex's randomness sequentially from r. It is the simple
-// single-stream engine; the sharded engine below is the multi-core
-// variant with hardware-independent streams.
+// every vertex's randomness sequentially from r — the simple
+// single-stream round for stepping a state by hand. StepSharded, the
+// round RunSharded drives, is the multi-core variant with
+// hardware-independent streams.
 func (st *State) Step(r *rng.Rand, rule Rule) {
 	for v := range st.opinions {
 		st.next[v] = rule.Update(r, st.g, st.opinions, v)
@@ -319,49 +320,22 @@ func cutoffResult(rounds int, v *population.Vector) RunResult {
 	return RunResult{Rounds: rounds, Consensus: false, Winner: int32(op), Gamma: v.Gamma(), Live: v.Live()}
 }
 
-// Run executes rule on st until consensus or maxRounds, drawing all
-// randomness sequentially from r (single-stream engine).
-func Run(r *rng.Rand, st *State, rule Rule, maxRounds int) RunResult {
-	if op, ok := st.Consensus(); ok {
-		return consensusResult(0, op)
-	}
-	for t := 1; t <= maxRounds; t++ {
-		st.Step(r, rule)
-		if op, ok := st.Consensus(); ok {
-			return consensusResult(t, op)
-		}
-	}
-	return cutoffResult(maxRounds, st.Counts())
-}
-
 // RunSharded executes rule on st until consensus or maxRounds using
 // the sharded round engine: round t draws vertex randomness from the
 // (seed, t, shard) streams of StepSharded, split across up to workers
 // goroutines. The result is a pure function of (st, rule, seed,
 // maxRounds) — identical for every workers value.
-func RunSharded(seed uint64, st *State, rule Rule, maxRounds, workers int) RunResult {
-	return RunShardedTraced(seed, st, rule, maxRounds, workers, nil)
-}
-
-// RunShardedTraced is RunSharded with an optional round tracer: tr
-// samples the opinion counts between rounds — from the coordinating
-// goroutine, after StepSharded's barrier, never from inside a shard
-// worker — so the trace, like the result, is identical for every
-// workers value. A nil tr costs one pointer test per round; the O(n)
-// count materialisation is paid only for rounds the tracer's
-// decimation policy keeps.
-func RunShardedTraced(seed uint64, st *State, rule Rule, maxRounds, workers int, tr *trace.Sampler) RunResult {
-	return RunShardedHooked(seed, st, rule, maxRounds, workers, tr, nil)
-}
-
-// RunShardedHooked is RunShardedTraced with an optional stop
-// condition: stop, if non-nil, is evaluated on the materialised counts
-// between rounds (after the shard barrier, like tracing, and at round
-// 0 before any step), and a true return ends the run there. The hook
-// draws no randomness from the round streams — a stopped run is
-// byte-for-byte the prefix of the unstopped run of the same seed, for
-// every workers value — and a nil stop costs one comparison per round.
-func RunShardedHooked(seed uint64, st *State, rule Rule, maxRounds, workers int, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) RunResult {
+//
+// tr, if non-nil, samples the opinion counts between rounds, and stop,
+// if non-nil, is evaluated on them (at round 0 before any step too); a
+// true return ends the run there. Both run on the coordinating
+// goroutine after StepSharded's barrier, never inside a shard worker,
+// and draw no randomness from the round streams — so traces are
+// identical for every workers value and a stopped run is byte-for-byte
+// the prefix of the unstopped run of the same seed. When both are nil
+// the per-round cost is one comparison; the O(n) count materialisation
+// is paid only for rounds the tracer keeps or the hook inspects.
+func RunSharded(seed uint64, st *State, rule Rule, maxRounds, workers int, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) RunResult {
 	// observe materializes the counts at most once per round, shared
 	// by the sampler and the stop hook; stopped reports whether the
 	// hook fired (v is then the materialized counts).

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 
 	"plurality/internal/population"
@@ -272,29 +273,37 @@ func TestRunReachesConsensusOnGraphs(t *testing.T) {
 	r := rng.New(11)
 	v := population.Balanced(256, 4)
 
-	graphs := []Graph{}
-	if c, err := NewComplete(256); err == nil {
-		graphs = append(graphs, c)
-	}
-	if rr, err := NewRandomRegular(256, 8, r); err == nil {
-		graphs = append(graphs, rr)
-	} else {
+	complete, err := NewComplete(256)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hc, err := NewHypercube(8); err == nil {
-		graphs = append(graphs, hc)
+	regular, err := NewRandomRegular(256, 8, r)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, g := range graphs {
-		g := g
-		for _, rule := range []Rule{ThreeMajorityRule{}, TwoChoicesRule{}} {
-			rule := rule
-			t.Run(g.Name()+"/"+rule.Name(), func(t *testing.T) {
-				st, err := NewState(g, 4, ShuffledAssignment(v, r))
+	hypercube, err := NewHypercube(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := []Rule{ThreeMajorityRule{}, TwoChoicesRule{}}
+	// 3-Majority is left out on the bipartite hypercube: it can absorb
+	// into a period-2 oscillation instead of consensus (see
+	// TestHypercubeParitySplitIsAbsorbing).
+	for _, tc := range []struct {
+		g     Graph
+		rules []Rule
+	}{
+		{complete, both},
+		{regular, both},
+		{hypercube, []Rule{TwoChoicesRule{}}},
+	} {
+		for _, rule := range tc.rules {
+			t.Run(tc.g.Name()+"/"+rule.Name(), func(t *testing.T) {
+				st, err := NewState(tc.g, 4, ShuffledAssignment(v, r))
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := Run(r, st, rule, 100000)
+				res := RunSharded(r.Uint64(), st, rule, 100000, 2, nil, nil)
 				if !res.Consensus {
 					t.Fatalf("no consensus after %d rounds", res.Rounds)
 				}
@@ -306,13 +315,64 @@ func TestRunReachesConsensusOnGraphs(t *testing.T) {
 	}
 }
 
+// TestHypercubeParitySplitIsAbsorbing pins the period-2 absorbing state
+// of synchronous 3-Majority on a bipartite graph: from the parity split
+// of the hypercube (even-weight vertices on opinion 0, odd-weight on
+// 1) every sampled neighbor holds the other side's opinion, so every
+// vertex flips every round and consensus is never reached, whatever
+// the randomness.
+func TestHypercubeParitySplitIsAbsorbing(t *testing.T) {
+	const dim = 8
+	g, err := NewHypercube(dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parity := func(v, round int) int32 {
+		return int32(bits.OnesCount(uint(v))+round) % 2
+	}
+	split := func() *State {
+		assign := make([]int32, g.N())
+		for v := range assign {
+			assign[v] = parity(v, 0)
+		}
+		st, err := NewState(g, 2, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	st := split()
+	r := rng.New(3)
+	for round := 1; round <= 20; round++ {
+		before := st.Counts()
+		st.Step(r, ThreeMajorityRule{})
+		after := st.Counts()
+		if after.Count(0) != before.Count(1) || after.Count(1) != before.Count(0) {
+			t.Fatalf("round %d: counts %v did not swap from %v", round, after.Counts(), before.Counts())
+		}
+		for v, op := range st.Opinions() {
+			if want := parity(v, round); op != want {
+				t.Fatalf("round %d: vertex %d holds %d, want %d", round, v, op, want)
+			}
+		}
+	}
+
+	for seed := uint64(1); seed <= 4; seed++ {
+		res := RunSharded(seed, split(), ThreeMajorityRule{}, 200, 2, nil, nil)
+		if res.Consensus || res.Rounds != 200 || res.Live != 2 {
+			t.Fatalf("seed %d: parity split left its absorbing state: %+v", seed, res)
+		}
+	}
+}
+
 func TestRunImmediateConsensus(t *testing.T) {
 	g, _ := NewComplete(5)
 	st, err := NewState(g, 3, []int32{2, 2, 2, 2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(rng.New(1), st, VoterRule{}, 100)
+	res := RunSharded(1, st, VoterRule{}, 100, 1, nil, nil)
 	if !res.Consensus || res.Rounds != 0 || res.Winner != 2 {
 		t.Fatalf("result %+v", res)
 	}

@@ -189,18 +189,8 @@ func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *R
 		every = 1
 	}
 	sinceCheckpoint := 0
-	streamErr := exp.Stream(ctx, func(i int, tr plurality.TrialResult) bool {
-		t := Trial{
-			Trial:     i,
-			Rounds:    tr.Rounds,
-			Consensus: tr.Consensus,
-			Winner:    tr.Winner,
-		}
-		if q.Mode == ModeAsync {
-			ticks := tr.Ticks
-			t.Ticks = &ticks
-		}
-		trials = append(trials, t)
+	streamErr := exp.Stream(ctx, func(_ int, tr plurality.TrialResult) bool {
+		trials = append(trials, trialOf(tr))
 		if q.Trace != nil {
 			// Points are concatenated in trial order, so the merged
 			// trace is parallelism- and resume-independent.
@@ -226,6 +216,22 @@ func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *R
 		Trials:  trials,
 		Trace:   points,
 	}, nil
+}
+
+// trialOf maps an executed trial onto its wire form; Ticks is set on
+// every async-mode trial and only there.
+func trialOf(tr plurality.TrialResult) Trial {
+	t := Trial{
+		Trial:     tr.Trial,
+		Rounds:    tr.Rounds,
+		Consensus: tr.Consensus,
+		Winner:    tr.Winner,
+	}
+	if tr.Mode == plurality.ModeAsync {
+		ticks := tr.Ticks
+		t.Ticks = &ticks
+	}
+	return t
 }
 
 // ShardResult is the outcome of executing one index-contiguous trial
@@ -274,18 +280,8 @@ func ExecuteShard(ctx context.Context, q Request, parallelism int, lo, hi int) (
 	exp.FirstTrial = lo
 	exp.NumTrials = hi
 	sr := &ShardResult{Lo: lo, Hi: hi}
-	streamErr := exp.Stream(ctx, func(i int, tr plurality.TrialResult) bool {
-		t := Trial{
-			Trial:     i,
-			Rounds:    tr.Rounds,
-			Consensus: tr.Consensus,
-			Winner:    tr.Winner,
-		}
-		if q.Mode == ModeAsync {
-			ticks := tr.Ticks
-			t.Ticks = &ticks
-		}
-		sr.Trials = append(sr.Trials, t)
+	streamErr := exp.Stream(ctx, func(_ int, tr plurality.TrialResult) bool {
+		sr.Trials = append(sr.Trials, trialOf(tr))
 		if q.Trace != nil {
 			sr.Trace = append(sr.Trace, tr.Trace...)
 		}

@@ -24,8 +24,8 @@
 //
 // Per-trial determinism: each trial owns its own Sampler, observables
 // are read between rounds (after the sharded-round barrier, never from
-// inside a shard worker), and the orchestrators flush samplers in
-// trial order — so the merged point stream is byte-identical for any
+// inside a shard worker), and the orchestrators concatenate the
+// samplers' points in trial order — so the merged point stream is byte-identical for any
 // worker count.
 //
 // The contract above is owned by DESIGN.md §"Round-trace

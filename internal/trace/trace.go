@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -22,19 +20,6 @@ type State interface {
 	MaxOpinion() (opinion int, count int64)
 	// SumCubes returns Σ α(i)³.
 	SumCubes() float64
-}
-
-// encodeJSONLine writes v's JSON encoding followed by a newline — the
-// same one-line serialisation the service layer uses, so a
-// WriterRecorder's output is byte-identical to conserve's trace lines.
-func encodeJSONLine(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
 }
 
 // Point is one sampled observation of a run: the state of one trial's
@@ -202,45 +187,6 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, spec.Validate()
 }
 
-// Recorder consumes sampled trace points. The orchestrators deliver
-// points in (trial, round) order; implementations are driven from a
-// single goroutine at a time.
-type Recorder interface {
-	Record(Point) error
-}
-
-// Buffer is the in-memory Recorder: it appends every point to Points.
-type Buffer struct {
-	Points []Point
-}
-
-// Record implements Recorder.
-func (b *Buffer) Record(p Point) error {
-	b.Points = append(b.Points, p)
-	return nil
-}
-
-// WriterRecorder streams each point as one NDJSON line — the same
-// line format conserve's POST /run?trace=1 emits.
-type WriterRecorder struct {
-	W io.Writer
-}
-
-// Record implements Recorder.
-func (wr WriterRecorder) Record(p Point) error {
-	return encodeJSONLine(wr.W, p)
-}
-
-// Emit replays points through rec, stopping on the first error.
-func Emit(points []Point, rec Recorder) error {
-	for _, p := range points {
-		if err := rec.Record(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Sampler applies one trial's decimation policy and buffers the kept
 // points. Create one per trial with NewSampler and thread it into an
 // engine; a nil *Sampler is inert (all methods are nil-safe no-ops),
@@ -269,14 +215,6 @@ func NewSampler(spec Spec, trial int) *Sampler {
 		maxPoints: spec.MaxPoints,
 		stride:    1,
 	}
-}
-
-// Trial returns the sampler's trial index.
-func (s *Sampler) Trial() int {
-	if s == nil {
-		return 0
-	}
-	return s.trial
 }
 
 // Wants reports whether the policy keeps the given round. It is the
@@ -346,9 +284,4 @@ func (s *Sampler) Points() []Point {
 // truncate — they coarsen instead. Nil-safe.
 func (s *Sampler) Truncated() bool {
 	return s != nil && s.truncated
-}
-
-// Flush delivers the sampler's points to rec in round order. Nil-safe.
-func (s *Sampler) Flush(rec Recorder) error {
-	return Emit(s.Points(), rec)
 }

@@ -1,10 +1,9 @@
 package trace
 
 import (
-	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"plurality/internal/population"
@@ -114,9 +113,6 @@ func TestNilSamplerIsInert(t *testing.T) {
 	}
 	if s.Truncated() {
 		t.Fatal("nil sampler reports truncation")
-	}
-	if err := s.Flush(&Buffer{}); err != nil {
-		t.Fatalf("nil flush: %v", err)
 	}
 }
 
@@ -232,27 +228,14 @@ func TestDecimatedTracesAreSubsequences(t *testing.T) {
 	}
 }
 
-func TestBufferAndWriterRecorder(t *testing.T) {
-	pts := []Point{
-		{Trial: 0, Round: 0, Gamma: 0.5, Live: 2, MaxAlpha: 0.5, SumCubes: 0.25},
-		{Trial: 0, Round: 1, Gamma: 1, Live: 1, MaxAlpha: 1, SumCubes: 1},
-	}
-	var buf Buffer
-	if err := Emit(pts, &buf); err != nil {
+// TestPointWireFormat pins a Point's JSON encoding: it is the line
+// format of conserve's NDJSON trace stream and of Response.Trace.
+func TestPointWireFormat(t *testing.T) {
+	line, err := json.Marshal(Point{Trial: 0, Round: 1, Gamma: 1, Live: 1, MaxAlpha: 1, SumCubes: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(buf.Points, pts) {
-		t.Fatalf("buffer = %v, want %v", buf.Points, pts)
-	}
-	var out bytes.Buffer
-	if err := Emit(pts, WriterRecorder{W: &out}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d NDJSON lines, want 2:\n%s", len(lines), out.String())
-	}
-	if want := `{"trial":0,"round":1,"gamma":1,"live":1,"max_alpha":1,"sum_cubes":1}`; lines[1] != want {
-		t.Fatalf("line = %s, want %s", lines[1], want)
+	if want := `{"trial":0,"round":1,"gamma":1,"live":1,"max_alpha":1,"sum_cubes":1}`; string(line) != want {
+		t.Fatalf("line = %s, want %s", line, want)
 	}
 }
