@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"plurality/internal/population"
@@ -119,6 +120,95 @@ func TestBatchRunnerIdenticalToSerial(t *testing.T) {
 	}
 }
 
+// TestBatchRunnerStageBIdenticalToSerial drives the flat kernels
+// through the grouped stage B (L >= 64 live slots) round by round
+// against the serial engine, and after every round checks that the
+// incrementally maintained aggregates equal a fresh rebuild from the
+// counts. The 2-Choices all-singletons start runs sparse rounds, then
+// dense rounds, then compactions. The singletons-plus-heavy-slots
+// starts draw more than 6m destinations into a class of m members (the
+// binomial split): sparsely with two slots of count 32, densely when
+// five heavy classes all draw. They also move slots across the
+// maxGroupedCount boundary (rest-list inserts and removals). The
+// 3-Majority and Voter starts split every class binomially in dense
+// rounds.
+func TestBatchRunnerStageBIdenticalToSerial(t *testing.T) {
+	repeat := func(k int, c int64, extra ...int64) []int64 {
+		counts := make([]int64, k, k+len(extra))
+		for i := range counts {
+			counts[i] = c
+		}
+		return append(counts, extra...)
+	}
+	cases := []struct {
+		name   string
+		p      Protocol
+		counts []int64
+	}{
+		{"2-choices/k=n=256", TwoChoices{}, repeat(256, 1)},
+		{"2-choices/singletons+heavy", TwoChoices{}, repeat(120, 1, 30, 31, 32, 40)},
+		{"2-choices/sparse-binomial", TwoChoices{}, repeat(70, 1, 32, 32)},
+		{"2-choices/dense-binomial", TwoChoices{}, repeat(64, 1, 28, 29, 30, 31, 32)},
+		{"3-majority/k=64", ThreeMajority{}, repeat(64, 10)},
+		{"voter/k=64", Voter{}, repeat(64, 3, 40)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBatchRunner(tc.p, population.MustFromCounts(tc.counts))
+			for seed := uint64(0); seed < 4; seed++ {
+				assertTrialMatches(t, tc.p, b, tc.counts, 0x51ab^seed, 0)
+				b.RunTrial(0x51ab^seed, BatchRunConfig{Observer: func(round int, v View) bool {
+					checkFlatAggregates(t, round, v.(*flatState))
+					return false
+				}})
+			}
+		})
+	}
+}
+
+// checkFlatAggregates asserts that every incrementally maintained
+// structure of f equals its rebuild from f.cnt: Σc², the live count,
+// the histogram and rest list always, the Fenwick tree and the class
+// bitsets whenever they are marked valid.
+func checkFlatAggregates(t *testing.T, round int, f *flatState) {
+	t.Helper()
+	var sumSq int64
+	var hist [maxGroupedCount + 1]int32
+	var rest []int32
+	live := 0
+	for j, c := range f.cnt {
+		if c == 0 {
+			continue
+		}
+		live++
+		sumSq += c * c
+		if c <= maxGroupedCount {
+			hist[c]++
+		} else {
+			rest = append(rest, int32(j))
+		}
+	}
+	if f.sumSq != sumSq || f.numLive != live || f.hist != hist || !slices.Equal(f.rest, rest) {
+		t.Fatalf("round %d: aggregates (Σc² %d, live %d, hist %v, rest %v), rebuild (%d, %d, %v, %v)",
+			round, f.sumSq, f.numLive, f.hist, f.rest, sumSq, live, hist, rest)
+	}
+	want := &flatState{cnt: f.cnt}
+	if f.fenOK {
+		want.ensureFen()
+		if !slices.Equal(f.fen, want.fen) {
+			t.Fatalf("round %d: Fenwick tree %v, rebuild %v", round, f.fen, want.fen)
+		}
+	}
+	if f.clsOK {
+		want.ensureCls()
+		for c := 1; c <= maxGroupedCount; c++ {
+			if !slices.Equal(f.cls[c], want.cls[c]) {
+				t.Fatalf("round %d: class %d bitset %x, rebuild %x", round, c, f.cls[c], want.cls[c])
+			}
+		}
+	}
+}
+
 // TestBatchRunnerReusedStateIdentical pins full per-trial isolation:
 // re-running a seed on a runner dirtied by other trials (including a
 // MaxRounds cutoff mid-run) reproduces the first run exactly.
@@ -161,24 +251,36 @@ func TestBatchRunnerObserverStop(t *testing.T) {
 // with the serial engine on the result and every round's observables,
 // the full per-slot count vector included. The flat kernel compacts
 // once dead slots outnumber live ones, so Count(i) is also checked
-// for opinions whose slot compaction removed.
+// for opinions whose slot compaction removed. A nonzero tile repeats
+// raw to 64 + tile%64 slots with counts b%40, past the plain sampler's
+// 64-slot cutoff into the grouped, sparse and dense stage B; the count
+// cap keeps n below 5 000 so the serial reference stays cheap.
 func FuzzBatchRunnerMatchesSerial(f *testing.F) {
-	f.Add([]byte{10, 20, 30}, uint64(1), uint8(0), uint8(10))
-	f.Add([]byte{1}, uint64(2), uint8(1), uint8(0))
-	f.Add([]byte{255, 0, 0, 255}, uint64(3), uint8(2), uint8(3))
-	f.Add([]byte{0, 200, 3}, uint64(4), uint8(3), uint8(50))
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint64(5), uint8(4), uint8(255))
-	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, protoSel uint8, maxRounds uint8) {
+	f.Add([]byte{10, 20, 30}, uint64(1), uint8(0), uint8(10), uint8(0))
+	f.Add([]byte{1}, uint64(2), uint8(1), uint8(0), uint8(0))
+	f.Add([]byte{255, 0, 0, 255}, uint64(3), uint8(2), uint8(3), uint8(0))
+	f.Add([]byte{0, 200, 3}, uint64(4), uint8(3), uint8(50), uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9}, uint64(5), uint8(4), uint8(255), uint8(0))
+	// 2-Choices (protoSel 1) at k >= 64: all singletons, singletons
+	// with heavy slots, and slots crossing maxGroupedCount.
+	f.Add([]byte{1}, uint64(6), uint8(1), uint8(0), uint8(1))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 32}, uint64(7), uint8(1), uint8(0), uint8(1))
+	f.Add([]byte{1, 1, 0, 1, 39, 1, 1, 31, 1, 2}, uint64(8), uint8(1), uint8(0), uint8(100))
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, protoSel uint8, maxRounds uint8, tile uint8) {
 		if len(raw) == 0 || len(raw) > 48 {
 			return
 		}
 		counts := make([]int64, len(raw))
-		var n int64
 		for i, b := range raw {
 			counts[i] = int64(b)
-			n += int64(b)
 		}
-		if n == 0 {
+		if tile != 0 {
+			counts = make([]int64, 64+int(tile%64))
+			for i := range counts {
+				counts[i] = int64(raw[i%len(raw)] % 40)
+			}
+		}
+		if !slices.ContainsFunc(counts, func(c int64) bool { return c != 0 }) {
 			counts[0] = 1
 		}
 		p := batchProtocols[int(protoSel)%len(batchProtocols)]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"plurality/internal/population"
@@ -37,12 +38,14 @@ import (
 //     evaluates the expression once per distinct count class instead
 //     of once per slot; equal inputs give bitwise-equal weights.
 //   - The count histogram, the rest list (counts above
-//     maxGroupedCount) and the Fenwick tree are all deterministic
-//     functions of the count vector, so they can be maintained
-//     incrementally across rounds: the incrementally-updated structure
-//     equals the per-round rebuild bit for bit (integer arithmetic is
-//     exact), and 2-Choices' sparse early rounds — which move a
-//     handful of vertices — stop paying several O(live) passes each.
+//     maxGroupedCount), the Fenwick tree and the per-class slot
+//     bitsets (bit j of cls[c] set iff slot j has count c) are all
+//     deterministic functions of the count vector, so they can be
+//     maintained incrementally across rounds: the incrementally-updated
+//     structure equals the per-round rebuild bit for bit (integer
+//     arithmetic is exact), and 2-Choices' sparse early rounds — which
+//     move a handful of vertices — stop paying several O(live) passes
+//     each.
 type flatKind int
 
 const (
@@ -78,7 +81,8 @@ func flatKindOf(p Protocol) flatKind {
 // Sparse-round dispatch bounds for the 2-Choices destination split:
 // when at most flatSparseAgreeMax vertices moved and their destination
 // draws hit at most flatSparseClassMax distinct count classes, stage B
-// resolves members by partial scans instead of building the full
+// resolves each class's drawn members by select over that class's slot
+// bitset (one pass over K/64 words) instead of building the full
 // member lists. The dispatch reads only the current state and the
 // stage-A outcome, so it is deterministic and never changes a draw.
 const (
@@ -113,6 +117,10 @@ type flatState struct {
 	rest    []int32                    // slots with count > maxGroupedCount, ascending
 	fen     []int64                    // persistent Fenwick tree over the slots (1-based)
 	fenOK   bool
+	// cls[c] has bit j set iff cnt[j] == c, for 1 <= c <= maxGroupedCount:
+	// the sparse stage B's member index, built by ensureCls.
+	cls   [maxGroupedCount + 1][]uint64
+	clsOK bool
 
 	// Round buffers. out and agree are all-zero between rounds (the
 	// commit zeroes exactly what a round wrote), so no per-round
@@ -124,7 +132,7 @@ type flatState struct {
 	uniq        []int32
 	mark        []uint8
 	memberBuf   []int32
-	idxBuf      []int32
+	keyBuf      []uint64
 	slotBuf     []int32
 	probsBuf    []float64
 	outBuf      []int64
@@ -175,6 +183,7 @@ func (f *flatState) reset() {
 	f.hist = f.hist0
 	f.rest = append(f.rest[:0], f.rest0...)
 	f.fenOK = false
+	f.clsOK = false
 }
 
 // The observable surface (the View interface): identical expressions,
@@ -476,10 +485,12 @@ func (f *flatState) stageBDense(r *rng.Rand, gOuts []int64, groups int) {
 
 // stageBSparse is stage B for rounds that move a handful of vertices:
 // instead of materializing every member list, each class with draws
-// resolves its members by one partial scan. The Intn draws come first,
-// in the serial order, so the stream is untouched by the
-// restructuring.
+// resolves its drawn members by one select pass over the class's slot
+// bitset. The Intn draws come first, in the serial order, and the
+// resolved slots are bumped in that same order, so the stream is
+// untouched by the restructuring.
 func (f *flatState) stageBSparse(r *rng.Rand, gOuts []int64, groups int) {
+	f.ensureCls()
 	dest := f.touchedDest[:0]
 	bump := func(slot int32, d int64) {
 		if f.out[slot] == 0 {
@@ -499,23 +510,25 @@ func (f *flatState) stageBSparse(r *rng.Rand, gOuts []int64, groups int) {
 			continue
 		}
 		if T <= int64(m)*perTrialTrialsPerCategory {
-			f.idxBuf = grown(f.idxBuf, int(T))
-			idxs := f.idxBuf
-			maxIdx := 0
-			for t := range idxs {
-				id := r.Intn(m)
-				idxs[t] = int32(id)
-				if id > maxIdx {
-					maxIdx = id
-				}
+			f.keyBuf = grown(f.keyBuf, int(T))
+			keys := f.keyBuf
+			for t := range keys {
+				keys[t] = uint64(r.Intn(m))<<32 | uint64(t)
 			}
-			mem := f.memberScan(int64(c), maxIdx+1)
-			for _, id := range idxs {
-				bump(mem[id], 1)
+			slices.Sort(keys)
+			for _, sl := range f.selectMembers(c, keys) {
+				bump(sl, 1)
 			}
 			continue
 		}
-		mem := f.memberScan(int64(c), m)
+		// T > 6m with T <= flatSparseAgreeMax: a class of at most ten
+		// members, enumerated in slot order.
+		f.keyBuf = grown(f.keyBuf, m)
+		keys := f.keyBuf
+		for j := range keys {
+			keys[j] = uint64(j)<<32 | uint64(j)
+		}
+		mem := f.selectMembers(c, keys)
 		remaining := T
 		for j := 0; j < m-1 && remaining > 0; j++ {
 			x := r.Binomial(remaining, 1/float64(m-j))
@@ -536,22 +549,30 @@ func (f *flatState) stageBSparse(r *rng.Rand, gOuts []int64, groups int) {
 	f.touchedDest = dest
 }
 
-// memberScan returns the first need members of count class c in slot
-// order (the prefix of the serial member list).
-func (f *flatState) memberScan(c int64, need int) []int32 {
-	f.memberBuf = grown(f.memberBuf, need)
+// selectMembers resolves member ranks of count class c to slots in one
+// pass over the class bitset. Each key packs rank<<32 | i, and keys are
+// ascending; the returned slice holds at i the slot of the rank-th
+// member of the class in slot order (the serial member list's entry).
+// Cost O(K/64 + 64·len(keys)).
+func (f *flatState) selectMembers(c int, keys []uint64) []int32 {
+	f.memberBuf = grown(f.memberBuf, len(keys))
 	mem := f.memberBuf
-	found := 0
-	for j, cc := range f.cnt {
-		if cc == c {
-			mem[found] = int32(j)
-			found++
-			if found == need {
-				break
+	i, base := 0, 0 // base = members in the words before w
+	for w, word := range f.cls[c] {
+		pc := bits.OnesCount64(word)
+		for ; i < len(keys) && int(keys[i]>>32) < base+pc; i++ {
+			x := word
+			for k := int(keys[i]>>32) - base; k > 0; k-- {
+				x &= x - 1 // drop the lowest member
 			}
+			mem[uint32(keys[i])] = int32(w*64 + bits.TrailingZeros64(x))
 		}
+		if i == len(keys) {
+			break
+		}
+		base += pc
 	}
-	return mem[:found]
+	return mem
 }
 
 // commitDense installs out as the next counts in one fused pass,
@@ -582,14 +603,15 @@ func (f *flatState) commitDense() {
 	f.rest = rest
 	f.numLive = numLive
 	f.fenOK = false
+	f.clsOK = false
 	f.maybeCompact()
 }
 
 // commitSparse applies the recorded agree/destination deltas in
-// O(moved): per-slot count updates, incremental Σc², histogram and
-// rest-list transitions, and Fenwick patching (the tree already
-// carries the agree decrements from the sampling descent, so only the
-// destination deltas remain).
+// O(moved): per-slot count updates, incremental Σc², histogram,
+// rest-list and class-bitset transitions, and Fenwick patching (the
+// tree already carries the agree decrements from the sampling descent,
+// so only the destination deltas remain).
 func (f *flatState) commitSparse() {
 	uniq := f.uniq[:0]
 	for _, sl := range f.touched {
@@ -621,8 +643,11 @@ func (f *flatState) commitSparse() {
 		}
 		f.sumSq += newC*newC - c*c
 		f.cnt[sl] = newC
+		// stageBSparse built the class index, so it is valid here.
+		w, bit := sl/64, uint64(1)<<(sl%64)
 		if c <= maxGroupedCount {
 			f.hist[c]--
+			f.cls[c][w] &^= bit
 		} else {
 			f.restRemove(sl)
 		}
@@ -631,6 +656,7 @@ func (f *flatState) commitSparse() {
 			f.numLive--
 		case newC <= maxGroupedCount:
 			f.hist[newC]++
+			f.cls[newC][w] |= bit
 		default:
 			f.restInsert(sl)
 		}
@@ -692,6 +718,34 @@ func (f *flatState) ensureFen() {
 	f.fenOK = true
 }
 
+// ensureCls (re)builds the per-class slot bitsets from the counts: 32·K
+// bits, allocated on the first sparse round, so only 2-Choices pays for
+// them. Like the Fenwick tree, each bitset is a function of the count
+// vector alone, so a rebuild and a run of commitSparse patches agree
+// exactly.
+func (f *flatState) ensureCls() {
+	if f.clsOK {
+		return
+	}
+	words := (len(f.cnt) + 63) / 64
+	if cap(f.cls[1]) < words {
+		buf := make([]uint64, maxGroupedCount*words)
+		for c := 1; c <= maxGroupedCount; c++ {
+			f.cls[c] = buf[(c-1)*words : c*words : c*words]
+		}
+	}
+	for c := 1; c <= maxGroupedCount; c++ {
+		f.cls[c] = f.cls[c][:words]
+		clear(f.cls[c])
+	}
+	for j, c := range f.cnt {
+		if c >= 1 && c <= maxGroupedCount {
+			f.cls[c][j/64] |= 1 << (j % 64)
+		}
+	}
+	f.clsOK = true
+}
+
 // maybeCompact drops dead slots once they outnumber the live ones,
 // keeping the per-round passes proportional to the live set. Slot
 // order is preserved, so the effective draw sequence is unchanged.
@@ -725,4 +779,5 @@ func (f *flatState) maybeCompact() {
 	}
 	f.rest = rest
 	f.fenOK = false
+	f.clsOK = false
 }

@@ -46,7 +46,7 @@ type Scratch struct {
 // realloc on every new high-water mark; doubling keeps buffer
 // allocations logarithmic in the working-size range. Callers fully
 // overwrite the portion they read, so stale contents never matter.
-func grown[T int | int32 | int64 | float64](buf []T, n int) []T {
+func grown[T int | int32 | uint64 | int64 | float64](buf []T, n int) []T {
 	if cap(buf) < n {
 		buf = make([]T, max(n, 2*cap(buf), 64))
 	}
