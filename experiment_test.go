@@ -19,13 +19,15 @@ func pointsString(pts []trace.Point) string {
 }
 
 // pinnedTrial is the mode-independent projection of one trial: every
-// observable the four engines report, with the trace reduced to the
-// FNV-64a digest of its pointsString.
+// observable the four engines report, with Γ as its exact float bits
+// and the trace reduced to the FNV-64a digest of its pointsString.
 type pinnedTrial struct {
 	rounds      float64
 	ticks       int64
 	consensus   bool
 	winner      int
+	gammaBits   uint64
+	live        int
 	finalCounts string
 	traceDigest uint64
 }
@@ -33,7 +35,10 @@ type pinnedTrial struct {
 func pinTrial(tr TrialResult) pinnedTrial {
 	h := fnv.New64a()
 	h.Write([]byte(pointsString(tr.Trace)))
-	out := pinnedTrial{rounds: tr.Rounds, ticks: tr.Ticks, consensus: tr.Consensus, winner: tr.Winner, traceDigest: h.Sum64()}
+	out := pinnedTrial{
+		rounds: tr.Rounds, ticks: tr.Ticks, consensus: tr.Consensus, winner: tr.Winner,
+		gammaBits: math.Float64bits(tr.Gamma), live: tr.Live, traceDigest: h.Sum64(),
+	}
 	if tr.FinalCounts != nil {
 		out.finalCounts = fmt.Sprint(tr.FinalCounts)
 	}
@@ -44,44 +49,91 @@ func pinTrial(tr TrialResult) pinnedTrial {
 var untracedDigest = pinTrial(TrialResult{}).traceDigest
 
 // pinnedCases are one Experiment per mode with the first three trials
-// of each recorded as constants. The references were produced by the
-// per-mode single-run entry points that preceded Experiment, each
-// called with trial i's seed rng.DeriveSeed(Seed, i), so they pin the
-// streams those entry points always produced.
+// of each recorded as constants. The four mode-named references were
+// produced by the per-mode single-run entry points that preceded
+// Experiment, each called with trial i's seed rng.DeriveSeed(Seed, i),
+// so they pin the streams those entry points always produced. The
+// other cases were recorded from Experiment itself: sync trials off
+// the flat kernel (Undecided's decided-consensus test, an adversary's
+// PostRound) and round-budget cutoffs, whose winner is the plurality
+// and whose Γ and live are read from the final counts. In gossip, Γ
+// and live count the crashed nodes, which keep their opinion, so they
+// can stay below 1 and above 1 at consensus.
 var pinnedCases = []struct {
+	name   string
 	base   Experiment
 	trials [3]pinnedTrial
 }{
 	{
+		"sync",
 		Experiment{Mode: ModeSync, N: 3000, Protocol: ThreeMajority(), Init: Balanced(8), Seed: 11},
 		[3]pinnedTrial{
-			{36, 0, true, 7, "", 0x26793610e32a9574},
-			{24, 0, true, 7, "", 0xb8d7ff99c8649f35},
-			{24, 0, true, 7, "", 0xcd93d4aa6b8f0c84},
+			{36, 0, true, 7, 0x3ff0000000000000, 1, "", 0x26793610e32a9574},
+			{24, 0, true, 7, 0x3ff0000000000000, 1, "", 0xb8d7ff99c8649f35},
+			{24, 0, true, 7, 0x3ff0000000000000, 1, "", 0xcd93d4aa6b8f0c84},
 		},
 	},
 	{
+		"async",
 		Experiment{Mode: ModeAsync, N: 400, Protocol: TwoChoices(), Init: Balanced(4), Seed: 12},
 		[3]pinnedTrial{
-			{18.155, 7262, true, 0, "", 0x8872c3586af93e32},
-			{21.735, 8694, true, 3, "", 0xad0e5630223bdfe6},
-			{15.9275, 6371, true, 1, "", 0x83968ed43ec4c82d},
+			{18.155, 7262, true, 0, 0x3ff0000000000000, 1, "", 0x8872c3586af93e32},
+			{21.735, 8694, true, 3, 0x3ff0000000000000, 1, "", 0xad0e5630223bdfe6},
+			{15.9275, 6371, true, 1, 0x3ff0000000000000, 1, "", 0x83968ed43ec4c82d},
 		},
 	},
 	{
+		"graph",
 		Experiment{Mode: ModeGraph, N: 600, Topology: RandomRegularTopology(8), Protocol: ThreeMajority(), Init: Balanced(4), Seed: 13},
 		[3]pinnedTrial{
-			{33, 0, true, 2, "", 0x5cac02928bb8f22},
-			{26, 0, true, 3, "", 0xb68b73e6477ed057},
-			{26, 0, true, 0, "", 0x406ec24f55402402},
+			{33, 0, true, 2, 0x3ff0000000000000, 1, "", 0x5cac02928bb8f22},
+			{26, 0, true, 3, 0x3ff0000000000000, 1, "", 0xb68b73e6477ed057},
+			{26, 0, true, 0, 0x3ff0000000000000, 1, "", 0x406ec24f55402402},
 		},
 	},
 	{
+		"gossip",
 		Experiment{Mode: ModeGossip, N: 120, Protocol: Voter(), Init: Balanced(3), LossProb: 0.05, Crashed: []int{3, 7}, Seed: 14},
 		[3]pinnedTrial{
-			{108, 0, true, 1, "[2 118 0]", 0x8b1346f02d86a812},
-			{74, 0, true, 1, "[2 118 0]", 0x4f44e1df1a060946},
-			{113, 0, true, 0, "[120 0 0]", 0x892acaf936efe700},
+			{108, 0, true, 1, 0x3feef37c048d159e, 2, "[2 118 0]", 0x8b1346f02d86a812},
+			{74, 0, true, 1, 0x3feef37c048d159e, 2, "[2 118 0]", 0x4f44e1df1a060946},
+			{113, 0, true, 0, 0x3ff0000000000000, 1, "[120 0 0]", 0x892acaf936efe700},
+		},
+	},
+	{
+		"sync-undecided",
+		Experiment{Mode: ModeSync, N: 3000, Protocol: Undecided(), Init: Balanced(6), Seed: 15},
+		[3]pinnedTrial{
+			{36, 0, true, 0, 0x3ff0000000000000, 1, "", 0xa54a0d57b86fbcd2},
+			{33, 0, true, 2, 0x3ff0000000000000, 1, "", 0xa08e11f86baac176},
+			{34, 0, true, 3, 0x3ff0000000000000, 1, "", 0x5d75cec395240e3d},
+		},
+	},
+	{
+		"sync-hinder-cutoff",
+		Experiment{Mode: ModeSync, N: 3000, Protocol: ThreeMajority(), Init: Balanced(6), Adversary: HinderAdversary(15), MaxRounds: 60, Seed: 16},
+		[3]pinnedTrial{
+			{37, 0, true, 1, 0x3ff0000000000000, 1, "", 0x8cd9a0c15d89317a},
+			{60, 0, false, 4, 0x3fdb53216eb5d81d, 6, "", 0xfbd20a9281b0004b},
+			{22, 0, true, 3, 0x3ff0000000000000, 1, "", 0xfadd46809dfd9a0c},
+		},
+	},
+	{
+		"graph-cutoff",
+		Experiment{Mode: ModeGraph, N: 600, Topology: RingTopology(2), Protocol: TwoChoices(), Init: Balanced(4), MaxRounds: 10, Seed: 17},
+		[3]pinnedTrial{
+			{10, 0, false, 0, 0x3fd04b75199f6ce8, 4, "", 0x5ca5e20413456f9},
+			{10, 0, false, 1, 0x3fd00f9096bb98c8, 4, "", 0x17d7ec243306cb0f},
+			{10, 0, false, 1, 0x3fd01fc44a179323, 4, "", 0xf9e54f4d06512716},
+		},
+	},
+	{
+		"gossip-cutoff",
+		Experiment{Mode: ModeGossip, N: 120, Protocol: ThreeMajority(), Init: Balanced(3), Crashed: []int{5}, MaxRounds: 5, Seed: 18},
+		[3]pinnedTrial{
+			{5, 0, false, 1, 0x3fda8f5c28f5c28f, 3, "[44 62 14]", 0x1ccb3d803273fbb5},
+			{5, 0, false, 1, 0x3fd86f8091a2b3c5, 3, "[37 60 23]", 0x5ad2ef6aad9acbcd},
+			{5, 0, false, 2, 0x3fdc0da740da740e, 3, "[16 34 70]", 0xdd077e745399c6c2},
 		},
 	},
 }
@@ -95,7 +147,7 @@ func TestExperimentEquivalenceMatrixPinned(t *testing.T) {
 	spec := trace.Spec{Policy: trace.PolicyLog2}
 	for _, tc := range pinnedCases {
 		tc := tc
-		t.Run(string(tc.base.Mode), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			for _, parallelism := range []int{1, 0} {
 				for _, traced := range []bool{false, true} {
@@ -264,12 +316,12 @@ func TestExperimentNegativeMaxRoundsIsDefault(t *testing.T) {
 // mid-round at the consensus tick, before the next boundary, so its
 // Stopped flag legitimately stays false there.)
 func TestStopAtConsensusRoundIsUniform(t *testing.T) {
-	for _, base := range stopPropertyCases() {
-		base := base
+	for _, tc := range stopPropertyCases() {
+		base := tc.base
 		if base.Mode == ModeAsync {
 			continue
 		}
-		t.Run(string(base.Mode), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			full := base
 			full.Seed = 6

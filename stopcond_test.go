@@ -6,15 +6,23 @@ import (
 	"plurality/internal/trace"
 )
 
-// stopPropertyCases are one Experiment per mode, sized so the Γ ≥ 1/2
-// crossing happens well before consensus (balanced k=16 starts at
-// γ₀ = 1/16).
-func stopPropertyCases() []Experiment {
-	return []Experiment{
-		{Mode: ModeSync, N: 20_000, Protocol: ThreeMajority(), Init: Balanced(16)},
-		{Mode: ModeAsync, N: 1_500, Protocol: ThreeMajority(), Init: Balanced(16)},
-		{Mode: ModeGraph, N: 1_500, Topology: CompleteTopology(), Protocol: ThreeMajority(), Init: Balanced(16)},
-		{Mode: ModeGossip, N: 256, Protocol: ThreeMajority(), Init: Balanced(8)},
+// stopCase is one named stop-property Experiment.
+type stopCase struct {
+	name string
+	base Experiment
+}
+
+// stopPropertyCases are one Experiment per mode, plus a sync protocol
+// off the flat kernel (Median runs on the Vector engine), sized so the
+// Γ ≥ 1/2 crossing happens well before consensus (balanced k=16 starts
+// at γ₀ = 1/16).
+func stopPropertyCases() []stopCase {
+	return []stopCase{
+		{"sync", Experiment{Mode: ModeSync, N: 20_000, Protocol: ThreeMajority(), Init: Balanced(16)}},
+		{"sync-median", Experiment{Mode: ModeSync, N: 20_000, Protocol: Median(), Init: Balanced(16)}},
+		{"async", Experiment{Mode: ModeAsync, N: 1_500, Protocol: ThreeMajority(), Init: Balanced(16)}},
+		{"graph", Experiment{Mode: ModeGraph, N: 1_500, Topology: CompleteTopology(), Protocol: ThreeMajority(), Init: Balanced(16)}},
+		{"gossip", Experiment{Mode: ModeGossip, N: 256, Protocol: ThreeMajority(), Init: Balanced(8)}},
 	}
 }
 
@@ -27,9 +35,9 @@ func stopPropertyCases() []Experiment {
 // samples and never perturb the streams.
 func TestStopGammaMatchesTraceCrossing(t *testing.T) {
 	full := trace.Spec{Every: 1, MaxPoints: trace.CapMaxPoints}
-	for _, base := range stopPropertyCases() {
-		base := base
-		t.Run(string(base.Mode), func(t *testing.T) {
+	for _, tc := range stopPropertyCases() {
+		base := tc.base
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(1); seed <= 3; seed++ {
 				// Full run, traced at every round boundary.
@@ -156,9 +164,9 @@ func TestStopLiveAndRoundClauses(t *testing.T) {
 // TestStopZeroRound: a condition already true at round 0 stops before
 // any protocol step in every mode.
 func TestStopZeroRound(t *testing.T) {
-	for _, base := range stopPropertyCases() {
-		base := base
-		t.Run(string(base.Mode), func(t *testing.T) {
+	for _, tc := range stopPropertyCases() {
+		base := tc.base
+		t.Run(tc.name, func(t *testing.T) {
 			e := base
 			e.Seed = 4
 			e.Stop = StopWhenLiveAtMost(1 << 20) // true immediately
