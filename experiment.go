@@ -210,21 +210,14 @@ func (o *Outcome) MedianRounds() float64 {
 // topology build exhausting its attempts) — the error of the lowest
 // failing trial index.
 func (e Experiment) Run() (*Outcome, error) {
-	c, err := e.compile()
-	if err != nil {
-		return nil, err
-	}
-	if err := c.prebuild(); err != nil {
-		return nil, err
-	}
-	out := &Outcome{Mode: c.e.Mode, Trials: make([]TrialResult, 0, c.e.NumTrials)}
-	var runErr error
-	c.stream(nil, func(i int, tr TrialResult) bool {
+	n := e.normalize()
+	out := &Outcome{Mode: n.Mode, Trials: make([]TrialResult, 0, max(n.NumTrials, 0))}
+	err := e.Stream(nil, func(_ int, tr TrialResult) bool {
 		out.Trials = append(out.Trials, tr)
 		return true
-	}, &runErr)
-	if runErr != nil {
-		return nil, runErr
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -243,15 +236,12 @@ func (e Experiment) Run() (*Outcome, error) {
 // the sequence early at that index; use Run to observe it as an
 // error.
 func (e Experiment) Trials() (iter.Seq2[int, TrialResult], error) {
-	c, err := e.compile()
+	c, err := e.prepare()
 	if err != nil {
 		return nil, err
 	}
-	if err := c.prebuild(); err != nil {
-		return nil, err
-	}
 	return func(yield func(int, TrialResult) bool) {
-		c.stream(nil, yield, nil)
+		_ = c.stream(nil, yield)
 	}, nil
 }
 
@@ -270,16 +260,24 @@ func (e Experiment) Trials() (iter.Seq2[int, TrialResult], error) {
 // yield returning false stops the stream early without error, as in
 // Trials.
 func (e Experiment) Stream(ctx context.Context, yield func(int, TrialResult) bool) error {
-	c, err := e.compile()
+	c, err := e.prepare()
 	if err != nil {
 		return err
 	}
-	if err := c.prebuild(); err != nil {
-		return err
+	return c.stream(ctx, yield)
+}
+
+// prepare compiles the experiment and prebuilds its init: the
+// validation every entry point runs before any trial.
+func (e Experiment) prepare() (*compiled, error) {
+	c, err := e.compile()
+	if err != nil {
+		return nil, err
 	}
-	var runErr error
-	c.stream(ctx, yield, &runErr)
-	return runErr
+	if err := c.prebuild(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // normalize fills the experiment's defaults.
@@ -554,41 +552,37 @@ var errTrialCancelled = fmt.Errorf("plurality: trial cancelled")
 // complete. Per-trial randomness depends only on (Seed, trial), so the
 // delivered bytes are identical for every Parallelism value. On a
 // per-trial error the stream stops at that index (the lowest failing
-// one, since delivery is in index order) and reports it through
-// errOut; remaining unstarted trials are skipped. A panic inside a
-// trial body is contained to that trial and surfaces the same way — a
-// poisoned configuration fails one experiment, not the process.
+// one, since delivery is in index order) and returns it; remaining
+// unstarted trials are skipped. A panic inside a trial body is
+// contained to that trial and surfaces the same way — a poisoned
+// configuration fails one experiment, not the process.
 //
 // ctx, when non-nil, cancels cooperatively at trial boundaries: no new
 // trial starts after it fires, in-flight trials run to completion, and
-// errOut reports ctx.Err() — the contract the service layer's drain
+// stream returns ctx.Err() — the contract the service layer's drain
 // and job-timeout paths rely on to checkpoint cleanly.
-func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool, errOut *error) {
+func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool) error {
 	trials := c.e.NumTrials
 	first := c.e.FirstTrial
 	if first >= trials {
-		return
+		return nil
 	}
 	parallelism := c.e.Parallelism
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	trialWorkers, graphWorkers := c.workerSplit(parallelism)
-	var samplers []*trace.Sampler
-	if c.e.Trace != nil {
-		samplers = make([]*trace.Sampler, trials)
-		for i := first; i < trials; i++ {
-			samplers[i] = trace.NewSampler(*c.e.Trace, i)
-		}
-	}
 	// Buffered per-trial slots: every worker sends exactly once and
 	// never blocks, so an early consumer break leaks nothing.
 	outs := make([]chan trialOutcome, trials)
 	for i := first; i < trials; i++ {
 		outs[i] = make(chan trialOutcome, 1)
 	}
+	// Whatever ends the stream early — cancellation, a failed trial, a
+	// consumer break — skips the trials not yet started.
 	var cancelled atomic.Bool
-	go c.produce(ctx, trialWorkers, graphWorkers, samplers, outs, &cancelled)
+	defer cancelled.Store(true)
+	go c.produce(ctx, trialWorkers, graphWorkers, outs, &cancelled)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -600,34 +594,22 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 		// the producers happen to outrun it.
 		select {
 		case <-done:
-			cancelled.Store(true)
-			if errOut != nil {
-				*errOut = ctx.Err()
-			}
-			return
+			return ctx.Err()
 		default:
 		}
 		select {
 		case <-done:
-			cancelled.Store(true)
-			if errOut != nil {
-				*errOut = ctx.Err()
-			}
-			return
+			return ctx.Err()
 		case out := <-outs[i]:
 			if out.err != nil {
-				cancelled.Store(true)
-				if errOut != nil {
-					*errOut = out.err
-				}
-				return
+				return out.err
 			}
 			if !yield(i, out.res) {
-				cancelled.Store(true)
-				return
+				return nil
 			}
 		}
 	}
+	return nil
 }
 
 // batchMaxWidth caps the trial range a sync worker claims at once:
@@ -647,7 +629,7 @@ const batchMaxWidth = 64
 // ranges are one trial wide and trials are claimed one index at a
 // time. Each trial consumes only its trial seed rng.DeriveSeed(Seed, i),
 // so the delivered bytes are the same for every Parallelism and width.
-func (c *compiled) produce(ctx context.Context, trialWorkers, graphWorkers int, samplers []*trace.Sampler, outs []chan trialOutcome, cancelled *atomic.Bool) {
+func (c *compiled) produce(ctx context.Context, trialWorkers, graphWorkers int, outs []chan trialOutcome, cancelled *atomic.Bool) {
 	first := c.e.FirstTrial
 	span := c.e.NumTrials - first
 	width := 1
@@ -664,10 +646,7 @@ func (c *compiled) produce(ctx context.Context, trialWorkers, graphWorkers int, 
 				outs[i] <- trialOutcome{err: errTrialCancelled}
 				continue
 			}
-			var tr *trace.Sampler
-			if samplers != nil {
-				tr = samplers[i]
-			}
+			obs := c.observer(i)
 			res, err := func() (res TrialResult, err error) {
 				// Contain trial panics here, where the per-trial result
 				// slot can still be delivered; the scheduler's own
@@ -679,18 +658,19 @@ func (c *compiled) produce(ctx context.Context, trialWorkers, graphWorkers int, 
 				}()
 				seed := rng.DeriveSeed(c.e.Seed, uint64(i))
 				if c.e.Mode != ModeSync {
-					return c.runEngineTrial(seed, tr, graphWorkers)
+					return c.runEngineTrial(seed, obs, graphWorkers)
 				}
 				if runner == nil || c.template == nil {
 					if runner, err = c.syncRunner(); err != nil {
 						return res, err
 					}
 				}
-				var onRound func(round int, s Snapshot) bool
-				if hook := c.e.OnRound; hook != nil {
-					onRound = func(round int, s Snapshot) bool { return hook(i, round, s) }
-				}
-				return c.runSyncTrial(runner, seed, tr, onRound), nil
+				return roundTrial(ModeSync, runner.RunTrial(seed, core.BatchRunConfig{
+					MaxRounds: c.e.MaxRounds,
+					Observer:  obs,
+					PostRound: c.post,
+					Done:      c.usdDone,
+				})), nil
 			}()
 			if err != nil {
 				outs[i] <- trialOutcome{err: err}
@@ -700,13 +680,31 @@ func (c *compiled) produce(ctx context.Context, trialWorkers, graphWorkers int, 
 				continue
 			}
 			res.Trial = i
-			if tr != nil {
-				res.Trace = tr.Points()
+			if obs != nil {
+				res.Stopped = obs.Stopped
+				res.Trace = obs.Trace.Points()
 			}
 			outs[i] <- trialOutcome{res: res}
 		}
 		return nil
 	})
+}
+
+// observer composes trial i's trace sampler, OnRound hook and stop
+// condition into the one observer its engine runs; nil when the trial
+// observes nothing.
+func (c *compiled) observer(i int) *sim.Observer {
+	if c.e.Trace == nil && c.e.OnRound == nil && c.stop.IsZero() {
+		return nil
+	}
+	obs := &sim.Observer{Stop: c.stop}
+	if c.e.Trace != nil {
+		obs.Trace = trace.NewSampler(*c.e.Trace, i)
+	}
+	if hook := c.e.OnRound; hook != nil {
+		obs.OnRound = func(round int64, v sim.View) bool { return hook(i, int(round), Snapshot{v: v}) }
+	}
+	return obs
 }
 
 // syncRunner returns a runner on the experiment's initial
@@ -724,35 +722,16 @@ func (c *compiled) syncRunner() (*core.BatchRunner, error) {
 	return core.NewBatchRunner(c.proto, template), nil
 }
 
-// runSyncTrial is the one sync trial function: it runs the trial
-// seeded by seed on runner, with the trace sampler, the OnRound hook
-// and the stop condition observing every round in that order.
-func (c *compiled) runSyncTrial(runner *core.BatchRunner, seed uint64, tr *trace.Sampler, onRound func(round int, s Snapshot) bool) TrialResult {
-	stopped := false
-	cfg := core.BatchRunConfig{
-		MaxRounds: c.e.MaxRounds,
-		PostRound: c.post,
-		Done:      c.usdDone,
-	}
-	if tr != nil || onRound != nil || !c.stop.IsZero() {
-		spec := c.stop
-		hasStop := !spec.IsZero()
-		cfg.Observer = func(round int, v core.View) bool {
-			tr.Observe(int64(round), v) // nil-safe no-op when untraced
-			hit := onRound != nil && onRound(round, Snapshot{v: v})
-			if hasStop && spec.Done(int64(round), v) {
-				stopped = true
-				hit = true
-			}
-			return hit
-		}
-	}
-	res := runner.RunTrial(seed, cfg)
+// agentMaxRounds is the round budget of a graph or gossip trial that
+// leaves MaxRounds unset.
+const agentMaxRounds = 100_000
+
+// roundTrial maps a sim.Rounds result to mode's TrialResult.
+func roundTrial(mode Mode, res sim.Result) TrialResult {
 	return TrialResult{
-		Mode:      ModeSync,
+		Mode:      mode,
 		Rounds:    float64(res.Rounds),
 		Consensus: res.Consensus,
-		Stopped:   stopped,
 		Winner:    res.Winner,
 		Gamma:     res.Gamma,
 		Live:      res.Live,
@@ -763,21 +742,13 @@ func (c *compiled) runSyncTrial(runner *core.BatchRunner, seed uint64, tr *trace
 // trial seed rng.DeriveSeed(Seed, trial). Each engine expands the seed
 // once more: async and graph draw from rng.DeriveSeed(seed, 0) (graph
 // rounds from rng.DeriveSeed(seed, 1)), and the gossip network takes
-// seed as its own. tr observes rounds; graphWorkers bounds the sharded
-// graph rounds (ignored elsewhere). Sync trials run on runSyncTrial
-// instead.
-func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers int) (TrialResult, error) {
-	stopped := false
-	var stopFn func(round int64, v *population.Vector) bool
-	if !c.stop.IsZero() {
-		spec := c.stop
-		stopFn = func(round int64, v *population.Vector) bool {
-			if spec.Done(round, v) {
-				stopped = true
-				return true
-			}
-			return false
-		}
+// seed as its own. obs observes rounds; graphWorkers bounds the
+// sharded graph rounds (ignored elsewhere). Sync trials run on the
+// range's BatchRunner instead.
+func (c *compiled) runEngineTrial(seed uint64, obs *sim.Observer, graphWorkers int) (TrialResult, error) {
+	maxRounds := c.e.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = agentMaxRounds
 	}
 	switch c.e.Mode {
 	case ModeAsync:
@@ -786,13 +757,12 @@ func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers i
 			return TrialResult{}, err
 		}
 		r := rng.New(rng.DeriveSeed(seed, 0))
-		res := async.Run(r, c.dyn, v, c.e.MaxTicks, tr, stopFn)
+		res := async.Run(r, c.dyn, v, c.e.MaxTicks, obs)
 		return TrialResult{
 			Mode:      ModeAsync,
 			Rounds:    res.Rounds,
 			Ticks:     res.Ticks,
 			Consensus: res.Consensus,
-			Stopped:   stopped,
 			Winner:    res.Winner,
 			Gamma:     res.Gamma,
 			Live:      res.Live,
@@ -811,20 +781,7 @@ func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers i
 		if err != nil {
 			return TrialResult{}, err
 		}
-		maxRounds := c.e.MaxRounds
-		if maxRounds <= 0 {
-			maxRounds = 100_000
-		}
-		res := graph.RunSharded(rng.DeriveSeed(seed, 1), st, c.rule, maxRounds, graphWorkers, tr, stopFn)
-		return TrialResult{
-			Mode:      ModeGraph,
-			Rounds:    float64(res.Rounds),
-			Consensus: res.Consensus,
-			Stopped:   stopped,
-			Winner:    int(res.Winner),
-			Gamma:     res.Gamma,
-			Live:      res.Live,
-		}, nil
+		return roundTrial(ModeGraph, graph.RunSharded(rng.DeriveSeed(seed, 1), st, c.rule, maxRounds, graphWorkers, obs)), nil
 	case ModeGossip:
 		v, err := c.e.Init.build(c.e.N)
 		if err != nil {
@@ -842,26 +799,13 @@ func (c *compiled) runEngineTrial(seed uint64, tr *trace.Sampler, graphWorkers i
 			return TrialResult{}, err
 		}
 		defer nw.Close()
-		maxRounds := c.e.MaxRounds
-		if maxRounds <= 0 {
-			maxRounds = 100_000
-		}
-		res := nw.Run(maxRounds, tr, stopFn)
+		tr := roundTrial(ModeGossip, nw.Run(maxRounds, obs))
 		final := nw.Counts()
-		counts := make([]int64, final.K())
-		for i := range counts {
-			counts[i] = final.Count(i)
+		tr.FinalCounts = make([]int64, final.K())
+		for i := range tr.FinalCounts {
+			tr.FinalCounts[i] = final.Count(i)
 		}
-		return TrialResult{
-			Mode:        ModeGossip,
-			Rounds:      float64(res.Rounds),
-			Consensus:   res.Consensus,
-			Stopped:     stopped,
-			Winner:      int(res.Winner),
-			Gamma:       res.Gamma,
-			Live:        res.Live,
-			FinalCounts: counts,
-		}, nil
+		return tr, nil
 	}
 	panic(fmt.Sprintf("plurality: runEngineTrial has no %q engine", c.e.Mode)) // compile validated the mode
 }

@@ -9,6 +9,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 	"plurality/internal/trace"
 )
 
@@ -111,22 +112,25 @@ func oracle(t *testing.T, e Experiment, init Init, hooked bool) (*Outcome, [][]s
 			sampler = trace.NewSampler(e.Trace.Normalize(), i)
 		}
 		stopped := false
-		res := core.Run(rng.New(rng.DeriveSeed(e.Seed, uint64(i))), e.Protocol.impl, v, core.RunConfig{
+		res := core.Run(rng.New(rng.DeriveSeed(e.Seed, uint64(i))), e.Protocol.impl, v, core.BatchRunConfig{
 			MaxRounds: e.MaxRounds,
 			PostRound: adversary.PostRound(e.Adversary.impl),
 			Done:      done,
-			Observer: func(round int, v *population.Vector) bool {
-				sampler.Observe(int64(round), v)
+			// The trace → hook → stop order composed by hand, as an
+			// oracle independent of sim.Observer's composition.
+			Observer: &sim.Observer{OnRound: func(round64 int64, view sim.View) bool {
+				round, v := int(round64), view.(*population.Vector)
+				sampler.Observe(round64, v)
 				hit := false
 				if hooked {
 					records[i] = append(records[i], recordVector(round, v))
 					hit = v.Live() <= hookStopsAt
 				}
-				if !e.Stop.spec.IsZero() && e.Stop.spec.Done(int64(round), v) {
+				if !e.Stop.spec.IsZero() && e.Stop.spec.Done(round64, v) {
 					stopped, hit = true, true
 				}
 				return hit
-			},
+			}},
 		})
 		tr := TrialResult{
 			Trial: i, Mode: ModeSync, Rounds: float64(res.Rounds), Consensus: res.Consensus,

@@ -7,6 +7,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 func TestNames(t *testing.T) {
@@ -118,9 +119,9 @@ func TestScatterSingleLiveNoop(t *testing.T) {
 // budget must stall it entirely (cf. GL18's F = O(√n/k^1.5) threshold).
 func TestHinderDelaysConsensus(t *testing.T) {
 	const n, k = 2000, 2
-	run := func(f int64, seed uint64) core.RunResult {
+	run := func(f int64, seed uint64) sim.Result {
 		v := population.Balanced(n, k)
-		return core.Run(rng.New(seed), core.ThreeMajority{}, v, core.RunConfig{
+		return core.Run(rng.New(seed), core.ThreeMajority{}, v, core.BatchRunConfig{
 			MaxRounds: 2000,
 			PostRound: PostRound(Hinder{F: f}),
 		})
@@ -152,10 +153,10 @@ func TestHelpAcceleratesConsensus(t *testing.T) {
 	var free, helped int
 	for i := uint64(0); i < 5; i++ {
 		v := population.Balanced(n, k)
-		r0 := core.Run(rng.New(30+i), core.ThreeMajority{}, v, core.RunConfig{MaxRounds: 100000})
+		r0 := core.Run(rng.New(30+i), core.ThreeMajority{}, v, core.BatchRunConfig{MaxRounds: 100000})
 		free += r0.Rounds
 		v = population.Balanced(n, k)
-		r1 := core.Run(rng.New(40+i), core.ThreeMajority{}, v, core.RunConfig{
+		r1 := core.Run(rng.New(40+i), core.ThreeMajority{}, v, core.BatchRunConfig{
 			MaxRounds: 100000,
 			PostRound: PostRound(Help{F: 50}),
 		})

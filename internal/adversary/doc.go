@@ -7,7 +7,7 @@
 //
 // Because the dynamics run on the complete graph, an adversary
 // strategy is just a bounded mutation of the opinion-count vector; the
-// strategies plug into core.RunConfig.PostRound.
+// strategies plug into core.BatchRunConfig.PostRound.
 //
 // The contract above is owned by DESIGN.md §"The sparse live-opinion
 // engine".

@@ -5,7 +5,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/trace"
+	"plurality/internal/sim"
 )
 
 // Dynamics is a single-vertex-update rule applied at every tick.
@@ -88,74 +88,51 @@ type RunResult struct {
 // Run executes d from configuration v until consensus or maxTicks
 // updates. v is not modified.
 //
-// tr, if non-nil, samples the configuration at full
+// observer, if non-nil, sees the configuration at full
 // synchronous-equivalent round boundaries (every n ticks; round 0 is
-// the initial configuration); the O(k) count materialisation is paid
-// only for rounds the tracer's decimation policy keeps. stop, if
-// non-nil, is evaluated on the materialised configuration at the same
-// boundaries, and a true return ends the run there. Neither draws
-// randomness from the run's stream — a traced run matches the plain
-// run of the same seed, and a stopped run is byte-for-byte its prefix
-// — and when both are nil the per-tick cost is one comparison.
-func Run(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) RunResult {
+// the initial configuration), and may end the run there; the O(k)
+// count materialisation is paid only for rounds it wants. Consensus
+// can land mid-round, so this tick loop is the one engine loop outside
+// sim.Rounds; it observes through the same composed sim.Observer,
+// which draws nothing from the run's stream — an observed run matches
+// the plain run of the same seed, and a stopped run is byte-for-byte
+// its prefix.
+func Run(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64, observer *sim.Observer) RunResult {
 	f := population.NewFenwick(v.Counts())
 	n := f.Total()
-	finish := func(ticks int64, consensus bool, winner int, gamma float64, live int) RunResult {
-		return RunResult{
-			Ticks:     ticks,
-			Rounds:    float64(ticks) / float64(n),
-			Consensus: consensus,
-			Winner:    winner,
-			Gamma:     gamma,
-			Live:      live,
-		}
-	}
-	// cutoff finishes a run stopped short of consensus (stop hook or
-	// tick budget) on an already-materialised configuration.
-	cutoff := func(ticks int64, vec *population.Vector) RunResult {
+	// finish reads the winner, Γ and live from the final counts, as
+	// sim.Rounds does.
+	finish := func(ticks int64) RunResult {
+		vec := f.Vector()
 		op, ok := vec.Consensus()
 		if !ok {
 			op, _ = vec.MaxOpinion()
 		}
-		return finish(ticks, ok, op, vec.Gamma(), vec.Live())
-	}
-	// observe materializes the counts at most once per round boundary,
-	// shared by the sampler and the stop hook.
-	observe := func(round int64) (vec *population.Vector, stopped bool) {
-		if stop == nil && !tr.Wants(round) {
-			return nil, false
+		return RunResult{
+			Ticks:     ticks,
+			Rounds:    float64(ticks) / float64(n),
+			Consensus: ok,
+			Winner:    op,
+			Gamma:     vec.Gamma(),
+			Live:      vec.Live(),
 		}
-		vec = f.Vector()
-		tr.Observe(round, vec)
-		return vec, stop != nil && stop(round, vec)
 	}
-	if vec, stopped := observe(0); stopped {
-		return cutoff(0, vec)
+	if observer.Wants(0) && observer.Observe(0, f.Vector()) {
+		return finish(0)
 	}
-	if op, ok := consensusOf(f); ok {
-		return finish(0, true, op, 1, 1)
+	if v.Live() == 1 {
+		return finish(0)
 	}
 	for t := int64(1); t <= maxTicks; t++ {
 		next := d.Tick(r, f)
-		if (tr != nil || stop != nil) && t%n == 0 {
-			if vec, stopped := observe(t / n); stopped {
-				return cutoff(t, vec)
-			}
+		if observer != nil && t%n == 0 && observer.Wants(t/n) && observer.Observe(t/n, f.Vector()) {
+			return finish(t)
 		}
 		// Only the opinion that just gained a vertex can have reached
 		// consensus, so the check is O(1) per tick.
 		if f.Count(next) == n {
-			return finish(t, true, next, 1, 1)
+			return finish(t)
 		}
 	}
-	return cutoff(maxTicks, f.Vector())
-}
-
-func consensusOf(f *population.Fenwick) (int, bool) {
-	for i := 0; i < f.K(); i++ {
-		if f.Count(i) == f.Total() {
-			return i, true
-		}
-	}
-	return 0, false
+	return finish(maxTicks)
 }

@@ -52,7 +52,7 @@ func TestRunReachesConsensus(t *testing.T) {
 		t.Run(d.Name(), func(t *testing.T) {
 			r := rng.New(2)
 			v := population.Balanced(300, 4)
-			res := Run(r, d, v, 50_000_000, nil, nil)
+			res := Run(r, d, v, 50_000_000, nil)
 			if !res.Consensus {
 				t.Fatalf("no consensus in %d ticks", res.Ticks)
 			}
@@ -70,7 +70,7 @@ func TestRunReachesConsensus(t *testing.T) {
 func TestRunImmediateConsensus(t *testing.T) {
 	r := rng.New(3)
 	v := population.MustFromCounts([]int64{0, 50})
-	res := Run(r, ThreeMajority, v, 1000, nil, nil)
+	res := Run(r, ThreeMajority, v, 1000, nil)
 	if !res.Consensus || res.Ticks != 0 || res.Winner != 1 {
 		t.Fatalf("result %+v", res)
 	}
@@ -79,7 +79,7 @@ func TestRunImmediateConsensus(t *testing.T) {
 func TestRunTickCap(t *testing.T) {
 	r := rng.New(4)
 	v := population.Balanced(10000, 100)
-	res := Run(r, TwoChoices, v, 50, nil, nil)
+	res := Run(r, TwoChoices, v, 50, nil)
 	if res.Consensus {
 		t.Fatal("consensus impossible in 50 ticks")
 	}
@@ -116,7 +116,7 @@ func TestAsyncMatchesSyncRoundEquivalence(t *testing.T) {
 	r := rng.New(6)
 	for i := 0; i < trials; i++ {
 		v := population.Balanced(n, k)
-		res := Run(r, ThreeMajority, v, 100_000_000, nil, nil)
+		res := Run(r, ThreeMajority, v, 100_000_000, nil)
 		if !res.Consensus {
 			t.Fatal("async did not converge")
 		}

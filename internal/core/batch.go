@@ -3,48 +3,36 @@ package core
 import (
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
-// View is the read-only observable surface of a running configuration:
-// the aggregates stop conditions, trace samplers and OnRound snapshots
-// consume. Both *population.Vector and the flat batch kernel implement
-// it, so observers written against View run unchanged on either
-// executor.
-type View interface {
-	// N returns the number of vertices.
-	N() int64
-	// K returns the number of opinion slots.
-	K() int
-	// Count returns the number of supporters of opinion i.
-	Count(i int) int64
-	// Gamma returns γ = Σ α².
-	Gamma() float64
-	// Live returns the number of live opinions.
-	Live() int
-	// MaxOpinion returns the plurality opinion and its count (lowest
-	// index on ties).
-	MaxOpinion() (opinion int, count int64)
-	// SumCubes returns Σ α³.
-	SumCubes() float64
+// BatchRunConfig controls one sync trial, on a BatchRunner or on the
+// Run oracle.
+type BatchRunConfig struct {
+	// MaxRounds bounds the run; 0 means DefaultMaxRounds. A run that
+	// hits the bound reports Consensus = false.
+	MaxRounds int
+	// Observer, if non-nil, watches the rounds (round 0 is the initial
+	// configuration) and may end the run; see sim.Observer.
+	Observer *sim.Observer
+	// PostRound, if non-nil, is invoked after each round's protocol
+	// step and before the Observer; adversaries hook in here and may
+	// mutate the configuration (preserving its invariants).
+	PostRound func(round int, r *rng.Rand, v *population.Vector)
+	// Done, if non-nil, replaces the default consensus test as the
+	// termination condition (e.g. Undecided-State Dynamics terminates
+	// on decided consensus). Either hook being non-nil routes the
+	// trial off the flat kernel, since both work on the Vector
+	// representation directly.
+	Done func(v *population.Vector) bool
 }
 
-var _ View = (*population.Vector)(nil)
-
-// BatchRunConfig controls one trial of a BatchRunner. It mirrors
-// RunConfig, with the observer widened to View so the flat kernel can
-// drive it without materializing a Vector.
-type BatchRunConfig struct {
-	// MaxRounds bounds the run; 0 means DefaultMaxRounds.
-	MaxRounds int
-	// Observer, if non-nil, is called after every round (and once for
-	// round 0). Returning true stops the run early. The View must not
-	// be retained across calls.
-	Observer func(round int, v View) (stop bool)
-	// PostRound and Done are forwarded to the generic engine; either
-	// being non-nil routes the trial off the flat kernel, since both
-	// mutate or inspect the Vector representation directly.
-	PostRound func(round int, r *rng.Rand, v *population.Vector)
-	Done      func(v *population.Vector) bool
+// maxRounds is cfg's round budget with the default applied.
+func maxRounds(cfg BatchRunConfig) int {
+	if cfg.MaxRounds <= 0 {
+		return DefaultMaxRounds
+	}
+	return cfg.MaxRounds
 }
 
 // BatchRunner runs many trials of one (protocol, initial configuration)
@@ -66,7 +54,7 @@ type BatchRunConfig struct {
 type BatchRunner struct {
 	proto    Protocol
 	template *population.Vector
-	flat     *flatState
+	flat     flatRun
 	work     *population.Vector
 	scratch  Scratch
 	r        rng.Rand
@@ -77,72 +65,47 @@ type BatchRunner struct {
 func NewBatchRunner(p Protocol, template *population.Vector) *BatchRunner {
 	b := &BatchRunner{proto: p, template: template}
 	if kind := flatKindOf(p); kind != flatNone {
-		b.flat = newFlatState(kind, template)
+		b.flat = flatRun{f: newFlatState(kind, template), r: &b.r, s: &b.scratch}
 	}
 	return b
 }
 
 // RunTrial executes one trial from the template configuration with the
 // stream seeded by seed, byte-identical to
-// Run(rng.New(seed), proto, template.Clone(), ...).
-func (b *BatchRunner) RunTrial(seed uint64, cfg BatchRunConfig) RunResult {
+// Run(rng.New(seed), proto, template.Clone(), cfg). Both run through
+// sim.Rounds; the flat kernel replaces the Vector engine when the
+// protocol has one and no PostRound/Done hook needs the Vector.
+func (b *BatchRunner) RunTrial(seed uint64, cfg BatchRunConfig) sim.Result {
 	b.r.Reseed(seed)
-	r := &b.r
-	if b.flat != nil && cfg.PostRound == nil && cfg.Done == nil {
-		return b.runFlat(r, cfg)
+	if b.flat.f != nil && cfg.PostRound == nil && cfg.Done == nil {
+		b.flat.f.reset()
+		return sim.Rounds(&b.flat, maxRounds(cfg), cfg.Observer)
 	}
 	if b.work == nil {
 		b.work = b.template.Clone()
 	} else {
 		b.work.CopyFrom(b.template)
 	}
-	rc := RunConfig{
-		MaxRounds: cfg.MaxRounds,
-		PostRound: cfg.PostRound,
-		Done:      cfg.Done,
-		Scratch:   &b.scratch,
-	}
-	if cfg.Observer != nil {
-		obs := cfg.Observer
-		rc.Observer = func(round int, v *population.Vector) bool {
-			return obs(round, v)
-		}
-	}
-	return Run(r, b.proto, b.work, rc)
+	return runVector(&b.r, b.proto, b.work, &b.scratch, cfg)
 }
 
-// runFlat is Run's control flow on the flat kernel; every branch
-// mirrors the generic engine so stop/trace observers fire at the same
-// rounds with bitwise-equal observables.
-func (b *BatchRunner) runFlat(r *rng.Rand, cfg BatchRunConfig) RunResult {
-	f := b.flat
-	f.reset()
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
-
-	finish := func(rounds int, consensus bool) RunResult {
-		// At consensus MaxOpinion's scan returns the single live slot —
-		// the same winner Consensus() reports on the Vector path.
-		winner, _ := f.MaxOpinion()
-		return RunResult{Rounds: rounds, Consensus: consensus, Winner: winner, Gamma: f.Gamma(), Live: f.numLive}
-	}
-
-	if cfg.Observer != nil && cfg.Observer(0, f) {
-		return finish(0, f.numLive == 1)
-	}
-	if f.numLive == 1 {
-		return finish(0, true)
-	}
-	for t := 1; t <= maxRounds; t++ {
-		f.step(r, &b.scratch)
-		if cfg.Observer != nil && cfg.Observer(t, f) {
-			return finish(t, f.numLive == 1)
-		}
-		if f.numLive == 1 {
-			return finish(t, true)
-		}
-	}
-	return finish(maxRounds, false)
+// flatRun is the flat kernel as sim.Rounds drives it. The kernel is
+// its own View, so observing a round materialises nothing.
+type flatRun struct {
+	f *flatState
+	r *rng.Rand
+	s *Scratch
 }
+
+func (e *flatRun) Step(int) { e.f.step(e.r, e.s) }
+
+func (e *flatRun) Consensus() (int, bool) {
+	if e.f.numLive != 1 {
+		return 0, false
+	}
+	// The single live slot is the plurality.
+	winner, _ := e.f.MaxOpinion()
+	return winner, true
+}
+
+func (e *flatRun) View() sim.View { return e.f }

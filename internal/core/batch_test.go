@@ -7,12 +7,13 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 // roundObs is one round's full observable surface, as a stop condition
-// or trace sampler would read it through View.
+// or trace sampler would read it through sim.View.
 type roundObs struct {
-	round    int
+	round    int64
 	n        int64
 	gamma    float64
 	live     int
@@ -23,7 +24,12 @@ type roundObs struct {
 	counts   []int64 // Count(i) for every slot i < k
 }
 
-func observe(round int, v View) roundObs {
+// onRound is an observer that hands every round to f.
+func onRound(f func(round int64, v sim.View) bool) *sim.Observer {
+	return &sim.Observer{OnRound: f}
+}
+
+func observe(round int64, v sim.View) roundObs {
 	op, c := v.MaxOpinion()
 	counts := make([]int64, v.K())
 	for i := range counts {
@@ -39,29 +45,29 @@ func observe(round int, v View) roundObs {
 // serialReference runs one trial on the generic Vector engine and
 // records every round's observables — the reference the batch runner
 // must reproduce bitwise.
-func serialReference(p Protocol, counts []int64, seed uint64, maxRounds int) (RunResult, []roundObs) {
+func serialReference(p Protocol, counts []int64, seed uint64, maxRounds int) (sim.Result, []roundObs) {
 	v := population.MustFromCounts(counts)
 	var seen []roundObs
-	res := Run(rng.New(seed), p, v, RunConfig{
+	res := Run(rng.New(seed), p, v, BatchRunConfig{
 		MaxRounds: maxRounds,
-		Observer: func(round int, v *population.Vector) bool {
+		Observer: onRound(func(round int64, v sim.View) bool {
 			seen = append(seen, observe(round, v))
 			return false
-		},
+		}),
 	})
 	return res, seen
 }
 
 // batchTrial runs one trial through a BatchRunner with the same
 // observer wiring.
-func batchTrial(b *BatchRunner, seed uint64, maxRounds int) (RunResult, []roundObs) {
+func batchTrial(b *BatchRunner, seed uint64, maxRounds int) (sim.Result, []roundObs) {
 	var seen []roundObs
 	res := b.RunTrial(seed, BatchRunConfig{
 		MaxRounds: maxRounds,
-		Observer: func(round int, v View) bool {
+		Observer: onRound(func(round int64, v sim.View) bool {
 			seen = append(seen, observe(round, v))
 			return false
-		},
+		}),
 	})
 	return res, seen
 }
@@ -157,10 +163,10 @@ func TestBatchRunnerStageBIdenticalToSerial(t *testing.T) {
 			b := NewBatchRunner(tc.p, population.MustFromCounts(tc.counts))
 			for seed := uint64(0); seed < 4; seed++ {
 				assertTrialMatches(t, tc.p, b, tc.counts, 0x51ab^seed, 0)
-				b.RunTrial(0x51ab^seed, BatchRunConfig{Observer: func(round int, v View) bool {
-					checkFlatAggregates(t, round, v.(*flatState))
+				b.RunTrial(0x51ab^seed, BatchRunConfig{Observer: onRound(func(round int64, v sim.View) bool {
+					checkFlatAggregates(t, int(round), v.(*flatState))
 					return false
-				}})
+				})})
 			}
 		})
 	}
@@ -233,11 +239,9 @@ func TestBatchRunnerReusedStateIdentical(t *testing.T) {
 func TestBatchRunnerObserverStop(t *testing.T) {
 	counts := []int64{500, 300, 200, 100}
 	for _, p := range batchProtocols {
-		stopAt := func(round int, _ View) bool { return round >= 2 }
+		stopAt := onRound(func(round int64, _ sim.View) bool { return round >= 2 })
 		v := population.MustFromCounts(counts)
-		want := Run(rng.New(5), p, v, RunConfig{
-			Observer: func(round int, _ *population.Vector) bool { return round >= 2 },
-		})
+		want := Run(rng.New(5), p, v, BatchRunConfig{Observer: stopAt})
 		b := NewBatchRunner(p, population.MustFromCounts(counts))
 		got := b.RunTrial(5, BatchRunConfig{Observer: stopAt})
 		if got != want {

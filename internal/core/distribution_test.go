@@ -6,6 +6,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 // Distribution-level tests: at small n the exact law of the next-round
@@ -208,9 +209,9 @@ func TestRunDeterministicGolden(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			run := func() RunResult {
+			run := func() sim.Result {
 				v := population.Balanced(10000, 32)
-				return Run(rng.New(c.seed), c.proto, v, RunConfig{})
+				return Run(rng.New(c.seed), c.proto, v, BatchRunConfig{})
 			}
 			first := run()
 			second := run()

@@ -5,6 +5,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 func TestRunReachesConsensus(t *testing.T) {
@@ -13,7 +14,7 @@ func TestRunReachesConsensus(t *testing.T) {
 		t.Run(p.Name(), func(t *testing.T) {
 			r := rng.New(42)
 			v := population.Balanced(2000, 8)
-			res := Run(r, p, v, RunConfig{MaxRounds: 200000})
+			res := Run(r, p, v, BatchRunConfig{MaxRounds: 200000})
 			if !res.Consensus {
 				t.Fatalf("no consensus within %d rounds", res.Rounds)
 			}
@@ -31,7 +32,7 @@ func TestRunReachesConsensus(t *testing.T) {
 func TestRunImmediateConsensus(t *testing.T) {
 	r := rng.New(1)
 	v := population.MustFromCounts([]int64{0, 100})
-	res := Run(r, ThreeMajority{}, v, RunConfig{})
+	res := Run(r, ThreeMajority{}, v, BatchRunConfig{})
 	if !res.Consensus || res.Rounds != 0 || res.Winner != 1 {
 		t.Fatalf("unexpected result %+v", res)
 	}
@@ -40,7 +41,7 @@ func TestRunImmediateConsensus(t *testing.T) {
 func TestRunMaxRoundsCap(t *testing.T) {
 	r := rng.New(2)
 	v := population.Balanced(100000, 100)
-	res := Run(r, TwoChoices{}, v, RunConfig{MaxRounds: 3})
+	res := Run(r, TwoChoices{}, v, BatchRunConfig{MaxRounds: 3})
 	if res.Consensus {
 		t.Fatal("consensus impossible in 3 rounds from balanced 100k/100")
 	}
@@ -53,12 +54,12 @@ func TestRunObserverSeesAllRounds(t *testing.T) {
 	r := rng.New(3)
 	v := population.Balanced(500, 4)
 	var rounds []int
-	res := Run(r, ThreeMajority{}, v, RunConfig{
+	res := Run(r, ThreeMajority{}, v, BatchRunConfig{
 		MaxRounds: 100000,
-		Observer: func(round int, v *population.Vector) bool {
-			rounds = append(rounds, round)
+		Observer: onRound(func(round int64, v sim.View) bool {
+			rounds = append(rounds, int(round))
 			return false
-		},
+		}),
 	})
 	if len(rounds) != res.Rounds+1 {
 		t.Fatalf("observer called %d times for %d rounds", len(rounds), res.Rounds)
@@ -73,8 +74,8 @@ func TestRunObserverSeesAllRounds(t *testing.T) {
 func TestRunObserverEarlyStop(t *testing.T) {
 	r := rng.New(4)
 	v := population.Balanced(1000, 4)
-	res := Run(r, ThreeMajority{}, v, RunConfig{
-		Observer: func(round int, v *population.Vector) bool { return round >= 2 },
+	res := Run(r, ThreeMajority{}, v, BatchRunConfig{
+		Observer: onRound(func(round int64, v sim.View) bool { return round >= 2 }),
 	})
 	if res.Rounds != 2 {
 		t.Fatalf("rounds = %d, want 2 (early stop)", res.Rounds)
@@ -88,7 +89,7 @@ func TestRunCustomDone(t *testing.T) {
 	r := rng.New(5)
 	v := population.Balanced(10000, 100)
 	target := 3 * v.Gamma()
-	res := Run(r, ThreeMajority{}, v, RunConfig{
+	res := Run(r, ThreeMajority{}, v, BatchRunConfig{
 		Done: func(v *population.Vector) bool { return v.Gamma() >= target },
 	})
 	if !res.Consensus {
@@ -104,7 +105,7 @@ func TestRunPostRoundMutation(t *testing.T) {
 	r := rng.New(6)
 	init := population.Balanced(1000, 2)
 	v := init.Clone()
-	res := Run(r, ThreeMajority{}, v, RunConfig{
+	res := Run(r, ThreeMajority{}, v, BatchRunConfig{
 		MaxRounds: 50,
 		PostRound: func(round int, r *rng.Rand, v *population.Vector) {
 			v.CopyFrom(init)
@@ -123,7 +124,7 @@ func TestRunValidity(t *testing.T) {
 	r := rng.New(7)
 	for trial := 0; trial < 10; trial++ {
 		v := population.MustFromCounts([]int64{0, 300, 200, 0, 500})
-		res := Run(r, TwoChoices{}, v, RunConfig{})
+		res := Run(r, TwoChoices{}, v, BatchRunConfig{})
 		if !res.Consensus {
 			t.Fatal("no consensus")
 		}
@@ -137,7 +138,7 @@ func TestRunUndecidedDynamics(t *testing.T) {
 	r := rng.New(8)
 	// 3 real opinions + undecided slot; biased toward opinion 0.
 	v := population.MustFromCounts([]int64{500, 300, 200, 0})
-	res := Run(r, Undecided{}, v, RunConfig{
+	res := Run(r, Undecided{}, v, BatchRunConfig{
 		MaxRounds: 200000,
 		Done: func(v *population.Vector) bool {
 			_, ok := DecidedConsensus(v)

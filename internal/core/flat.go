@@ -6,6 +6,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 // This file holds the flat batch kernel: a re-representation of the
@@ -186,7 +187,7 @@ func (f *flatState) reset() {
 	f.clsOK = false
 }
 
-// The observable surface (the View interface): identical expressions,
+// The observable surface (the sim.View interface): identical expressions,
 // iteration order and skip rules as the *population.Vector methods of
 // the same names, so every observed value is bitwise equal.
 
@@ -239,7 +240,7 @@ func (f *flatState) SumCubes() float64 {
 	return sum
 }
 
-var _ View = (*flatState)(nil)
+var _ sim.View = (*flatState)(nil)
 
 // step advances the configuration by one round, drawing exactly the
 // serial Step's sequence from r.

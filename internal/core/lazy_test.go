@@ -67,7 +67,7 @@ func TestLazyInvariantsAndValidity(t *testing.T) {
 func TestLazySlowsConsensus(t *testing.T) {
 	run := func(beta float64, seed uint64) int {
 		v := population.Balanced(5000, 8)
-		res := Run(rng.New(seed), Lazy{Base: ThreeMajority{}, Beta: beta}, v, RunConfig{MaxRounds: 500000})
+		res := Run(rng.New(seed), Lazy{Base: ThreeMajority{}, Beta: beta}, v, BatchRunConfig{MaxRounds: 500000})
 		if !res.Consensus {
 			t.Fatalf("beta=%v did not converge", beta)
 		}

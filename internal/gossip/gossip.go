@@ -7,7 +7,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/trace"
+	"plurality/internal/sim"
 )
 
 // Rule selects the update rule (Definition 3.1 forms).
@@ -326,8 +326,9 @@ func (n *node) pullOne() (int32, bool) {
 	}
 }
 
-// Round executes one synchronous round and returns the updated counts.
-func (nw *Network) Round() *population.Vector {
+// Round executes one synchronous round: every node samples, then, past
+// the barrier, every node commits. Counts reads the result.
+func (nw *Network) Round() {
 	if nw.closed {
 		panic("gossip: Round after Close")
 	}
@@ -343,7 +344,6 @@ func (nw *Network) Round() *population.Vector {
 	for _, n := range nw.nodes {
 		n.ctrl <- command{kind: cmdCommit}
 	}
-	return nw.Counts()
 }
 
 // Counts returns the coordinator's view of the opinion counts (valid
@@ -382,76 +382,42 @@ func (nw *Network) AliveConsensus() (opinion int32, ok bool) {
 	return first, true
 }
 
-// Result reports how a gossip run ended. Gamma and Live are the final
-// potential Γ = Σ α² and live-opinion count over the full population,
-// crashed (frozen) nodes included — so they can stay below 1 and
-// above 1 respectively even at alive-consensus.
-type Result struct {
-	Rounds    int
-	Consensus bool
-	Winner    int32
-	Gamma     float64
-	Live      int
+// Run executes rounds through sim.Rounds until all alive nodes agree
+// or maxRounds. The final Γ and live count the full population,
+// crashed (frozen) nodes included, so they can stay below 1 and above
+// 1 respectively even at alive-consensus.
+//
+// observer, if non-nil, reads the coordinator's authoritative opinion
+// counts after the commit barrier, when no node goroutine is mutating
+// them, and never touches the node PRNG streams — so traces are
+// deterministic in the network's seed regardless of goroutine
+// scheduling.
+func (nw *Network) Run(maxRounds int, observer *sim.Observer) sim.Result {
+	return sim.Rounds(&networkRun{nw: nw}, maxRounds, observer)
 }
 
-// Run executes rounds until all alive nodes agree or maxRounds.
-//
-// tr, if non-nil, samples the coordinator's authoritative opinion
-// counts between rounds, and stop, if non-nil, is evaluated on them
-// (at round 0 before any pull too); a true return ends the run there.
-// Both read only the coordinator's state after the commit barrier,
-// when no node goroutine is mutating it, and never touch the node PRNG
-// streams — so traces are deterministic in the network's seed
-// regardless of goroutine scheduling, and a stopped run is
-// byte-for-byte the prefix of the unstopped run of the same seed. Kept
-// rounds reuse the counts Round materializes anyway; when both are nil
-// the per-round cost is one comparison.
-func (nw *Network) Run(maxRounds int, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) Result {
-	finish := func(rounds int, consensus bool, winner int32, v *population.Vector) Result {
-		if v == nil {
-			v = nw.Counts()
-		}
-		return Result{Rounds: rounds, Consensus: consensus, Winner: winner, Gamma: v.Gamma(), Live: v.Live()}
+// networkRun is the gossip network as sim.Rounds drives it.
+type networkRun struct {
+	nw *Network
+	// counts caches this round's materialised counts (nil until asked).
+	counts *population.Vector
+}
+
+func (e *networkRun) Step(int) {
+	e.nw.Round()
+	e.counts = nil
+}
+
+func (e *networkRun) Consensus() (int, bool) {
+	op, ok := e.nw.AliveConsensus()
+	return int(op), ok
+}
+
+func (e *networkRun) View() sim.View {
+	if e.counts == nil {
+		e.counts = e.nw.Counts()
 	}
-	if stop != nil || tr.Wants(0) {
-		// One shared materialisation for the sampler and the stop hook.
-		v := nw.Counts()
-		tr.Observe(0, v)
-		if stop != nil && stop(0, v) {
-			if op, ok := nw.AliveConsensus(); ok {
-				return finish(0, true, op, v)
-			}
-			op, _ := v.MaxOpinion()
-			return finish(0, false, int32(op), v)
-		}
-	}
-	if op, ok := nw.AliveConsensus(); ok {
-		return finish(0, true, op, nil)
-	}
-	for t := 1; t <= maxRounds; t++ {
-		// Round already materializes the post-commit counts; reuse them
-		// rather than paying the O(n + k) scan twice on kept rounds.
-		v := nw.Round()
-		if tr.Wants(int64(t)) {
-			tr.Observe(int64(t), v)
-		}
-		// Stop hook before the consensus test, like every engine: a
-		// condition first holding at the consensus round still
-		// observes the stop, and the result stays the consensus one.
-		if stop != nil && stop(int64(t), v) {
-			if op, ok := nw.AliveConsensus(); ok {
-				return finish(t, true, op, v)
-			}
-			op, _ := v.MaxOpinion()
-			return finish(t, false, int32(op), v)
-		}
-		if op, ok := nw.AliveConsensus(); ok {
-			return finish(t, true, op, v)
-		}
-	}
-	v := nw.Counts()
-	op, _ := v.MaxOpinion()
-	return finish(maxRounds, false, int32(op), v)
+	return e.counts
 }
 
 // Close stops all node goroutines and waits for them to exit. It is

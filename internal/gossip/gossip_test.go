@@ -56,7 +56,8 @@ func TestRoundConservesPopulation(t *testing.T) {
 		Seed: 1,
 	})
 	for i := 0; i < 10; i++ {
-		v := nw.Round()
+		nw.Round()
+		v := nw.Counts()
 		if v.N() != 60 {
 			t.Fatalf("round %d: population %d", i, v.N())
 		}
@@ -76,12 +77,12 @@ func TestRunReachesConsensus(t *testing.T) {
 				Init: population.Balanced(120, 4),
 				Seed: 2,
 			})
-			res := nw.Run(20000, nil, nil)
+			res := nw.Run(20000, nil)
 			if !res.Consensus {
 				t.Fatalf("no consensus in %d rounds", res.Rounds)
 			}
 			v := nw.Counts()
-			if op, ok := v.Consensus(); !ok || int32(op) != res.Winner {
+			if op, ok := v.Consensus(); !ok || op != res.Winner {
 				t.Fatalf("winner %d inconsistent with counts %v", res.Winner, v.Counts())
 			}
 		})
@@ -95,7 +96,7 @@ func TestImmediateConsensus(t *testing.T) {
 		Init: population.MustFromCounts([]int64{0, 10}),
 		Seed: 3,
 	})
-	res := nw.Run(100, nil, nil)
+	res := nw.Run(100, nil)
 	if !res.Consensus || res.Rounds != 0 || res.Winner != 1 {
 		t.Fatalf("result %+v", res)
 	}
@@ -122,7 +123,8 @@ func TestGossipMatchesCountsEngineLaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := nw.Round()
+		nw.Round()
+		v := nw.Counts()
 		nw.Close()
 		for j := 0; j < 3; j++ {
 			sums[j] += float64(v.Count(j))
@@ -153,7 +155,7 @@ func TestCrashedNodesFrozen(t *testing.T) {
 		Seed:    4,
 		Crashed: crashed,
 	})
-	res := nw.Run(20000, nil, nil)
+	res := nw.Run(20000, nil)
 	if !res.Consensus {
 		t.Fatalf("alive nodes did not converge in %d rounds", res.Rounds)
 	}
@@ -183,7 +185,7 @@ func TestAllCrashedNoConsensus(t *testing.T) {
 		Seed:    5,
 		Crashed: all,
 	})
-	res := nw.Run(5, nil, nil)
+	res := nw.Run(5, nil)
 	if res.Consensus {
 		t.Fatal("consensus among zero alive nodes")
 	}
@@ -209,7 +211,7 @@ func TestLossSlowsButPreservesConsensus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := nw.Run(50000, nil, nil)
+			res := nw.Run(50000, nil)
 			nw.Close()
 			if !res.Consensus {
 				t.Fatalf("no consensus at loss %v", loss)
@@ -235,7 +237,8 @@ func TestValidityUnderGossip(t *testing.T) {
 		Seed: 6,
 	})
 	for i := 0; i < 30; i++ {
-		v := nw.Round()
+		nw.Round()
+		v := nw.Counts()
 		if v.Count(1) != 0 {
 			t.Fatalf("round %d: extinct opinion resurrected", i)
 		}

@@ -8,7 +8,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/trace"
+	"plurality/internal/sim"
 )
 
 // Rule is a per-vertex synchronous update rule: given the current
@@ -296,83 +296,48 @@ func (s *ShardScratch) grow(shards int) {
 	s.same = s.same[:shards]
 }
 
-// RunResult reports how an agent-based run ended. Gamma and Live are
-// the final configuration's potential Γ = Σ α² and live-opinion count
-// (1 and 1 at consensus).
-type RunResult struct {
-	Rounds    int
-	Consensus bool
-	Winner    int32
-	Gamma     float64
-	Live      int
-}
-
-// consensusResult is the RunResult of a run that ended in an actual
-// single-opinion state (Γ = 1, one live opinion, no count scan needed).
-func consensusResult(rounds int, winner int32) RunResult {
-	return RunResult{Rounds: rounds, Consensus: true, Winner: winner, Gamma: 1, Live: 1}
-}
-
-// cutoffResult is the RunResult of a run stopped short of consensus
-// (stop hook or round budget) on already-materialised counts.
-func cutoffResult(rounds int, v *population.Vector) RunResult {
-	op, _ := v.MaxOpinion()
-	return RunResult{Rounds: rounds, Consensus: false, Winner: int32(op), Gamma: v.Gamma(), Live: v.Live()}
-}
-
 // RunSharded executes rule on st until consensus or maxRounds using
 // the sharded round engine: round t draws vertex randomness from the
 // (seed, t, shard) streams of StepSharded, split across up to workers
 // goroutines. The result is a pure function of (st, rule, seed,
 // maxRounds) — identical for every workers value.
 //
-// tr, if non-nil, samples the opinion counts between rounds, and stop,
-// if non-nil, is evaluated on them (at round 0 before any step too); a
-// true return ends the run there. Both run on the coordinating
-// goroutine after StepSharded's barrier, never inside a shard worker,
-// and draw no randomness from the round streams — so traces are
-// identical for every workers value and a stopped run is byte-for-byte
-// the prefix of the unstopped run of the same seed. When both are nil
-// the per-round cost is one comparison; the O(n) count materialisation
-// is paid only for rounds the tracer keeps or the hook inspects.
-func RunSharded(seed uint64, st *State, rule Rule, maxRounds, workers int, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) RunResult {
-	// observe materializes the counts at most once per round, shared
-	// by the sampler and the stop hook; stopped reports whether the
-	// hook fired (v is then the materialized counts).
-	observe := func(round int64) (v *population.Vector, stopped bool) {
-		if stop == nil && !tr.Wants(round) {
-			return nil, false
-		}
-		v = st.Counts()
-		tr.Observe(round, v)
-		return v, stop != nil && stop(round, v)
+// The rounds run through sim.Rounds. observer, if non-nil, reads the
+// opinion counts between rounds on the coordinating goroutine after
+// StepSharded's barrier, never inside a shard worker, so traces are
+// identical for every workers value. The O(n) count materialisation is
+// paid only for rounds the observer wants, and once at the end for the
+// final Γ and live.
+func RunSharded(seed uint64, st *State, rule Rule, maxRounds, workers int, observer *sim.Observer) sim.Result {
+	run := &shardedRun{st: st, rule: rule, seed: seed, workers: workers}
+	run.winner, run.ok = st.Consensus()
+	return sim.Rounds(run, maxRounds, observer)
+}
+
+// shardedRun is the sharded round engine as sim.Rounds drives it.
+// StepSharded's consensus check comes for free with each round.
+type shardedRun struct {
+	st      *State
+	rule    Rule
+	seed    uint64
+	workers int
+	scratch ShardScratch
+	winner  int32
+	ok      bool
+	// counts caches this round's materialised counts (nil until asked).
+	counts *population.Vector
+}
+
+func (e *shardedRun) Step(round int) {
+	e.winner, e.ok = e.st.StepSharded(e.rule, e.seed, round, e.workers, &e.scratch)
+	e.counts = nil
+}
+
+func (e *shardedRun) Consensus() (int, bool) { return int(e.winner), e.ok }
+
+func (e *shardedRun) View() sim.View {
+	if e.counts == nil {
+		e.counts = e.st.Counts()
 	}
-	if v, stopped := observe(0); stopped {
-		if op, ok := st.Consensus(); ok {
-			return consensusResult(0, op)
-		}
-		return cutoffResult(0, v)
-	}
-	if op, ok := st.Consensus(); ok {
-		return consensusResult(0, op)
-	}
-	var scratch ShardScratch
-	for t := 1; t <= maxRounds; t++ {
-		op, ok := st.StepSharded(rule, seed, t, workers, &scratch)
-		// The stop hook is evaluated before the consensus test — the
-		// same order every engine uses — so a condition that first
-		// holds at the consensus round itself still observes (and
-		// reports) the stop, while the result remains the consensus
-		// result.
-		if v, stopped := observe(int64(t)); stopped {
-			if ok {
-				return consensusResult(t, op)
-			}
-			return cutoffResult(t, v)
-		}
-		if ok {
-			return consensusResult(t, op)
-		}
-	}
-	return cutoffResult(maxRounds, st.Counts())
+	return e.counts
 }

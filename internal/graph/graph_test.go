@@ -303,11 +303,11 @@ func TestRunReachesConsensusOnGraphs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := RunSharded(r.Uint64(), st, rule, 100000, 2, nil, nil)
+				res := RunSharded(r.Uint64(), st, rule, 100000, 2, nil)
 				if !res.Consensus {
 					t.Fatalf("no consensus after %d rounds", res.Rounds)
 				}
-				if op, ok := st.Consensus(); !ok || op != res.Winner {
+				if op, ok := st.Consensus(); !ok || int(op) != res.Winner {
 					t.Fatalf("winner %d inconsistent", res.Winner)
 				}
 			})
@@ -359,7 +359,7 @@ func TestHypercubeParitySplitIsAbsorbing(t *testing.T) {
 	}
 
 	for seed := uint64(1); seed <= 4; seed++ {
-		res := RunSharded(seed, split(), ThreeMajorityRule{}, 200, 2, nil, nil)
+		res := RunSharded(seed, split(), ThreeMajorityRule{}, 200, 2, nil)
 		if res.Consensus || res.Rounds != 200 || res.Live != 2 {
 			t.Fatalf("seed %d: parity split left its absorbing state: %+v", seed, res)
 		}
@@ -372,7 +372,7 @@ func TestRunImmediateConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunSharded(1, st, VoterRule{}, 100, 1, nil, nil)
+	res := RunSharded(1, st, VoterRule{}, 100, 1, nil)
 	if !res.Consensus || res.Rounds != 0 || res.Winner != 2 {
 		t.Fatalf("result %+v", res)
 	}

@@ -124,7 +124,7 @@ func TestSBMMetastability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunSharded(r.Uint64(), cst, TwoChoicesRule{}, rounds, 1, nil, nil)
+	res := RunSharded(r.Uint64(), cst, TwoChoicesRule{}, rounds, 1, nil)
 	if !res.Consensus {
 		t.Fatalf("complete graph did not decide within %d rounds", rounds)
 	}

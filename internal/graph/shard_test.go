@@ -123,8 +123,8 @@ func TestRunShardedWorkerCountInvariance(t *testing.T) {
 		}
 		return st
 	}
-	a := RunSharded(123, build(), ThreeMajorityRule{}, 2000, 1, nil, nil)
-	b := RunSharded(123, build(), ThreeMajorityRule{}, 2000, 16, nil, nil)
+	a := RunSharded(123, build(), ThreeMajorityRule{}, 2000, 1, nil)
+	b := RunSharded(123, build(), ThreeMajorityRule{}, 2000, 16, nil)
 	if a != b {
 		t.Fatalf("worker counts diverge: 1 worker %+v vs 16 workers %+v", a, b)
 	}
@@ -133,7 +133,7 @@ func TestRunShardedWorkerCountInvariance(t *testing.T) {
 	}
 	// And a different seed gives a different trajectory (streams are
 	// actually consumed).
-	c := RunSharded(124, build(), ThreeMajorityRule{}, 2000, 1, nil, nil)
+	c := RunSharded(124, build(), ThreeMajorityRule{}, 2000, 1, nil)
 	if c == a {
 		t.Fatalf("seeds 123 and 124 produced identical runs %+v", a)
 	}

@@ -16,10 +16,12 @@ import (
 //
 //   - internal/stop and internal/trace are pure by construction: they
 //     may not import internal/rng, math/rand or crypto/rand at all;
-//   - any function bound to an observer/hook slot (an Observer struct
-//     field, or an argument for a func parameter named stop, observer,
+//   - any function bound to an observer/hook slot (an OnRound struct
+//     field — sim.Observer's hook, which every engine's round loop
+//     calls — or an argument for a func parameter named stop, observer,
 //     hook or onRound) must not reach an RNG draw through any chain of
-//     same-package calls.
+//     same-package calls. The engines' Step methods, which draw by
+//     design, are not hook slots.
 //
 // The reachability check is intra-package: calls into other packages
 // (except internal/rng and math/rand, which are draws by definition)
@@ -49,7 +51,7 @@ var hookParamNames = map[string]bool{
 // hookFieldNames are the struct fields the engines call between
 // rounds; a func assigned to one is a hook body.
 var hookFieldNames = map[string]bool{
-	"Observer": true,
+	"OnRound": true,
 }
 
 func runRNGPurity(pass *Pass) error {

@@ -3,25 +3,37 @@
 // chain of same-package calls.
 package core
 
-import "rngpurity/internal/rng"
+import (
+	"rngpurity/internal/rng"
+	"rngpurity/internal/sim"
+)
 
-// RunConfig mirrors the engine config surface: Observer is the
-// draw-free round hook, PostRound is the adversary hook that may draw.
-type RunConfig struct {
-	Observer  func(round int) bool
+// BatchRunConfig mirrors the engine config surface: Observer is the
+// composed round observer, whose OnRound hook must not draw; PostRound
+// is the adversary hook that may draw.
+type BatchRunConfig struct {
+	Observer  *sim.Observer
 	PostRound func(r *rng.Rand)
 }
 
-// Run stands in for the engine entry point.
-func Run(r *rng.Rand, cfg RunConfig) {
-	for round := 0; round < 3; round++ {
-		if cfg.PostRound != nil {
-			cfg.PostRound(r)
-		}
-		if cfg.Observer != nil && cfg.Observer(round) {
-			return
-		}
+// flatRun stands in for an engine driven by sim.Rounds; its Step
+// draws from the trial stream by design.
+type flatRun struct {
+	r   *rng.Rand
+	cfg BatchRunConfig
+}
+
+// Step is the round step: the draw is legitimate, not a hook.
+func (e *flatRun) Step(round int) {
+	e.r.Uint64()
+	if e.cfg.PostRound != nil {
+		e.cfg.PostRound(e.r)
 	}
+}
+
+// Run stands in for the engine entry point.
+func Run(r *rng.Rand, cfg BatchRunConfig) {
+	sim.Rounds(&flatRun{r: r, cfg: cfg}, 3, cfg.Observer)
 }
 
 // runHooked stands in for the engines' hooked entry points; the
@@ -35,10 +47,12 @@ func runHooked(maxRounds int, stop func(round int) bool) {
 }
 
 // DirectDraw binds an observer that draws directly: flagged.
-func DirectDraw(r *rng.Rand) RunConfig {
-	return RunConfig{
-		Observer: func(round int) bool { // want `bound to Observer field can reach RNG draw`
-			return r.Float64() < 0.5
+func DirectDraw(r *rng.Rand) BatchRunConfig {
+	return BatchRunConfig{
+		Observer: &sim.Observer{
+			OnRound: func(round int64) bool { // want `bound to OnRound field can reach RNG draw`
+				return r.Float64() < 0.5
+			},
 		},
 	}
 }
@@ -49,9 +63,15 @@ func impure(r *rng.Rand) bool { return r.Intn(2) == 0 }
 // TransitiveDraw binds an observer that draws through a same-package
 // helper: flagged.
 func TransitiveDraw(r *rng.Rand) {
-	var cfg RunConfig
-	cfg.Observer = func(round int) bool { return impure(r) } // want `bound to Observer field can reach RNG draw`
-	Run(r, cfg)
+	var obs sim.Observer
+	obs.OnRound = func(round int64) bool { return impure(r) } // want `bound to OnRound field can reach RNG draw`
+	Run(r, BatchRunConfig{Observer: &obs})
+}
+
+// LoopDraw binds a drawing observer straight to the shared round loop:
+// flagged.
+func LoopDraw(r *rng.Rand) {
+	sim.Rounds(&flatRun{r: r}, 3, &sim.Observer{OnRound: func(round int64) bool { return r.Intn(4) == 0 }}) // want `bound to OnRound field can reach RNG draw`
 }
 
 // StreamArgDraw binds a stop hook that hands the stream to a package
@@ -65,13 +85,13 @@ func StreamArgDraw(r *rng.Rand) {
 }
 
 // pureObserver reads state only.
-func pureObserver(counts []int64) func(round int) bool {
-	return func(round int) bool { return len(counts) == 0 }
+func pureObserver(counts []int64) func(round int64) bool {
+	return func(round int64) bool { return len(counts) == 0 }
 }
 
 // CleanObserver binds a draw-free closure through a factory: clean.
 func CleanObserver(r *rng.Rand, counts []int64) {
-	Run(r, RunConfig{Observer: pureObserver(counts)})
+	Run(r, BatchRunConfig{Observer: &sim.Observer{OnRound: pureObserver(counts)}})
 }
 
 // SeedArithmetic derives seeds and forks nothing: rng.DeriveSeed and
@@ -80,20 +100,20 @@ func SeedArithmetic(r *rng.Rand) {
 	runHooked(10, func(round int) bool {
 		return rng.DeriveSeed(7, uint64(round))%2 == 0
 	})
-	Run(r, RunConfig{})
+	Run(r, BatchRunConfig{})
 }
 
 // Adversary binds the PostRound hook, which legitimately draws: clean
-// (PostRound consumes the engine stream by design; only Observer-like
+// (PostRound consumes the engine stream by design; only observer
 // slots are frozen).
-func Adversary(r *rng.Rand) RunConfig {
-	return RunConfig{PostRound: func(rr *rng.Rand) { rr.Uint64() }}
+func Adversary(r *rng.Rand) BatchRunConfig {
+	return BatchRunConfig{PostRound: func(rr *rng.Rand) { rr.Uint64() }}
 }
 
 // Waived suppresses a deliberate diagnostic-only draw with a reason.
-func Waived(r *rng.Rand) RunConfig {
-	return RunConfig{
+func Waived(r *rng.Rand) *sim.Observer {
+	return &sim.Observer{
 		//lint:allow rngpurity diagnostic-only draw on a dedicated side stream
-		Observer: func(round int) bool { return r.Float64() < 0.5 },
+		OnRound: func(round int64) bool { return r.Float64() < 0.5 },
 	}
 }

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"testing"
@@ -6,8 +6,17 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 	"plurality/internal/theory"
 )
+
+// observeVector adapts a *population.Vector round hook to a sim
+// observer; on the Vector engine every View is the Vector itself.
+func observeVector(f func(round int, v *population.Vector) bool) *sim.Observer {
+	return &sim.Observer{OnRound: func(round int64, v sim.View) bool {
+		return f(int(round), v.(*population.Vector))
+	}}
+}
 
 // TestStoppingTimesAlongRealRun drives the Definition 4.4 tracker
 // through full 3-Majority and 2-Choices runs from a biased two-leader
@@ -30,9 +39,7 @@ func TestStoppingTimesAlongRealRun(t *testing.T) {
 			st := theory.NewStoppingTimes(0, 1)
 			st.XDelta = 0.2
 			r := rng.New(77)
-			res := core.Run(r, proto, v0, core.RunConfig{
-				Observer: st.Observe,
-			})
+			res := core.Run(r, proto, v0, core.BatchRunConfig{Observer: observeVector(st.Observe)})
 			if !res.Consensus {
 				t.Fatal("no consensus")
 			}
@@ -78,7 +85,7 @@ func TestStoppingTimesGammaNeverDropsFar(t *testing.T) {
 		}
 		st := theory.NewStoppingTimes(0, 1)
 		r := rng.New(rng.DeriveSeed(88, uint64(trial)))
-		core.Run(r, core.ThreeMajority{}, v0, core.RunConfig{Observer: st.Observe})
+		core.Run(r, core.ThreeMajority{}, v0, core.BatchRunConfig{Observer: observeVector(st.Observe)})
 		if st.TauDownGamma != theory.Unset {
 			drops++
 		}

@@ -9,8 +9,9 @@
 //
 // # Contract
 //
-// A Spec is evaluated by the engines at round boundaries only, on the
-// same between-rounds state the trace subsystem samples, and it never
+// A Spec is evaluated at round boundaries only, as the last part of a
+// trial's sim.Observer, on the same between-rounds state the trace
+// subsystem samples, and it never
 // draws from an engine's RNG stream: up to the round it fires, a
 // stopped run is byte-for-byte the prefix of the unstopped run of the
 // same seed. Consensus always ends a run, whatever the Spec — a stop

@@ -61,8 +61,8 @@ func (st *StoppingTimes) reset() {
 
 // Observe processes the configuration at the given round. Call it for
 // round 0 first (it captures the reference values there) and then once
-// per round; it is shaped to slot into core.RunConfig.Observer and
-// never requests a stop.
+// per round, e.g. from a sim.Observer's OnRound on the Vector engine
+// (whose View is the *population.Vector); it never requests a stop.
 func (st *StoppingTimes) Observe(round int, v *population.Vector) bool {
 	if (st.C == Constants{}) {
 		st.C = Default()

@@ -43,6 +43,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 // Protocol selects a consensus dynamics. Construct values with
@@ -248,7 +249,7 @@ func ScatterAdversary(f int64) Adversary { return Adversary{impl: adversary.Scat
 // Experiment.OnRound. It must not be retained after the callback
 // returns.
 type Snapshot struct {
-	v core.View
+	v sim.View
 }
 
 // N returns the number of vertices.
