@@ -56,7 +56,9 @@ var untracedDigest = pinTrial(TrialResult{}).traceDigest
 // other cases were recorded from Experiment itself: sync trials off
 // the flat kernel (Undecided's decided-consensus test, an adversary's
 // PostRound) and round-budget cutoffs, whose winner is the plurality
-// and whose Γ and live are read from the final counts. In gossip, Γ
+// and whose Γ and live are read from the final counts, and one case
+// per (mode, rule) stream the others leave out, so every per-vertex
+// rule is pinned in the async, graph and gossip engines. In gossip, Γ
 // and live count the crashed nodes, which keep their opinion, so they
 // can stay below 1 and above 1 at consensus.
 var pinnedCases = []struct {
@@ -134,6 +136,42 @@ var pinnedCases = []struct {
 			{5, 0, false, 1, 0x3fda8f5c28f5c28f, 3, "[44 62 14]", 0x1ccb3d803273fbb5},
 			{5, 0, false, 1, 0x3fd86f8091a2b3c5, 3, "[37 60 23]", 0x5ad2ef6aad9acbcd},
 			{5, 0, false, 2, 0x3fdc0da740da740e, 3, "[16 34 70]", 0xdd077e745399c6c2},
+		},
+	},
+	{
+		"async-3-majority",
+		Experiment{Mode: ModeAsync, N: 400, Protocol: ThreeMajority(), Init: Balanced(4), Seed: 19},
+		[3]pinnedTrial{
+			{24.5825, 9833, true, 2, 0x3ff0000000000000, 1, "", 0x2e9b6e7a3a32c595},
+			{13.73, 5492, true, 3, 0x3ff0000000000000, 1, "", 0xbf1ef6d4cafcfd0d},
+			{20.595, 8238, true, 1, 0x3ff0000000000000, 1, "", 0xc4740cb853b958ba},
+		},
+	},
+	{
+		"async-voter",
+		Experiment{Mode: ModeAsync, N: 200, Protocol: Voter(), Init: Balanced(3), Seed: 20},
+		[3]pinnedTrial{
+			{160.7, 32140, true, 1, 0x3ff0000000000000, 1, "", 0x6b5809bd8ef6ac96},
+			{126.895, 25379, true, 0, 0x3ff0000000000000, 1, "", 0x2e701452d2afab2b},
+			{51.7, 10340, true, 1, 0x3ff0000000000000, 1, "", 0x657bcacb0f545926},
+		},
+	},
+	{
+		"graph-voter",
+		Experiment{Mode: ModeGraph, N: 300, Topology: RandomRegularTopology(6), Protocol: Voter(), Init: Balanced(3), Seed: 21},
+		[3]pinnedTrial{
+			{853, 0, true, 1, 0x3ff0000000000000, 1, "", 0x6cbcc9b5e40fc7c9},
+			{974, 0, true, 2, 0x3ff0000000000000, 1, "", 0x5ebdc766ea220ad},
+			{288, 0, true, 1, 0x3ff0000000000000, 1, "", 0x7976e72b55cfa203},
+		},
+	},
+	{
+		"gossip-2-choices",
+		Experiment{Mode: ModeGossip, N: 120, Protocol: TwoChoices(), Init: Balanced(3), LossProb: 0.05, Crashed: []int{2}, Seed: 22},
+		[3]pinnedTrial{
+			{13, 0, true, 2, 0x3fef789abcdf0123, 2, "[1 0 119]", 0x62b658b52f11d9bb},
+			{20, 0, true, 1, 0x3fef789abcdf0123, 2, "[1 119 0]", 0x33737aa0fe1ffb9b},
+			{14, 0, true, 2, 0x3fef789abcdf0123, 2, "[1 0 119]", 0x2ae108a56444e5bd},
 		},
 	},
 }
