@@ -311,12 +311,8 @@ type compiled struct {
 	// executor (nil when each trial builds its own: a stateful init or
 	// a non-sync mode).
 	template *population.Vector
-	// async binding
-	dyn async.Dynamics
-	// graph binding
-	rule graph.Rule
-	// gossip binding
-	grule gossip.Rule
+	// rule is the per-vertex rule of the async, graph and gossip modes.
+	rule sim.Rule
 }
 
 // compile validates the experiment once and resolves its engine
@@ -392,16 +388,6 @@ func (e Experiment) compile() (*compiled, error) {
 		if e.MaxTicks < 0 {
 			return nil, fmt.Errorf("%w: MaxTicks = %d", errConfig, e.MaxTicks)
 		}
-		switch e.Protocol.Name() {
-		case "3-majority":
-			c.dyn = async.ThreeMajority
-		case "2-choices":
-			c.dyn = async.TwoChoices
-		case "voter":
-			c.dyn = async.Voter
-		default:
-			return nil, fmt.Errorf("%w: protocol %q has no asynchronous variant", errConfig, e.Protocol.Name())
-		}
 	case ModeGraph:
 		if e.N < 1 {
 			return nil, fmt.Errorf("%w: N = %d", errConfig, e.N)
@@ -412,11 +398,6 @@ func (e Experiment) compile() (*compiled, error) {
 		if e.Init.build == nil {
 			return nil, fmt.Errorf("%w: Init is required", errConfig)
 		}
-		rule, err := ruleFor(e.Protocol)
-		if err != nil {
-			return nil, err
-		}
-		c.rule = rule
 		// The static half of the topology's shape validation runs here
 		// (same error texts as the per-trial build), so a misshapen
 		// topology fails the Experiment loudly instead of per trial.
@@ -443,18 +424,16 @@ func (e Experiment) compile() (*compiled, error) {
 				return nil, fmt.Errorf("%w: crashed id %d out of range", errConfig, id)
 			}
 		}
-		switch e.Protocol.Name() {
-		case "3-majority":
-			c.grule = gossip.ThreeMajority
-		case "2-choices":
-			c.grule = gossip.TwoChoices
-		case "voter":
-			c.grule = gossip.Voter
-		default:
-			return nil, fmt.Errorf("%w: protocol %q has no gossip form", errConfig, e.Protocol.Name())
-		}
 	default:
 		return nil, fmt.Errorf("%w: unknown Mode %q", errConfig, e.Mode)
+	}
+	if e.Mode != ModeSync {
+		rule, ok := sim.RuleByName(e.Protocol.Name())
+		if !ok {
+			return nil, fmt.Errorf("%w: protocol %q has no per-vertex rule; the asynchronous, general-graph and gossip engines support protocols %s",
+				errConfig, e.Protocol.Name(), sim.RuleNames())
+		}
+		c.rule = rule
 	}
 	return c, nil
 }
@@ -757,7 +736,7 @@ func (c *compiled) runEngineTrial(seed uint64, obs *sim.Observer, graphWorkers i
 			return TrialResult{}, err
 		}
 		r := rng.New(rng.DeriveSeed(seed, 0))
-		res := async.Run(r, c.dyn, v, c.e.MaxTicks, obs)
+		res := async.Run(r, c.rule, v, c.e.MaxTicks, obs)
 		return TrialResult{
 			Mode:      ModeAsync,
 			Rounds:    res.Rounds,
@@ -789,7 +768,7 @@ func (c *compiled) runEngineTrial(seed uint64, obs *sim.Observer, graphWorkers i
 		}
 		nw, err := gossip.New(gossip.Config{
 			N:        int(c.e.N),
-			Rule:     c.grule,
+			Rule:     c.rule,
 			Init:     v,
 			Seed:     seed,
 			Crashed:  c.e.Crashed,

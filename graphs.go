@@ -127,16 +127,3 @@ func HypercubeTopology(dim int) Topology {
 		},
 	}
 }
-
-func ruleFor(p Protocol) (graph.Rule, error) {
-	switch p.Name() {
-	case "3-majority":
-		return graph.ThreeMajorityRule{}, nil
-	case "2-choices":
-		return graph.TwoChoicesRule{}, nil
-	case "voter":
-		return graph.VoterRule{}, nil
-	default:
-		return nil, fmt.Errorf("%w: protocol %q has no general-graph rule", errConfig, p.Name())
-	}
-}

@@ -1,68 +1,20 @@
 package async
 
 import (
-	"fmt"
-
 	"plurality/internal/population"
 	"plurality/internal/rng"
 	"plurality/internal/sim"
 )
 
-// Dynamics is a single-vertex-update rule applied at every tick.
-type Dynamics int
-
-// Supported asynchronous dynamics.
-const (
-	ThreeMajority Dynamics = iota + 1
-	TwoChoices
-	Voter
-)
-
-// Name returns a short identifier.
-func (d Dynamics) Name() string {
-	switch d {
-	case ThreeMajority:
-		return "async-3-majority"
-	case TwoChoices:
-		return "async-2-choices"
-	case Voter:
-		return "async-voter"
-	default:
-		return "async-unknown"
-	}
-}
-
 // Tick applies one asynchronous update to the configuration held in f:
-// a uniformly random vertex re-samples its opinion by the rule. It
-// returns the opinion the updating vertex ended the tick with.
-func (d Dynamics) Tick(r *rng.Rand, f *population.Fenwick) int {
+// a uniformly random vertex re-samples its opinion by rule. It returns
+// the opinion the updating vertex ended the tick with.
+func Tick(r *rng.Rand, rule sim.Rule, f *population.Fenwick) int {
 	// The updating vertex is uniform, so its current opinion has law
 	// count/total; sampled neighbors are uniform vertices too (the
 	// complete graph has self-loops).
 	own := f.Sample(r)
-	var next int
-	switch d {
-	case ThreeMajority:
-		w1 := f.Sample(r)
-		w2 := f.Sample(r)
-		if w1 == w2 {
-			next = w1
-		} else {
-			next = f.Sample(r)
-		}
-	case TwoChoices:
-		w1 := f.Sample(r)
-		w2 := f.Sample(r)
-		if w1 == w2 {
-			next = w1
-		} else {
-			next = own
-		}
-	case Voter:
-		next = f.Sample(r)
-	default:
-		panic(fmt.Sprintf("async: unknown dynamics %d", d))
-	}
+	next := int(rule.Next(int32(own), func() int32 { return int32(f.Sample(r)) }))
 	if next != own {
 		f.Move(own, next)
 	}
@@ -85,7 +37,7 @@ type RunResult struct {
 	Live  int
 }
 
-// Run executes d from configuration v until consensus or maxTicks
+// Run executes rule from configuration v until consensus or maxTicks
 // updates. v is not modified.
 //
 // observer, if non-nil, sees the configuration at full
@@ -97,7 +49,7 @@ type RunResult struct {
 // which draws nothing from the run's stream — an observed run matches
 // the plain run of the same seed, and a stopped run is byte-for-byte
 // its prefix.
-func Run(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64, observer *sim.Observer) RunResult {
+func Run(r *rng.Rand, rule sim.Rule, v *population.Vector, maxTicks int64, observer *sim.Observer) RunResult {
 	f := population.NewFenwick(v.Counts())
 	n := f.Total()
 	// finish reads the winner, Γ and live from the final counts, as
@@ -124,7 +76,7 @@ func Run(r *rng.Rand, d Dynamics, v *population.Vector, maxTicks int64, observer
 		return finish(0)
 	}
 	for t := int64(1); t <= maxTicks; t++ {
-		next := d.Tick(r, f)
+		next := Tick(r, rule, f)
 		if observer != nil && t%n == 0 && observer.Wants(t/n) && observer.Observe(t/n, f.Vector()) {
 			return finish(t)
 		}

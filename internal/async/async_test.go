@@ -6,25 +6,32 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
+// TestDynamicsNames: the async engine runs the rules the shared
+// lookup resolves, and the lookup rejects a protocol with no
+// per-vertex form.
 func TestDynamicsNames(t *testing.T) {
-	if ThreeMajority.Name() != "async-3-majority" ||
-		TwoChoices.Name() != "async-2-choices" ||
-		Voter.Name() != "async-voter" {
-		t.Fatal("names wrong")
+	for _, tc := range []struct {
+		name string
+		want sim.Rule
+	}{{"3-majority", sim.ThreeMajority}, {"2-choices", sim.TwoChoices}, {"voter", sim.Voter}} {
+		if rule, ok := sim.RuleByName(tc.name); !ok || rule != tc.want {
+			t.Fatalf("RuleByName(%q) = %d, %v", tc.name, rule, ok)
+		}
 	}
-	if Dynamics(0).Name() != "async-unknown" {
-		t.Fatal("zero value name wrong")
+	if _, ok := sim.RuleByName("median"); ok {
+		t.Fatal("median resolved to an async rule")
 	}
 }
 
 func TestTickPreservesTotal(t *testing.T) {
 	r := rng.New(1)
-	for _, d := range []Dynamics{ThreeMajority, TwoChoices, Voter} {
+	for _, d := range []sim.Rule{sim.ThreeMajority, sim.TwoChoices, sim.Voter} {
 		f := population.NewFenwick([]int64{30, 20, 10})
 		for i := 0; i < 5000; i++ {
-			d.Tick(r, f)
+			Tick(r, d, f)
 			if f.Total() != 60 {
 				t.Fatalf("%v: total drifted to %d", d, f.Total())
 			}
@@ -37,22 +44,26 @@ func TestTickPreservesTotal(t *testing.T) {
 	}
 }
 
+// TestTickPanicsOnUnknown: a rule the lookup rejects cannot tick.
 func TestTickPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("unknown dynamics did not panic")
+			t.Fatal("unknown rule did not panic")
 		}
 	}()
-	Dynamics(99).Tick(rng.New(1), population.NewFenwick([]int64{1, 1}))
+	rule, _ := sim.RuleByName("median")
+	Tick(rng.New(1), rule, population.NewFenwick([]int64{1, 1}))
 }
 
 func TestRunReachesConsensus(t *testing.T) {
-	for _, d := range []Dynamics{ThreeMajority, TwoChoices} {
-		d := d
-		t.Run(d.Name(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rule sim.Rule
+	}{{"async-3-majority", sim.ThreeMajority}, {"async-2-choices", sim.TwoChoices}} {
+		t.Run(tc.name, func(t *testing.T) {
 			r := rng.New(2)
 			v := population.Balanced(300, 4)
-			res := Run(r, d, v, 50_000_000, nil)
+			res := Run(r, tc.rule, v, 50_000_000, nil)
 			if !res.Consensus {
 				t.Fatalf("no consensus in %d ticks", res.Ticks)
 			}
@@ -70,7 +81,7 @@ func TestRunReachesConsensus(t *testing.T) {
 func TestRunImmediateConsensus(t *testing.T) {
 	r := rng.New(3)
 	v := population.MustFromCounts([]int64{0, 50})
-	res := Run(r, ThreeMajority, v, 1000, nil)
+	res := Run(r, sim.ThreeMajority, v, 1000, nil)
 	if !res.Consensus || res.Ticks != 0 || res.Winner != 1 {
 		t.Fatalf("result %+v", res)
 	}
@@ -79,7 +90,7 @@ func TestRunImmediateConsensus(t *testing.T) {
 func TestRunTickCap(t *testing.T) {
 	r := rng.New(4)
 	v := population.Balanced(10000, 100)
-	res := Run(r, TwoChoices, v, 50, nil)
+	res := Run(r, sim.TwoChoices, v, 50, nil)
 	if res.Consensus {
 		t.Fatal("consensus impossible in 50 ticks")
 	}
@@ -91,10 +102,10 @@ func TestRunTickCap(t *testing.T) {
 // TestExtinctStaysExtinct: validity holds for async dynamics too.
 func TestExtinctStaysExtinct(t *testing.T) {
 	r := rng.New(5)
-	for _, d := range []Dynamics{ThreeMajority, TwoChoices, Voter} {
+	for _, d := range []sim.Rule{sim.ThreeMajority, sim.TwoChoices, sim.Voter} {
 		f := population.NewFenwick([]int64{40, 0, 60})
 		for i := 0; i < 20000; i++ {
-			d.Tick(r, f)
+			Tick(r, d, f)
 			if f.Count(1) != 0 {
 				t.Fatalf("%v: extinct opinion revived", d)
 			}
@@ -116,7 +127,7 @@ func TestAsyncMatchesSyncRoundEquivalence(t *testing.T) {
 	r := rng.New(6)
 	for i := 0; i < trials; i++ {
 		v := population.Balanced(n, k)
-		res := Run(r, ThreeMajority, v, 100_000_000, nil)
+		res := Run(r, sim.ThreeMajority, v, 100_000_000, nil)
 		if !res.Consensus {
 			t.Fatal("async did not converge")
 		}
@@ -138,6 +149,6 @@ func BenchmarkAsyncThreeMajorityTick(b *testing.B) {
 	f := population.NewFenwick(population.Balanced(1_000_000, 1024).Counts())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ThreeMajority.Tick(r, f)
+		Tick(r, sim.ThreeMajority, f)
 	}
 }

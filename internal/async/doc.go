@@ -9,7 +9,9 @@
 //
 // On the complete graph with self-loops the asynchronous process is a
 // function of the count vector alone; package async evolves the counts
-// through a Fenwick tree, so one tick costs O(log k).
+// through a Fenwick tree, so one tick costs O(log k). A tick draws the
+// updating vertex's own opinion from the tree, then runs sim.Rule with
+// further tree samples as its neighbour draws.
 //
 // The contract above is owned by DESIGN.md §"The unified Experiment
 // API".

@@ -6,6 +6,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 // TestTickLawThreeMajority pins the single-tick transition law: the
@@ -21,7 +22,7 @@ func TestTickLawThreeMajority(t *testing.T) {
 	hist := make([]int, 3)
 	for i := 0; i < trials; i++ {
 		f := population.NewFenwick(counts)
-		hist[ThreeMajority.Tick(r, f)]++
+		hist[Tick(r, sim.ThreeMajority, f)]++
 	}
 	for i := 0; i < 3; i++ {
 		a := v.Alpha(i)
@@ -47,7 +48,7 @@ func TestTickLawTwoChoices(t *testing.T) {
 	hist := make([]int, 3)
 	for i := 0; i < trials; i++ {
 		f := population.NewFenwick(counts)
-		hist[TwoChoices.Tick(r, f)]++
+		hist[Tick(r, sim.TwoChoices, f)]++
 	}
 	for i := 0; i < 3; i++ {
 		a := v.Alpha(i)
@@ -68,7 +69,7 @@ func TestTickLawVoter(t *testing.T) {
 	hist := make([]int, 2)
 	for i := 0; i < trials; i++ {
 		f := population.NewFenwick(counts)
-		hist[Voter.Tick(r, f)]++
+		hist[Tick(r, sim.Voter, f)]++
 	}
 	got := float64(hist[0]) / trials
 	if math.Abs(got-0.6) > 0.01 {
@@ -88,7 +89,7 @@ func TestGammaSubmartingaleAsync(t *testing.T) {
 	sum := 0.0
 	for i := 0; i < trials; i++ {
 		f := population.NewFenwick(counts)
-		ThreeMajority.Tick(r, f)
+		Tick(r, sim.ThreeMajority, f)
 		sum += f.Vector().Gamma()
 	}
 	if mean := sum / trials; mean < gamma0-1e-4 {

@@ -222,11 +222,3 @@ func geometricGrid(lo, hi int) []int {
 	}
 	return grid
 }
-
-// gridString compactly renders a k grid.
-func gridString(ks []int) string {
-	if len(ks) == 0 {
-		return "-"
-	}
-	return tablefmt.Cell(ks[0]) + ".." + tablefmt.Cell(ks[len(ks)-1])
-}

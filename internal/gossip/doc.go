@@ -14,7 +14,9 @@
 //  1. Sample: every alive node sends pull requests to uniformly random
 //     peers (self-loops answered locally), serves incoming requests
 //     with its round-(t−1) opinion, and computes its tentative next
-//     opinion from the replies. It reports done but keeps serving.
+//     opinion from the replies: it pulls all of the sim.Rule's
+//     Samples() up front, then replays the replies through Rule.Next.
+//     It reports done but keeps serving.
 //  2. Commit: once every node has sampled, the coordinator broadcasts
 //     commit; nodes atomically adopt their next opinion. No node can
 //     observe a round-t opinion while any node is still sampling

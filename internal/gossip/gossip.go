@@ -10,44 +10,6 @@ import (
 	"plurality/internal/sim"
 )
 
-// Rule selects the update rule (Definition 3.1 forms).
-type Rule int
-
-// Supported rules.
-const (
-	ThreeMajority Rule = iota + 1
-	TwoChoices
-	Voter
-)
-
-// samples returns how many pulls the rule needs per round.
-func (r Rule) samples() int {
-	switch r {
-	case ThreeMajority:
-		return 3
-	case TwoChoices:
-		return 2
-	case Voter:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Name identifies the rule.
-func (r Rule) Name() string {
-	switch r {
-	case ThreeMajority:
-		return "gossip-3-majority"
-	case TwoChoices:
-		return "gossip-2-choices"
-	case Voter:
-		return "gossip-voter"
-	default:
-		return "gossip-unknown"
-	}
-}
-
 // pullRequest asks a peer for its current opinion. The reply channel
 // is buffered so servers never block.
 type pullRequest struct {
@@ -81,7 +43,7 @@ type doneMsg struct {
 // node is one participant; its goroutine owns all mutable state.
 type node struct {
 	id      int
-	rule    Rule
+	rule    sim.Rule
 	crashed bool
 	loss    float64
 	r       *rng.Rand
@@ -101,7 +63,7 @@ type Config struct {
 	// N is the number of nodes; required.
 	N int
 	// Rule is the update rule; required.
-	Rule Rule
+	Rule sim.Rule
 	// Init supplies the initial opinion counts; required, with
 	// Init.N() == N.
 	Init *population.Vector
@@ -134,7 +96,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("%w: N = %d", ErrConfig, cfg.N)
 	}
-	if cfg.Rule.samples() == 0 {
+	if cfg.Rule.Samples() == 0 {
 		return nil, fmt.Errorf("%w: unknown rule", ErrConfig)
 	}
 	if cfg.Init == nil || cfg.Init.N() != int64(cfg.N) {
@@ -253,38 +215,22 @@ func (n *node) sample() {
 		n.next = n.cur
 		return
 	}
-	count := n.rule.samples()
-	got := make([]int32, 0, 3)
-	failed := false
+	// A node pulls its rule's Samples() up front, 3-Majority's w3
+	// included even when w1 = w2, and stops at the first failed pull:
+	// an omission that keeps the current opinion for this round.
+	// Otherwise the rule reads the replies in pull order.
+	var got [3]int32
+	count := n.rule.Samples()
 	for s := 0; s < count; s++ {
 		op, ok := n.pullOne()
 		if !ok {
-			failed = true
-			break
-		}
-		got = append(got, op)
-	}
-	if failed {
-		// Omission: keep the current opinion for this round.
-		n.next = n.cur
-		return
-	}
-	switch n.rule {
-	case ThreeMajority:
-		if got[0] == got[1] {
-			n.next = got[0]
-		} else {
-			n.next = got[2]
-		}
-	case TwoChoices:
-		if got[0] == got[1] {
-			n.next = got[0]
-		} else {
 			n.next = n.cur
+			return
 		}
-	case Voter:
-		n.next = got[0]
+		got[s] = op
 	}
+	i := 0
+	n.next = n.rule.Next(n.cur, func() int32 { i++; return got[i-1] })
 }
 
 // pullOne samples one uniformly random peer (self-loops included) and

@@ -1,10 +1,12 @@
 package gossip
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"plurality/internal/population"
+	"plurality/internal/sim"
 )
 
 func mustNetwork(t *testing.T, cfg Config) *Network {
@@ -23,12 +25,12 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"zero N", Config{N: 0, Rule: Voter, Init: init}},
-		{"bad rule", Config{N: 10, Rule: Rule(0), Init: init}},
-		{"nil init", Config{N: 10, Rule: Voter}},
-		{"mismatched init", Config{N: 11, Rule: Voter, Init: init}},
-		{"bad loss", Config{N: 10, Rule: Voter, Init: init, LossProb: 1}},
-		{"bad crash id", Config{N: 10, Rule: Voter, Init: init, Crashed: []int{10}}},
+		{"zero N", Config{N: 0, Rule: sim.Voter, Init: init}},
+		{"bad rule", Config{N: 10, Rule: sim.Rule(0), Init: init}},
+		{"nil init", Config{N: 10, Rule: sim.Voter}},
+		{"mismatched init", Config{N: 11, Rule: sim.Voter, Init: init}},
+		{"bad loss", Config{N: 10, Rule: sim.Voter, Init: init, LossProb: 1}},
+		{"bad crash id", Config{N: 10, Rule: sim.Voter, Init: init, Crashed: []int{10}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -39,19 +41,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRuleNames: the network runs the rules the shared lookup
+// resolves, and a protocol the lookup rejects leaves the zero rule,
+// which New refuses (the "bad rule" case of TestConfigValidation).
 func TestRuleNames(t *testing.T) {
-	if ThreeMajority.Name() != "gossip-3-majority" ||
-		TwoChoices.Name() != "gossip-2-choices" ||
-		Voter.Name() != "gossip-voter" ||
-		Rule(0).Name() != "gossip-unknown" {
-		t.Fatal("rule names wrong")
+	for _, tc := range []struct {
+		name string
+		want sim.Rule
+	}{{"3-majority", sim.ThreeMajority}, {"2-choices", sim.TwoChoices}, {"voter", sim.Voter}} {
+		if rule, ok := sim.RuleByName(tc.name); !ok || rule != tc.want {
+			t.Fatalf("RuleByName(%q) = %d, %v", tc.name, rule, ok)
+		}
+	}
+	rule, ok := sim.RuleByName("h5-majority")
+	if ok || rule != 0 {
+		t.Fatalf("RuleByName(h5-majority) = %d, %v", rule, ok)
+	}
+	_, err := New(Config{N: 10, Rule: rule, Init: population.MustFromCounts([]int64{5, 5})})
+	if !errors.Is(err, ErrConfig) {
+		t.Fatalf("New with an unknown rule: %v, want ErrConfig", err)
 	}
 }
 
 func TestRoundConservesPopulation(t *testing.T) {
 	nw := mustNetwork(t, Config{
 		N:    60,
-		Rule: ThreeMajority,
+		Rule: sim.ThreeMajority,
 		Init: population.MustFromCounts([]int64{20, 20, 20}),
 		Seed: 1,
 	})
@@ -68,9 +83,12 @@ func TestRoundConservesPopulation(t *testing.T) {
 }
 
 func TestRunReachesConsensus(t *testing.T) {
-	for _, rule := range []Rule{ThreeMajority, TwoChoices} {
-		rule := rule
-		t.Run(rule.Name(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rule sim.Rule
+	}{{"gossip-3-majority", sim.ThreeMajority}, {"gossip-2-choices", sim.TwoChoices}} {
+		rule := tc.rule
+		t.Run(tc.name, func(t *testing.T) {
 			nw := mustNetwork(t, Config{
 				N:    120,
 				Rule: rule,
@@ -92,7 +110,7 @@ func TestRunReachesConsensus(t *testing.T) {
 func TestImmediateConsensus(t *testing.T) {
 	nw := mustNetwork(t, Config{
 		N:    10,
-		Rule: Voter,
+		Rule: sim.Voter,
 		Init: population.MustFromCounts([]int64{0, 10}),
 		Seed: 3,
 	})
@@ -116,7 +134,7 @@ func TestGossipMatchesCountsEngineLaw(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		nw, err := New(Config{
 			N:    n,
-			Rule: ThreeMajority,
+			Rule: sim.ThreeMajority,
 			Init: init,
 			Seed: uint64(1000 + trial),
 		})
@@ -150,7 +168,7 @@ func TestCrashedNodesFrozen(t *testing.T) {
 	crashed := []int{0, 1, 2, 99} // ids 0..49 hold opinion 0, 50..99 opinion 1
 	nw := mustNetwork(t, Config{
 		N:       100,
-		Rule:    ThreeMajority,
+		Rule:    sim.ThreeMajority,
 		Init:    init,
 		Seed:    4,
 		Crashed: crashed,
@@ -180,7 +198,7 @@ func TestAllCrashedNoConsensus(t *testing.T) {
 	}
 	nw := mustNetwork(t, Config{
 		N:       10,
-		Rule:    Voter,
+		Rule:    sim.Voter,
 		Init:    population.MustFromCounts([]int64{5, 5}),
 		Seed:    5,
 		Crashed: all,
@@ -203,7 +221,7 @@ func TestLossSlowsButPreservesConsensus(t *testing.T) {
 		for i := uint64(0); i < trials; i++ {
 			nw, err := New(Config{
 				N:        150,
-				Rule:     TwoChoices,
+				Rule:     sim.TwoChoices,
 				Init:     population.Balanced(150, 2),
 				Seed:     seed + i,
 				LossProb: loss,
@@ -232,7 +250,7 @@ func TestLossSlowsButPreservesConsensus(t *testing.T) {
 func TestValidityUnderGossip(t *testing.T) {
 	nw := mustNetwork(t, Config{
 		N:    80,
-		Rule: ThreeMajority,
+		Rule: sim.ThreeMajority,
 		Init: population.MustFromCounts([]int64{40, 0, 40}),
 		Seed: 6,
 	})
@@ -249,7 +267,7 @@ func TestValidityUnderGossip(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	nw, err := New(Config{
 		N:    20,
-		Rule: Voter,
+		Rule: sim.Voter,
 		Init: population.Balanced(20, 2),
 		Seed: 7,
 	})
@@ -263,7 +281,7 @@ func TestCloseIdempotent(t *testing.T) {
 func TestRoundAfterClosePanics(t *testing.T) {
 	nw, err := New(Config{
 		N:    10,
-		Rule: Voter,
+		Rule: sim.Voter,
 		Init: population.Balanced(10, 2),
 		Seed: 8,
 	})
@@ -282,7 +300,7 @@ func TestRoundAfterClosePanics(t *testing.T) {
 func BenchmarkGossipRoundN500(b *testing.B) {
 	nw, err := New(Config{
 		N:    500,
-		Rule: ThreeMajority,
+		Rule: sim.ThreeMajority,
 		Init: population.Balanced(500, 8),
 		Seed: 1,
 	})

@@ -11,71 +11,9 @@ import (
 	"plurality/internal/sim"
 )
 
-// Rule is a per-vertex synchronous update rule: given the current
-// opinion assignment, it returns vertex v's next opinion. Rules must
-// not mutate opinions.
-type Rule interface {
-	// Name identifies the rule.
-	Name() string
-	// Update returns the next opinion of vertex v.
-	Update(r *rng.Rand, g Graph, opinions []int32, v int) int32
-}
-
-// ThreeMajorityRule is Definition 3.1's 3-Majority on an arbitrary
-// graph: sample three random neighbors w1, w2, w3; adopt opn(w1) if
-// opn(w1) = opn(w2), else opn(w3).
-type ThreeMajorityRule struct{}
-
-var _ Rule = ThreeMajorityRule{}
-
-// Name implements Rule.
-func (ThreeMajorityRule) Name() string { return "3-majority" }
-
-// Update implements Rule.
-func (ThreeMajorityRule) Update(r *rng.Rand, g Graph, opinions []int32, v int) int32 {
-	w1 := opinions[g.RandNeighbor(v, r)]
-	w2 := opinions[g.RandNeighbor(v, r)]
-	if w1 == w2 {
-		return w1
-	}
-	return opinions[g.RandNeighbor(v, r)]
-}
-
-// TwoChoicesRule is Definition 3.1's 2-Choices on an arbitrary graph:
-// sample two random neighbors; adopt their opinion if they agree, else
-// keep your own.
-type TwoChoicesRule struct{}
-
-var _ Rule = TwoChoicesRule{}
-
-// Name implements Rule.
-func (TwoChoicesRule) Name() string { return "2-choices" }
-
-// Update implements Rule.
-func (TwoChoicesRule) Update(r *rng.Rand, g Graph, opinions []int32, v int) int32 {
-	w1 := opinions[g.RandNeighbor(v, r)]
-	w2 := opinions[g.RandNeighbor(v, r)]
-	if w1 == w2 {
-		return w1
-	}
-	return opinions[v]
-}
-
-// VoterRule adopts the opinion of one random neighbor.
-type VoterRule struct{}
-
-var _ Rule = VoterRule{}
-
-// Name implements Rule.
-func (VoterRule) Name() string { return "voter" }
-
-// Update implements Rule.
-func (VoterRule) Update(r *rng.Rand, g Graph, opinions []int32, v int) int32 {
-	return opinions[g.RandNeighbor(v, r)]
-}
-
 // State is a per-vertex opinion assignment on a graph, evolved
-// synchronously by a Rule.
+// synchronously by a sim.Rule whose draws sample uniformly random
+// neighbours.
 type State struct {
 	g        Graph
 	k        int
@@ -157,18 +95,6 @@ func (st *State) Consensus() (opinion int32, ok bool) {
 	return first, true
 }
 
-// Step advances the state by one synchronous round of rule, drawing
-// every vertex's randomness sequentially from r — the simple
-// single-stream round for stepping a state by hand. StepSharded, the
-// round RunSharded drives, is the multi-core variant with
-// hardware-independent streams.
-func (st *State) Step(r *rng.Rand, rule Rule) {
-	for v := range st.opinions {
-		st.next[v] = rule.Update(r, st.g, st.opinions, v)
-	}
-	st.opinions, st.next = st.next, st.opinions
-}
-
 // Sharding of the synchronous vertex loop. The vertex range is cut
 // into a fixed number of contiguous shards derived from n alone —
 // never from the worker count — and every (seed, round, shard) triple
@@ -213,7 +139,7 @@ func shardSeed(seed uint64, round, shard int) uint64 {
 //
 // The round index is part of the stream derivation, so repeated calls
 // must pass strictly increasing rounds (Run passes 1, 2, ...).
-func (st *State) StepSharded(rule Rule, seed uint64, round, workers int, scratch *ShardScratch) (uniform int32, ok bool) {
+func (st *State) StepSharded(rule sim.Rule, seed uint64, round, workers int, scratch *ShardScratch) (uniform int32, ok bool) {
 	n := len(st.opinions)
 	shards := Shards(n)
 	size := (n + shards - 1) / shards
@@ -231,11 +157,13 @@ func (st *State) StepSharded(rule Rule, seed uint64, round, workers int, scratch
 		if hi > n {
 			hi = n
 		}
-		first := rule.Update(r, st.g, st.opinions, lo)
+		v := lo
+		draw := func() int32 { return st.opinions[st.g.RandNeighbor(v, r)] }
+		first := rule.Next(st.opinions[lo], draw)
 		st.next[lo] = first
 		same := true
-		for v := lo + 1; v < hi; v++ {
-			o := rule.Update(r, st.g, st.opinions, v)
+		for v = lo + 1; v < hi; v++ {
+			o := rule.Next(st.opinions[v], draw)
 			st.next[v] = o
 			same = same && o == first
 		}
@@ -308,7 +236,7 @@ func (s *ShardScratch) grow(shards int) {
 // identical for every workers value. The O(n) count materialisation is
 // paid only for rounds the observer wants, and once at the end for the
 // final Γ and live.
-func RunSharded(seed uint64, st *State, rule Rule, maxRounds, workers int, observer *sim.Observer) sim.Result {
+func RunSharded(seed uint64, st *State, rule sim.Rule, maxRounds, workers int, observer *sim.Observer) sim.Result {
 	run := &shardedRun{st: st, rule: rule, seed: seed, workers: workers}
 	run.winner, run.ok = st.Consensus()
 	return sim.Rounds(run, maxRounds, observer)
@@ -318,7 +246,7 @@ func RunSharded(seed uint64, st *State, rule Rule, maxRounds, workers int, obser
 // StepSharded's consensus check comes for free with each round.
 type shardedRun struct {
 	st      *State
-	rule    Rule
+	rule    sim.Rule
 	seed    uint64
 	workers int
 	scratch ShardScratch

@@ -4,8 +4,8 @@
 // graphs other than the complete graph"). It defines a minimal Graph
 // interface sufficient for pull-based dynamics (sampling a uniformly
 // random neighbor), a set of standard topologies, and an agent-based
-// synchronous engine that runs any of the core update rules on any
-// Graph.
+// synchronous engine that runs any sim.Rule on any Graph, each draw a
+// uniformly random neighbour from the vertex's shard stream.
 //
 // The contract above is owned by DESIGN.md §"The unified Experiment
 // API".

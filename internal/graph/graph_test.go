@@ -8,6 +8,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 func TestCompleteBasics(t *testing.T) {
@@ -285,25 +286,29 @@ func TestRunReachesConsensusOnGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	both := []Rule{ThreeMajorityRule{}, TwoChoicesRule{}}
+	type namedRule struct {
+		name string
+		rule sim.Rule
+	}
+	both := []namedRule{{"3-majority", sim.ThreeMajority}, {"2-choices", sim.TwoChoices}}
 	// 3-Majority is left out on the bipartite hypercube: it can absorb
 	// into a period-2 oscillation instead of consensus (see
 	// TestHypercubeParitySplitIsAbsorbing).
 	for _, tc := range []struct {
 		g     Graph
-		rules []Rule
+		rules []namedRule
 	}{
 		{complete, both},
 		{regular, both},
-		{hypercube, []Rule{TwoChoicesRule{}}},
+		{hypercube, both[1:]},
 	} {
 		for _, rule := range tc.rules {
-			t.Run(tc.g.Name()+"/"+rule.Name(), func(t *testing.T) {
+			t.Run(tc.g.Name()+"/"+rule.name, func(t *testing.T) {
 				st, err := NewState(tc.g, 4, ShuffledAssignment(v, r))
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := RunSharded(r.Uint64(), st, rule, 100000, 2, nil)
+				res := RunSharded(r.Uint64(), st, rule.rule, 100000, 2, nil)
 				if !res.Consensus {
 					t.Fatalf("no consensus after %d rounds", res.Rounds)
 				}
@@ -343,10 +348,10 @@ func TestHypercubeParitySplitIsAbsorbing(t *testing.T) {
 	}
 
 	st := split()
-	r := rng.New(3)
+	var scratch ShardScratch
 	for round := 1; round <= 20; round++ {
 		before := st.Counts()
-		st.Step(r, ThreeMajorityRule{})
+		st.StepSharded(sim.ThreeMajority, 3, round, 1, &scratch)
 		after := st.Counts()
 		if after.Count(0) != before.Count(1) || after.Count(1) != before.Count(0) {
 			t.Fatalf("round %d: counts %v did not swap from %v", round, after.Counts(), before.Counts())
@@ -359,7 +364,7 @@ func TestHypercubeParitySplitIsAbsorbing(t *testing.T) {
 	}
 
 	for seed := uint64(1); seed <= 4; seed++ {
-		res := RunSharded(seed, split(), ThreeMajorityRule{}, 200, 2, nil)
+		res := RunSharded(seed, split(), sim.ThreeMajority, 200, 2, nil)
 		if res.Consensus || res.Rounds != 200 || res.Live != 2 {
 			t.Fatalf("seed %d: parity split left its absorbing state: %+v", seed, res)
 		}
@@ -372,7 +377,7 @@ func TestRunImmediateConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunSharded(1, st, VoterRule{}, 100, 1, nil)
+	res := RunSharded(1, st, sim.Voter, 100, 1, nil)
 	if !res.Consensus || res.Rounds != 0 || res.Winner != 2 {
 		t.Fatalf("result %+v", res)
 	}
@@ -390,12 +395,13 @@ func TestAgentEngineMatchesCountsEngineOnComplete(t *testing.T) {
 
 	sumAgent := make([]float64, 3)
 	assign := BlockAssignment(init)
+	var scratch ShardScratch
 	for i := 0; i < trials; i++ {
 		st, err := NewState(g, 3, assign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Step(r, ThreeMajorityRule{})
+		st.StepSharded(sim.ThreeMajority, r.Uint64(), 1, 1, &scratch)
 		counts := st.Counts()
 		for j := 0; j < 3; j++ {
 			sumAgent[j] += float64(counts.Count(j))
@@ -421,8 +427,9 @@ func BenchmarkAgentThreeMajorityRoundComplete(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var scratch ShardScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Step(r, ThreeMajorityRule{})
+		st.StepSharded(sim.ThreeMajority, 1, i+1, 1, &scratch)
 	}
 }

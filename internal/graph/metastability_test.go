@@ -6,6 +6,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 // TestTwoChoicesAgentMatchesCountsLaw cross-validates the 2-Choices
@@ -22,12 +23,13 @@ func TestTwoChoicesAgentMatchesCountsLaw(t *testing.T) {
 	r := rng.New(31)
 	assign := BlockAssignment(init)
 	sums := make([]float64, 3)
+	var scratch ShardScratch
 	for i := 0; i < trials; i++ {
 		st, err := NewState(g, 3, assign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Step(r, TwoChoicesRule{})
+		st.StepSharded(sim.TwoChoices, r.Uint64(), 1, 1, &scratch)
 		counts := st.Counts()
 		for j := 0; j < 3; j++ {
 			sums[j] += float64(counts.Count(j))
@@ -55,12 +57,13 @@ func TestVoterAgentMatchesCountsLaw(t *testing.T) {
 	r := rng.New(33)
 	assign := ShuffledAssignment(init, r)
 	sum := 0.0
+	var scratch ShardScratch
 	for i := 0; i < trials; i++ {
 		st, err := NewState(g, 2, assign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Step(r, VoterRule{})
+		st.StepSharded(sim.Voter, r.Uint64(), 1, 1, &scratch)
 		sum += float64(st.Counts().Count(0))
 	}
 	got := sum / trials
@@ -104,8 +107,10 @@ func TestSBMMetastability(t *testing.T) {
 	// rounds; run the SBM for far longer and require both opinions to
 	// survive with substantial support.
 	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		st.Step(r, TwoChoicesRule{})
+	seed := r.Uint64()
+	var scratch ShardScratch
+	for round := 1; round <= rounds; round++ {
+		st.StepSharded(sim.TwoChoices, seed, round, 1, &scratch)
 	}
 	counts := st.Counts()
 	if counts.Live() != 2 {
@@ -124,7 +129,7 @@ func TestSBMMetastability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunSharded(r.Uint64(), cst, TwoChoicesRule{}, rounds, 1, nil)
+	res := RunSharded(r.Uint64(), cst, sim.TwoChoices, rounds, 1, nil)
 	if !res.Consensus {
 		t.Fatalf("complete graph did not decide within %d rounds", rounds)
 	}
@@ -158,8 +163,10 @@ func TestRingCoarsening(t *testing.T) {
 	if got := boundaries(); got != 2 {
 		t.Fatalf("block assignment should have 2 boundaries, got %d", got)
 	}
+	seed := r.Uint64()
+	var scratch ShardScratch
 	for i := 0; i < 50; i++ {
-		st.Step(r, TwoChoicesRule{})
+		st.StepSharded(sim.TwoChoices, seed, i+1, 1, &scratch)
 		// 2-Choices on a ring flips only vertices within distance 1 of
 		// an interface (a flip needs both sampled neighbors to agree
 		// against the current opinion), so the two initial interfaces

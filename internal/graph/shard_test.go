@@ -5,6 +5,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 func TestShardsIsPureAndBounded(t *testing.T) {
@@ -59,8 +60,8 @@ func TestStepShardedWorkerCountInvariance(t *testing.T) {
 	parallel := shardedState(t, n, 5, 1)
 	var sa, sb ShardScratch
 	for round := 1; round <= 5; round++ {
-		serial.StepSharded(ThreeMajorityRule{}, seed, round, 1, &sa)
-		parallel.StepSharded(ThreeMajorityRule{}, seed, round, 8, &sb)
+		serial.StepSharded(sim.ThreeMajority, seed, round, 1, &sa)
+		parallel.StepSharded(sim.ThreeMajority, seed, round, 8, &sb)
 		a, b := serial.Opinions(), parallel.Opinions()
 		for v := range a {
 			if a[v] != b[v] {
@@ -89,7 +90,7 @@ func TestStepShardedConsensusReport(t *testing.T) {
 	var scratch ShardScratch
 	// From consensus, every rule fixes the state: the step must report
 	// consensus on opinion 2 and Consensus must agree.
-	op, ok := st.StepSharded(TwoChoicesRule{}, 7, 1, 4, &scratch)
+	op, ok := st.StepSharded(sim.TwoChoices, 7, 1, 4, &scratch)
 	if !ok || op != 2 {
 		t.Fatalf("step on uniform state reported (%d, %v), want (2, true)", op, ok)
 	}
@@ -98,7 +99,7 @@ func TestStepShardedConsensusReport(t *testing.T) {
 	}
 
 	mixed := shardedState(t, n, 4, 3)
-	op, ok = mixed.StepSharded(TwoChoicesRule{}, 7, 1, 4, &scratch)
+	op, ok = mixed.StepSharded(sim.TwoChoices, 7, 1, 4, &scratch)
 	if gotOp, gotOK := mixed.Consensus(); ok != gotOK || (ok && op != gotOp) {
 		t.Fatalf("step reported (%d, %v) but Consensus() = (%d, %v)", op, ok, gotOp, gotOK)
 	}
@@ -123,8 +124,8 @@ func TestRunShardedWorkerCountInvariance(t *testing.T) {
 		}
 		return st
 	}
-	a := RunSharded(123, build(), ThreeMajorityRule{}, 2000, 1, nil)
-	b := RunSharded(123, build(), ThreeMajorityRule{}, 2000, 16, nil)
+	a := RunSharded(123, build(), sim.ThreeMajority, 2000, 1, nil)
+	b := RunSharded(123, build(), sim.ThreeMajority, 2000, 16, nil)
 	if a != b {
 		t.Fatalf("worker counts diverge: 1 worker %+v vs 16 workers %+v", a, b)
 	}
@@ -133,7 +134,7 @@ func TestRunShardedWorkerCountInvariance(t *testing.T) {
 	}
 	// And a different seed gives a different trajectory (streams are
 	// actually consumed).
-	c := RunSharded(124, build(), ThreeMajorityRule{}, 2000, 1, nil)
+	c := RunSharded(124, build(), sim.ThreeMajority, 2000, 1, nil)
 	if c == a {
 		t.Fatalf("seeds 123 and 124 produced identical runs %+v", a)
 	}

@@ -2,6 +2,7 @@ package population
 
 import (
 	"fmt"
+	"math/bits"
 
 	"plurality/internal/rng"
 )
@@ -81,12 +82,8 @@ func (f *Fenwick) Move(from, to int) {
 func (f *Fenwick) Sample(r *rng.Rand) int {
 	target := r.Int63n(f.total) // uniform in [0, total)
 	idx := 0
-	// Highest power of two not exceeding len(tree)-1.
-	bit := 1
-	for bit<<1 <= len(f.tree)-1 {
-		bit <<= 1
-	}
-	for ; bit > 0; bit >>= 1 {
+	// Descend from the highest power of two not exceeding k.
+	for bit := 1 << (bits.Len(uint(len(f.count))) - 1); bit > 0; bit >>= 1 {
 		next := idx + bit
 		if next < len(f.tree) && f.tree[next] <= target {
 			target -= f.tree[next]

@@ -100,7 +100,7 @@ func TestDrainInterruptsAndRestartResumes(t *testing.T) {
 	store := openTestStore(t, dir)
 	r := NewRunner(Options{Workers: 1, Store: store})
 	running := make(chan struct{})
-	r.exec = func(ctx context.Context, q Request, _ int, _ *ResumeState, _ int, onCheckpoint func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, _ int, _ *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
 		// Two trials done, then the job parks until drain cancels it.
 		onCheckpoint(ResumeState{NextTrial: 2, Trials: want.Trials[:2]})
 		close(running)
@@ -183,7 +183,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	r.retryBaseDelay = time.Microsecond
 	var attempt atomic.Int32
 	var resumedFrom atomic.Int32
-	r.exec = func(ctx context.Context, q Request, p int, resume *ResumeState, every int, onCheckpoint func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, p int, resume *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
 		if attempt.Add(1) == 1 {
 			full, err := ExecuteParallel(q, p)
 			if err != nil {
@@ -195,7 +195,7 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 		if resume != nil {
 			resumedFrom.Store(int32(resume.NextTrial))
 		}
-		return ExecuteResumable(ctx, q, p, resume, every, onCheckpoint)
+		return ExecuteResumable(ctx, q, p, resume, onCheckpoint)
 	}
 	req := Request{Protocol: "3-majority", N: 1000, K: 4, Seed: 9, Trials: 4}
 	got, _, err := r.Do(context.Background(), req)
@@ -226,7 +226,7 @@ func TestTerminalFailureAfterBudget(t *testing.T) {
 	r := NewRunner(Options{Workers: 1, Store: store, MaxAttempts: 3})
 	r.retryBaseDelay = time.Microsecond
 	var attempts atomic.Int32
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
 		attempts.Add(1)
 		return nil, fmt.Errorf("boom")
 	}
@@ -261,7 +261,7 @@ func TestTerminalFailureAfterBudget(t *testing.T) {
 func TestJobTimeoutFailsTerminally(t *testing.T) {
 	r := NewRunner(Options{Workers: 1, JobTimeout: 20 * time.Millisecond})
 	defer r.Close()
-	r.exec = func(ctx context.Context, _ Request, _ int, _ *ResumeState, _ int, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, _ Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -281,11 +281,11 @@ func TestWorkerSurvivesExecPanic(t *testing.T) {
 	defer r.Close()
 	real := r.exec
 	var calls atomic.Int32
-	r.exec = func(ctx context.Context, q Request, p int, rs *ResumeState, every int, cb func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, p int, rs *ResumeState, cb func(ResumeState)) (*Response, error) {
 		if calls.Add(1) == 1 {
 			panic("poisoned request")
 		}
-		return real(ctx, q, p, rs, every, cb)
+		return real(ctx, q, p, rs, cb)
 	}
 	_, _, err := r.Do(context.Background(), testRequest(8))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -305,7 +305,7 @@ func TestCancelledWaiterDetaches(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
 		close(started)
 		<-release
 		return Execute(q)
@@ -361,7 +361,7 @@ func TestCancelledWaiterDoesNotResubmitAbandonedJob(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
 		started <- struct{}{}
 		<-release
 		return Execute(q)
@@ -521,9 +521,9 @@ func TestRestartedDetachedJobKeepsID(t *testing.T) {
 	store := openTestStore(t, dir)
 	r := NewRunner(Options{Workers: 1, Store: store})
 	running := make(chan struct{})
-	r.exec = func(ctx context.Context, q Request, p int, rs *ResumeState, every int, onCheckpoint func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, p int, rs *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
 		if q.Key() != parked.Key() {
-			return ExecuteResumable(ctx, q, p, rs, every, onCheckpoint)
+			return ExecuteResumable(ctx, q, p, rs, onCheckpoint)
 		}
 		onCheckpoint(ResumeState{NextTrial: 2, Trials: want.Trials[:2]})
 		close(running)
@@ -633,7 +633,7 @@ func TestDurableStoreErrorsCounted(t *testing.T) {
 		store := failingJournal(t, t.TempDir(), &okWrites)
 		r := NewRunner(Options{Workers: 1, Store: store})
 		defer r.Close()
-		r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ int, onCheckpoint func(ResumeState)) (*Response, error) {
+		r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
 			if q.Seed == 53 {
 				return nil, fmt.Errorf("boom")
 			}

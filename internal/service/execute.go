@@ -106,7 +106,7 @@ func Execute(q Request) (*Response, error) {
 // Parallelism is an execution hint only — the Response (and hence its
 // canonical JSON encoding) is byte-identical for every value.
 func ExecuteParallel(q Request, parallelism int) (*Response, error) {
-	return ExecuteResumable(nil, q, parallelism, nil, 0, nil)
+	return ExecuteResumable(nil, q, parallelism, nil, nil)
 }
 
 // ResumeState is a request's durable checkpoint: the trials completed
@@ -142,19 +142,17 @@ func (rs *ResumeState) valid(numTrials int) bool {
 //   - starts from resume.NextTrial when resume is a valid checkpoint
 //     of this request (invalid or nil checkpoints are ignored and the
 //     request runs from trial 0);
-//   - after each `every`-th completed trial (every <= 1 means each
-//     one), calls onCheckpoint with the progress so far — the callback
-//     must copy or serialize the state before returning, as the
-//     backing slices keep growing;
+//   - after every completed trial but the last, calls onCheckpoint
+//     with the progress so far — the callback must copy or serialize
+//     the state before returning, as the backing slices keep growing;
 //   - stops claiming new trials once ctx is cancelled (nil ctx never
 //     cancels), finishing in-flight trials and returning ctx.Err();
-//     the last onCheckpoint then bounds the lost work to under
-//     `every` trials.
+//     the last onCheckpoint then holds every completed trial.
 //
 // The completed Response is byte-identical to ExecuteParallel's for
-// every (resume, every, parallelism): checkpointing observes the trial
+// every (resume, parallelism): checkpointing observes the trial
 // stream, never perturbs it.
-func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *ResumeState, every int, onCheckpoint func(ResumeState)) (*Response, error) {
+func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
 	q = q.Normalize()
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -185,10 +183,6 @@ func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *R
 		trials = append(trials, resume.Trials...)
 		points = append(points, resume.Trace...)
 	}
-	if every < 1 {
-		every = 1
-	}
-	sinceCheckpoint := 0
 	streamErr := exp.Stream(ctx, func(_ int, tr plurality.TrialResult) bool {
 		trials = append(trials, trialOf(tr))
 		if q.Trace != nil {
@@ -196,10 +190,8 @@ func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *R
 			// trace is parallelism- and resume-independent.
 			points = append(points, tr.Trace...)
 		}
-		sinceCheckpoint++
-		if onCheckpoint != nil && sinceCheckpoint >= every && len(trials) < numTrials {
+		if onCheckpoint != nil && len(trials) < numTrials {
 			onCheckpoint(ResumeState{NextTrial: len(trials), Trials: trials, Trace: points})
-			sinceCheckpoint = 0
 		}
 		return true
 	})

@@ -11,6 +11,7 @@ import (
 
 	"plurality"
 	"plurality/internal/population"
+	"plurality/internal/sim"
 	"plurality/internal/stop"
 	"plurality/internal/trace"
 )
@@ -335,10 +336,8 @@ func (q Request) Validate() error {
 	switch q.Mode {
 	case ModeSync:
 	case ModeAsync, ModeGraph, ModeGossip:
-		switch q.Protocol {
-		case "3-majority", "2-choices", "voter":
-		default:
-			return fmt.Errorf("service: mode %q supports protocols 3-majority, 2-choices and voter, got %q", q.Mode, q.Protocol)
+		if _, ok := sim.RuleByName(q.Protocol); !ok {
+			return fmt.Errorf("service: mode %q supports protocols %s, got %q", q.Mode, sim.RuleNames(), q.Protocol)
 		}
 		if q.Adversary != "" {
 			return fmt.Errorf("service: adversaries are supported in mode %q only", ModeSync)

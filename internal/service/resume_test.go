@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"plurality/internal/stop"
@@ -56,7 +57,7 @@ func TestResumeByteIdentical(t *testing.T) {
 
 			// Collect every per-trial checkpoint from a full run.
 			var checkpoints []ResumeState
-			resp, err := ExecuteResumable(nil, req, 3, nil, 1, func(rs ResumeState) {
+			resp, err := ExecuteResumable(nil, req, 3, nil, func(rs ResumeState) {
 				checkpoints = append(checkpoints, snapshotState(rs))
 			})
 			if err != nil {
@@ -82,7 +83,7 @@ func TestResumeByteIdentical(t *testing.T) {
 				if err := json.Unmarshal(data, &rs); err != nil {
 					t.Fatal(err)
 				}
-				resumed, err := ExecuteResumable(nil, req, 2, &rs, 1, nil)
+				resumed, err := ExecuteResumable(nil, req, 2, &rs, nil)
 				if err != nil {
 					t.Fatalf("resume from trial %d: %v", rs.NextTrial, err)
 				}
@@ -106,7 +107,7 @@ func TestResumeAfterCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var last *ResumeState
-	resp, err := ExecuteResumable(ctx, req, 2, nil, 1, func(rs ResumeState) {
+	resp, err := ExecuteResumable(ctx, req, 2, nil, func(rs ResumeState) {
 		cp := snapshotState(rs)
 		last = &cp
 		if rs.NextTrial >= 3 {
@@ -120,7 +121,7 @@ func TestResumeAfterCancellation(t *testing.T) {
 		t.Fatalf("checkpoint before cancellation: %+v", last)
 	}
 
-	resumed, err := ExecuteResumable(nil, req, 2, last, 1, nil)
+	resumed, err := ExecuteResumable(nil, req, 2, last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestResumeIgnoresInvalidCheckpoint(t *testing.T) {
 		"negative":         {NextTrial: -1},
 		"past-the-end":     {NextTrial: 99, Trials: make([]Trial, 99)},
 	} {
-		got, err := ExecuteResumable(nil, req, 1, rs, 1, nil)
+		got, err := ExecuteResumable(nil, req, 1, rs, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -153,18 +154,18 @@ func TestResumeIgnoresInvalidCheckpoint(t *testing.T) {
 	}
 }
 
-// TestResumeCheckpointCadence: every=k checkpoints after every k-th
-// completed trial and never after the final one (completion supersedes
-// it).
+// TestResumeCheckpointCadence: a checkpoint after every completed
+// trial, in trial order, and never after the final one (completion
+// supersedes it).
 func TestResumeCheckpointCadence(t *testing.T) {
 	req := Request{Protocol: "voter", N: 200, K: 3, Seed: 4, Trials: 7}
 	var nexts []int
-	if _, err := ExecuteResumable(nil, req, 1, nil, 3, func(rs ResumeState) {
+	if _, err := ExecuteResumable(nil, req, 1, nil, func(rs ResumeState) {
 		nexts = append(nexts, rs.NextTrial)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(nexts) != 2 || nexts[0] != 3 || nexts[1] != 6 {
-		t.Fatalf("checkpoints at %v, want [3 6]", nexts)
+	if fmt.Sprint(nexts) != "[1 2 3 4 5 6]" {
+		t.Fatalf("checkpoints at %v, want [1 2 3 4 5 6]", nexts)
 	}
 }

@@ -132,9 +132,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// checkpointEvery is the checkpoint cadence in completed trials, and
 // retryMaxDelay caps the retry backoff.
-const checkpointEvery, retryMaxDelay = 1, 5 * time.Second
+const retryMaxDelay = 5 * time.Second
 
 // backoffDelay is the sleep before retry attempt next (2-based: the
 // sleep after the first failure is backoffDelay(2)): base·2^(next-2)
@@ -281,7 +280,7 @@ type Runner struct {
 	senders sync.WaitGroup
 	// exec runs one request with checkpoint/resume support; it is
 	// ExecuteResumable except in tests.
-	exec func(ctx context.Context, q Request, parallelism int, resume *ResumeState, every int, onCheckpoint func(ResumeState)) (*Response, error)
+	exec func(ctx context.Context, q Request, parallelism int, resume *ResumeState, onCheckpoint func(ResumeState)) (*Response, error)
 	// baseCtx is cancelled by Drain: running jobs observe it at trial
 	// boundaries, checkpoint, and stop without a terminal record.
 	baseCtx    context.Context
@@ -712,7 +711,7 @@ func (r *Runner) runJob(j *Job) {
 			}
 			r.executions.Add(1)
 			return r.exec(ctx, j.req, r.opts.Parallelism, resume,
-				checkpointEvery, func(rs ResumeState) { r.checkpoint(j, rs) })
+				func(rs ResumeState) { r.checkpoint(j, rs) })
 		}()
 		cancel()
 
