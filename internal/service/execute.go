@@ -298,6 +298,11 @@ func MergeShards(q Request, shards []*ShardResult) (*Response, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	for _, s := range shards {
+		if s == nil {
+			return nil, fmt.Errorf("service: shard results do not tile [0, %d) (nil shard)", q.Trials)
+		}
+	}
 	ordered := make([]*ShardResult, len(shards))
 	copy(ordered, shards)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Lo < ordered[j].Lo })
@@ -305,7 +310,7 @@ func MergeShards(q Request, shards []*ShardResult) (*Response, error) {
 	var points []trace.Point
 	next := 0
 	for _, s := range ordered {
-		if s == nil || s.Lo != next || s.Hi <= s.Lo || len(s.Trials) != s.Hi-s.Lo {
+		if s.Lo != next || s.Hi <= s.Lo || len(s.Trials) != s.Hi-s.Lo {
 			return nil, fmt.Errorf("service: shard results do not tile [0, %d) (next=%d)", q.Trials, next)
 		}
 		trials = append(trials, s.Trials...)

@@ -84,6 +84,7 @@ func TestShardRejects(t *testing.T) {
 	short.Trials = short.Trials[:2]
 	for name, shards := range map[string][]*ShardResult{
 		"none":         nil,
+		"nil-shard":    {nil, tile(0, 6)},
 		"gap":          {tile(0, 2), tile(3, 6)},
 		"overlap":      {tile(0, 3), tile(2, 6)},
 		"duplicate":    {tile(0, 3), tile(0, 3), tile(3, 6)},
