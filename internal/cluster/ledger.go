@@ -240,43 +240,49 @@ func (l *Ledger) Jobs() []JobView {
 	return views
 }
 
+// wait blocks until ready — evaluated under the lock, again after
+// every applied record — holds, and reports false if done closes
+// first. It is the one wait loop behind WaitApplied, WaitDecided and
+// WaitAllDone.
+func (l *Ledger) wait(done <-chan struct{}, ready func() bool) bool {
+	for {
+		l.mu.Lock()
+		ok := ready()
+		ch := l.notify
+		l.mu.Unlock()
+		if ok {
+			return true
+		}
+		select {
+		case <-ch:
+		case <-done:
+			return false
+		}
+	}
+}
+
 // WaitApplied blocks until the ledger has applied the log entry at
 // index. Commit and apply are asynchronous: a proposer that saw its
 // record commit must wait for the local apply before reading the
 // ledger's view of it.
 func (l *Ledger) WaitApplied(done <-chan struct{}, index uint64) error {
-	for {
-		l.mu.Lock()
-		ok := l.applied >= index
-		ch := l.notify
-		l.mu.Unlock()
-		if ok {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-done:
-			return fmt.Errorf("cluster: wait for apply %d cancelled", index)
-		}
+	if !l.wait(done, func() bool { return l.applied >= index }) {
+		return fmt.Errorf("cluster: wait for apply %d cancelled", index)
 	}
+	return nil
 }
 
 // WaitDecided blocks until key's job has an applied decision.
 func (l *Ledger) WaitDecided(done <-chan struct{}, key string) (JobView, error) {
-	for {
-		l.mu.Lock()
-		v, ok := l.jobLocked(key)
-		ch := l.notify
-		l.mu.Unlock()
-		if ok && v.Decided {
-			return v, nil
-		}
-		select {
-		case <-ch:
-		case <-done:
-			return JobView{}, fmt.Errorf("cluster: wait for decision on %s cancelled", key)
-		}
+	var v JobView
+	if !l.wait(done, func() bool {
+		var ok bool
+		v, ok = l.jobLocked(key)
+		return ok && v.Decided
+	}) {
+		return JobView{}, fmt.Errorf("cluster: wait for decision on %s cancelled", key)
 	}
+	return v, nil
 }
 
 // Requeues returns the applied requeue count.
@@ -289,26 +295,18 @@ func (l *Ledger) Requeues() uint64 {
 // WaitAllDone blocks until every shard of key is done (returning the
 // job view) or ctx-style cancellation via done.
 func (l *Ledger) WaitAllDone(done <-chan struct{}, key string) (JobView, error) {
-	for {
-		l.mu.Lock()
+	var v JobView
+	if !l.wait(done, func() bool {
 		j, ok := l.jobs[key]
-		var v JobView
-		complete := false
-		if ok && j.done == len(j.shards) && len(j.shards) > 0 {
-			v, _ = l.jobLocked(key)
-			complete = true
+		if !ok || len(j.shards) == 0 || j.done != len(j.shards) {
+			return false
 		}
-		ch := l.notify
-		l.mu.Unlock()
-		if complete {
-			return v, nil
-		}
-		select {
-		case <-ch:
-		case <-done:
-			return JobView{}, fmt.Errorf("cluster: wait for job %s cancelled", key)
-		}
+		v, _ = l.jobLocked(key)
+		return true
+	}) {
+		return JobView{}, fmt.Errorf("cluster: wait for job %s cancelled", key)
 	}
+	return v, nil
 }
 
 // PlanShards splits trials into at most parts index-contiguous ranges
