@@ -5,6 +5,7 @@ import (
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
+	"plurality/internal/sim"
 )
 
 // Reference wraps a protocol with a brute-force per-vertex step that
@@ -21,12 +22,13 @@ type Reference struct {
 // ReferenceRule enumerates the dynamics with reference implementations.
 type ReferenceRule int
 
-// Reference rules. They mirror Definition 3.1 and the baselines.
+// Reference rules. They mirror Definition 3.1 and the baselines: the
+// first three are sim.Rule's per-vertex rules, under the same values.
 const (
-	RefThreeMajority ReferenceRule = iota + 1
-	RefTwoChoices
-	RefVoter
-	RefMedian
+	RefThreeMajority = ReferenceRule(sim.ThreeMajority)
+	RefTwoChoices    = ReferenceRule(sim.TwoChoices)
+	RefVoter         = ReferenceRule(sim.Voter)
+	RefMedian        = RefVoter + 1
 )
 
 var _ Protocol = Reference{}
@@ -72,29 +74,17 @@ func (p Reference) Step(r *rng.Rand, v *population.Vector, s *Scratch) {
 		next[i] = 0
 	}
 	sample := func() int32 { return ops[r.Int63n(n)] }
+	// The three Definition 3.1 rules run the per-vertex rule of the
+	// async, graph and gossip engines, so the exactness tests hold that
+	// rule to the count-space laws; Median has no per-vertex form there.
+	// Next panics on an unknown rule.
+	rule := sim.Rule(p.Rule)
 	for vtx := int64(0); vtx < n; vtx++ {
 		var newOp int32
-		switch p.Rule {
-		case RefThreeMajority:
-			w1, w2, w3 := sample(), sample(), sample()
-			if w1 == w2 {
-				newOp = w1
-			} else {
-				newOp = w3
-			}
-		case RefTwoChoices:
-			w1, w2 := sample(), sample()
-			if w1 == w2 {
-				newOp = w1
-			} else {
-				newOp = ops[vtx]
-			}
-		case RefVoter:
-			newOp = sample()
-		case RefMedian:
+		if p.Rule == RefMedian {
 			newOp = median3(ops[vtx], sample(), sample())
-		default:
-			panic(fmt.Sprintf("core: unknown reference rule %d", p.Rule))
+		} else {
+			newOp = rule.Next(ops[vtx], sample)
 		}
 		next[newOp]++
 	}
