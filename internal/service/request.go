@@ -521,9 +521,9 @@ func buildInit(q Request) (plurality.Init, error) {
 
 // graphDegree returns the per-vertex adjacency degree the normalized
 // graph-mode request will materialize, with parseTopology's defaults
-// applied (0 for complete, which stores no adjacency). It is the
-// per-trial memory model shared by Validate's edge-slot cap and the
-// executor's concurrency clamp.
+// applied (0 for complete, which stores no adjacency). Only Validate's
+// edge-slot cap uses it: the executor's concurrency clamp
+// (plurality's workerSplit) reads the built Topology's own degree.
 func (q Request) graphDegree() int64 {
 	switch q.Topology {
 	case "ring":
