@@ -33,9 +33,13 @@
 // # Byte identity
 //
 // Workers execute shards through service.ExecuteShard, which derives
-// each trial's seed from (request seed, trial index) alone; the merge
-// validates that the shards tile [0, trials) exactly and reassembles
-// the response precisely as the single-process path does. Shard
+// each trial's seed from (request seed, trial index) alone, and the
+// coordinator merges them with service.MergeShards. A shard is the
+// same trial-range record a single node's checkpoint is, and
+// MergeShards is the one assembler and tiling check behind every
+// simulated response: it refuses shards that do not tile [0, trials)
+// exactly and otherwise builds the bytes the single-process path
+// builds, because that path ends in the same merge. Shard
 // results ride inside the replicated log, so any coordinator — not
 // just the leader that dispatched them — can merge and answer the
 // client, including after a failover. The ledger is also the only

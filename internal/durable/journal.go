@@ -20,8 +20,8 @@ const (
 	// across restarts.
 	OpStarted = "started"
 	// OpCheckpoint records resumable progress (State is an opaque
-	// payload — the service layer's ResumeState). The latest checkpoint
-	// for a key wins.
+	// payload — the service layer's ShardResult of the trials [0, next)
+	// completed so far). The latest checkpoint for a key wins.
 	OpCheckpoint = "checkpoint"
 	// OpCompleted records a finished job whose result bytes were
 	// already fsync'd into the result cache — the write ordering that

@@ -100,9 +100,9 @@ func TestDrainInterruptsAndRestartResumes(t *testing.T) {
 	store := openTestStore(t, dir)
 	r := NewRunner(Options{Workers: 1, Store: store})
 	running := make(chan struct{})
-	r.exec = func(ctx context.Context, q Request, _ int, _ *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, _ int, _ *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error) {
 		// Two trials done, then the job parks until drain cancels it.
-		onCheckpoint(ResumeState{NextTrial: 2, Trials: want.Trials[:2]})
+		onCheckpoint(&ShardResult{Hi: 2, Trials: want.Trials[:2]})
 		close(running)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -183,17 +183,17 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	r.retryBaseDelay = time.Microsecond
 	var attempt atomic.Int32
 	var resumedFrom atomic.Int32
-	r.exec = func(ctx context.Context, q Request, p int, resume *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, p int, resume *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error) {
 		if attempt.Add(1) == 1 {
 			full, err := ExecuteParallel(q, p)
 			if err != nil {
 				return nil, err
 			}
-			onCheckpoint(ResumeState{NextTrial: 2, Trials: full.Trials[:2]})
+			onCheckpoint(&ShardResult{Hi: 2, Trials: full.Trials[:2]})
 			return nil, fmt.Errorf("transient fault")
 		}
 		if resume != nil {
-			resumedFrom.Store(int32(resume.NextTrial))
+			resumedFrom.Store(int32(resume.Hi))
 		}
 		return ExecuteResumable(ctx, q, p, resume, onCheckpoint)
 	}
@@ -226,7 +226,7 @@ func TestTerminalFailureAfterBudget(t *testing.T) {
 	r := NewRunner(Options{Workers: 1, Store: store, MaxAttempts: 3})
 	r.retryBaseDelay = time.Microsecond
 	var attempts atomic.Int32
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		attempts.Add(1)
 		return nil, fmt.Errorf("boom")
 	}
@@ -261,7 +261,7 @@ func TestTerminalFailureAfterBudget(t *testing.T) {
 func TestJobTimeoutFailsTerminally(t *testing.T) {
 	r := NewRunner(Options{Workers: 1, JobTimeout: 20 * time.Millisecond})
 	defer r.Close()
-	r.exec = func(ctx context.Context, _ Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, _ Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -281,7 +281,7 @@ func TestWorkerSurvivesExecPanic(t *testing.T) {
 	defer r.Close()
 	real := r.exec
 	var calls atomic.Int32
-	r.exec = func(ctx context.Context, q Request, p int, rs *ResumeState, cb func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, p int, rs *ShardResult, cb func(*ShardResult)) (*Response, error) {
 		if calls.Add(1) == 1 {
 			panic("poisoned request")
 		}
@@ -305,7 +305,7 @@ func TestCancelledWaiterDetaches(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		close(started)
 		<-release
 		return Execute(q)
@@ -361,7 +361,7 @@ func TestCancelledWaiterDoesNotResubmitAbandonedJob(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		started <- struct{}{}
 		<-release
 		return Execute(q)
@@ -438,11 +438,11 @@ func TestBackoffDelayRange(t *testing.T) {
 	}
 }
 
-// TestResumeStateJSONRoundTrip: the checkpoint payload the journal
-// stores decodes back to the same state.
-func TestResumeStateJSONRoundTrip(t *testing.T) {
+// TestShardResultJSONRoundTrip: the checkpoint payload the journal
+// stores decodes back to the same record.
+func TestShardResultJSONRoundTrip(t *testing.T) {
 	ticks := int64(42)
-	rs := ResumeState{NextTrial: 2, Trials: []Trial{
+	rs := &ShardResult{Hi: 2, Trials: []Trial{
 		{Trial: 0, Rounds: 10, Consensus: true, Winner: 1},
 		{Trial: 1, Rounds: 3.5, Winner: 2, Ticks: &ticks},
 	}}
@@ -451,7 +451,7 @@ func TestResumeStateJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := decodeResume(data)
-	if got == nil || got.NextTrial != 2 || len(got.Trials) != 2 || *got.Trials[1].Ticks != 42 {
+	if got == nil || got.Lo != 0 || got.Hi != 2 || len(got.Trials) != 2 || *got.Trials[1].Ticks != 42 {
 		t.Fatalf("round trip: %+v", got)
 	}
 	if decodeResume([]byte("{broken")) != nil {
@@ -459,6 +459,58 @@ func TestResumeStateJSONRoundTrip(t *testing.T) {
 	}
 	if decodeResume(nil) != nil {
 		t.Fatal("empty checkpoint not nil")
+	}
+}
+
+// TestDurableLegacyCheckpointRerunsFromZero: a journal written before
+// checkpoints were trial-range records holds {"next_trial":…} payloads.
+// Such a payload is no tile [0, Hi) of its request, so the restarted
+// job discards it, re-runs from trial 0 and finishes byte-identical to
+// an uninterrupted run, with no store error. The legacy trials carry
+// made-up outcomes: trusting them would show in the bytes.
+func TestDurableLegacyCheckpointRerunsFromZero(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{Protocol: "3-majority", N: 1000, K: 4, Seed: 77, Trials: 5}.Normalize()
+	want, err := ExecuteParallel(req, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"next_trial":2,"trials":[{"trial":0,"rounds":1,"consensus":true,"winner":0},{"trial":1,"rounds":1,"consensus":true,"winner":0}]}`
+	for _, rec := range []durable.Record{
+		{Op: durable.OpSubmitted, Key: req.Key(), Request: body},
+		{Op: durable.OpStarted, Key: req.Key(), Attempt: 1},
+		{Op: durable.OpCheckpoint, Key: req.Key(), State: json.RawMessage(legacy)},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	store := openTestStore(t, dir)
+	defer store.Close()
+	if rec := store.Recovered(); len(rec.Interrupted) != 1 || rec.Interrupted[0].Key != req.Key() {
+		t.Fatalf("recovery of a legacy checkpoint: %+v", rec)
+	}
+	r := NewRunner(Options{Workers: 1, Store: store})
+	defer r.Close()
+	got, _, err := r.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(respBytes(t, got), respBytes(t, want)) {
+		t.Fatalf("legacy-checkpoint job diverged:\n got %s\nwant %s", respBytes(t, got), respBytes(t, want))
+	}
+	if m := r.Metrics(); m.Recovered != 1 || m.Executions != 1 || m.StoreErrors != 0 {
+		t.Fatalf("metrics after the legacy restart: %+v", m)
 	}
 }
 
@@ -521,11 +573,11 @@ func TestRestartedDetachedJobKeepsID(t *testing.T) {
 	store := openTestStore(t, dir)
 	r := NewRunner(Options{Workers: 1, Store: store})
 	running := make(chan struct{})
-	r.exec = func(ctx context.Context, q Request, p int, rs *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
+	r.exec = func(ctx context.Context, q Request, p int, rs *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error) {
 		if q.Key() != parked.Key() {
 			return ExecuteResumable(ctx, q, p, rs, onCheckpoint)
 		}
-		onCheckpoint(ResumeState{NextTrial: 2, Trials: want.Trials[:2]})
+		onCheckpoint(&ShardResult{Hi: 2, Trials: want.Trials[:2]})
 		close(running)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -633,11 +685,11 @@ func TestDurableStoreErrorsCounted(t *testing.T) {
 		store := failingJournal(t, t.TempDir(), &okWrites)
 		r := NewRunner(Options{Workers: 1, Store: store})
 		defer r.Close()
-		r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
+		r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error) {
 			if q.Seed == 53 {
 				return nil, fmt.Errorf("boom")
 			}
-			onCheckpoint(ResumeState{NextTrial: 1})
+			onCheckpoint(&ShardResult{Hi: 1})
 			return Execute(q)
 		}
 		// Submitted and started records land; the checkpoint and

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
+	"slices"
 	"sort"
 
 	"plurality"
@@ -109,50 +109,73 @@ func ExecuteParallel(q Request, parallelism int) (*Response, error) {
 	return ExecuteResumable(nil, q, parallelism, nil, nil)
 }
 
-// ResumeState is a request's durable checkpoint: the trials completed
-// so far plus where to pick back up. It is the opaque payload the
-// durable journal stores under checkpoint records. Trials are
-// independent in their index (the frozen per-trial seed contract), so
-// executing trials NextTrial..NumTrials-1 and appending them to Trials
-// yields bytes identical to an uninterrupted run — which is what makes
-// the checkpoint exact rather than approximate.
-type ResumeState struct {
-	// NextTrial is the first trial index not yet executed; always
-	// len(Trials).
-	NextTrial int `json:"next_trial"`
-	// Trials holds the completed per-trial outcomes, indexed by trial.
+// ShardResult is the one record of a request's completed trials: the
+// outcomes of the index-contiguous trial range [Lo, Hi). Trial i's RNG
+// stream is rng.DeriveSeed(Seed, i), independent of which process runs
+// it and of what ran before, so every range is a self-contained unit:
+// a cluster worker computes one and ships it to its coordinator, and a
+// durable checkpoint is the range [0, next) of the trials completed so
+// far. Shards that tile [0, Trials), concatenated in range order,
+// reproduce exactly the trial (and trace) sequence of a single-process
+// run — MergeShards is that concatenation.
+type ShardResult struct {
+	// Lo and Hi delimit the executed trial range [Lo, Hi).
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
+	// Trials holds the per-trial outcomes for trials Lo..Hi-1, in
+	// trial-index order.
 	Trials []Trial `json:"trials"`
-	// Trace holds the completed trials' sampled points in trial order
-	// (only when the request traces).
+	// Trace holds the range's sampled points in trial order (only when
+	// the request traces).
 	Trace []trace.Point `json:"trace,omitempty"`
 }
 
-// valid reports whether the state can resume a q with the given trial
-// count. A corrupt or mismatched checkpoint is discarded (run from
-// trial 0) rather than trusted.
-func (rs *ResumeState) valid(numTrials int) bool {
-	return rs != nil && rs.NextTrial == len(rs.Trials) &&
-		rs.NextTrial >= 0 && rs.NextTrial <= numTrials
+// extend runs trials [sr.Hi, hi) of the normalized, validated request
+// q and appends them to sr — the one trial-range executor behind
+// ExecuteShard and ExecuteResumable. After every trial short of hi it
+// calls onTrial, when set, with the grown record. Once ctx is
+// cancelled it stops claiming trials, finishes the in-flight ones and
+// returns ctx.Err(); sr then holds every trial completed before that.
+func (sr *ShardResult) extend(ctx context.Context, q Request, parallelism, hi int, onTrial func(*ShardResult)) error {
+	exp, err := q.Experiment()
+	if err != nil {
+		return err
+	}
+	exp.Parallelism = parallelism
+	exp.FirstTrial = sr.Hi
+	exp.NumTrials = hi
+	return exp.Stream(ctx, func(_ int, tr plurality.TrialResult) bool {
+		sr.Trials = append(sr.Trials, trialOf(tr))
+		// Points concatenate in trial order, so the merged trace is
+		// independent of parallelism, resumption and sharding.
+		sr.Trace = append(sr.Trace, tr.Trace...)
+		sr.Hi++
+		if onTrial != nil && sr.Hi < hi {
+			onTrial(sr)
+		}
+		return true
+	})
 }
 
 // ExecuteResumable is the checkpointing execution path behind
 // ExecuteParallel and the durable runner. It streams the request's
 // trials in deterministic index order and:
 //
-//   - starts from resume.NextTrial when resume is a valid checkpoint
-//     of this request (invalid or nil checkpoints are ignored and the
-//     request runs from trial 0);
+//   - continues after checkpoint when MergeShards' tiling rule accepts
+//     it as a tile [0, Hi) of this request (any other checkpoint, nil
+//     included, is ignored and the request runs from trial 0);
 //   - after every completed trial but the last, calls onCheckpoint
-//     with the progress so far — the callback must copy or serialize
-//     the state before returning, as the backing slices keep growing;
+//     with the completed trials [0, next) — the callback must copy or
+//     serialize the record before returning, as it keeps growing;
 //   - stops claiming new trials once ctx is cancelled (nil ctx never
 //     cancels), finishing in-flight trials and returning ctx.Err();
 //     the last onCheckpoint then holds every completed trial.
 //
-// The completed Response is byte-identical to ExecuteParallel's for
-// every (resume, parallelism): checkpointing observes the trial
-// stream, never perturbs it.
-func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *ResumeState, onCheckpoint func(ResumeState)) (*Response, error) {
+// The completed Response is the merge of the checkpoint and the newly
+// run trials, byte-identical to ExecuteParallel's for every
+// (checkpoint, parallelism): checkpointing observes the trial stream,
+// never perturbs it.
+func ExecuteResumable(ctx context.Context, q Request, parallelism int, checkpoint *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error) {
 	q = q.Normalize()
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -163,51 +186,17 @@ func ExecuteResumable(ctx context.Context, q Request, parallelism int, resume *R
 	if q.Tier == TierAnalytic {
 		return executeAnalytic(q)
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
+	done := &ShardResult{}
+	if _, err := tile([]*ShardResult{checkpoint}, q.Trials); err == nil {
+		// A copy: the record grows, and the caller's slices are not ours.
+		done.Hi = checkpoint.Hi
+		done.Trials = slices.Clone(checkpoint.Trials)
+		done.Trace = slices.Clone(checkpoint.Trace)
 	}
-	exp, err := q.Experiment()
-	if err != nil {
+	if err := done.extend(ctx, q, parallelism, q.Trials, onCheckpoint); err != nil {
 		return nil, err
 	}
-	exp.Parallelism = parallelism
-	numTrials := exp.NumTrials
-	if numTrials == 0 {
-		numTrials = 1 // Experiment normalizes 0 to 1
-	}
-
-	var trials []Trial
-	var points []trace.Point
-	if resume.valid(numTrials) {
-		exp.FirstTrial = resume.NextTrial
-		trials = append(trials, resume.Trials...)
-		points = append(points, resume.Trace...)
-	}
-	streamErr := exp.Stream(ctx, func(_ int, tr plurality.TrialResult) bool {
-		trials = append(trials, trialOf(tr))
-		if q.Trace != nil {
-			// Points are concatenated in trial order, so the merged
-			// trace is parallelism- and resume-independent.
-			points = append(points, tr.Trace...)
-		}
-		if onCheckpoint != nil && len(trials) < numTrials {
-			onCheckpoint(ResumeState{NextTrial: len(trials), Trials: trials, Trace: points})
-		}
-		return true
-	})
-	if streamErr != nil {
-		return nil, streamErr
-	}
-	if len(points) == 0 {
-		points = nil
-	}
-	return &Response{
-		Key:     q.Key(),
-		Request: q,
-		Summary: summarize(trials),
-		Trials:  trials,
-		Trace:   points,
-	}, nil
+	return MergeShards(q, []*ShardResult{done})
 }
 
 // trialOf maps an executed trial onto its wire form; Ticks is set on
@@ -226,25 +215,6 @@ func trialOf(tr plurality.TrialResult) Trial {
 	return t
 }
 
-// ShardResult is the outcome of executing one index-contiguous trial
-// range of a request — the unit a cluster worker computes and ships
-// back to its coordinator. Concatenating the shards of a request in
-// range order reproduces exactly the trial (and trace) sequence of a
-// single-process run: trial i's RNG stream is rng.DeriveSeed(Seed, i),
-// independent of which process executes it, so sharding is an
-// execution detail outside the response's identity.
-type ShardResult struct {
-	// Lo and Hi delimit the executed trial range [Lo, Hi).
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Trials holds the per-trial outcomes for trials Lo..Hi-1, in
-	// trial-index order.
-	Trials []Trial `json:"trials"`
-	// Trace holds the range's sampled points in trial order (only when
-	// the request traces).
-	Trace []trace.Point `json:"trace,omitempty"`
-}
-
 // ExecuteShard runs only trials [lo, hi) of the request — the worker
 // half of distributed execution. It is not a tier dispatcher: analytic
 // requests have no trials to shard and must be answered by Execute.
@@ -261,75 +231,60 @@ func ExecuteShard(ctx context.Context, q Request, parallelism int, lo, hi int) (
 	if lo < 0 || hi > q.Trials || lo >= hi {
 		return nil, fmt.Errorf("service: shard [%d, %d) out of range for %d trials", lo, hi, q.Trials)
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	exp, err := q.Experiment()
-	if err != nil {
+	sr := &ShardResult{Lo: lo, Hi: lo}
+	if err := sr.extend(ctx, q, parallelism, hi, nil); err != nil {
 		return nil, err
-	}
-	exp.Parallelism = parallelism
-	exp.FirstTrial = lo
-	exp.NumTrials = hi
-	sr := &ShardResult{Lo: lo, Hi: hi}
-	streamErr := exp.Stream(ctx, func(_ int, tr plurality.TrialResult) bool {
-		sr.Trials = append(sr.Trials, trialOf(tr))
-		if q.Trace != nil {
-			sr.Trace = append(sr.Trace, tr.Trace...)
-		}
-		return true
-	})
-	if streamErr != nil {
-		return nil, streamErr
 	}
 	return sr, nil
 }
 
+// tile is the one tiling rule for trial records, shared by MergeShards
+// and ExecuteResumable's checkpoint check. It sorts shards by Lo and
+// returns where their exact tiling of [0, next) ends. A nil or empty
+// shard, a shard whose Trials do not fill [Lo, Hi), any gap or overlap,
+// and a tiling past trials are errors: a record with missing or
+// duplicated trials would silently poison the result cache.
+func tile(shards []*ShardResult, trials int) (next int, err error) {
+	if slices.Contains(shards, nil) {
+		return 0, fmt.Errorf("service: shard results do not tile [0, %d) (nil shard)", trials)
+	}
+	sort.Slice(shards, func(i, j int) bool { return shards[i].Lo < shards[j].Lo })
+	for _, s := range shards {
+		if s.Lo != next || s.Hi <= s.Lo || s.Hi > trials || len(s.Trials) != s.Hi-s.Lo {
+			return 0, fmt.Errorf("service: shard results do not tile [0, %d) (next=%d)", trials, next)
+		}
+		next = s.Hi
+	}
+	return next, nil
+}
+
 // MergeShards assembles the canonical Response from a request's shard
-// results. The shards must exactly tile [0, q.Trials) — any gap,
-// overlap, or out-of-range shard is an error, because a merged
-// response with missing or duplicated trials would silently poison the
-// result cache. The returned bytes-level encoding is identical to a
-// single-process ExecuteParallel run of the same request: trials and
-// trace points concatenate in trial-index order and the summary is
-// recomputed from the full set.
+// results — the one Response assembler for simulated requests, local
+// and distributed alike. The shards must exactly tile [0, q.Trials).
+// The encoding is identical to a single-process ExecuteParallel run of
+// the same request: trials and trace points concatenate in trial-index
+// order and the summary is computed from the full set.
 func MergeShards(q Request, shards []*ShardResult) (*Response, error) {
 	q = q.Normalize()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	for _, s := range shards {
-		if s == nil {
-			return nil, fmt.Errorf("service: shard results do not tile [0, %d) (nil shard)", q.Trials)
-		}
-	}
-	ordered := make([]*ShardResult, len(shards))
-	copy(ordered, shards)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Lo < ordered[j].Lo })
-	var trials []Trial
-	var points []trace.Point
-	next := 0
-	for _, s := range ordered {
-		if s.Lo != next || s.Hi <= s.Lo || len(s.Trials) != s.Hi-s.Lo {
-			return nil, fmt.Errorf("service: shard results do not tile [0, %d) (next=%d)", q.Trials, next)
-		}
-		trials = append(trials, s.Trials...)
-		points = append(points, s.Trace...)
-		next = s.Hi
+	ordered := slices.Clone(shards)
+	next, err := tile(ordered, q.Trials)
+	if err != nil {
+		return nil, err
 	}
 	if next != q.Trials {
 		return nil, fmt.Errorf("service: shard results cover [0, %d) of %d trials", next, q.Trials)
 	}
-	if len(points) == 0 {
-		points = nil
+	resp := &Response{Key: q.Key(), Request: q}
+	for _, s := range ordered {
+		resp.Trials = append(resp.Trials, s.Trials...)
+		// Untraced shards append nothing, leaving Trace nil.
+		resp.Trace = append(resp.Trace, s.Trace...)
 	}
-	return &Response{
-		Key:     q.Key(),
-		Request: q,
-		Summary: summarize(trials),
-		Trials:  trials,
-		Trace:   points,
-	}, nil
+	resp.Summary = summarize(resp.Trials)
+	return resp, nil
 }
 
 func summarize(trials []Trial) Summary {

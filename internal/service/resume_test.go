@@ -33,11 +33,11 @@ func canonicalBytes(t *testing.T, resp *Response) []byte {
 	return data
 }
 
-// snapshotState deep-copies a ResumeState, as a durable journal append
-// would by serializing it — the callback contract says the backing
-// slices keep growing.
-func snapshotState(rs ResumeState) ResumeState {
-	cp := ResumeState{NextTrial: rs.NextTrial}
+// snapshotState deep-copies a checkpoint, as a durable journal append
+// would by serializing it — the callback contract says the record
+// keeps growing.
+func snapshotState(rs *ShardResult) *ShardResult {
+	cp := &ShardResult{Lo: rs.Lo, Hi: rs.Hi}
 	cp.Trials = append(cp.Trials, rs.Trials...)
 	cp.Trace = append(cp.Trace, rs.Trace...)
 	return cp
@@ -56,8 +56,8 @@ func TestResumeByteIdentical(t *testing.T) {
 			wantBytes := canonicalBytes(t, want)
 
 			// Collect every per-trial checkpoint from a full run.
-			var checkpoints []ResumeState
-			resp, err := ExecuteResumable(nil, req, 3, nil, func(rs ResumeState) {
+			var checkpoints []*ShardResult
+			resp, err := ExecuteResumable(nil, req, 3, nil, func(rs *ShardResult) {
 				checkpoints = append(checkpoints, snapshotState(rs))
 			})
 			if err != nil {
@@ -79,16 +79,16 @@ func TestResumeByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var rs ResumeState
+				var rs ShardResult
 				if err := json.Unmarshal(data, &rs); err != nil {
 					t.Fatal(err)
 				}
 				resumed, err := ExecuteResumable(nil, req, 2, &rs, nil)
 				if err != nil {
-					t.Fatalf("resume from trial %d: %v", rs.NextTrial, err)
+					t.Fatalf("resume from trial %d: %v", rs.Hi, err)
 				}
 				if got := canonicalBytes(t, resumed); string(got) != string(wantBytes) {
-					t.Fatalf("resume from trial %d diverged:\n got %s\nwant %s", rs.NextTrial, got, wantBytes)
+					t.Fatalf("resume from trial %d diverged:\n got %s\nwant %s", rs.Hi, got, wantBytes)
 				}
 			}
 		})
@@ -106,18 +106,17 @@ func TestResumeAfterCancellation(t *testing.T) {
 	wantBytes := canonicalBytes(t, want)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var last *ResumeState
-	resp, err := ExecuteResumable(ctx, req, 2, nil, func(rs ResumeState) {
-		cp := snapshotState(rs)
-		last = &cp
-		if rs.NextTrial >= 3 {
+	var last *ShardResult
+	resp, err := ExecuteResumable(ctx, req, 2, nil, func(rs *ShardResult) {
+		last = snapshotState(rs)
+		if rs.Hi >= 3 {
 			cancel()
 		}
 	})
 	if resp != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted execution: resp=%v err=%v", resp, err)
 	}
-	if last == nil || last.NextTrial < 3 {
+	if last == nil || last.Hi < 3 {
 		t.Fatalf("checkpoint before cancellation: %+v", last)
 	}
 
@@ -139,10 +138,13 @@ func TestResumeIgnoresInvalidCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rs := range map[string]*ResumeState{
-		"mismatched-count": {NextTrial: 2, Trials: []Trial{{Trial: 0}}},
-		"negative":         {NextTrial: -1},
-		"past-the-end":     {NextTrial: 99, Trials: make([]Trial, 99)},
+	for name, rs := range map[string]*ShardResult{
+		"mismatched-count": {Hi: 2, Trials: []Trial{{Trial: 0}}},
+		"negative":         {Hi: -1},
+		"past-the-end":     {Hi: 99, Trials: make([]Trial, 99)},
+		"lo-not-zero":      {Lo: 1, Hi: 2, Trials: []Trial{{Trial: 1}}},
+		"hi-past-trials":   {Hi: 4, Trials: make([]Trial, 4)},
+		"length-mismatch":  {Hi: 1, Trials: make([]Trial, 2)},
 	} {
 		got, err := ExecuteResumable(nil, req, 1, rs, nil)
 		if err != nil {
@@ -160,8 +162,8 @@ func TestResumeIgnoresInvalidCheckpoint(t *testing.T) {
 func TestResumeCheckpointCadence(t *testing.T) {
 	req := Request{Protocol: "voter", N: 200, K: 3, Seed: 4, Trials: 7}
 	var nexts []int
-	if _, err := ExecuteResumable(nil, req, 1, nil, func(rs ResumeState) {
-		nexts = append(nexts, rs.NextTrial)
+	if _, err := ExecuteResumable(nil, req, 1, nil, func(rs *ShardResult) {
+		nexts = append(nexts, rs.Hi)
 	}); err != nil {
 		t.Fatal(err)
 	}

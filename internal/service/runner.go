@@ -186,9 +186,9 @@ type Job struct {
 	// attempts is the total started-attempt count, including attempts
 	// from before a crash (replayed from the journal).
 	attempts int
-	// resumeData is the latest checkpoint's JSON (a ResumeState);
-	// retries and restarts resume from it instead of re-running
-	// completed trials.
+	// resumeData is the latest checkpoint's JSON (the ShardResult of
+	// the trials [0, next) completed so far); retries and restarts
+	// resume from it instead of re-running completed trials.
 	resumeData []byte
 }
 
@@ -280,7 +280,7 @@ type Runner struct {
 	senders sync.WaitGroup
 	// exec runs one request with checkpoint/resume support; it is
 	// ExecuteResumable except in tests.
-	exec func(ctx context.Context, q Request, parallelism int, resume *ResumeState, onCheckpoint func(ResumeState)) (*Response, error)
+	exec func(ctx context.Context, q Request, parallelism int, resume *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error)
 	// baseCtx is cancelled by Drain: running jobs observe it at trial
 	// boundaries, checkpoint, and stop without a terminal record.
 	baseCtx    context.Context
@@ -711,7 +711,7 @@ func (r *Runner) runJob(j *Job) {
 			}
 			r.executions.Add(1)
 			return r.exec(ctx, j.req, r.opts.Parallelism, resume,
-				func(rs ResumeState) { r.checkpoint(j, rs) })
+				func(sr *ShardResult) { r.checkpoint(j, sr) })
 		}()
 		cancel()
 
@@ -756,10 +756,10 @@ func (r *Runner) sleepBackoff(next int) bool {
 
 // checkpoint records resumable progress: in memory for in-process
 // retries, and in the journal (when durable) for restarts. Serialized
-// here, inside the callback, because the state's backing slices keep
-// growing after it returns.
-func (r *Runner) checkpoint(j *Job, rs ResumeState) {
-	data, err := json.Marshal(rs)
+// here, inside the callback, because the record keeps growing after it
+// returns.
+func (r *Runner) checkpoint(j *Job, sr *ShardResult) {
+	data, err := json.Marshal(sr)
 	if err != nil {
 		return
 	}
@@ -772,16 +772,17 @@ func (r *Runner) checkpoint(j *Job, rs ResumeState) {
 }
 
 // decodeResume parses a checkpoint payload, nil when absent or
-// unreadable (the job then simply runs from trial 0).
-func decodeResume(data []byte) *ResumeState {
+// unreadable (the job then simply runs from trial 0, as it does when
+// ExecuteResumable finds the record is no tile [0, Hi) of the request).
+func decodeResume(data []byte) *ShardResult {
 	if len(data) == 0 {
 		return nil
 	}
-	var rs ResumeState
-	if err := json.Unmarshal(data, &rs); err != nil {
+	var sr ShardResult
+	if err := json.Unmarshal(data, &sr); err != nil {
 		return nil
 	}
-	return &rs
+	return &sr
 }
 
 // finishJob settles a job: result durably published (when completed

@@ -67,7 +67,7 @@ func TestDoDedupesInFlight(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		close(started)
 		<-release
 		return Execute(q)
@@ -112,7 +112,7 @@ func TestDoQueueFull(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		started <- struct{}{}
 		<-release
 		return &Response{Key: q.Key()}, nil
@@ -142,7 +142,7 @@ func TestJoinerSurvivesAbandonedJob(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		started <- struct{}{}
 		<-release
 		return Execute(q)
@@ -198,7 +198,7 @@ func TestAbandonedJobStaysPollable(t *testing.T) {
 	defer r.Close()
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		started <- struct{}{}
 		<-release
 		return &Response{Key: q.Key()}, nil
@@ -284,7 +284,7 @@ func TestSubmitInvalidRequest(t *testing.T) {
 func TestFailedJobSnapshot(t *testing.T) {
 	r := NewRunner(Options{Workers: 1})
 	defer r.Close()
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		return nil, fmt.Errorf("boom")
 	}
 	job, _, err := r.Submit(testRequest(5))
@@ -306,7 +306,7 @@ func TestFinishedJobEviction(t *testing.T) {
 	r := NewRunner(Options{Workers: 1, CacheSize: -1})
 	defer r.Close()
 	r.maxJobs = 2
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		return &Response{Key: q.Key()}, nil
 	}
 	var ids []string
@@ -421,7 +421,7 @@ func TestStaleFinishedEntryKeepsLiveJob(t *testing.T) {
 	var calls atomic.Int32
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		if q.Key() == key {
 			if calls.Add(1) == 1 {
 				return nil, fmt.Errorf("boom")

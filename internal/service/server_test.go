@@ -121,7 +121,7 @@ func TestRunQueueFull(t *testing.T) {
 	srv, rn := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	rn.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	rn.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		started <- struct{}{}
 		<-release
 		return &Response{Key: q.Key()}, nil
@@ -181,7 +181,7 @@ func TestDrainingReturns503(t *testing.T) {
 	defer srv.Close()
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	rn.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	rn.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		started <- struct{}{}
 		<-release
 		return &Response{Key: q.Key()}, nil

@@ -21,7 +21,7 @@ func TestSweepBoundedInFlight(t *testing.T) {
 		mu          sync.Mutex
 		maxInFlight int
 	)
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		m := r.Metrics()
 		mu.Lock()
 		if m.JobsInFlight > maxInFlight {
@@ -71,7 +71,7 @@ func TestSweepBoundedErrorAborts(t *testing.T) {
 	defer r.Close()
 
 	var executed atomic.Int64
-	r.exec = func(_ context.Context, q Request, _ int, _ *ResumeState, _ func(ResumeState)) (*Response, error) {
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
 		executed.Add(1)
 		if q.K == 3 {
 			return nil, context.DeadlineExceeded
