@@ -15,8 +15,8 @@
 // records in the same order through a deterministic state machine, so
 // all nodes converge on identical job states. Terms, votes and log
 // entries persist through the internal/durable journal (CRC-framed,
-// fsync'd, valid-prefix replay), so a restarted node rejoins with its
-// promises intact.
+// each record synced, valid-prefix replay), so a restarted node
+// rejoins with its promises intact.
 //
 // # Lease contract
 //

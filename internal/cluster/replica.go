@@ -68,9 +68,10 @@ type Transport interface {
 }
 
 // Journal record ops for replica persistence, layered on the
-// internal/durable journal (CRC-framed, fsync'd appends, valid-prefix
-// replay). The ledger needs no snapshotting at this scale: restart
-// replays the log and refolds the state machine.
+// internal/durable journal (CRC-framed appends, valid-prefix replay).
+// The replica syncs each record as it appends it. The ledger needs no
+// snapshotting at this scale: restart replays the log and refolds the
+// state machine.
 const (
 	// opClusterTerm persists a term/vote change — the double-vote
 	// guard must survive a crash.
@@ -221,30 +222,34 @@ func (r *Replica) Close() {
 }
 
 // persistTerm journals a term/vote change (caller holds mu). Every
-// persist runs before the reply or count that relies on it, and its
-// error fail-stops the replica (see fail).
+// persist is synced before the reply or count that relies on it, and
+// its error fail-stops the replica (see fail).
 func (r *Replica) persistTerm() error {
-	if r.cfg.Journal == nil {
-		return nil
-	}
 	data, _ := json.Marshal(termRecord{Term: r.term, VotedFor: r.votedFor})
-	return r.fail(r.cfg.Journal.Append(durable.Record{Op: opClusterTerm, State: data}))
+	return r.persist(durable.Record{Op: opClusterTerm, State: data})
 }
 
 func (r *Replica) persistEntry(e Entry) error {
-	if r.cfg.Journal == nil {
-		return nil
-	}
 	data, _ := json.Marshal(e)
-	return r.fail(r.cfg.Journal.Append(durable.Record{Op: opClusterEntry, Key: e.Rec.Key, State: data}))
+	return r.persist(durable.Record{Op: opClusterEntry, Key: e.Rec.Key, State: data})
 }
 
 func (r *Replica) persistTruncate(index uint64) error {
+	data, _ := json.Marshal(truncateRecord{Index: index})
+	return r.persist(durable.Record{Op: opClusterTruncate, State: data})
+}
+
+// persist appends rec and syncs it: one fsync per record (caller
+// holds mu).
+func (r *Replica) persist(rec durable.Record) error {
 	if r.cfg.Journal == nil {
 		return nil
 	}
-	data, _ := json.Marshal(truncateRecord{Index: index})
-	return r.fail(r.cfg.Journal.Append(durable.Record{Op: opClusterTruncate, State: data}))
+	err := r.cfg.Journal.Append(rec)
+	if err == nil {
+		err = r.cfg.Journal.Sync()
+	}
+	return r.fail(err)
 }
 
 // errFailStopped is returned by every RPC handler and Propose once a

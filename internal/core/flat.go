@@ -305,14 +305,13 @@ func (f *flatState) stepTwoChoices(r *rng.Rand, s *Scratch) {
 	tree := f.fen
 	remaining := f.n
 	touched := f.touched[:0]
+	// The descent starts at the highest power of two not exceeding the
+	// slot count (≥ 1 here: total > 0 means a live slot).
+	top := 1 << (bits.Len(uint(len(tree)-1)) - 1)
 	for t := int64(0); t < total; t++ {
 		target := r.Int63n(remaining)
 		idx := 0
-		bit := 1
-		for bit<<1 <= len(tree)-1 {
-			bit <<= 1
-		}
-		for ; bit > 0; bit >>= 1 {
+		for bit := top; bit > 0; bit >>= 1 {
 			next := idx + bit
 			if next < len(tree) && tree[next] <= target {
 				target -= tree[next]

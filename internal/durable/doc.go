@@ -1,13 +1,14 @@
 // Package durable is the crash-safety layer under the conserve
-// service: an append-only, CRC-checksummed, fsync'd journal of job
-// lifecycle records plus a disk-backed result cache, combined into a
-// Store the runner replays on startup. Keys are the service layer's
+// service: an append-only, CRC-checksummed journal of job lifecycle
+// records with group-commit sync, plus a disk-backed result cache,
+// combined into a Store the runner replays on startup. Keys are the service layer's
 // canonical SHA-256 request keys, so a journal written by one process
 // is meaningful to any other process serving the same request space.
 //
 // Filesystem access goes through the small FS interface so the fault
-// -injection harness (FaultFS) can exercise torn writes, ENOSPC and
-// fsync failures without touching a real disk's failure modes.
+// -injection harness (FaultFS) can exercise torn writes, ENOSPC,
+// fsync failures and the bytes a power loss drops without touching a
+// real disk's failure modes.
 //
 // The contract above is owned by DESIGN.md §"Durability &
 // crash-recovery contract".

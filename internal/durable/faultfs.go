@@ -1,6 +1,10 @@
 package durable
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -10,6 +14,14 @@ import (
 // additionally truncate a write (a torn write: the first `allow` bytes
 // land, then the error surfaces), modelling ENOSPC and kernel
 // short-write behavior.
+//
+// FaultFS also models a power loss: a crash drops unsynced bytes. It
+// tracks each file's written length and its length at its last
+// successful Sync, and CrashImage writes out the files as a crash would
+// leave them. After a failed Sync a file's durable length stops
+// advancing until the file is reopened, because the kernel may have
+// dropped the dirty pages, so a later successful fsync does not bring
+// them back. Creates, renames and removes count as durable at once.
 //
 // All hooks are optional; a zero-hook FaultFS is transparent. Hook
 // fields must be set before the FS is handed to a Journal/Store (they
@@ -28,11 +40,21 @@ type FaultFS struct {
 
 	mu    sync.Mutex
 	calls map[string]int
+	files map[string]*fileLength // by cleaned name
+}
+
+// fileLength is one tracked file's crash model (guarded by FaultFS.mu).
+type fileLength struct {
+	// written is the byte length written; synced is the prefix the last
+	// successful Sync made durable.
+	written, synced int64
+	// stuck is set by a failed Sync: synced no longer advances.
+	stuck bool
 }
 
 // NewFaultFS wraps base (OSFS{} for a real temp dir).
 func NewFaultFS(base FS) *FaultFS {
-	return &FaultFS{FS: base, calls: make(map[string]int)}
+	return &FaultFS{FS: base, calls: make(map[string]int), files: make(map[string]*fileLength)}
 }
 
 // Count returns how many times the named op ("write", "sync",
@@ -49,13 +71,25 @@ func (f *FaultFS) bump(op string) {
 	f.mu.Unlock()
 }
 
-// OpenAppend implements FS.
+// OpenAppend implements FS. A file seen for the first time counts as
+// durable at its current length; reopening a tracked file keeps its
+// durable length and clears a failed Sync.
 func (f *FaultFS) OpenAppend(name string) (File, error) {
 	file, err := f.FS.OpenAppend(name)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: file, fs: f, name: name}, nil
+	data, _ := f.FS.ReadFile(name)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	l := f.files[filepath.Clean(name)]
+	if l == nil {
+		l = &fileLength{synced: int64(len(data))}
+		f.files[filepath.Clean(name)] = l
+	}
+	l.written, l.stuck = int64(len(data)), false
+	l.synced = min(l.synced, l.written)
+	return &faultFile{File: file, fs: f, name: name, len: l}, nil
 }
 
 // Create implements FS.
@@ -64,7 +98,11 @@ func (f *FaultFS) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: file, fs: f, name: name}, nil
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	l := &fileLength{}
+	f.files[filepath.Clean(name)] = l
+	return &faultFile{File: file, fs: f, name: name, len: l}, nil
 }
 
 // Rename implements FS.
@@ -75,18 +113,75 @@ func (f *FaultFS) Rename(oldname, newname string) error {
 			return err
 		}
 	}
-	return f.FS.Rename(oldname, newname)
+	if err := f.FS.Rename(oldname, newname); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	oldname, newname = filepath.Clean(oldname), filepath.Clean(newname)
+	if l, ok := f.files[oldname]; ok {
+		f.files[newname] = l
+	} else {
+		delete(f.files, newname)
+	}
+	delete(f.files, oldname)
+	return nil
 }
 
-// faultFile threads the hooks through a single open file.
+// CrashImage copies the directory tree under dir to dst as a power
+// loss would leave it: every tracked file is cut back to its length at
+// its last successful Sync, keeping at most tear bytes of its unsynced
+// tail (a torn tail); untracked files are copied whole. dir must be on
+// the real filesystem. Safe to call from a hook.
+func (f *FaultFS) CrashImage(dir, dst string, tear int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		out := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(out, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // removed since the walk listed it
+		}
+		if err != nil {
+			return err
+		}
+		if l, ok := f.files[filepath.Clean(path)]; ok {
+			keep := min(l.synced+max(tear, 0), l.written, int64(len(data)))
+			data = data[:keep]
+		}
+		return os.WriteFile(out, data, 0o644)
+	})
+}
+
+// faultFile threads the hooks and the crash model through a single
+// open file.
 type faultFile struct {
 	File
 	fs   *FaultFS
 	name string
+	len  *fileLength
 }
 
 func (f *faultFile) Write(b []byte) (int, error) {
 	f.fs.bump("write")
+	n, err := f.write(b)
+	f.fs.mu.Lock()
+	f.len.written += int64(n)
+	f.fs.mu.Unlock()
+	return n, err
+}
+
+func (f *faultFile) write(b []byte) (int, error) {
 	if hook := f.fs.WriteHook; hook != nil {
 		allow, err := hook(f.name, len(b))
 		if err != nil {
@@ -107,10 +202,37 @@ func (f *faultFile) Write(b []byte) (int, error) {
 
 func (f *faultFile) Sync() error {
 	f.fs.bump("sync")
+	f.fs.mu.Lock()
+	upto := f.len.written // bytes written later are not covered
+	f.fs.mu.Unlock()
+	err := f.sync()
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	switch {
+	case err != nil:
+		f.len.stuck = true
+	case !f.len.stuck:
+		f.len.synced = max(f.len.synced, upto)
+	}
+	return err
+}
+
+func (f *faultFile) sync() error {
 	if hook := f.fs.SyncHook; hook != nil {
 		if err := hook(f.name); err != nil {
 			return err
 		}
 	}
 	return f.File.Sync()
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	if err := f.File.Truncate(size); err != nil {
+		return err
+	}
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	f.len.written = size
+	f.len.synced = min(f.len.synced, size)
+	return nil
 }

@@ -26,7 +26,8 @@ const (
 	// OpCompleted records a finished job whose result bytes were
 	// already fsync'd into the result cache — the write ordering that
 	// makes "completed record present ⇒ result readable" a crash-safe
-	// invariant.
+	// invariant. It is the one record the store syncs itself: it backs
+	// a finished result's acknowledgement.
 	OpCompleted = "completed"
 	// OpFailed records a terminal failure (attempt budget exhausted or
 	// per-job deadline exceeded); replay does not re-queue these.
@@ -54,9 +55,10 @@ type Record struct {
 //
 //	uint32 LE payload length | uint32 LE CRC-32C of payload | payload
 //
-// where payload is the Record's JSON encoding. Appends are fsync'd, so
-// a crash can only ever produce a torn *tail*: replay keeps the valid
-// prefix and reports (never chokes on) the rest.
+// where payload is the Record's JSON encoding. The file only grows at
+// its end, and Sync makes a prefix of it durable, so a crash can only
+// ever produce a torn *tail*: replay keeps the valid prefix and
+// reports (never chokes on) the rest.
 const journalHeader = "conserve-journal-v1\n"
 
 // crcTable is the Castagnoli polynomial, the usual storage-CRC choice.
@@ -67,16 +69,29 @@ const recordFrameSize = 8 // length + checksum, before the payload
 // errCorrupt tags replay corruption descriptions.
 var errCorrupt = errors.New("durable: corrupt journal")
 
-// Journal is an append-only record log. Appends are serialized and
-// fsync'd before they return; a Journal is safe for concurrent use.
+// Journal is an append-only record log with group commit. Append
+// writes a record without fsync; Sync makes every earlier append
+// durable, and callers that sync at the same time share one fsync. A
+// failed fsync is sticky: every later Append and Sync returns it until
+// the journal is reopened, because after an fsync error the kernel may
+// have dropped the dirty pages, so a retried fsync proves nothing. A
+// Journal is safe for concurrent use.
 type Journal struct {
-	mu   sync.Mutex
+	// syncMu admits one fsync at a time; callers queued behind it find
+	// their records already covered when it is their turn.
+	syncMu sync.Mutex
+
+	mu   sync.Mutex // guards the fields below
 	fs   FS
 	path string
 	f    File
-	// size is the on-disk byte length of the valid prefix — the offset
-	// the next record lands at.
+	// size is the byte length of the valid prefix written so far — the
+	// offset the next record lands at.
 	size int64
+	// syncedTo is the prefix length the last successful fsync covered.
+	syncedTo int64
+	// err is the sticky fsync failure.
+	err error
 }
 
 // ReplayInfo describes what OpenJournal found on disk.
@@ -125,6 +140,8 @@ func OpenJournal(fsys FS, path string) (*Journal, []Record, ReplayInfo, error) {
 				return nil, nil, ReplayInfo{}, fmt.Errorf("durable: reset corrupt journal: %w", err)
 			}
 		}
+		// The header goes unsynced, like any record: the first Sync
+		// covers it, and a crash before that leaves an empty journal.
 		if err := j.write([]byte(journalHeader)); err != nil {
 			f.Close() //lint:allow durableorder best-effort cleanup; the header-write error already aborts the open
 			return nil, nil, ReplayInfo{}, err
@@ -180,10 +197,11 @@ func replay(data []byte) ([]Record, ReplayInfo) {
 	}
 }
 
-// Append frames, writes and fsyncs one record. On a write error (short
-// write, ENOSPC) the journal truncates back to the last good offset so
-// the on-disk file remains a valid prefix, and returns the error — the
-// caller decides whether to degrade or fail.
+// Append frames and writes one record, without fsync: the record is
+// durable once a later Sync returns nil. On a write error (short write,
+// ENOSPC) the journal truncates back to the last good offset so the
+// file remains a valid prefix, and returns the error — the caller
+// decides whether to degrade or fail.
 func (j *Journal) Append(rec Record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -196,8 +214,8 @@ func (j *Journal) Append(rec Record) error {
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("durable: journal is closed")
+	if err := j.usable(); err != nil {
+		return err
 	}
 	if err := j.write(frame); err != nil {
 		// Restore the valid-prefix invariant: a torn append must not
@@ -211,8 +229,67 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
-// write pushes bytes plus an fsync through the file (caller holds mu
-// or is the only owner).
+// Sync returns once every record appended before the call is on
+// stable storage. Concurrent callers share one fsync: a caller that
+// finds its records covered by an fsync that ran while it waited
+// returns without one of its own.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	target := j.size
+	covered, err := j.covered(target)
+	j.mu.Unlock()
+	if err != nil || covered {
+		return err
+	}
+
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	j.mu.Lock()
+	if covered, err := j.covered(target); err != nil || covered {
+		j.mu.Unlock()
+		return err
+	}
+	f, upto := j.f, j.size
+	j.mu.Unlock()
+
+	// Appends go on while the fsync runs; it covers at least upto.
+	err = f.Sync()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err != nil {
+		j.err = fmt.Errorf("durable: journal fsync: %w", err)
+		return j.err
+	}
+	j.syncedTo = upto
+	return nil
+}
+
+// covered reports whether the prefix up to target is already durable,
+// or the error that stops Sync from making it so (caller holds mu).
+func (j *Journal) covered(target int64) (bool, error) {
+	if j.err != nil {
+		return false, j.err
+	}
+	if j.syncedTo >= target {
+		return true, nil
+	}
+	return false, j.usable()
+}
+
+// usable reports the sticky fsync error or a closed journal (caller
+// holds mu).
+func (j *Journal) usable() error {
+	if j.err != nil {
+		return j.err
+	}
+	if j.f == nil {
+		return fmt.Errorf("durable: journal is closed")
+	}
+	return nil
+}
+
+// write pushes bytes through the file (caller holds mu or is the only
+// owner).
 func (j *Journal) write(b []byte) error {
 	n, err := j.f.Write(b)
 	if err != nil {
@@ -221,21 +298,22 @@ func (j *Journal) write(b []byte) error {
 	if n < len(b) {
 		return fmt.Errorf("durable: journal short write (%d of %d bytes)", n, len(b))
 	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("durable: journal fsync: %w", err)
-	}
 	return nil
 }
 
-// Size returns the on-disk byte length of the valid prefix.
+// Size returns the byte length of the valid prefix written so far.
 func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.size
 }
 
-// Close releases the journal file. Further appends fail.
+// Close releases the journal file, after any fsync in flight. It does
+// not sync: records appended since the last Sync are written but not
+// durable. Further appends fail.
 func (j *Journal) Close() error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -221,6 +223,177 @@ func TestJournalCrashAtEveryByte(t *testing.T) {
 			t.Fatalf("cut mid-record at %d bytes reported no corruption", n)
 		}
 	}
+
+	// A crash drops unsynced bytes. Append the same records through a
+	// FaultFS, syncing after every second one, and after each step cut
+	// the file at every length between the synced offset and the
+	// written size: every synced record survives every cut, and the
+	// replay holds exactly the records that fit whole.
+	dir := t.TempDir()
+	ffs := NewFaultFS(OSFS{})
+	fj, _, _, err := OpenJournal(ffs, filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fj.Close()
+	synced := 0 // records a Sync has covered
+	crashSweep := func(step string) {
+		t.Helper()
+		for tear := int64(0); ; tear++ {
+			img := filepath.Join(t.TempDir(), "img")
+			if err := ffs.CrashImage(dir, img, tear); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(img, "journal.log")
+			cutData, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := int64(len(cutData))
+			want := 0
+			for i := 1; i < len(boundaries); i++ {
+				if n >= boundaries[i] {
+					want = i
+				}
+			}
+			jj, recs, _, err := OpenJournal(OSFS{}, path)
+			if err != nil {
+				t.Fatalf("%s, tear %d: open failed: %v", step, tear, err)
+			}
+			jj.Close()
+			if len(recs) != want || len(recs) < synced {
+				t.Fatalf("%s, tear %d (cut at %d bytes): recovered %d records, want %d (%d synced)", step, tear, n, len(recs), want, synced)
+			}
+			if n == fj.Size() {
+				return
+			}
+		}
+	}
+	crashSweep("fresh journal")
+	for i := 1; i <= 5; i++ {
+		mustAppend(t, fj,
+			Record{Op: OpSubmitted, Key: fmt.Sprintf("%064d", i), Request: json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i))})
+		crashSweep(fmt.Sprintf("append %d", i))
+		if i%2 == 0 {
+			if err := fj.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			synced = i
+			crashSweep(fmt.Sprintf("sync after %d", i))
+		}
+	}
+}
+
+// TestJournalSyncFailureSweep fails the fsync at each point of an
+// append-and-sync sequence in turn, then crashes at every torn-tail
+// length. A record counts as acknowledged once a Sync after its append
+// returned nil, and every acknowledged record must survive. FaultFS
+// drops the dirty pages of a failed fsync, so a journal that let a
+// later Sync succeed would acknowledge records the crash then loses.
+func TestJournalSyncFailureSweep(t *testing.T) {
+	const records = 4
+	for failAt := 0; failAt < records; failAt++ {
+		dir := t.TempDir()
+		ffs := NewFaultFS(OSFS{})
+		var syncs atomic.Int32
+		ffs.SyncHook = func(string) error {
+			if int(syncs.Add(1))-1 == failAt {
+				return fmt.Errorf("fsync: input/output error")
+			}
+			return nil
+		}
+		j, _, _, err := OpenJournal(ffs, filepath.Join(dir, "journal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := 0
+		for i := 1; i <= records; i++ {
+			if j.Append(rec(i)) != nil {
+				continue
+			}
+			if j.Sync() == nil {
+				acked = i
+			}
+		}
+		size := j.Size()
+		j.Close()
+		for tear := int64(0); ; tear++ {
+			img := filepath.Join(t.TempDir(), "img")
+			if err := ffs.CrashImage(dir, img, tear); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(img, "journal.log")
+			jj, recs, _, err := OpenJournal(OSFS{}, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jj.Close()
+			if len(recs) < acked {
+				t.Fatalf("fsync %d failed, tear %d: %d records survive, %d were acknowledged", failAt, tear, len(recs), acked)
+			}
+			for i := 0; i < acked; i++ {
+				if recs[i].Key != rec(i+1).Key {
+					t.Fatalf("fsync %d failed, tear %d: record %d is %+v", failAt, tear, i, recs[i])
+				}
+			}
+			if data, _ := os.ReadFile(path); int64(len(data)) >= size {
+				break
+			}
+		}
+	}
+}
+
+// TestJournalGroupCommit: callers that sync while an fsync runs share
+// the next one, and a Sync with nothing new to cover runs none.
+func TestJournalGroupCommit(t *testing.T) {
+	ffs := NewFaultFS(OSFS{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	ffs.SyncHook = func(string) error {
+		if first.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	j, _, _, err := OpenJournal(ffs, tempJournalPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	mustAppend(t, j, rec(0))
+	leader := make(chan error, 1)
+	go func() { leader <- j.Sync() }()
+	<-entered // the leader's fsync covers rec(0) only
+
+	const waiters = 8
+	errs := make(chan error, waiters)
+	var wg sync.WaitGroup
+	for i := 1; i <= waiters; i++ {
+		mustAppend(t, j, rec(i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- j.Sync()
+		}()
+	}
+	close(release)
+	wg.Wait()
+	close(errs)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ffs.Count("sync"); n != 2 {
+		t.Fatalf("%d fsyncs for one leader and %d concurrent waiters, want 2", n, waiters)
+	}
 }
 
 // TestJournalAppendENOSPC: a write that fails mid-record (disk full)
@@ -259,9 +432,10 @@ func TestJournalAppendENOSPC(t *testing.T) {
 	}
 }
 
-// TestJournalFsyncError: a failing fsync surfaces as an append error
-// (the record may or may not be durable — the caller must treat it as
-// not); the journal remains usable.
+// TestJournalFsyncError: a failing fsync surfaces as a Sync error (the
+// record may or may not be durable — the caller must treat it as not)
+// and is sticky: every later Append and Sync fails, even once the disk
+// recovers. Reopening the journal clears it.
 func TestJournalFsyncError(t *testing.T) {
 	path := tempJournalPath(t)
 	ffs := NewFaultFS(OSFS{})
@@ -269,22 +443,32 @@ func TestJournalFsyncError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustAppend(t, j, rec(1))
 	ffs.SyncHook = func(name string) error { return fmt.Errorf("fsync: input/output error") }
-	if err := j.Append(rec(1)); err == nil {
-		t.Fatal("append with failing fsync reported success")
+	if err := j.Sync(); err == nil {
+		t.Fatal("sync with failing fsync reported success")
 	}
 	ffs.SyncHook = nil
-	mustAppend(t, j, rec(2))
+	if err := j.Append(rec(2)); err == nil {
+		t.Fatal("append after a failed fsync reported success")
+	}
+	if err := j.Sync(); err == nil {
+		t.Fatal("sync after a failed fsync reported success")
+	}
 	j.Close()
-	_, recs, _, err := OpenJournal(OSFS{}, path)
+	j, recs, _, err := OpenJournal(OSFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rec(1)'s bytes were truncated away on the failed append; only
-	// rec(2) is durable.
-	if len(recs) != 1 || recs[0].Key != rec(2).Key {
+	// rec(1)'s bytes reached the file; rec(2) was refused.
+	if len(recs) != 1 || recs[0].Key != rec(1).Key {
 		t.Fatalf("after fsync fault: %+v", recs)
 	}
+	mustAppend(t, j, rec(3))
+	if err := j.Sync(); err != nil {
+		t.Fatalf("sync after reopen: %v", err)
+	}
+	j.Close()
 }
 
 // TestJournalTornWriteThenCrash: a short write (torn record, no error

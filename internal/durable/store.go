@@ -50,6 +50,11 @@ type Recovery struct {
 // with replay-on-open. It keeps no per-key state after Open: the
 // lifecycle methods only write, and what a restart needs is replayed
 // from disk. Safe for concurrent use.
+//
+// The store syncs only what backs an acknowledgement. Submitted,
+// Started, Checkpoint and Failed only append; a caller that
+// acknowledges a submission (a detached job's 202) calls Sync first.
+// Completed syncs on its own, since it backs a finished result.
 type Store struct {
 	journal *Journal
 	cache   *ResultCache
@@ -164,19 +169,27 @@ func (s *Store) Checkpoint(key string, state []byte) error {
 }
 
 // Completed durably stores the result bytes, then journals completion
-// — in that order, so a completed record on disk always implies a
-// readable result whatever instant a crash hits.
+// and syncs it — in that order, so a completed record on disk always
+// implies a readable result whatever instant a crash hits, and a nil
+// return means the result survives one.
 func (s *Store) Completed(key string, result []byte) error {
 	if err := s.cache.Put(key, result); err != nil {
 		return err
 	}
-	return s.journal.Append(Record{Op: OpCompleted, Key: key})
+	if err := s.journal.Append(Record{Op: OpCompleted, Key: key}); err != nil {
+		return err
+	}
+	return s.journal.Sync()
 }
 
 // Failed journals a terminal failure.
 func (s *Store) Failed(key string, msg string) error {
 	return s.journal.Append(Record{Op: OpFailed, Key: key, Error: msg})
 }
+
+// Sync returns once every record journaled before the call is on
+// stable storage (see Journal.Sync).
+func (s *Store) Sync() error { return s.journal.Sync() }
 
 // Result returns the durable result bytes for key, if completed.
 func (s *Store) Result(key string) ([]byte, bool) {
@@ -191,6 +204,11 @@ func (s *Store) Result(key string) ([]byte, bool) {
 // metrics).
 func (s *Store) JournalSize() int64 { return s.journal.Size() }
 
-// Close flushes nothing (every append already fsync'd) and releases
-// the journal file.
-func (s *Store) Close() error { return s.journal.Close() }
+// Close syncs the journal and releases it. It returns the first error.
+func (s *Store) Close() error {
+	err := s.journal.Sync()
+	if cerr := s.journal.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -327,6 +327,110 @@ func TestStoreCrashAtEveryBoundary(t *testing.T) {
 		}
 		s2.Close()
 	}
+
+	// The same lifecycle under the runner's acknowledgement policy, on
+	// a FaultFS where a crash drops unsynced bytes: k1 is a detached
+	// job, so its submission is synced and acknowledged; k1's result is
+	// acknowledged once Completed returns; k2 is never acknowledged. A
+	// crash before every fsync and after every step, at every torn-tail
+	// length, must keep each acknowledgement.
+	pdir := t.TempDir()
+	ffs := NewFaultFS(OSFS{})
+	var ps *Store
+	acked := map[string]bool{}    // acknowledged detaches
+	answered := map[string]bool{} // acknowledged results
+	crash := func(where string) {
+		for tear := int64(0); ; tear++ {
+			img := filepath.Join(t.TempDir(), "img")
+			if err := ffs.CrashImage(pdir, img, tear); err != nil {
+				t.Fatal(err)
+			}
+			n := checkCrashImage(t, img, acked, answered, fmt.Sprintf("%s, tear %d", where, tear))
+			if n >= ps.JournalSize() {
+				return
+			}
+		}
+	}
+	ffs.SyncHook = func(name string) error {
+		crash("before fsync of " + filepath.Base(name))
+		return nil
+	}
+	ps = openStore(t, ffs, pdir)
+	policy := []struct {
+		name string
+		step func() error
+		ack  func()
+	}{
+		{"submit k1 (detached)", func() error {
+			if err := ps.Submitted(k1, []byte(`{"a":1}`)); err != nil {
+				return err
+			}
+			return ps.Sync()
+		}, func() { acked[k1] = true }},
+		{"start k1", func() error { return ps.Started(k1, 1) }, nil},
+		{"submit k2 (blocking)", func() error { return ps.Submitted(k2, []byte(`{"b":2}`)) }, nil},
+		{"checkpoint k1", func() error { return ps.Checkpoint(k1, []byte(`{"next_trial":4}`)) }, nil},
+		{"complete k1", func() error { return ps.Completed(k1, []byte(`{"r":1}`)) }, func() { answered[k1] = true }},
+		{"start k2", func() error { return ps.Started(k2, 1) }, nil},
+		{"fail k2", func() error { return ps.Failed(k2, "boom") }, nil},
+		{"close", ps.Close, nil},
+	}
+	crash("fresh store")
+	for _, p := range policy {
+		if err := p.step(); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if p.ack != nil {
+			p.ack()
+		}
+		crash("after " + p.name)
+	}
+}
+
+// checkCrashImage reopens the store in the crash image img and checks
+// the acknowledgement policy: a completed record implies a readable
+// result, every acknowledged detach is completed or re-queued, every
+// acknowledged result is completed, and no key is both completed and
+// re-queued. It returns the image journal's length.
+func checkCrashImage(t *testing.T, img string, acked, answered map[string]bool, where string) int64 {
+	t.Helper()
+	path := filepath.Join(img, "journal.log")
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	records, _ := replay(data)
+	completed := map[string]bool{}
+	for _, r := range records {
+		if r.Op == OpCompleted {
+			completed[r.Key] = true
+		}
+	}
+	s := openStore(t, OSFS{}, img)
+	defer s.Close()
+	requeued := map[string]bool{}
+	for _, st := range s.Recovered().Interrupted {
+		requeued[st.Key] = true
+	}
+	for k := range completed {
+		if _, ok := s.Result(k); !ok {
+			t.Fatalf("%s: key %s has a completed record but no readable result", where, k)
+		}
+		if requeued[k] {
+			t.Fatalf("%s: key %s is both completed and re-queued", where, k)
+		}
+	}
+	for k := range acked {
+		if !completed[k] && !requeued[k] {
+			t.Fatalf("%s: acknowledged detach %s is neither completed nor re-queued", where, k)
+		}
+	}
+	for k := range answered {
+		if !completed[k] {
+			t.Fatalf("%s: answered key %s has no completed record", where, k)
+		}
+	}
+	return int64(len(data))
 }
 
 // TestStoreResultCachePutFaults: ENOSPC / fsync / rename failures while

@@ -18,11 +18,12 @@ import (
 // The same ignored-error check covers internal/cluster, whose only
 // durable state is the replica journal: a term, vote or log entry must
 // be on disk before the reply that relies on it (DESIGN.md "Cluster"),
-// so a discarded Append error there is flagged. The cluster's Close and
-// Write calls are network I/O and stay out of scope. It also covers
-// internal/service, where a discarded error from a Store lifecycle call
-// (Submitted/Started/Checkpoint/Completed/Failed) is flagged: a failed
-// submitted record must refuse the job, and any other failure must at
+// so a discarded Append or Sync error there is flagged. The cluster's
+// Close and Write calls are network I/O and stay out of scope. It also
+// covers internal/service, where a discarded error from a Store
+// lifecycle call (Submitted/Started/Checkpoint/Completed/Failed) or
+// from Store.Sync is flagged: a failed submitted record or sync must
+// refuse the job it would acknowledge, and any other failure must at
 // least be counted.
 //
 // Both checks are conservative and syntactic, and annotatable with
@@ -32,8 +33,8 @@ var DurableOrder = &Analyzer{
 	Name: "durableorder",
 	Doc: "in internal/durable, flags ignored Sync/Close/Rename/Write/Truncate/Append " +
 		"errors and completed-record appends not preceded by a result-durability " +
-		"Put in the same function; in internal/cluster, flags ignored Append errors; " +
-		"in internal/service, flags ignored Store lifecycle errors",
+		"Put in the same function; in internal/cluster, flags ignored Append and Sync " +
+		"errors; in internal/service, flags ignored Store lifecycle and Sync errors",
 	Contract: `DESIGN.md "Durability & crash-recovery contract"`,
 	Run:      runDurableOrder,
 }
@@ -51,17 +52,19 @@ var durableCriticalMethods = map[string]bool{
 }
 
 // clusterCriticalMethods are the durability-critical operations in
-// internal/cluster: journal appends.
-var clusterCriticalMethods = map[string]bool{"Append": true}
+// internal/cluster: journal appends and syncs.
+var clusterCriticalMethods = map[string]bool{"Append": true, "Sync": true}
 
 // serviceCriticalMethods are the durability-critical operations in
-// internal/service: durable.Store's lifecycle writes.
+// internal/service: durable.Store's lifecycle writes and its Sync, which
+// backs a detached job's acknowledgement.
 var serviceCriticalMethods = map[string]bool{
 	"Submitted":  true,
 	"Started":    true,
 	"Checkpoint": true,
 	"Completed":  true,
 	"Failed":     true,
+	"Sync":       true,
 }
 
 func runDurableOrder(pass *Pass) error {

@@ -16,6 +16,7 @@ type Record struct {
 type Journal struct{}
 
 func (*Journal) Append(rec Record) error { return nil }
+func (*Journal) Sync() error             { return nil }
 
 type config struct{ Journal *Journal }
 
@@ -33,6 +34,16 @@ func (r *replica) persistDropped(data []byte) {
 // persistBare drops the error as a bare statement: flagged.
 func (r *replica) persistBare(data []byte) {
 	r.cfg.Journal.Append(Record{Op: "cluster-entry", State: data}) // want `Append error ignored on a durability path`
+}
+
+// syncDropped appends, then discards the sync that makes the record
+// durable: flagged.
+func (r *replica) syncDropped(data []byte) error {
+	if err := r.cfg.Journal.Append(Record{Op: "cluster-entry", State: data}); err != nil {
+		return err
+	}
+	r.cfg.Journal.Sync() // want `Sync error ignored on a durability path`
+	return nil
 }
 
 // persist returns the error for the caller to refuse its reply: clean.

@@ -14,6 +14,7 @@ func (*Store) Started(key string, attempt int) error      { return nil }
 func (*Store) Checkpoint(key string, state []byte) error  { return nil }
 func (*Store) Completed(key string, result []byte) error  { return nil }
 func (*Store) Failed(key string, msg string) error        { return nil }
+func (*Store) Sync() error                                { return nil }
 
 type options struct{ Store *Store }
 
@@ -35,6 +36,16 @@ func (r *runner) lifecycleDropped(key string, data []byte) {
 	_ = r.opts.Store.Completed(key, data)     // want `Completed error ignored on a durability path`
 	r.opts.Store.Failed(key, "unreadable")    // want `Failed error ignored on a durability path`
 	defer r.opts.Store.Failed(key, "invalid") // want `Failed error ignored on a durability path`
+}
+
+// ackDropped acknowledges a detached job whether or not its submitted
+// record reached stable storage: flagged.
+func (r *runner) ackDropped(key string, data []byte) error {
+	if err := r.opts.Store.Submitted(key, data); err != nil {
+		return err
+	}
+	_ = r.opts.Store.Sync() // want `Sync error ignored on a durability path`
+	return nil
 }
 
 // submit refuses the job on a failed submitted record: clean.

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -735,4 +737,275 @@ func TestDurableStoreErrorsCounted(t *testing.T) {
 			t.Fatalf("metrics after recovering two unusable requests: %+v", m)
 		}
 	})
+}
+
+// detachStatus posts req to /run?detach=1 and returns the status code
+// (safe off the test goroutine).
+func detachStatus(url string, req Request) (int, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.Post(url+"/run?detach=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
+// TestDetachJoinWaitsForSync: a detach that joins an in-flight job is
+// not acknowledged while the fsync behind the job's submitted record
+// is still running. When that fsync succeeds both detaches get a 202;
+// when it fails both get the creator's 503 and no job is left.
+func TestDetachJoinWaitsForSync(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			entered, release := make(chan struct{}), make(chan struct{})
+			var first atomic.Bool
+			ffs := durable.NewFaultFS(durable.OSFS{})
+			ffs.SyncHook = func(name string) error {
+				if filepath.Base(name) != "journal.log" || !first.CompareAndSwap(false, true) {
+					return nil
+				}
+				close(entered)
+				<-release
+				if fail {
+					return errors.New("injected: fsync input/output error")
+				}
+				return nil
+			}
+			store, err := durable.Open(ffs, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			srv, rn := newTestServer(t, Options{Workers: 1, Store: store})
+			req := testRequest(71)
+
+			type result struct {
+				code int
+				err  error
+			}
+			creator, joiner := make(chan result, 1), make(chan result, 1)
+			go func() {
+				code, err := detachStatus(srv.URL, req)
+				creator <- result{code, err}
+			}()
+			<-entered
+			go func() {
+				code, err := detachStatus(srv.URL, req)
+				joiner <- result{code, err}
+			}()
+			for rn.Metrics().Joined == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case got := <-joiner:
+				t.Fatalf("joiner answered %d before the fsync returned", got.code)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+
+			want := http.StatusAccepted
+			if fail {
+				want = http.StatusServiceUnavailable
+			}
+			for name, ch := range map[string]chan result{"creator": creator, "joiner": joiner} {
+				if got := <-ch; got.err != nil || got.code != want {
+					t.Fatalf("%s: status %d err %v, want %d", name, got.code, got.err, want)
+				}
+			}
+			if fail {
+				if _, ok := rn.Job(req.Key()); ok {
+					t.Fatal("refused job left in the job table")
+				}
+				if m := rn.Metrics(); m.JobsInFlight != 0 || m.Executions != 0 {
+					t.Fatalf("metrics after refusal: %+v", m)
+				}
+			}
+		})
+	}
+}
+
+// TestBusyRefusalNotRequeued: a detach refused with 429 leaves no
+// submitted record behind, so a restart does not run a job nobody was
+// promised.
+func TestBusyRefusalNotRequeued(t *testing.T) {
+	dir := t.TempDir()
+	store := openTestStore(t, dir)
+	r := NewRunner(Options{Workers: 1, QueueDepth: 1, Store: store})
+	started, release := make(chan struct{}, 4), make(chan struct{})
+	r.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
+		started <- struct{}{}
+		<-release
+		return Execute(q)
+	}
+	srv := httptest.NewServer(NewServer(r))
+	for i, want := range []int{http.StatusAccepted, http.StatusAccepted, http.StatusTooManyRequests} {
+		code, err := detachStatus(srv.URL, testRequest(uint64(61+i)))
+		if err != nil || code != want {
+			t.Fatalf("detach %d: status %d err %v, want %d", i, code, err, want)
+		}
+		if i == 0 {
+			<-started // the worker is busy; the next detach fills the queue
+		}
+	}
+	close(release)
+	srv.Close()
+	r.Close()
+	store.Close()
+
+	store2 := openTestStore(t, dir)
+	defer store2.Close()
+	refused := testRequest(63).Key()
+	for _, st := range store2.Recovered().Interrupted {
+		if st.Key == refused {
+			t.Fatal("the 429'd request was re-queued by the restart")
+		}
+	}
+}
+
+// TestRunnerCrashAtEveryFsync drives detached and blocking requests
+// through a runner on a FaultFS store and crashes before every fsync,
+// dropping every unsynced byte (and, in a second image, keeping every
+// written one, as a process crash does). Reopening each image must
+// keep every acknowledgement the runner had given: each 202'd key is
+// completed or re-queued, each answered key is completed with a
+// readable result, and no key is both completed and re-queued.
+func TestRunnerCrashAtEveryFsync(t *testing.T) {
+	dir, root := t.TempDir(), t.TempDir()
+	ffs := durable.NewFaultFS(durable.OSFS{})
+	var mu sync.Mutex // guards the maps and serializes the images
+	detached, answered := map[string]bool{}, map[string]bool{}
+	images := 0
+	crash := func(where string) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, tear := range []int64{0, 1 << 40} {
+			images++
+			img := filepath.Join(root, fmt.Sprint(images))
+			if err := ffs.CrashImage(dir, img, tear); err != nil {
+				t.Error(err)
+				return
+			}
+			if msg := crashImageViolation(img, detached, answered); msg != "" {
+				t.Errorf("crash %s (tear %d): %s", where, tear, msg)
+			}
+		}
+	}
+	ffs.SyncHook = func(name string) error {
+		crash("before fsync of " + filepath.Base(name))
+		return nil
+	}
+	store, err := durable.Open(ffs, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Options{Workers: 1, Store: store})
+	// A detached job runs only after its 202 is recorded, so the
+	// worker's fsyncs come after the acknowledgement they must honor.
+	plan := []struct {
+		req    Request
+		detach bool
+	}{
+		{Request{Protocol: "3-majority", N: 1000, K: 4, Seed: 81, Trials: 3}, true},
+		{testRequest(82), false},
+		{testRequest(83), false},
+		{Request{Protocol: "2-choices", N: 1000, K: 8, Seed: 84, Trials: 3}, true},
+		{testRequest(85), true},
+		{testRequest(82), false}, // a cache hit
+	}
+	gates := map[string]chan struct{}{}
+	for _, p := range plan {
+		if p.detach {
+			gates[p.req.Key()] = make(chan struct{})
+		}
+	}
+	r.exec = func(ctx context.Context, q Request, p int, rs *ShardResult, cb func(*ShardResult)) (*Response, error) {
+		if g, ok := gates[q.Key()]; ok {
+			<-g
+		}
+		return ExecuteResumable(ctx, q, p, rs, cb)
+	}
+	var jobs []*Job
+	for _, p := range plan {
+		key := p.req.Key()
+		if !p.detach {
+			if _, _, err := r.Do(context.Background(), p.req); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			answered[key] = true
+			mu.Unlock()
+			continue
+		}
+		job, _, err := r.Submit(p.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		detached[key] = true
+		mu.Unlock()
+		close(gates[key])
+		jobs = append(jobs, job)
+		if len(jobs) == 1 {
+			<-job.Done() // the next request runs after it
+		}
+	}
+	for _, j := range jobs {
+		<-j.Done()
+	}
+	r.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	crash("after close")
+	if images < 20 {
+		t.Fatalf("only %d crash images: the sweep missed the fsyncs", images)
+	}
+}
+
+// crashImageViolation reopens the store in a crash image and describes
+// the first broken acknowledgement, or returns "".
+func crashImageViolation(img string, detached, answered map[string]bool) string {
+	_, records, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(img, "journal.log"))
+	if err != nil {
+		return err.Error()
+	}
+	completed := map[string]bool{}
+	for _, rec := range records {
+		if rec.Op == durable.OpCompleted {
+			completed[rec.Key] = true
+		}
+	}
+	store, err := durable.Open(durable.OSFS{}, img)
+	if err != nil {
+		return err.Error()
+	}
+	defer store.Close()
+	requeued := map[string]bool{}
+	for _, st := range store.Recovered().Interrupted {
+		requeued[st.Key] = true
+	}
+	for k := range completed {
+		if _, ok := store.Result(k); !ok {
+			return fmt.Sprintf("key %s has a completed record but no readable result", k)
+		}
+		if requeued[k] {
+			return fmt.Sprintf("key %s is both completed and re-queued", k)
+		}
+	}
+	for k := range detached {
+		if !completed[k] && !requeued[k] {
+			return fmt.Sprintf("202'd key %s is neither completed nor re-queued", k)
+		}
+	}
+	for k := range answered {
+		if !completed[k] {
+			return fmt.Sprintf("answered key %s is not completed", k)
+		}
+	}
+	return ""
 }

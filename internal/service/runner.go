@@ -32,7 +32,8 @@ var errClosed = errors.New("service: runner is closed")
 // errAbandoned marks a job whose submitter gave up (ctx cancel,
 // ErrBusy or ErrStore) before the job reached the queue. Callers that
 // dedup-joined such a job resubmit instead of inheriting the
-// stranger's failure.
+// stranger's failure — except a detach joiner of an ErrStore job,
+// which shares its creator's refusal.
 var errAbandoned = errors.New("service: job abandoned before execution")
 
 // ErrNotClustered is returned by a Remote whose cluster declines the
@@ -178,6 +179,9 @@ type Job struct {
 	req    Request
 	runner *Runner
 	done   chan struct{} // closed once status is Done or Failed
+	// journaled is closed once the job's submitted record is journaled
+	// (or the job is abandoned): from then on a Sync covers the record.
+	journaled chan struct{}
 
 	// guarded by runner.mu
 	status Status
@@ -273,6 +277,11 @@ type Metrics struct {
 type Runner struct {
 	opts  Options
 	queue chan *Job
+	// slots holds one token per queued job, taken before the job is
+	// journaled and returned when a worker dequeues it. A job that got
+	// a slot is never refused later for a full queue, so the journal
+	// holds no submitted record for a 429.
+	slots chan struct{}
 	wg    sync.WaitGroup
 	// senders tracks in-flight queue sends so Close can safely close
 	// the channel: admissions after closed=true are rejected, so once
@@ -325,6 +334,7 @@ func NewRunner(opts Options) *Runner {
 	r := &Runner{
 		opts:           opts,
 		queue:          make(chan *Job, opts.QueueDepth),
+		slots:          make(chan struct{}, opts.QueueDepth),
 		exec:           ExecuteResumable,
 		baseCtx:        baseCtx,
 		cancelBase:     cancelBase,
@@ -364,6 +374,7 @@ func (r *Runner) requeueRecovered(rec durable.Recovery) {
 		r.mu.Lock()
 		j := r.newJob(st.Key, req)
 		j.attempts, j.resumeData = st.Attempts, st.Checkpoint
+		close(j.journaled)
 		r.mu.Unlock()
 		requeued = append(requeued, j)
 	}
@@ -375,6 +386,7 @@ func (r *Runner) requeueRecovered(rec durable.Recovery) {
 	go func() {
 		defer r.senders.Done()
 		for _, j := range requeued {
+			r.slots <- struct{}{}
 			r.queue <- j
 		}
 	}()
@@ -457,7 +469,7 @@ func (r *Runner) do(ctx context.Context, req Request, block bool) (*Response, bo
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		job, cached, err := r.submit(ctx, req, block)
+		job, cached, err := r.submit(ctx, req, block, false)
 		if err != nil {
 			return nil, false, err
 		}
@@ -482,15 +494,27 @@ func (r *Runner) do(ctx context.Context, req Request, block bool) (*Response, bo
 	}
 }
 
-// Submit admits the request without waiting. It returns either the
-// cached response (nil job) or the in-flight Job to poll — which may
-// be a pre-existing job for an identical request. A full queue returns
-// ErrBusy.
+// Submit admits the request without waiting for its result. It
+// returns either the cached response (nil job) or the in-flight Job to
+// poll — which may be a pre-existing job for an identical request. A
+// full queue returns ErrBusy. Submit is the path that acknowledges a
+// job before it finishes (a detached 202), so with a Store it returns
+// a job only once a Sync covers the job's submitted record, whether it
+// created the job or joined it.
 func (r *Runner) Submit(req Request) (*Job, *Response, error) {
-	return r.submit(context.Background(), req, false)
+	for {
+		job, resp, err := r.submit(context.Background(), req, false, true)
+		if errors.Is(err, errAbandoned) && !errors.Is(err, ErrStore) {
+			continue // its creator gave up before journaling it: admit afresh
+		}
+		return job, resp, err
+	}
 }
 
-func (r *Runner) submit(ctx context.Context, req Request, block bool) (*Job, *Response, error) {
+// submit admits req. block waits for a queue slot instead of failing
+// with ErrBusy; ack syncs the job's submitted record before returning
+// it.
+func (r *Runner) submit(ctx context.Context, req Request, block, ack bool) (*Job, *Response, error) {
 	req = req.Normalize()
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
@@ -518,6 +542,9 @@ func (r *Runner) submit(ctx context.Context, req Request, block bool) (*Job, *Re
 	if j, ok := r.jobs[key]; ok && (j.status == StatusQueued || j.status == StatusRunning) {
 		r.joined.Add(1)
 		r.mu.Unlock()
+		if ack && r.opts.Store != nil {
+			return r.acknowledge(j)
+		}
 		return j, nil, nil
 	}
 	// LRU miss: the durable result cache may still hold the key from a
@@ -533,43 +560,76 @@ func (r *Runner) submit(ctx context.Context, req Request, block bool) (*Job, *Re
 	r.mu.Unlock()
 	defer r.senders.Done()
 
+	// Take the queue slot before journaling the job: past this point
+	// only the store can refuse it, so no submitted record is left for
+	// a job that never runs.
+	if err := r.reserve(ctx, block); err != nil {
+		r.abandon(j, err)
+		return nil, nil, err
+	}
 	if r.opts.Store != nil {
-		// The submitted record backs a detached job's 202: a job the
-		// journal never saw is refused, not acknowledged.
+		// A job the journal never saw is refused, not admitted; an
+		// acknowledged one is on stable storage first.
 		data, err := json.Marshal(req)
 		if err == nil {
 			err = r.opts.Store.Submitted(key, data)
 		}
+		if err == nil && ack {
+			err = r.opts.Store.Sync()
+		}
 		if err != nil {
+			<-r.slots
 			err = fmt.Errorf("%w: %v", ErrStore, err)
 			r.abandon(j, err)
 			return nil, nil, err
 		}
 	}
+	close(j.journaled)
+	r.queue <- j // never blocks: the slot is held
+	return j, nil, nil
+}
 
+// reserve takes a queue slot: at once or ErrBusy, or with block once
+// one frees up, unless ctx ends first.
+func (r *Runner) reserve(ctx context.Context, block bool) error {
 	if block {
 		select {
-		case r.queue <- j:
-			return j, nil, nil
+		case r.slots <- struct{}{}:
+			return nil
 		case <-ctx.Done():
-			r.abandon(j, ctx.Err())
-			return nil, nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	select {
-	case r.queue <- j:
-		return j, nil, nil
+	case r.slots <- struct{}{}:
+		return nil
 	default:
 		r.rejected.Add(1)
-		r.abandon(j, ErrBusy)
-		return nil, nil, ErrBusy
+		return ErrBusy
 	}
+}
+
+// acknowledge returns a joined job to a detach client once a Sync
+// covers its submitted record. A job its creator abandoned is returned
+// as its errAbandoned error instead.
+func (r *Runner) acknowledge(j *Job) (*Job, *Response, error) {
+	<-j.journaled
+	r.mu.Lock()
+	err := j.err
+	r.mu.Unlock()
+	if errors.Is(err, errAbandoned) {
+		return nil, nil, err
+	}
+	if err := r.opts.Store.Sync(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	return j, nil, nil
 }
 
 // newJob enters a queued job for req into the job table under key,
 // replacing any finished job there (caller holds mu).
 func (r *Runner) newJob(key string, req Request) *Job {
-	j := &Job{ID: key, req: req, runner: r, done: make(chan struct{}), status: StatusQueued}
+	j := &Job{ID: key, req: req, runner: r, done: make(chan struct{}), journaled: make(chan struct{}), status: StatusQueued}
 	r.jobs[key] = j
 	r.inFlight++
 	return j
@@ -596,9 +656,9 @@ func (r *Runner) diskResult(key string) (*Response, bool) {
 }
 
 // abandon fails a job that was never enqueued. Its error wraps
-// errAbandoned so dedup-joined waiters know to resubmit rather than
-// surface the submitter's cause as their own. The job stays in the
-// finished ring so a detach client that joined it can still poll
+// errAbandoned and the cause, so dedup-joined waiters know to resubmit
+// rather than surface the submitter's cause as their own. The job
+// stays in the finished ring so a client that joined it can still poll
 // /jobs/{id} and see the failure instead of a 404 — unless its
 // submitted record failed (ErrStore): nothing was acknowledged, so
 // nothing is left to answer for it.
@@ -607,12 +667,13 @@ func (r *Runner) abandon(j *Job, cause error) {
 	defer r.mu.Unlock()
 	r.inFlight--
 	j.status = StatusFailed
-	j.err = fmt.Errorf("%w: %v", errAbandoned, cause)
+	j.err = fmt.Errorf("%w: %w", errAbandoned, cause)
 	if errors.Is(cause, ErrStore) {
 		delete(r.jobs, j.ID)
 	} else {
 		r.finish(j)
 	}
+	close(j.journaled)
 	close(j.done)
 }
 
@@ -654,6 +715,7 @@ func (r *Runner) Job(id string) (*Job, bool) {
 func (r *Runner) worker() {
 	defer r.wg.Done()
 	for j := range r.queue {
+		<-r.slots
 		r.runJob(j)
 	}
 }
