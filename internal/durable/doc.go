@@ -1,9 +1,10 @@
 // Package durable is the crash-safety layer under the conserve
 // service: an append-only, CRC-checksummed journal of job lifecycle
-// records with group-commit sync, plus a disk-backed result cache,
-// combined into a Store the runner replays on startup. Keys are the service layer's
-// canonical SHA-256 request keys, so a journal written by one process
-// is meaningful to any other process serving the same request space.
+// records whose Sync covers every earlier append, plus a disk-backed
+// result cache, combined into a Store the runner replays on startup.
+// Keys are the service layer's canonical SHA-256 request keys, so a
+// journal written by one process is meaningful to any other process
+// serving the same request space.
 //
 // Filesystem access goes through the small FS interface so the fault
 // -injection harness (FaultFS) can exercise torn writes, ENOSPC,

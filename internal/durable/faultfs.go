@@ -21,7 +21,11 @@ import (
 // leave them. After a failed Sync a file's durable length stops
 // advancing until the file is reopened, because the kernel may have
 // dropped the dirty pages, so a later successful fsync does not bring
-// them back. Creates, renames and removes count as durable at once.
+// them back. Creates, renames and removes count as durable at once:
+// nothing in this package fsyncs a directory, so the crash sweeps
+// assume the filesystem persists a new or renamed directory entry
+// without one. A power loss that drops the result cache's rename or
+// the fresh journal's creation is not modelled.
 //
 // All hooks are optional; a zero-hook FaultFS is transparent. Hook
 // fields must be set before the FS is handed to a Journal/Store (they

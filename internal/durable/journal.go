@@ -69,18 +69,14 @@ const recordFrameSize = 8 // length + checksum, before the payload
 // errCorrupt tags replay corruption descriptions.
 var errCorrupt = errors.New("durable: corrupt journal")
 
-// Journal is an append-only record log with group commit. Append
-// writes a record without fsync; Sync makes every earlier append
-// durable, and callers that sync at the same time share one fsync. A
+// Journal is an append-only record log. Append writes a record
+// without fsync; Sync makes every earlier append durable, and callers
+// queued behind an fsync share it. A
 // failed fsync is sticky: every later Append and Sync returns it until
 // the journal is reopened, because after an fsync error the kernel may
 // have dropped the dirty pages, so a retried fsync proves nothing. A
 // Journal is safe for concurrent use.
 type Journal struct {
-	// syncMu admits one fsync at a time; callers queued behind it find
-	// their records already covered when it is their turn.
-	syncMu sync.Mutex
-
 	mu   sync.Mutex // guards the fields below
 	fs   FS
 	path string
@@ -230,50 +226,27 @@ func (j *Journal) Append(rec Record) error {
 }
 
 // Sync returns once every record appended before the call is on
-// stable storage. Concurrent callers share one fsync: a caller that
-// finds its records covered by an fsync that ran while it waited
-// returns without one of its own.
+// stable storage. It fsyncs under the journal lock, so callers queued
+// behind an fsync find their records covered by it and return without
+// one of their own, and a Sync with nothing new to cover runs none.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	target := j.size
-	covered, err := j.covered(target)
-	j.mu.Unlock()
-	if err != nil || covered {
-		return err
-	}
-
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	j.mu.Lock()
-	if covered, err := j.covered(target); err != nil || covered {
-		j.mu.Unlock()
-		return err
-	}
-	f, upto := j.f, j.size
-	j.mu.Unlock()
-
-	// Appends go on while the fsync runs; it covers at least upto.
-	err = f.Sync()
-	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err != nil {
+	if j.err != nil {
+		return j.err
+	}
+	if j.syncedTo >= j.size {
+		return nil
+	}
+	if err := j.usable(); err != nil {
+		return err
+	}
+	if err := j.f.Sync(); err != nil {
 		j.err = fmt.Errorf("durable: journal fsync: %w", err)
 		return j.err
 	}
-	j.syncedTo = upto
+	j.syncedTo = j.size
 	return nil
-}
-
-// covered reports whether the prefix up to target is already durable,
-// or the error that stops Sync from making it so (caller holds mu).
-func (j *Journal) covered(target int64) (bool, error) {
-	if j.err != nil {
-		return false, j.err
-	}
-	if j.syncedTo >= target {
-		return true, nil
-	}
-	return false, j.usable()
 }
 
 // usable reports the sticky fsync error or a closed journal (caller
@@ -308,12 +281,10 @@ func (j *Journal) Size() int64 {
 	return j.size
 }
 
-// Close releases the journal file, after any fsync in flight. It does
-// not sync: records appended since the last Sync are written but not
-// durable. Further appends fail.
+// Close releases the journal file. It does not sync: records appended
+// since the last Sync are written but not durable. Further appends
+// fail.
 func (j *Journal) Close() error {
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {

@@ -343,8 +343,9 @@ func TestJournalSyncFailureSweep(t *testing.T) {
 	}
 }
 
-// TestJournalGroupCommit: callers that sync while an fsync runs share
-// the next one, and a Sync with nothing new to cover runs none.
+// TestJournalGroupCommit: callers that sync while an fsync runs wait
+// behind it and find their records covered, so they share it, and a
+// Sync with nothing new to cover runs none.
 func TestJournalGroupCommit(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -361,16 +362,17 @@ func TestJournalGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	mustAppend(t, j, rec(0))
+	const waiters = 8
+	for i := 0; i <= waiters; i++ {
+		mustAppend(t, j, rec(i))
+	}
 	leader := make(chan error, 1)
 	go func() { leader <- j.Sync() }()
-	<-entered // the leader's fsync covers rec(0) only
+	<-entered // the leader's fsync covers every record
 
-	const waiters = 8
 	errs := make(chan error, waiters)
 	var wg sync.WaitGroup
-	for i := 1; i <= waiters; i++ {
-		mustAppend(t, j, rec(i))
+	for range waiters {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -391,8 +393,15 @@ func TestJournalGroupCommit(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if n := ffs.Count("sync"); n != 1 {
+		t.Fatalf("%d fsyncs for one leader and %d concurrent waiters, want 1", n, waiters)
+	}
+	mustAppend(t, j, rec(waiters+1))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if n := ffs.Count("sync"); n != 2 {
-		t.Fatalf("%d fsyncs for one leader and %d concurrent waiters, want 2", n, waiters)
+		t.Fatalf("%d fsyncs after a new append, want 2", n)
 	}
 }
 

@@ -170,8 +170,9 @@ func (s *Store) Checkpoint(key string, state []byte) error {
 
 // Completed durably stores the result bytes, then journals completion
 // and syncs it — in that order, so a completed record on disk always
-// implies a readable result whatever instant a crash hits, and a nil
-// return means the result survives one.
+// implies a readable result whatever instant a crash hits. The result
+// file's rename is not made durable by a directory fsync (see
+// FaultFS).
 func (s *Store) Completed(key string, result []byte) error {
 	if err := s.cache.Put(key, result); err != nil {
 		return err

@@ -336,7 +336,6 @@ func TestStoreCrashAtEveryBoundary(t *testing.T) {
 	// length, must keep each acknowledgement.
 	pdir := t.TempDir()
 	ffs := NewFaultFS(OSFS{})
-	var ps *Store
 	acked := map[string]bool{}    // acknowledged detaches
 	answered := map[string]bool{} // acknowledged results
 	crash := func(where string) {
@@ -346,7 +345,13 @@ func TestStoreCrashAtEveryBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := checkCrashImage(t, img, acked, answered, fmt.Sprintf("%s, tear %d", where, tear))
-			if n >= ps.JournalSize() {
+			// The hook runs under the journal lock, so read the written
+			// length from the file rather than from ps.JournalSize.
+			fi, err := os.Stat(filepath.Join(pdir, "journal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n >= fi.Size() {
 				return
 			}
 		}
@@ -355,7 +360,7 @@ func TestStoreCrashAtEveryBoundary(t *testing.T) {
 		crash("before fsync of " + filepath.Base(name))
 		return nil
 	}
-	ps = openStore(t, ffs, pdir)
+	ps := openStore(t, ffs, pdir)
 	policy := []struct {
 		name string
 		step func() error

@@ -827,6 +827,65 @@ func TestDetachJoinWaitsForSync(t *testing.T) {
 			}
 		})
 	}
+
+	// A blocking creator (DoWait) journals its job before it waits for
+	// queue space, so a detach that joins the job is answered at once,
+	// not once a worker frees a slot.
+	t.Run("blocking creator", func(t *testing.T) {
+		store := openTestStore(t, t.TempDir())
+		t.Cleanup(func() { store.Close() })
+		srv, rn := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Store: store})
+		started, release := make(chan struct{}, 4), make(chan struct{})
+		var once sync.Once
+		free := func() { once.Do(func() { close(release) }) }
+		t.Cleanup(free)
+		rn.exec = func(_ context.Context, q Request, _ int, _ *ShardResult, _ func(*ShardResult)) (*Response, error) {
+			started <- struct{}{}
+			<-release
+			return Execute(q)
+		}
+		for i := range 2 {
+			code, err := detachStatus(srv.URL, testRequest(uint64(72+i)))
+			if err != nil || code != http.StatusAccepted {
+				t.Fatalf("detach %d: status %d err %v", i, code, err)
+			}
+			if i == 0 {
+				<-started // the worker is busy; the next detach fills the queue
+			}
+		}
+		req := testRequest(74)
+		waited := make(chan error, 1)
+		go func() {
+			_, _, err := rn.DoWait(context.Background(), req)
+			waited <- err
+		}()
+		for {
+			if _, ok := rn.Job(req.Key()); ok {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		joiner := make(chan int, 1)
+		go func() {
+			code, err := detachStatus(srv.URL, req)
+			if err != nil {
+				t.Error(err)
+			}
+			joiner <- code
+		}()
+		select {
+		case code := <-joiner:
+			if code != http.StatusAccepted {
+				t.Fatalf("joiner of a blocking creator: status %d, want 202", code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the joiner waited for queue space behind a blocking creator")
+		}
+		free()
+		if err := <-waited; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestBusyRefusalNotRequeued: a detach refused with 429 leaves no

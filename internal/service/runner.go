@@ -180,7 +180,7 @@ type Job struct {
 	runner *Runner
 	done   chan struct{} // closed once status is Done or Failed
 	// journaled is closed once the job's submitted record is journaled
-	// (or the job is abandoned): from then on a Sync covers the record.
+	// (or its write failed): from then on a Sync covers the record.
 	journaled chan struct{}
 
 	// guarded by runner.mu
@@ -277,11 +277,6 @@ type Metrics struct {
 type Runner struct {
 	opts  Options
 	queue chan *Job
-	// slots holds one token per queued job, taken before the job is
-	// journaled and returned when a worker dequeues it. A job that got
-	// a slot is never refused later for a full queue, so the journal
-	// holds no submitted record for a 429.
-	slots chan struct{}
 	wg    sync.WaitGroup
 	// senders tracks in-flight queue sends so Close can safely close
 	// the channel: admissions after closed=true are rejected, so once
@@ -334,7 +329,6 @@ func NewRunner(opts Options) *Runner {
 	r := &Runner{
 		opts:           opts,
 		queue:          make(chan *Job, opts.QueueDepth),
-		slots:          make(chan struct{}, opts.QueueDepth),
 		exec:           ExecuteResumable,
 		baseCtx:        baseCtx,
 		cancelBase:     cancelBase,
@@ -386,7 +380,6 @@ func (r *Runner) requeueRecovered(rec durable.Recovery) {
 	go func() {
 		defer r.senders.Done()
 		for _, j := range requeued {
-			r.slots <- struct{}{}
 			r.queue <- j
 		}
 	}()
@@ -505,13 +498,13 @@ func (r *Runner) Submit(req Request) (*Job, *Response, error) {
 	for {
 		job, resp, err := r.submit(context.Background(), req, false, true)
 		if errors.Is(err, errAbandoned) && !errors.Is(err, ErrStore) {
-			continue // its creator gave up before journaling it: admit afresh
+			continue // its creator gave up before queuing it: admit afresh
 		}
 		return job, resp, err
 	}
 }
 
-// submit admits req. block waits for a queue slot instead of failing
+// submit admits req. block waits for queue space instead of failing
 // with ErrBusy; ack syncs the job's submitted record before returning
 // it.
 func (r *Runner) submit(ctx context.Context, req Request, block, ack bool) (*Job, *Response, error) {
@@ -560,13 +553,6 @@ func (r *Runner) submit(ctx context.Context, req Request, block, ack bool) (*Job
 	r.mu.Unlock()
 	defer r.senders.Done()
 
-	// Take the queue slot before journaling the job: past this point
-	// only the store can refuse it, so no submitted record is left for
-	// a job that never runs.
-	if err := r.reserve(ctx, block); err != nil {
-		r.abandon(j, err)
-		return nil, nil, err
-	}
 	if r.opts.Store != nil {
 		// A job the journal never saw is refused, not admitted; an
 		// acknowledged one is on stable storage first.
@@ -578,40 +564,49 @@ func (r *Runner) submit(ctx context.Context, req Request, block, ack bool) (*Job
 			err = r.opts.Store.Sync()
 		}
 		if err != nil {
-			<-r.slots
 			err = fmt.Errorf("%w: %v", ErrStore, err)
 			r.abandon(j, err)
+			close(j.journaled)
 			return nil, nil, err
 		}
 	}
 	close(j.journaled)
-	r.queue <- j // never blocks: the slot is held
-	return j, nil, nil
-}
 
-// reserve takes a queue slot: at once or ErrBusy, or with block once
-// one frees up, unless ctx ends first.
-func (r *Runner) reserve(ctx context.Context, block bool) error {
 	if block {
 		select {
-		case r.slots <- struct{}{}:
-			return nil
+		case r.queue <- j:
+			return j, nil, nil
 		case <-ctx.Done():
-			return ctx.Err()
+			r.refuse(j, ctx.Err())
+			return nil, nil, ctx.Err()
 		}
 	}
 	select {
-	case r.slots <- struct{}{}:
-		return nil
+	case r.queue <- j:
+		return j, nil, nil
 	default:
 		r.rejected.Add(1)
-		return ErrBusy
+		r.refuse(j, ErrBusy)
+		return nil, nil, ErrBusy
 	}
 }
 
+// refuse abandons a journaled job that never reached the queue, and
+// journals its terminal failure so a restart does not re-queue a job
+// nobody was promised. The failed record goes unsynced: a crash that
+// drops it at worst re-runs the job.
+func (r *Runner) refuse(j *Job, cause error) {
+	if r.opts.Store != nil {
+		r.noteStoreErr(r.opts.Store.Failed(j.ID, fmt.Sprintf("service: refused before execution: %v", cause)))
+	}
+	r.abandon(j, cause)
+}
+
 // acknowledge returns a joined job to a detach client once a Sync
-// covers its submitted record. A job its creator abandoned is returned
-// as its errAbandoned error instead.
+// covers its submitted record. The creator journals the record before
+// it waits for queue space, so a joiner waits at most for the
+// creator's append and fsync, never for a queue slot. A job its
+// creator abandoned is returned as its errAbandoned error instead.
 func (r *Runner) acknowledge(j *Job) (*Job, *Response, error) {
 	<-j.journaled
 	r.mu.Lock()
@@ -673,7 +668,6 @@ func (r *Runner) abandon(j *Job, cause error) {
 	} else {
 		r.finish(j)
 	}
-	close(j.journaled)
 	close(j.done)
 }
 
@@ -715,7 +709,6 @@ func (r *Runner) Job(id string) (*Job, bool) {
 func (r *Runner) worker() {
 	defer r.wg.Done()
 	for j := range r.queue {
-		<-r.slots
 		r.runJob(j)
 	}
 }
