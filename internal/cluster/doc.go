@@ -29,6 +29,10 @@
 // are state-guarded and first-wins (a duplicate completion or stale
 // requeue applies as a no-op), so crashes and races never lose or
 // double-count a shard, and exactly one decision commits per key.
+// The ledger indexes its active jobs (undecided, with a shard not
+// done) in submission order, and the leader's dispatch and requeue
+// scans read only them, so a scan costs O(in-flight jobs) however many
+// jobs the ledger has decided.
 //
 // # Byte identity
 //

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -85,6 +86,15 @@ type ShardState struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
+// ShardRef names one shard of one job.
+type ShardRef struct {
+	Key   string
+	Shard int
+}
+
+// String formats the ref as key#shard, for logs.
+func (r ShardRef) String() string { return fmt.Sprintf("%s#%d", r.Key, r.Shard) }
+
 // JobView is a snapshot of one job's ledger state.
 type JobView struct {
 	Key     string          `json:"key"`
@@ -117,6 +127,11 @@ type Ledger struct {
 	mu    sync.Mutex
 	jobs  map[string]*jobState
 	order []string // submission order, for deterministic scans
+	// active indexes the undecided jobs that still have a shard not
+	// done, in submission order. Only they hold pending or leased
+	// shards, so the leader's scans read them and never the whole
+	// ledger.
+	active []*jobState
 
 	requeues uint64 // applied OpRequeue count (metrics)
 	applied  uint64 // highest applied log index
@@ -155,6 +170,9 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 		}
 		l.jobs[rec.Key] = j
 		l.order = append(l.order, rec.Key)
+		if len(j.shards) > 0 {
+			l.active = append(l.active, j)
+		}
 	case OpLease:
 		if j == nil || rec.Shard < 0 || rec.Shard >= len(j.shards) {
 			return
@@ -184,11 +202,22 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 		}
 		s.Status, s.Worker, s.Result = ShardDone, rec.Worker, rec.Result
 		j.done++
+		if j.done == len(j.shards) {
+			l.deactivateLocked(j)
+		}
 	case OpDecide:
 		if j == nil || j.decided {
 			return // exactly one decision per key
 		}
 		j.decided, j.mergedSHA = true, rec.MergedSHA
+		l.deactivateLocked(j)
+	}
+}
+
+// deactivateLocked drops j from the active index, if it is there.
+func (l *Ledger) deactivateLocked(j *jobState) {
+	if i := slices.Index(l.active, j); i >= 0 {
+		l.active = slices.Delete(l.active, i, i+1)
 	}
 }
 
@@ -228,7 +257,9 @@ func (l *Ledger) jobLocked(key string) (JobView, bool) {
 	return v, true
 }
 
-// Jobs returns snapshots of every job, in submission order.
+// Jobs returns snapshots of every job, in submission order, for
+// /cluster/jobs. It copies the whole ledger; the leader's scans read
+// ActiveShards instead.
 func (l *Ledger) Jobs() []JobView {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -238,6 +269,25 @@ func (l *Ledger) Jobs() []JobView {
 		views = append(views, v)
 	}
 	return views
+}
+
+// ActiveShards returns the shards of undecided jobs whose status is
+// status (ShardPending or ShardLeased), in submission order and then
+// shard order. It reads only the active index, so it costs O(in-flight
+// jobs) whatever the ledger holds, and allocates only the refs it
+// returns.
+func (l *Ledger) ActiveShards(status string) []ShardRef {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var refs []ShardRef
+	for _, j := range l.active {
+		for i := range j.shards {
+			if j.shards[i].Status == status {
+				refs = append(refs, ShardRef{Key: j.key, Shard: i})
+			}
+		}
+	}
+	return refs
 }
 
 // wait blocks until ready — evaluated under the lock, again after

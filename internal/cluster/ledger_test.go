@@ -2,7 +2,11 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
+
+	"plurality/internal/rng"
 )
 
 // TestLedgerLifecycle walks one job through submit → lease → done →
@@ -138,5 +142,153 @@ func TestPlanShards(t *testing.T) {
 		if maxSz-minSz > 1 {
 			t.Errorf("PlanShards(%d, %d) sizes range [%d, %d], want near-equal", tc.trials, tc.parts, minSz, maxSz)
 		}
+	}
+}
+
+// ledgerRecordFrom decodes three bytes into a record over six keys and
+// shards -1..3, so a random stream reaches every guarded transition:
+// duplicate submits, stale leases and requeues, duplicate and
+// out-of-range shard_done, and decides before the last shard is done.
+func ledgerRecordFrom(op, key, shard byte) LedgerRecord {
+	rec := LedgerRecord{Key: string(rune('a' + key%6)), Shard: int(shard%5) - 1}
+	switch op % 8 {
+	case 0:
+		rec.Op, rec.Shards = OpSubmit, make([]ShardRange, shard%4)
+	case 1, 2:
+		rec.Op, rec.Worker = OpLease, "w1"
+	case 3:
+		rec.Op = OpRequeue
+	case 4, 5:
+		rec.Op, rec.Worker, rec.Result = OpShardDone, "w1", json.RawMessage(`1`)
+	case 6:
+		rec.Op, rec.MergedSHA = OpDecide, "s"
+	default:
+		rec.Op = "noop"
+	}
+	return rec
+}
+
+// checkActiveIndex compares the active index with a brute-force scan
+// of every job: ActiveShards must return the pending (leased) shards of
+// the undecided jobs in submission order, and the index must hold
+// exactly the undecided jobs with a shard not done.
+func checkActiveIndex(t *testing.T, l *Ledger) {
+	t.Helper()
+	var wantKeys []string
+	want := map[string][]ShardRef{}
+	for _, jv := range l.Jobs() {
+		if jv.Decided {
+			continue
+		}
+		if jv.DoneShards < len(jv.Shards) {
+			wantKeys = append(wantKeys, jv.Key)
+		}
+		for i, s := range jv.Shards {
+			want[s.Status] = append(want[s.Status], ShardRef{Key: jv.Key, Shard: i})
+		}
+	}
+	for _, status := range []string{ShardPending, ShardLeased} {
+		if got := l.ActiveShards(status); !slices.Equal(got, want[status]) {
+			t.Fatalf("ActiveShards(%s) = %v, scan finds %v", status, got, want[status])
+		}
+	}
+	l.mu.Lock()
+	var gotKeys []string
+	for _, j := range l.active {
+		gotKeys = append(gotKeys, j.key)
+	}
+	l.mu.Unlock()
+	if !slices.Equal(gotKeys, wantKeys) {
+		t.Fatalf("active index holds %v, want %v", gotKeys, wantKeys)
+	}
+}
+
+// TestLedgerActiveIndexMatchesScan drives Apply with seeded random
+// record streams and checks the active index after every record.
+func TestLedgerActiveIndexMatchesScan(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			r := rng.New(seed)
+			l := NewLedger()
+			for i := 1; i <= 300; i++ {
+				op, key, shard := r.Uint64(), r.Uint64(), r.Uint64()
+				l.Apply(uint64(i), ledgerRecordFrom(byte(op), byte(key), byte(shard)))
+				checkActiveIndex(t, l)
+			}
+		})
+	}
+}
+
+// FuzzLedgerActiveIndex is TestLedgerActiveIndexMatchesScan over a
+// fuzzed record stream, three bytes a record.
+func FuzzLedgerActiveIndex(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 1, 0, 1, 4, 0, 1, 4, 0, 2, 4, 0, 3, 6, 0, 0})
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 1, 1, 1, 3, 1, 1, 6, 1, 0, 4, 2, 1, 4, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := NewLedger()
+		for i := 0; i+3 <= len(data) && i < 3*512; i += 3 {
+			l.Apply(uint64(i/3+1), ledgerRecordFrom(data[i], data[i+1], data[i+2]))
+			checkActiveIndex(t, l)
+		}
+	})
+}
+
+// ledgerWithHistory returns a ledger holding decided jobs, all shards
+// done, split around three in-flight jobs: one pending, one with a
+// leased shard, one with a done shard.
+func ledgerWithHistory(decided int) *Ledger {
+	l := NewLedger()
+	var index uint64
+	apply := func(rec LedgerRecord) {
+		index++
+		l.Apply(index, rec)
+	}
+	plan := PlanShards(6, 3)
+	history := func(from, to int) {
+		for i := from; i < to; i++ {
+			key := fmt.Sprintf("decided-%d", i)
+			apply(LedgerRecord{Op: OpSubmit, Key: key, Shards: plan})
+			for s := range plan {
+				apply(LedgerRecord{Op: OpShardDone, Key: key, Shard: s, Result: json.RawMessage(`1`)})
+			}
+			apply(LedgerRecord{Op: OpDecide, Key: key, MergedSHA: "s"})
+		}
+	}
+	history(0, decided/2)
+	for _, key := range []string{"x", "y", "z"} {
+		apply(LedgerRecord{Op: OpSubmit, Key: key, Shards: plan})
+	}
+	apply(LedgerRecord{Op: OpLease, Key: "y", Shard: 1, Worker: "w1"})
+	apply(LedgerRecord{Op: OpShardDone, Key: "z", Shard: 0, Result: json.RawMessage(`1`)})
+	history(decided/2, decided)
+	return l
+}
+
+// TestLedgerActiveShardsCost checks that the pending read does not
+// grow with the decided history: the same in-flight jobs cost the same
+// allocations beside 0 and 10 000 decided jobs, and yield the same refs.
+func TestLedgerActiveShardsCost(t *testing.T) {
+	small, large := ledgerWithHistory(0), ledgerWithHistory(10000)
+	if a, b := small.ActiveShards(ShardPending), large.ActiveShards(ShardPending); len(a) != 7 || !slices.Equal(a, b) {
+		t.Fatalf("pending refs: %v beside no history, %v beside 10 000 decided jobs", a, b)
+	}
+	read := func(l *Ledger) float64 {
+		return testing.AllocsPerRun(100, func() { _ = l.ActiveShards(ShardPending) })
+	}
+	if a, b := read(small), read(large); a != b {
+		t.Fatalf("pending read allocates %v times beside no history, %v beside 10 000 decided jobs", a, b)
+	}
+}
+
+var pendingSink []ShardRef
+
+// BenchmarkLedgerPending times the leader's pending read beside 10 000
+// decided jobs.
+func BenchmarkLedgerPending(b *testing.B) {
+	l := ledgerWithHistory(10000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pendingSink = l.ActiveShards(ShardPending)
 	}
 }

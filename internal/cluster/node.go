@@ -74,8 +74,11 @@ type Node struct {
 	workers []string // sorted worker IDs (peers minus coordinators)
 
 	mu       sync.Mutex
-	inflight map[string]bool // shard dispatches owned by this process
-	attempts map[string]int  // per-shard dispatch count, rotates workers
+	inflight map[ShardRef]bool // shard dispatches owned by this process
+	// attempts counts each shard's dispatches here, which rotates its
+	// workers. A shard's entry goes when its shard_done applies: a done
+	// shard is never dispatched again.
+	attempts map[ShardRef]int
 
 	peerCacheHits atomic.Uint64
 
@@ -105,8 +108,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:      cfg,
 		ledger:   NewLedger(),
-		inflight: make(map[string]bool),
-		attempts: make(map[string]int),
+		inflight: make(map[ShardRef]bool),
+		attempts: make(map[ShardRef]int),
 		closed:   make(chan struct{}),
 	}
 	isCoord := make(map[string]bool, len(cfg.Coordinators))
@@ -135,7 +138,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Records:       cfg.Records,
 		Heartbeat:     cfg.Heartbeat,
 		ElectionTicks: cfg.ElectionTicks,
-		Apply:         n.ledger.Apply,
+		Apply:         n.apply,
 		OnLeader:      n.requeueStaleLeases,
 		Logf:          cfg.Logf,
 	})
@@ -166,6 +169,17 @@ func (n *Node) Ledger() *Ledger { return n.ledger }
 // Replica exposes the underlying replica (for tests and status).
 func (n *Node) Replica() *Replica { return n.replica }
 
+// apply folds a committed record into the ledger and, for a
+// shard_done, drops the shard's dispatch count.
+func (n *Node) apply(index uint64, rec LedgerRecord) {
+	n.ledger.Apply(index, rec)
+	if rec.Op == OpShardDone {
+		n.mu.Lock()
+		delete(n.attempts, ShardRef{Key: rec.Key, Shard: rec.Shard})
+		n.mu.Unlock()
+	}
+}
+
 // requeueStaleLeases runs when this node wins an election: every lease
 // in the applied ledger was granted by a deposed leader whose dispatch
 // goroutines are gone (or dead with its process), so the shards are
@@ -178,22 +192,14 @@ func (n *Node) requeueStaleLeases(term, barrier uint64) {
 	if n.ledger.WaitApplied(n.closed, barrier) != nil {
 		return
 	}
-	for _, job := range n.ledger.Jobs() {
-		if job.Decided {
-			continue
+	for _, ref := range n.ledger.ActiveShards(ShardLeased) {
+		idx, t, err := n.replica.Propose(LedgerRecord{
+			Op: OpRequeue, Key: ref.Key, Shard: ref.Shard, Reason: "leader-change",
+		})
+		if err != nil {
+			return // lost leadership already
 		}
-		for i, s := range job.Shards {
-			if s.Status != ShardLeased {
-				continue
-			}
-			idx, t, err := n.replica.Propose(LedgerRecord{
-				Op: OpRequeue, Key: job.Key, Shard: i, Reason: "leader-change",
-			})
-			if err != nil {
-				return // lost leadership already
-			}
-			_ = n.replica.WaitCommitted(n.closed, idx, t)
-		}
+		_ = n.replica.WaitCommitted(n.closed, idx, t)
 	}
 }
 
@@ -218,57 +224,46 @@ func (n *Node) dispatchLoop() {
 }
 
 func (n *Node) scanAndDispatch() {
-	for _, job := range n.ledger.Jobs() {
-		if job.Decided {
+	for _, ref := range n.ledger.ActiveShards(ShardPending) {
+		n.mu.Lock()
+		busy := n.inflight[ref]
+		if !busy {
+			n.inflight[ref] = true
+		}
+		n.mu.Unlock()
+		if busy {
 			continue
 		}
-		for i, s := range job.Shards {
-			if s.Status != ShardPending {
-				continue
-			}
-			id := shardID(job.Key, i)
-			n.mu.Lock()
-			busy := n.inflight[id]
-			if !busy {
-				n.inflight[id] = true
-			}
-			n.mu.Unlock()
-			if busy {
-				continue
-			}
-			n.wg.Add(1)
-			go n.dispatchShard(job, i)
-		}
+		n.wg.Add(1)
+		go n.dispatchShard(ref)
 	}
 }
-
-func shardID(key string, shard int) string { return fmt.Sprintf("%s#%d", key, shard) }
 
 // dispatchShard drives one shard: lease it through the ledger, execute
 // it synchronously on the chosen worker, and record the result — or a
 // requeue, if the worker failed or timed out. Every transition goes
 // through the replicated log, so a coordinator crash at any point
 // leaves a state a new leader recovers from (lease → requeue).
-func (n *Node) dispatchShard(job JobView, shard int) {
+func (n *Node) dispatchShard(ref ShardRef) {
 	defer n.wg.Done()
-	id := shardID(job.Key, shard)
 	defer func() {
 		n.mu.Lock()
-		delete(n.inflight, id)
+		delete(n.inflight, ref)
 		n.mu.Unlock()
 	}()
 
 	n.mu.Lock()
-	attempt := n.attempts[id]
-	n.attempts[id]++
+	attempt := n.attempts[ref]
+	n.attempts[ref]++
 	n.mu.Unlock()
-	worker := placeShard(n.workers, job.Key, shard, attempt)
+	key, shard := ref.Key, ref.Shard
+	worker := placeShard(n.workers, key, shard, attempt)
 	if worker == "" {
 		return
 	}
 
 	idx, term, err := n.replica.Propose(LedgerRecord{
-		Op: OpLease, Key: job.Key, Shard: shard, Worker: worker,
+		Op: OpLease, Key: key, Shard: shard, Worker: worker,
 	})
 	if err != nil || n.replica.WaitCommitted(n.closed, idx, term) != nil {
 		return // lost leadership; the next leader requeues
@@ -278,7 +273,7 @@ func (n *Node) dispatchShard(job JobView, shard int) {
 	if n.ledger.WaitApplied(n.closed, idx) != nil {
 		return
 	}
-	jv, ok := n.ledger.Job(job.Key)
+	jv, ok := n.ledger.Job(key)
 	if !ok || jv.Shards[shard].Status != ShardLeased || jv.Shards[shard].LeaseIndex != idx {
 		return // lease lost the race (shard already done or re-leased)
 	}
@@ -287,16 +282,16 @@ func (n *Node) dispatchShard(job JobView, shard int) {
 	defer cancel()
 	result, execErr := n.executeOn(ctx, worker, jv.Request, jv.Shards[shard].Range)
 	if execErr != nil {
-		n.cfg.Logf("cluster: shard %s on %s failed: %v", id, worker, execErr)
+		n.cfg.Logf("cluster: shard %s on %s failed: %v", ref, worker, execErr)
 		if idx, term, err = n.replica.Propose(LedgerRecord{
-			Op: OpRequeue, Key: job.Key, Shard: shard, Reason: execErr.Error(),
+			Op: OpRequeue, Key: key, Shard: shard, Reason: execErr.Error(),
 		}); err == nil {
 			_ = n.replica.WaitCommitted(n.closed, idx, term)
 		}
 		return
 	}
 	if idx, term, err = n.replica.Propose(LedgerRecord{
-		Op: OpShardDone, Key: job.Key, Shard: shard, Worker: worker, Result: result,
+		Op: OpShardDone, Key: key, Shard: shard, Worker: worker, Result: result,
 	}); err == nil {
 		_ = n.replica.WaitCommitted(n.closed, idx, term)
 	}

@@ -285,6 +285,20 @@ func TestNodeClusterDedup(t *testing.T) {
 	if jobs := tc.nodes["c1"].Ledger().Jobs(); len(jobs) != 1 {
 		t.Fatalf("ledger admitted %d jobs, want 1 (cluster-wide dedup)", len(jobs))
 	}
+	// A done shard is never dispatched again, so once the job decides
+	// no node, the leader included, keeps a dispatch count for it.
+	key := req.Normalize().Key()
+	for id, n := range tc.nodes {
+		if _, err := n.Ledger().WaitDecided(ctx.Done(), key); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		n.mu.Lock()
+		left := len(n.attempts)
+		n.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%s holds %d dispatch counts after the job decided", id, left)
+		}
+	}
 }
 
 // TestNodeWorkerFailureRequeues kills one worker's HTTP surface before
