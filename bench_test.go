@@ -166,6 +166,23 @@ func BenchmarkRunTwoChoicesManyOpinions(b *testing.B) {
 	}
 }
 
+// BenchmarkRunTwoChoicesMidOpinions is the mid regime between the two
+// 2-Choices benchmarks above: n = 10^5, k = 10^4 starts every opinion
+// at 10 supporters, so a round moves about ten times as many vertices
+// as at k = n and the sparse rounds spend more of their time on the
+// rest-list and Fenwick patches.
+func BenchmarkRunTwoChoicesMidOpinions(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runConsensus(b, plurality.Experiment{
+			N:        100_000,
+			Protocol: plurality.TwoChoices(),
+			Init:     plurality.Balanced(10_000),
+			Seed:     uint64(i + 1),
+		})
+	}
+}
+
 // Ablation benches: the design choices DESIGN.md calls out, measured
 // head-to-head on the same instance. The O(live) count-space engine is
 // the design under test; the per-vertex reference and the concurrent

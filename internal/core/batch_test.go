@@ -130,14 +130,18 @@ func TestBatchRunnerIdenticalToSerial(t *testing.T) {
 // through the grouped stage B (L >= 64 live slots) round by round
 // against the serial engine, and after every round checks that the
 // incrementally maintained aggregates equal a fresh rebuild from the
-// counts. The 2-Choices all-singletons start runs sparse rounds, then
-// dense rounds, then compactions. The singletons-plus-heavy-slots
-// starts draw more than 6m destinations into a class of m members (the
-// binomial split): sparsely with two slots of count 32, densely when
-// five heavy classes all draw. They also move slots across the
-// maxGroupedCount boundary (rest-list inserts and removals). The
-// 3-Majority and Voter starts split every class binomially in dense
-// rounds.
+// counts. The 2-Choices all-singletons starts run sparse rounds, then
+// dense rounds, then compactions; at k = n = 128 and 256 some sparse
+// rounds draw more than 6m destinations into a class of m = 1 member
+// (the binomial split). The singletons-plus-heavy-slots starts move
+// slots across the maxGroupedCount boundary (rest-list inserts and
+// removals), in sparse rounds at 600 singletons; with five heavy
+// classes they split classes binomially in dense rounds. Under the
+// sparse cost rule the 70-singleton and 120-singleton starts (K < 128,
+// at most 15 movers a sparse round) now run dense rounds only, and the
+// binomial split over m >= 2 members is checked by
+// TestBatchRunnerWideSparseIdentical. The 3-Majority and Voter starts
+// split every class binomially in dense rounds.
 func TestBatchRunnerStageBIdenticalToSerial(t *testing.T) {
 	repeat := func(k int, c int64, extra ...int64) []int64 {
 		counts := make([]int64, k, k+len(extra))
@@ -157,6 +161,8 @@ func TestBatchRunnerStageBIdenticalToSerial(t *testing.T) {
 		{"2-choices/dense-binomial", TwoChoices{}, repeat(64, 1, 28, 29, 30, 31, 32)},
 		{"3-majority/k=64", ThreeMajority{}, repeat(64, 10)},
 		{"voter/k=64", Voter{}, repeat(64, 3, 40)},
+		{"2-choices/k=n=128", TwoChoices{}, repeat(128, 1)},
+		{"2-choices/wide-singletons+heavy", TwoChoices{}, repeat(600, 1, 30, 31, 32, 40)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -293,5 +299,167 @@ func FuzzBatchRunnerMatchesSerial(f *testing.F) {
 		// Two trials per input: the second runs on dirtied shared state.
 		assertTrialMatches(t, p, b, counts, seed, int(maxRounds))
 		assertTrialMatches(t, p, b, counts, seed^0x5bf03635, int(maxRounds))
+	})
+}
+
+// TestBatchRunnerWideSparseIdentical covers the sparse rounds the cost
+// rule (flatSparseSlotsPerMover) admits beyond a handful of movers, at
+// K >= 512 slots. The "trial" case runs 2-Choices round by round
+// against the serial engine and checks the aggregates after every
+// round. From the observed counts it asserts that some sparse round
+// moved more than 64 vertices and that some sparse round drew
+// destinations in more than 4 count classes. A round that changed the
+// counts and left the Fenwick tree and the class bitsets both valid
+// was sparse: a dense commit and a compaction invalidate both. Half
+// the summed |Δcount| bounds the movers from
+// below, and the distinct count classes of the slots that gained bound
+// the destination classes from below.
+//
+// A sampled-agreement round draws about m·c²/n destinations into a
+// class of m members of count c, so the binomial split (more than 6m
+// draws) would need c² > 6n; with c <= maxGroupedCount that means
+// n < 171. Then at most 170 slots are live, compaction keeps K at most
+// twice that, and the cost rule admits at most 42 movers: fewer than
+// the 67 a split over 11 or more members needs. The "binomial-split"
+// case therefore compares the sparse stage B with the dense one
+// directly, on a stage-A outcome that sends more than 6m draws into
+// classes of 30 and 12 members.
+func TestBatchRunnerWideSparseIdentical(t *testing.T) {
+	t.Run("trial", func(t *testing.T) {
+		// 1 900 slots cycling through every count class, beside 30
+		// heavy slots: about 120 movers a round, most of them from
+		// distinct class slots, a few destinations in the classes.
+		var counts []int64
+		for i := 0; i < 1900; i++ {
+			counts = append(counts, int64(1+i%maxGroupedCount))
+		}
+		for i := 0; i < 30; i++ {
+			counts = append(counts, 400)
+		}
+		p := TwoChoices{}
+		b := NewBatchRunner(p, population.MustFromCounts(counts))
+		const maxRounds = 120
+		var wideRounds, classRounds, sparseRounds int
+		for seed := uint64(0); seed < 2; seed++ {
+			assertTrialMatches(t, p, b, counts, 0x71de^seed, maxRounds)
+			prev := slices.Clone(counts)
+			b.RunTrial(0x71de^seed, BatchRunConfig{MaxRounds: maxRounds, Observer: onRound(func(round int64, v sim.View) bool {
+				f := v.(*flatState)
+				checkFlatAggregates(t, int(round), f)
+				var absDelta int64 // Σ|Δcount|, at most twice the movers
+				classes := map[int64]bool{}
+				for i := range prev {
+					c := v.Count(i)
+					d := c - prev[i]
+					if d < 0 {
+						absDelta -= d
+					} else if d > 0 {
+						absDelta += d
+						if prev[i] <= maxGroupedCount {
+							classes[prev[i]] = true
+						}
+					}
+					prev[i] = c
+				}
+				if absDelta > 0 && f.fenOK && f.clsOK {
+					sparseRounds++
+					if absDelta/2 > 64 {
+						wideRounds++
+					}
+					if len(classes) > 4 {
+						classRounds++
+					}
+				}
+				return false
+			})})
+		}
+		if wideRounds == 0 || classRounds == 0 {
+			t.Fatalf("sparse rounds %d, with > 64 movers %d, with > 4 destination classes %d: a branch went unexercised",
+				sparseRounds, wideRounds, classRounds)
+		}
+	})
+	t.Run("binomial-split", func(t *testing.T) {
+		// 530 singletons (30 of them interleaved with 30 slots of
+		// count 5), 12 slots of count 20 and two rest slots: classes
+		// 1, 5 and 20, in that order.
+		var counts []int64
+		for i := 0; i < 500; i++ {
+			counts = append(counts, 1)
+		}
+		for i := 0; i < 30; i++ {
+			counts = append(counts, 5, 1)
+		}
+		for i := 0; i < 12; i++ {
+			counts = append(counts, 20)
+		}
+		counts = append(counts, 100, 300)
+		f := newFlatState(flatTwoChoices, population.MustFromCounts(counts))
+		f.reset()
+		// Per class: 40 draws over 530 members (the Intn path), 200
+		// over 30 and 100 over 12 (the binomial split); then the rest.
+		gOuts := []int64{40, 200, 100, 7, 0}
+		for seed := uint64(0); seed < 8; seed++ {
+			dense, sparse := rng.New(seed), rng.New(seed)
+			f.stageBDense(dense, gOuts, 3)
+			want := slices.Clone(f.out)
+			clear(f.out)
+			f.stageBSparse(sparse, gOuts, 3)
+			if !slices.Equal(f.out, want) {
+				t.Fatalf("seed %d: sparse stage B %v, dense %v", seed, f.out, want)
+			}
+			if a, b := sparse.Uint64(), dense.Uint64(); a != b {
+				t.Fatalf("seed %d: streams diverged after stage B: %#x vs %#x", seed, a, b)
+			}
+			nonzero := 0
+			for _, c := range f.out {
+				if c != 0 {
+					nonzero++
+				}
+			}
+			if len(f.touchedDest) != nonzero {
+				t.Fatalf("seed %d: %d destination slots recorded, %d written", seed, len(f.touchedDest), nonzero)
+			}
+			for _, sl := range f.touchedDest {
+				if f.out[sl] == 0 {
+					t.Fatalf("seed %d: slot %d recorded without a destination draw", seed, sl)
+				}
+			}
+			clear(f.out)
+		}
+	})
+}
+
+// FuzzTwoChoicesSparseMatchesSerial drives 2-Choices from wide
+// templates, K in [256, 4096] slots with counts in [0, 40], where the
+// sparse cost rule admits rounds of up to K/flatSparseSlotsPerMover
+// movers over many count classes and the rest list. Each input runs
+// two trials (the second on dirtied shared state) for at most 64
+// rounds, bitwise against the serial engine, and checks the
+// incrementally maintained aggregates after every round.
+func FuzzTwoChoicesSparseMatchesSerial(f *testing.F) {
+	f.Add([]byte{1}, uint64(1), uint16(0), uint8(255))
+	f.Add([]byte{1, 2, 3, 5, 8, 13, 21, 34, 40}, uint64(2), uint16(3840), uint8(60))
+	f.Add([]byte{0, 0, 1, 40, 7, 33, 32}, uint64(3), uint16(1000), uint8(120))
+	f.Add([]byte{3, 0, 1, 1, 0, 39}, uint64(4), uint16(600), uint8(200))
+	f.Fuzz(func(t *testing.T, raw []byte, seed uint64, size uint16, rounds uint8) {
+		if len(raw) == 0 || len(raw) > 64 {
+			return
+		}
+		counts := make([]int64, 256+int(size)%3841)
+		for i := range counts {
+			counts[i] = int64(raw[i%len(raw)] % 41)
+		}
+		if !slices.ContainsFunc(counts, func(c int64) bool { return c != 0 }) {
+			counts[0] = 1
+		}
+		p := TwoChoices{}
+		b := NewBatchRunner(p, population.MustFromCounts(counts))
+		maxRounds := 1 + int(rounds)%64
+		assertTrialMatches(t, p, b, counts, seed, maxRounds)
+		assertTrialMatches(t, p, b, counts, seed^0x5bf03635, maxRounds)
+		b.RunTrial(seed, BatchRunConfig{MaxRounds: maxRounds, Observer: onRound(func(round int64, v sim.View) bool {
+			checkFlatAggregates(t, int(round), v.(*flatState))
+			return false
+		})})
 	})
 }

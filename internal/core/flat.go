@@ -44,9 +44,9 @@ import (
 //     deterministic functions of the count vector, so they can be
 //     maintained incrementally across rounds: the incrementally-updated
 //     structure equals the per-round rebuild bit for bit (integer
-//     arithmetic is exact), and 2-Choices' sparse early rounds — which
-//     move a handful of vertices — stop paying several O(live) passes
-//     each.
+//     arithmetic is exact), and 2-Choices' sparse rounds — which move
+//     few vertices relative to the slot count (flatSparseSlotsPerMover)
+//     — stop paying several O(K) passes each.
 type flatKind int
 
 const (
@@ -79,17 +79,18 @@ func flatKindOf(p Protocol) flatKind {
 	return flatNone
 }
 
-// Sparse-round dispatch bounds for the 2-Choices destination split:
-// when at most flatSparseAgreeMax vertices moved and their destination
-// draws hit at most flatSparseClassMax distinct count classes, stage B
-// resolves each class's drawn members by select over that class's slot
-// bitset (one pass over K/64 words) instead of building the full
-// member lists. The dispatch reads only the current state and the
-// stage-A outcome, so it is deterministic and never changes a draw.
-const (
-	flatSparseAgreeMax = 64
-	flatSparseClassMax = 4
-)
+// flatSparseSlotsPerMover is the sparse-round cost rule for the
+// 2-Choices destination split: a sampled-agreement round whose stage A
+// drew n movers commits sparsely when n·flatSparseSlotsPerMover is at
+// most the slot count K. The sparse stage B and commit cost
+// O(classes·K/64 + n·log K) — one select pass over each drawn class's
+// slot bitset (at most maxGroupedCount of them, 64 slots a word), then
+// Fenwick, bitset and rest-list patches per moved vertex — while a
+// dense round makes four O(K) passes (stage B's counting sort, the
+// commit, and the Fenwick and class-bitset rebuilds of the next sparse
+// round). The rule reads only the current state and the stage-A
+// outcome, so it is deterministic and never changes a draw.
+const flatSparseSlotsPerMover = 8
 
 // flatState is one trial's configuration in the flat layout: parallel
 // slot arrays (opinion id, count) in increasing-id order, possibly
@@ -168,6 +169,18 @@ func (f *flatState) reset() {
 		// k bounds the rest list too; full capacity up front keeps
 		// commitDense append-free for the whole trial range.
 		f.rest = make([]int32, 0, k)
+		if f.kind == flatTwoChoices {
+			// Sized so that no round grows them: a round touches at
+			// most k slots, and a sparse round moves at most
+			// k/flatSparseSlotsPerMover vertices, which bounds its
+			// keys and destinations.
+			moved := k/flatSparseSlotsPerMover + 1
+			f.touched = make([]int32, 0, k)
+			f.memberBuf = make([]int32, 0, k)
+			f.touchedDest = make([]int32, 0, moved)
+			f.uniq = make([]int32, 0, 2*moved)
+			f.keyBuf = make([]uint64, 0, moved)
+		}
 	}
 	// out/agree/mark hold only zeros between rounds (and at compaction
 	// time), so re-extending them after a compacted trial re-exposes
@@ -267,12 +280,12 @@ func (f *flatState) step(r *rng.Rand, s *Scratch) {
 // Multinomial(n, p(count)) over the live slots, then a fused commit.
 func (f *flatState) stepMultinomial(r *rng.Rand, s *Scratch, pFn func(int64) float64) {
 	f.sampleGrouped(r, s, f.n, pFn, false)
-	f.commitDense()
+	f.commitDense(false)
 }
 
 // stepTwoChoices is the 2-Choices round (agreement decomposition),
-// with a sparse commit path for the early many-opinions rounds where
-// only a handful of vertices move.
+// with a sparse commit path for the many-opinions rounds where few
+// vertices move relative to the slot count.
 func (f *flatState) stepTwoChoices(r *rng.Rand, s *Scratch) {
 	gamma := f.Gamma()
 	if gamma >= 1 {
@@ -291,8 +304,7 @@ func (f *flatState) stepTwoChoices(r *rng.Rand, s *Scratch) {
 			return // agree is all-zero again: BinomialEach wrote only zeros
 		}
 		f.sampleGrouped(r, s, total, pSq, false)
-		f.foldAgreeDense()
-		f.commitDense()
+		f.commitDense(true)
 		return
 	}
 	// Sampled agreement path: total ~ Binomial(n, γ), then that many
@@ -335,22 +347,7 @@ func (f *flatState) stepTwoChoices(r *rng.Rand, s *Scratch) {
 	// The destination split went dense; the tree no longer matches the
 	// counts a full commit will install.
 	f.fenOK = false
-	f.foldAgreeDense()
-	f.commitDense()
-}
-
-// foldAgreeDense turns the destination counts in out into the full
-// next-round counts: out[j] += cnt[j] - agree[j] for every live slot
-// (the serial "dest[j] += c - agree[j]" fixup), consuming the agree
-// deltas.
-func (f *flatState) foldAgreeDense() {
-	for j, c := range f.cnt {
-		if c == 0 {
-			continue
-		}
-		f.out[j] += c - f.agree[j]
-		f.agree[j] = 0
-	}
+	f.commitDense(true)
 }
 
 // sampleGrouped replicates sampleMultinomialGrouped's draw sequence on
@@ -392,17 +389,9 @@ func (f *flatState) sampleGrouped(r *rng.Rand, s *Scratch, n int64, pFn func(int
 	}
 	sampleMultinomial(r, s, n, gProbs, gOuts)
 
-	if trySparse && n <= flatSparseAgreeMax {
-		nz := 0
-		for gi := 0; gi < groups; gi++ {
-			if gOuts[gi] > 0 {
-				nz++
-			}
-		}
-		if nz <= flatSparseClassMax {
-			f.stageBSparse(r, gOuts, groups)
-			return true
-		}
+	if trySparse && n*flatSparseSlotsPerMover <= int64(len(f.cnt)) {
+		f.stageBSparse(r, gOuts, groups)
+		return true
 	}
 	f.stageBDense(r, gOuts, groups)
 	return false
@@ -483,12 +472,12 @@ func (f *flatState) stageBDense(r *rng.Rand, gOuts []int64, groups int) {
 	}
 }
 
-// stageBSparse is stage B for rounds that move a handful of vertices:
-// instead of materializing every member list, each class with draws
-// resolves its drawn members by one select pass over the class's slot
-// bitset. The Intn draws come first, in the serial order, and the
-// resolved slots are bumped in that same order, so the stream is
-// untouched by the restructuring.
+// stageBSparse is stage B for rounds that move few vertices relative
+// to the slot count: instead of materializing every member list, each
+// class with draws resolves its drawn members by one select pass over
+// the class's slot bitset. The Intn draws come first, in the serial
+// order, and the resolved slots are bumped in that same order, so the
+// stream is untouched by the restructuring.
 func (f *flatState) stageBSparse(r *rng.Rand, gOuts []int64, groups int) {
 	f.ensureCls()
 	dest := f.touchedDest[:0]
@@ -521,8 +510,8 @@ func (f *flatState) stageBSparse(r *rng.Rand, gOuts []int64, groups int) {
 			}
 			continue
 		}
-		// T > 6m with T <= flatSparseAgreeMax: a class of at most ten
-		// members, enumerated in slot order.
+		// T > 6m: a class of fewer than T/6 members, enumerated in slot
+		// order.
 		f.keyBuf = grown(f.keyBuf, m)
 		keys := f.keyBuf
 		for j := range keys {
@@ -575,20 +564,21 @@ func (f *flatState) selectMembers(c int, keys []uint64) []int32 {
 	return mem
 }
 
-// commitDense installs out as the next counts in one fused pass,
-// zeroing out behind itself and rebuilding the aggregates (the values
-// equal CommitLive's recomputation: integer arithmetic is exact).
-func (f *flatState) commitDense() {
+// commitDense installs the next counts in one fused pass, zeroing out
+// behind itself and rebuilding the aggregates (the values equal
+// CommitLive's recomputation: integer arithmetic is exact). Without
+// fold, out holds the next counts. With fold (2-Choices), out holds
+// only the destination counts: the next count is out[j] + cnt[j] −
+// agree[j] (the serial "dest[j] += c - agree[j]" fixup), and the pass
+// consumes the agree deltas too.
+func (f *flatState) commitDense(fold bool) {
 	var sumSq int64
 	var hist [maxGroupedCount + 1]int32
 	rest := f.rest[:0]
 	numLive := 0
-	for j := range f.cnt {
-		c := f.out[j]
-		f.out[j] = 0
-		f.cnt[j] = c
+	add := func(j int, c int64) {
 		if c == 0 {
-			continue
+			return
 		}
 		numLive++
 		sumSq += c * c
@@ -596,6 +586,23 @@ func (f *flatState) commitDense() {
 			hist[c]++
 		} else {
 			rest = append(rest, int32(j))
+		}
+	}
+	// Two loops rather than a per-slot branch on fold: the unfolded
+	// one is the 3-Majority and Voter hot loop.
+	out, cnt := f.out, f.cnt
+	if fold {
+		agree := f.agree
+		for j := range cnt {
+			c := out[j] + cnt[j] - agree[j]
+			out[j], agree[j], cnt[j] = 0, 0, c
+			add(j, c)
+		}
+	} else {
+		for j := range cnt {
+			c := out[j]
+			out[j], cnt[j] = 0, c
+			add(j, c)
 		}
 	}
 	f.sumSq = sumSq
