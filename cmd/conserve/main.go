@@ -206,7 +206,7 @@ func run(ctx context.Context, args []string) error {
 		peersFlag    = fs.String("peers", "", "comma-separated fleet as id=http://host:port, self included (required with -cluster)")
 		coordsFlag   = fs.String("coordinators", "", "comma-separated coordinator node IDs (required with -cluster)")
 		clusterTick  = fs.Duration("cluster-heartbeat", 150*time.Millisecond, "ledger replication tick: leader heartbeat interval")
-		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "per-shard execution bound; past it the lease expires and the shard requeues")
+		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "per-shard execution bound; past it the attempt fails and the shard moves to the next worker")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

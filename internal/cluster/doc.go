@@ -18,21 +18,26 @@
 // each record synced, valid-prefix replay), so a restarted node
 // rejoins with its promises intact.
 //
-// # Lease contract
+// # Dispatch contract
 //
-// A shard's lifecycle is pending → leased → done, every transition a
-// replicated record. The leader leases a shard to one worker and holds
-// the execution connection open; a connection error or lease timeout
-// proposes a requeue (leased → pending) and the shard rotates to the
-// next worker in sorted worker order. A new leader requeues every lease it
-// inherits — the deposed leader's dispatchers are gone. Transitions
-// are state-guarded and first-wins (a duplicate completion or stale
-// requeue applies as a no-op), so crashes and races never lose or
-// double-count a shard, and exactly one decision commits per key.
-// The ledger indexes its active jobs (undecided, with a shard not
-// done) in submission order, and the leader's dispatch and requeue
-// scans read only them, so a scan costs O(in-flight jobs) however many
-// jobs the ledger has decided.
+// A shard's lifecycle is pending → done, and its one replicated record
+// is the shard_done that carries its result. The leader owns each
+// pending shard through its local in-flight set and runs it
+// synchronously on one worker, holding the connection open; a
+// connection error or timeout moves the shard to the next worker in
+// sorted worker order. No lease precedes execution: a shard is a pure
+// function of the request and its trial range, so a rerun — a deposed
+// leader racing its successor, or a new leader rerunning what the old
+// one had in flight — yields the same bytes, and the first shard_done
+// wins. A dispatch holds its in-flight entry until its shard_done has
+// applied locally, so a scan never reruns a shard whose result has
+// committed. Records are first-wins (a duplicate completion or decide
+// applies as a no-op), so crashes and races never lose or double-count
+// a shard, and exactly one decision commits per key. The ledger
+// indexes its active jobs (undecided, with a shard not done) in
+// submission order, and the leader's dispatch scan reads only them, so
+// a scan costs O(in-flight jobs) however many jobs the ledger has
+// decided.
 //
 // # Byte identity
 //
@@ -52,6 +57,6 @@
 // decide record pinned.
 //
 // The DESIGN.md "Cluster" section documents the ledger record format,
-// the lease/requeue state machine, quorum rules, and the byte-identity
-// argument in full.
+// the dispatch rule, quorum rules, and the byte-identity argument in
+// full.
 package cluster

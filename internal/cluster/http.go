@@ -87,8 +87,9 @@ func (n *Node) client() *httpTransport {
 	return t
 }
 
-// executeOn runs one shard synchronously on worker: the connection is
-// the lease — a dropped or timed-out call requeues the shard.
+// executeOn runs one shard synchronously on worker. A refused, dropped
+// or timed-out call is a failed attempt: the dispatch moves the shard
+// to the next worker.
 func (n *Node) executeOn(ctx context.Context, worker string, reqJSON json.RawMessage, rng ShardRange) (json.RawMessage, error) {
 	var out json.RawMessage
 	err := n.client().roundTrip(ctx, worker, "/cluster/execute",

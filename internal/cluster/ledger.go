@@ -16,18 +16,10 @@ const (
 	// index-contiguous shard plan. A submit for a key that is already
 	// active or decided applies as a no-op — cluster-wide dedup.
 	OpSubmit = "submit"
-	// OpLease grants one shard to one worker. Applies only to a
-	// pending shard; anything else is a no-op (e.g. a stale lease
-	// proposed by a deposed leader racing a completed shard).
-	OpLease = "lease"
-	// OpRequeue returns a leased shard to pending — the worker died,
-	// timed out, or the lease belonged to a deposed leader. Applies
-	// only to a leased shard.
-	OpRequeue = "requeue"
 	// OpShardDone records a shard's result payload. The first
-	// completion wins: a duplicate (two workers raced after a spurious
-	// requeue) applies as a no-op, so every replica keeps the same
-	// bytes for the shard.
+	// completion wins: a duplicate (a deposed leader raced its
+	// successor on the same shard) applies as a no-op, so every
+	// replica keeps the same bytes for the shard.
 	OpShardDone = "shard_done"
 	// OpDecide marks the job decided and pins the SHA-256 of the
 	// merged canonical response. Exactly one decide applies per key
@@ -46,14 +38,15 @@ type LedgerRecord struct {
 	// Shards is the job's shard plan (OpSubmit): index-contiguous
 	// trial ranges tiling [0, trials).
 	Shards []ShardRange `json:"shards,omitempty"`
-	// Shard indexes into the plan (OpLease/OpRequeue/OpShardDone).
+	// Shard indexes into the plan (OpShardDone).
 	Shard int `json:"shard,omitempty"`
-	// Worker is the executing node ID (OpLease/OpShardDone).
+	// Worker is the executing node ID (OpShardDone).
 	Worker string `json:"worker,omitempty"`
+	// Attempt counts the dispatches of the shard that failed before
+	// the one that produced Result (OpShardDone).
+	Attempt int `json:"attempt,omitempty"`
 	// Result is the shard's service.ShardResult JSON (OpShardDone).
 	Result json.RawMessage `json:"result,omitempty"`
-	// Reason explains a requeue (for logs and tests).
-	Reason string `json:"reason,omitempty"`
 	// MergedSHA is the hex SHA-256 of the merged canonical response
 	// bytes (OpDecide) — what the ndecided convergence check compares.
 	MergedSHA string `json:"merged_sha,omitempty"`
@@ -65,10 +58,10 @@ type ShardRange struct {
 	Hi int `json:"hi"`
 }
 
-// Shard lifecycle states.
+// Shard lifecycle states: a shard is pending until its first
+// shard_done applies.
 const (
 	ShardPending = "pending"
-	ShardLeased  = "leased"
 	ShardDone    = "done"
 )
 
@@ -76,12 +69,8 @@ const (
 type ShardState struct {
 	Range  ShardRange `json:"range"`
 	Status string     `json:"status"`
-	// Worker holds the lease (leased) or computed the result (done).
+	// Worker computed the result (done only).
 	Worker string `json:"worker,omitempty"`
-	// LeaseIndex is the ledger index of the granting lease record; a
-	// requeue for an older lease than the current one is stale and
-	// applies as a no-op.
-	LeaseIndex uint64 `json:"lease_index,omitempty"`
 	// Result is the shard's result payload (done only).
 	Result json.RawMessage `json:"result,omitempty"`
 }
@@ -128,12 +117,11 @@ type Ledger struct {
 	jobs  map[string]*jobState
 	order []string // submission order, for deterministic scans
 	// active indexes the undecided jobs that still have a shard not
-	// done, in submission order. Only they hold pending or leased
-	// shards, so the leader's scans read them and never the whole
-	// ledger.
+	// done, in submission order. Only they hold pending shards, so the
+	// leader's scans read them and never the whole ledger.
 	active []*jobState
 
-	requeues uint64 // applied OpRequeue count (metrics)
+	requeues uint64 // failed dispatches behind applied shard_done records (metrics)
 	applied  uint64 // highest applied log index
 
 	// notify is closed and replaced on every applied record, waking
@@ -150,7 +138,9 @@ func NewLedger() *Ledger {
 // called by the replica in commit order, exactly once per index, on
 // every node. Unknown ops and records that do not fit the current
 // state apply as no-ops: replicas must never diverge or crash on a
-// record a different leader legitimately raced in.
+// record a different leader legitimately raced in. The lease and
+// requeue records of older logs are unknown ops, so such a log
+// replays to the same states with every leased shard pending.
 func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -173,25 +163,6 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 		if len(j.shards) > 0 {
 			l.active = append(l.active, j)
 		}
-	case OpLease:
-		if j == nil || rec.Shard < 0 || rec.Shard >= len(j.shards) {
-			return
-		}
-		s := &j.shards[rec.Shard]
-		if s.Status != ShardPending {
-			return
-		}
-		s.Status, s.Worker, s.LeaseIndex = ShardLeased, rec.Worker, index
-	case OpRequeue:
-		if j == nil || rec.Shard < 0 || rec.Shard >= len(j.shards) {
-			return
-		}
-		s := &j.shards[rec.Shard]
-		if s.Status != ShardLeased {
-			return
-		}
-		s.Status, s.Worker, s.LeaseIndex = ShardPending, "", 0
-		l.requeues++
 	case OpShardDone:
 		if j == nil || rec.Shard < 0 || rec.Shard >= len(j.shards) {
 			return
@@ -201,6 +172,7 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 			return // first completion wins
 		}
 		s.Status, s.Worker, s.Result = ShardDone, rec.Worker, rec.Result
+		l.requeues += uint64(max(rec.Attempt, 0))
 		j.done++
 		if j.done == len(j.shards) {
 			l.deactivateLocked(j)
@@ -271,18 +243,17 @@ func (l *Ledger) Jobs() []JobView {
 	return views
 }
 
-// ActiveShards returns the shards of undecided jobs whose status is
-// status (ShardPending or ShardLeased), in submission order and then
-// shard order. It reads only the active index, so it costs O(in-flight
-// jobs) whatever the ledger holds, and allocates only the refs it
-// returns.
-func (l *Ledger) ActiveShards(status string) []ShardRef {
+// ActiveShards returns the pending shards of undecided jobs, in
+// submission order and then shard order. It reads only the active
+// index, so it costs O(in-flight jobs) whatever the ledger holds, and
+// allocates only the refs it returns.
+func (l *Ledger) ActiveShards() []ShardRef {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var refs []ShardRef
 	for _, j := range l.active {
 		for i := range j.shards {
-			if j.shards[i].Status == status {
+			if j.shards[i].Status == ShardPending {
 				refs = append(refs, ShardRef{Key: j.key, Shard: i})
 			}
 		}
@@ -335,7 +306,8 @@ func (l *Ledger) WaitDecided(done <-chan struct{}, key string) (JobView, error) 
 	return v, nil
 }
 
-// Requeues returns the applied requeue count.
+// Requeues returns the number of failed dispatches behind the applied
+// shard results: the sum of their Attempt fields.
 func (l *Ledger) Requeues() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

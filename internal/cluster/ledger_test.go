@@ -9,8 +9,8 @@ import (
 	"plurality/internal/rng"
 )
 
-// TestLedgerLifecycle walks one job through submit → lease → done →
-// decide and checks each guarded transition.
+// TestLedgerLifecycle walks one job through submit → done → decide and
+// checks each guarded transition.
 func TestLedgerLifecycle(t *testing.T) {
 	l := NewLedger()
 	shards := []ShardRange{{Lo: 0, Hi: 5}, {Lo: 5, Hi: 10}}
@@ -23,42 +23,16 @@ func TestLedgerLifecycle(t *testing.T) {
 		t.Fatalf("after duplicate submit: shards = %+v, want the first plan", jv.Shards)
 	}
 
-	l.Apply(3, LedgerRecord{Op: OpLease, Key: "k", Shard: 0, Worker: "w1"})
+	// First completion wins and counts its failed attempts; a raced
+	// duplicate is a no-op, its attempts included.
+	l.Apply(7, LedgerRecord{Op: OpShardDone, Key: "k", Shard: 0, Worker: "w2", Attempt: 1, Result: json.RawMessage(`"r1"`)})
+	l.Apply(8, LedgerRecord{Op: OpShardDone, Key: "k", Shard: 0, Worker: "w3", Attempt: 2, Result: json.RawMessage(`"r2"`)})
 	jv, _ = l.Job("k")
-	if jv.Shards[0].Status != ShardLeased || jv.Shards[0].Worker != "w1" || jv.Shards[0].LeaseIndex != 3 {
-		t.Fatalf("lease not applied: %+v", jv.Shards[0])
-	}
-	// Leasing a leased shard is a no-op.
-	l.Apply(4, LedgerRecord{Op: OpLease, Key: "k", Shard: 0, Worker: "w2"})
-	jv, _ = l.Job("k")
-	if jv.Shards[0].Worker != "w1" {
-		t.Fatalf("second lease overwrote the first: %+v", jv.Shards[0])
-	}
-
-	// Requeue returns the shard to pending and counts.
-	l.Apply(5, LedgerRecord{Op: OpRequeue, Key: "k", Shard: 0, Reason: "lost"})
-	jv, _ = l.Job("k")
-	if jv.Shards[0].Status != ShardPending || l.Requeues() != 1 {
-		t.Fatalf("requeue not applied: %+v requeues=%d", jv.Shards[0], l.Requeues())
-	}
-	// Requeueing a pending shard is a no-op.
-	l.Apply(6, LedgerRecord{Op: OpRequeue, Key: "k", Shard: 0})
-	if l.Requeues() != 1 {
-		t.Fatalf("stale requeue counted: %d", l.Requeues())
-	}
-
-	// First completion wins; a raced duplicate is a no-op.
-	l.Apply(7, LedgerRecord{Op: OpShardDone, Key: "k", Shard: 0, Worker: "w2", Result: json.RawMessage(`"r1"`)})
-	l.Apply(8, LedgerRecord{Op: OpShardDone, Key: "k", Shard: 0, Worker: "w3", Result: json.RawMessage(`"r2"`)})
-	jv, _ = l.Job("k")
-	if string(jv.Shards[0].Result) != `"r1"` || jv.DoneShards != 1 {
+	if string(jv.Shards[0].Result) != `"r1"` || jv.Shards[0].Worker != "w2" || jv.DoneShards != 1 {
 		t.Fatalf("first-wins violated: %+v done=%d", jv.Shards[0], jv.DoneShards)
 	}
-	// A requeue against a done shard is a no-op.
-	l.Apply(9, LedgerRecord{Op: OpRequeue, Key: "k", Shard: 0})
-	jv, _ = l.Job("k")
-	if jv.Shards[0].Status != ShardDone {
-		t.Fatalf("requeue clobbered a done shard: %+v", jv.Shards[0])
+	if l.Requeues() != 1 {
+		t.Fatalf("requeues = %d, want the winning record's 1 failed attempt", l.Requeues())
 	}
 
 	l.Apply(10, LedgerRecord{Op: OpShardDone, Key: "k", Shard: 1, Worker: "w1", Result: json.RawMessage(`"r3"`)})
@@ -71,10 +45,14 @@ func TestLedgerLifecycle(t *testing.T) {
 		t.Fatalf("decide not first-wins: %+v", jv)
 	}
 
-	// Unknown ops and unknown keys must be harmless no-ops.
+	// Unknown ops, unknown keys and out-of-range shards must be
+	// harmless no-ops.
 	l.Apply(13, LedgerRecord{Op: "noop"})
-	l.Apply(14, LedgerRecord{Op: OpLease, Key: "missing", Shard: 0})
-	l.Apply(15, LedgerRecord{Op: OpLease, Key: "k", Shard: 99})
+	l.Apply(14, LedgerRecord{Op: OpShardDone, Key: "missing", Shard: 0})
+	l.Apply(15, LedgerRecord{Op: OpShardDone, Key: "k", Shard: 99})
+	if jv, _ = l.Job("k"); jv.DoneShards != 2 || l.Requeues() != 1 {
+		t.Fatalf("no-op records changed the job: %+v requeues=%d", jv, l.Requeues())
+	}
 }
 
 // TestLedgerDeterminism applies the same record sequence to two
@@ -84,11 +62,7 @@ func TestLedgerDeterminism(t *testing.T) {
 	seq := []LedgerRecord{
 		{Op: OpSubmit, Key: "a", Shards: []ShardRange{{0, 3}, {3, 6}}},
 		{Op: OpSubmit, Key: "b", Shards: []ShardRange{{0, 10}}},
-		{Op: OpLease, Key: "a", Shard: 0, Worker: "w1"},
-		{Op: OpLease, Key: "a", Shard: 1, Worker: "w2"},
-		{Op: OpRequeue, Key: "a", Shard: 0},
-		{Op: OpLease, Key: "a", Shard: 0, Worker: "w2"},
-		{Op: OpShardDone, Key: "a", Shard: 0, Worker: "w2", Result: json.RawMessage(`1`)},
+		{Op: OpShardDone, Key: "a", Shard: 0, Worker: "w2", Attempt: 1, Result: json.RawMessage(`1`)},
 		{Op: OpShardDone, Key: "a", Shard: 1, Worker: "w2", Result: json.RawMessage(`2`)},
 		{Op: OpDecide, Key: "a", MergedSHA: "s"},
 	}
@@ -104,6 +78,55 @@ func TestLedgerDeterminism(t *testing.T) {
 	}
 	if l1.Requeues() != l2.Requeues() {
 		t.Fatalf("requeue counters diverged: %d vs %d", l1.Requeues(), l2.Requeues())
+	}
+}
+
+// TestLedgerReplaysLeaseRecords folds a log as older releases wrote it,
+// with lease and requeue records, and expects the job states those
+// releases folded it to, except that a shard leased at the end reads
+// pending: the retired ops apply as no-ops, and the pending shard is
+// one the next leader dispatches.
+func TestLedgerReplaysLeaseRecords(t *testing.T) {
+	log := []string{
+		`{"op":"submit","key":"a","request":{},"shards":[{"lo":0,"hi":3},{"lo":3,"hi":6}]}`,
+		`{"op":"submit","key":"b","request":{},"shards":[{"lo":0,"hi":2},{"lo":2,"hi":4}]}`,
+		`{"op":"lease","key":"a","shard":0,"worker":"w1"}`,
+		`{"op":"lease","key":"a","shard":1,"worker":"w2"}`,
+		`{"op":"requeue","key":"a","shard":0,"reason":"leader-change"}`,
+		`{"op":"lease","key":"a","shard":0,"worker":"w2"}`,
+		`{"op":"shard_done","key":"a","shard":0,"worker":"w2","result":1}`,
+		`{"op":"shard_done","key":"a","shard":1,"worker":"w2","result":2}`,
+		`{"op":"decide","key":"a","merged_sha":"s"}`,
+		`{"op":"lease","key":"b","shard":0,"worker":"w1"}`,
+		`{"op":"shard_done","key":"b","shard":0,"worker":"w1","result":3}`,
+		`{"op":"lease","key":"b","shard":1,"worker":"w3"}`,
+	}
+	l := NewLedger()
+	for i, line := range log {
+		var rec LedgerRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record %d: %v", i+1, err)
+		}
+		l.Apply(uint64(i+1), rec)
+	}
+	done := func(worker, result string) ShardState {
+		return ShardState{Status: ShardDone, Worker: worker, Result: json.RawMessage(result)}
+	}
+	want := []JobView{
+		{Key: "a", Request: json.RawMessage(`{}`), Decided: true, MergedSHA: "s", DoneShards: 2,
+			Shards: []ShardState{done("w2", "1"), done("w2", "2")}},
+		{Key: "b", Request: json.RawMessage(`{}`), DoneShards: 1,
+			Shards: []ShardState{done("w1", "3"), {Status: ShardPending}}},
+	}
+	want[0].Shards[0].Range, want[0].Shards[1].Range = ShardRange{0, 3}, ShardRange{3, 6}
+	want[1].Shards[0].Range, want[1].Shards[1].Range = ShardRange{0, 2}, ShardRange{2, 4}
+	got, _ := json.Marshal(l.Jobs())
+	exp, _ := json.Marshal(want)
+	if string(got) != string(exp) {
+		t.Fatalf("older log folded to\n%s\nwant\n%s", got, exp)
+	}
+	if refs := l.ActiveShards(); !slices.Equal(refs, []ShardRef{{Key: "b", Shard: 1}}) {
+		t.Fatalf("pending shards = %v, want the one leased at the end", refs)
 	}
 }
 
@@ -147,17 +170,18 @@ func TestPlanShards(t *testing.T) {
 
 // ledgerRecordFrom decodes three bytes into a record over six keys and
 // shards -1..3, so a random stream reaches every guarded transition:
-// duplicate submits, stale leases and requeues, duplicate and
-// out-of-range shard_done, and decides before the last shard is done.
+// duplicate submits, duplicate and out-of-range shard_done, and decides
+// before the last shard is done. Op codes 1-3 are the lease and requeue
+// records older logs hold, which now apply as no-ops.
 func ledgerRecordFrom(op, key, shard byte) LedgerRecord {
 	rec := LedgerRecord{Key: string(rune('a' + key%6)), Shard: int(shard%5) - 1}
 	switch op % 8 {
 	case 0:
 		rec.Op, rec.Shards = OpSubmit, make([]ShardRange, shard%4)
 	case 1, 2:
-		rec.Op, rec.Worker = OpLease, "w1"
+		rec.Op, rec.Worker = "lease", "w1"
 	case 3:
-		rec.Op = OpRequeue
+		rec.Op = "requeue"
 	case 4, 5:
 		rec.Op, rec.Worker, rec.Result = OpShardDone, "w1", json.RawMessage(`1`)
 	case 6:
@@ -169,13 +193,13 @@ func ledgerRecordFrom(op, key, shard byte) LedgerRecord {
 }
 
 // checkActiveIndex compares the active index with a brute-force scan
-// of every job: ActiveShards must return the pending (leased) shards of
-// the undecided jobs in submission order, and the index must hold
-// exactly the undecided jobs with a shard not done.
+// of every job: ActiveShards must return the pending shards of the
+// undecided jobs in submission order, and the index must hold exactly
+// the undecided jobs with a shard not done.
 func checkActiveIndex(t *testing.T, l *Ledger) {
 	t.Helper()
 	var wantKeys []string
-	want := map[string][]ShardRef{}
+	var want []ShardRef
 	for _, jv := range l.Jobs() {
 		if jv.Decided {
 			continue
@@ -184,13 +208,13 @@ func checkActiveIndex(t *testing.T, l *Ledger) {
 			wantKeys = append(wantKeys, jv.Key)
 		}
 		for i, s := range jv.Shards {
-			want[s.Status] = append(want[s.Status], ShardRef{Key: jv.Key, Shard: i})
+			if s.Status == ShardPending {
+				want = append(want, ShardRef{Key: jv.Key, Shard: i})
+			}
 		}
 	}
-	for _, status := range []string{ShardPending, ShardLeased} {
-		if got := l.ActiveShards(status); !slices.Equal(got, want[status]) {
-			t.Fatalf("ActiveShards(%s) = %v, scan finds %v", status, got, want[status])
-		}
+	if got := l.ActiveShards(); !slices.Equal(got, want) {
+		t.Fatalf("ActiveShards() = %v, scan finds %v", got, want)
 	}
 	l.mu.Lock()
 	var gotKeys []string
@@ -234,8 +258,8 @@ func FuzzLedgerActiveIndex(f *testing.F) {
 }
 
 // ledgerWithHistory returns a ledger holding decided jobs, all shards
-// done, split around three in-flight jobs: one pending, one with a
-// leased shard, one with a done shard.
+// done, split around three in-flight jobs: two pending, one with a done
+// shard.
 func ledgerWithHistory(decided int) *Ledger {
 	l := NewLedger()
 	var index uint64
@@ -258,7 +282,6 @@ func ledgerWithHistory(decided int) *Ledger {
 	for _, key := range []string{"x", "y", "z"} {
 		apply(LedgerRecord{Op: OpSubmit, Key: key, Shards: plan})
 	}
-	apply(LedgerRecord{Op: OpLease, Key: "y", Shard: 1, Worker: "w1"})
 	apply(LedgerRecord{Op: OpShardDone, Key: "z", Shard: 0, Result: json.RawMessage(`1`)})
 	history(decided/2, decided)
 	return l
@@ -269,11 +292,11 @@ func ledgerWithHistory(decided int) *Ledger {
 // allocations beside 0 and 10 000 decided jobs, and yield the same refs.
 func TestLedgerActiveShardsCost(t *testing.T) {
 	small, large := ledgerWithHistory(0), ledgerWithHistory(10000)
-	if a, b := small.ActiveShards(ShardPending), large.ActiveShards(ShardPending); len(a) != 7 || !slices.Equal(a, b) {
+	if a, b := small.ActiveShards(), large.ActiveShards(); len(a) != 8 || !slices.Equal(a, b) {
 		t.Fatalf("pending refs: %v beside no history, %v beside 10 000 decided jobs", a, b)
 	}
 	read := func(l *Ledger) float64 {
-		return testing.AllocsPerRun(100, func() { _ = l.ActiveShards(ShardPending) })
+		return testing.AllocsPerRun(100, func() { _ = l.ActiveShards() })
 	}
 	if a, b := read(small), read(large); a != b {
 		t.Fatalf("pending read allocates %v times beside no history, %v beside 10 000 decided jobs", a, b)
@@ -289,6 +312,6 @@ func BenchmarkLedgerPending(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pendingSink = l.ActiveShards(ShardPending)
+		pendingSink = l.ActiveShards()
 	}
 }

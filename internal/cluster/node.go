@@ -50,7 +50,8 @@ type NodeConfig struct {
 	// ElectionTicks is the base election timeout in ticks (default 10).
 	ElectionTicks int
 	// LeaseTimeout bounds one shard execution on a worker; past it the
-	// dispatch cancels and the shard is requeued (default 2m).
+	// dispatch cancels the call and moves the shard to the next worker
+	// (default 2m).
 	LeaseTimeout time.Duration
 	// Journal and Records persist/recover the replica log (optional).
 	Journal *durable.Journal
@@ -75,10 +76,6 @@ type Node struct {
 
 	mu       sync.Mutex
 	inflight map[ShardRef]bool // shard dispatches owned by this process
-	// attempts counts each shard's dispatches here, which rotates its
-	// workers. A shard's entry goes when its shard_done applies: a done
-	// shard is never dispatched again.
-	attempts map[ShardRef]int
 
 	peerCacheHits atomic.Uint64
 
@@ -109,7 +106,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:      cfg,
 		ledger:   NewLedger(),
 		inflight: make(map[ShardRef]bool),
-		attempts: make(map[ShardRef]int),
 		closed:   make(chan struct{}),
 	}
 	isCoord := make(map[string]bool, len(cfg.Coordinators))
@@ -138,8 +134,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Records:       cfg.Records,
 		Heartbeat:     cfg.Heartbeat,
 		ElectionTicks: cfg.ElectionTicks,
-		Apply:         n.apply,
-		OnLeader:      n.requeueStaleLeases,
+		Apply:         n.ledger.Apply,
 		Logf:          cfg.Logf,
 	})
 	// Every node runs the dispatch loop — it only acts while this
@@ -169,43 +164,8 @@ func (n *Node) Ledger() *Ledger { return n.ledger }
 // Replica exposes the underlying replica (for tests and status).
 func (n *Node) Replica() *Replica { return n.replica }
 
-// apply folds a committed record into the ledger and, for a
-// shard_done, drops the shard's dispatch count.
-func (n *Node) apply(index uint64, rec LedgerRecord) {
-	n.ledger.Apply(index, rec)
-	if rec.Op == OpShardDone {
-		n.mu.Lock()
-		delete(n.attempts, ShardRef{Key: rec.Key, Shard: rec.Shard})
-		n.mu.Unlock()
-	}
-}
-
-// requeueStaleLeases runs when this node wins an election: every lease
-// in the applied ledger was granted by a deposed leader whose dispatch
-// goroutines are gone (or dead with its process), so the shards are
-// returned to pending for this leader to re-dispatch. Requeue is
-// state-guarded, so a shard that completes concurrently is untouched.
-// The scan waits for the election's barrier entry to apply locally
-// first — that guarantees every lease inherited from earlier terms is
-// visible to it.
-func (n *Node) requeueStaleLeases(term, barrier uint64) {
-	if n.ledger.WaitApplied(n.closed, barrier) != nil {
-		return
-	}
-	for _, ref := range n.ledger.ActiveShards(ShardLeased) {
-		idx, t, err := n.replica.Propose(LedgerRecord{
-			Op: OpRequeue, Key: ref.Key, Shard: ref.Shard, Reason: "leader-change",
-		})
-		if err != nil {
-			return // lost leadership already
-		}
-		_ = n.replica.WaitCommitted(n.closed, idx, t)
-	}
-}
-
 // dispatchLoop scans the applied ledger whenever it changes and, while
-// this node leads, leases pending shards to workers and drives their
-// execution.
+// this node leads, drives every pending shard's execution.
 func (n *Node) dispatchLoop() {
 	defer n.wg.Done()
 	for {
@@ -218,13 +178,14 @@ func (n *Node) dispatchLoop() {
 		case <-n.ledger.changed():
 		case <-n.replica.LeaderChanged():
 		case <-time.After(n.replica.cfg.Heartbeat):
-			// Fallback tick: retry after transient dispatch failures.
+			// Fallback tick: re-dispatch shards whose dispatch ended
+			// without a result.
 		}
 	}
 }
 
 func (n *Node) scanAndDispatch() {
-	for _, ref := range n.ledger.ActiveShards(ShardPending) {
+	for _, ref := range n.ledger.ActiveShards() {
 		n.mu.Lock()
 		busy := n.inflight[ref]
 		if !busy {
@@ -239,11 +200,16 @@ func (n *Node) scanAndDispatch() {
 	}
 }
 
-// dispatchShard drives one shard: lease it through the ledger, execute
-// it synchronously on the chosen worker, and record the result — or a
-// requeue, if the worker failed or timed out. Every transition goes
-// through the replicated log, so a coordinator crash at any point
-// leaves a state a new leader recovers from (lease → requeue).
+// dispatchShard owns one pending shard while this node leads. Attempt
+// a runs it on placeShard(workers, key, shard, a), bounded by
+// LeaseTimeout; a failure moves the shard to the next worker at once,
+// and a full rotation of failures waits a heartbeat, so dead workers
+// cannot make it spin. A success proposes the shard_done. No record
+// precedes execution: a shard is a pure function of the request and
+// its trial range, so a second run (a deposed leader racing its
+// successor) yields the same bytes, and first-wins shard_done keeps
+// one. It stops when leadership is lost, the node closes, or the
+// applied ledger shows the shard done.
 func (n *Node) dispatchShard(ref ShardRef) {
 	defer n.wg.Done()
 	defer func() {
@@ -251,56 +217,47 @@ func (n *Node) dispatchShard(ref ShardRef) {
 		delete(n.inflight, ref)
 		n.mu.Unlock()
 	}()
-
-	n.mu.Lock()
-	attempt := n.attempts[ref]
-	n.attempts[ref]++
-	n.mu.Unlock()
-	key, shard := ref.Key, ref.Shard
-	worker := placeShard(n.workers, key, shard, attempt)
-	if worker == "" {
-		return
-	}
-
-	idx, term, err := n.replica.Propose(LedgerRecord{
-		Op: OpLease, Key: key, Shard: shard, Worker: worker,
-	})
-	if err != nil || n.replica.WaitCommitted(n.closed, idx, term) != nil {
-		return // lost leadership; the next leader requeues
-	}
-	// Commit and local apply are asynchronous: wait for the lease to
-	// reach this node's ledger before reading its view of the shard.
-	if n.ledger.WaitApplied(n.closed, idx) != nil {
-		return
-	}
-	jv, ok := n.ledger.Job(key)
-	if !ok || jv.Shards[shard].Status != ShardLeased || jv.Shards[shard].LeaseIndex != idx {
-		return // lease lost the race (shard already done or re-leased)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.LeaseTimeout)
-	defer cancel()
-	result, execErr := n.executeOn(ctx, worker, jv.Request, jv.Shards[shard].Range)
-	if execErr != nil {
-		n.cfg.Logf("cluster: shard %s on %s failed: %v", ref, worker, execErr)
-		if idx, term, err = n.replica.Propose(LedgerRecord{
-			Op: OpRequeue, Key: key, Shard: shard, Reason: execErr.Error(),
-		}); err == nil {
-			_ = n.replica.WaitCommitted(n.closed, idx, term)
+	for attempt := 0; ; attempt++ {
+		jv, ok := n.ledger.Job(ref.Key)
+		if !ok || jv.Shards[ref.Shard].Status == ShardDone || !n.replica.IsLeader() {
+			return
 		}
-		return
-	}
-	if idx, term, err = n.replica.Propose(LedgerRecord{
-		Op: OpShardDone, Key: key, Shard: shard, Worker: worker, Result: result,
-	}); err == nil {
-		_ = n.replica.WaitCommitted(n.closed, idx, term)
+		worker := placeShard(n.workers, ref.Key, ref.Shard, attempt)
+		if worker == "" {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.LeaseTimeout)
+		result, err := n.executeOn(ctx, worker, jv.Request, jv.Shards[ref.Shard].Range)
+		cancel()
+		if err == nil {
+			idx, term, err := n.replica.Propose(LedgerRecord{
+				Op: OpShardDone, Key: ref.Key, Shard: ref.Shard, Worker: worker, Attempt: attempt, Result: result,
+			})
+			if err == nil && n.replica.WaitCommitted(n.closed, idx, term) == nil {
+				// Hold the shard in inflight until the record applies
+				// here: a scan between commit and apply still reads the
+				// shard pending and would run it again.
+				_ = n.ledger.WaitApplied(n.closed, idx)
+			}
+			return
+		}
+		n.cfg.Logf("cluster: shard %s on %s failed: %v", ref, worker, err)
+		var pause time.Duration
+		if (attempt+1)%len(n.workers) == 0 {
+			pause = n.replica.cfg.Heartbeat
+		}
+		select {
+		case <-n.closed:
+			return
+		case <-time.After(pause):
+		}
 	}
 }
 
 // placeShard picks the worker for shard of key on its attempt-th
 // dispatch: workers[(h(key) + shard + attempt) mod W]. A request's
 // shards land on distinct workers whenever there are at least as many
-// workers as shards, and each requeue moves the shard to the next
+// workers as shards, and each failed attempt moves the shard to the next
 // worker, so a dead worker cannot pin it. Membership is static, so the
 // rotation is the same on every node.
 func placeShard(workers []string, key string, shard, attempt int) string {
@@ -502,6 +459,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	}
 	service.WriteMetric(w, "conserve_cluster_leader", "gauge", "Whether this node currently leads the job ledger (0/1).", leader)
 	service.WriteMetric(w, "conserve_cluster_term", "gauge", "This node's current ledger term.", m.Term)
-	service.WriteMetric(w, "conserve_shard_requeues_total", "counter", "Shard leases expired or revoked and returned to pending.", m.Requeues)
+	service.WriteMetric(w, "conserve_shard_requeues_total", "counter", "Failed shard dispatches (worker error or timeout) behind applied shard results.", m.Requeues)
 	service.WriteMetric(w, "conserve_peer_cache_hits_total", "counter", "Requests answered from a decided job in this node's replicated ledger.", m.PeerCacheHits)
 }

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -41,6 +44,7 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type testCluster struct {
 	t          *testing.T
 	journalDir string // "" = no journals
+	configure  []func(*NodeConfig)
 	peers      map[string]string
 	nodes      map[string]*Node
 	journals   map[string]*durable.Journal
@@ -51,13 +55,15 @@ type testCluster struct {
 // newTestCluster stands up an in-process fleet over loopback HTTP:
 // 2 coordinators (c1, c2) + 3 workers (w1..w3). With a non-empty
 // journalDir every replica persists to its own journal there, so a
-// node can be restarted from disk.
-func newTestCluster(t *testing.T, journalDir string) *testCluster {
+// node can be restarted from disk. Each configure func adjusts every
+// node's config before it starts.
+func newTestCluster(t *testing.T, journalDir string, configure ...func(*NodeConfig)) *testCluster {
 	t.Helper()
 	ids := []string{"c1", "c2", "w1", "w2", "w3"}
 	tc := &testCluster{
 		t:          t,
 		journalDir: journalDir,
+		configure:  configure,
 		peers:      make(map[string]string),
 		nodes:      make(map[string]*Node),
 		journals:   make(map[string]*durable.Journal),
@@ -99,6 +105,9 @@ func (tc *testCluster) start(id string) {
 		ElectionTicks: 4,
 		LeaseTimeout:  30 * time.Second,
 		Logf:          t.Logf,
+	}
+	for _, f := range tc.configure {
+		f(&cfg)
 	}
 	if tc.journalDir != "" {
 		j, recs, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(tc.journalDir, id+".journal"))
@@ -286,18 +295,185 @@ func TestNodeClusterDedup(t *testing.T) {
 		t.Fatalf("ledger admitted %d jobs, want 1 (cluster-wide dedup)", len(jobs))
 	}
 	// A done shard is never dispatched again, so once the job decides
-	// no node, the leader included, keeps a dispatch count for it.
+	// every dispatch ends and no node, the leader included, keeps an
+	// in-flight entry for it.
 	key := req.Normalize().Key()
 	for id, n := range tc.nodes {
 		if _, err := n.Ledger().WaitDecided(ctx.Done(), key); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		waitDispatchesEnded(t, id, n)
+	}
+}
+
+// waitDispatchesEnded waits until node n holds no in-flight dispatch.
+func waitDispatchesEnded(t *testing.T, id string, n *Node) {
+	t.Helper()
+	waitFor(t, 5*time.Second, id+" to end its dispatches", func() bool {
 		n.mu.Lock()
-		left := len(n.attempts)
-		n.mu.Unlock()
-		if left != 0 {
-			t.Fatalf("%s holds %d dispatch counts after the job decided", id, left)
+		defer n.mu.Unlock()
+		return len(n.inflight) == 0
+	})
+}
+
+// TestNodeDispatchExactlyOnce runs concurrent requests through a
+// healthy fleet and counts the /cluster/execute calls the workers
+// receive: every shard runs exactly once. No record precedes
+// execution, so what keeps a scan from dispatching a shard twice is
+// the leader's in-flight entry, held until the shard's shard_done has
+// applied locally. A new leader reruns the shards in flight by design,
+// so the fleet's election timeout is long enough that a loaded race
+// build does not depose the leader mid-run.
+func TestNodeDispatchExactlyOnce(t *testing.T) {
+	tc := newTestCluster(t, "", func(cfg *NodeConfig) { cfg.ElectionTicks = 25 })
+	type shardCall struct {
+		key    string
+		lo, hi int
+	}
+	var mu sync.Mutex
+	calls := map[shardCall]int{}
+	for _, id := range []string{"w1", "w2", "w3"} {
+		inner := tc.nodes[id].Handler()
+		tc.handlers[id].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster/execute" {
+				body, _ := io.ReadAll(r.Body)
+				var er executeRequest
+				var q service.Request
+				if json.Unmarshal(body, &er) != nil || json.Unmarshal(er.Request, &q) != nil {
+					t.Errorf("%s: undecodable execute body %q", id, body)
+				}
+				mu.Lock()
+				calls[shardCall{q.Normalize().Key(), er.Lo, er.Hi}]++
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			inner.ServeHTTP(w, r)
+		}))
+	}
+	leader := tc.nodes["c1"]
+	if leader == tc.follower() {
+		leader = tc.nodes["c2"]
+	}
+	term := leader.Replica().Status().Term
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	reqs := make([]service.Request, 8)
+	var wg sync.WaitGroup
+	errs := make([]error, len(reqs))
+	for i := range reqs {
+		reqs[i] = service.Request{Protocol: "3-majority", N: 300, K: 3, Seed: uint64(i + 1), Trials: 6}
+		n := tc.nodes[[]string{"c1", "c2"}[i%2]]
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = n.Run(ctx, reqs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
+	}
+	if st := leader.Replica().Status(); !st.IsLeader || st.Term != term {
+		t.Fatalf("leadership moved during the run (term %d → %d): a new leader may rerun shards by design", term, st.Term)
+	}
+	// Every dispatch has ended once the leader holds no in-flight entry;
+	// a second run of a shard would have started before that.
+	waitDispatchesEnded(t, leader.cfg.ID, leader)
+	mu.Lock()
+	defer mu.Unlock()
+	want := 0
+	for _, req := range reqs {
+		key := req.Normalize().Key()
+		for _, sr := range PlanShards(req.Trials, 3) {
+			want++
+			if n := calls[shardCall{key, sr.Lo, sr.Hi}]; n != 1 {
+				t.Errorf("shard %s[%d,%d) ran %d times, want 1", key[:8], sr.Lo, sr.Hi, n)
+			}
+		}
+	}
+	if len(calls) != want {
+		t.Errorf("workers ran %d distinct shards, want %d", len(calls), want)
+	}
+}
+
+// TestNodeFinishesLeasedShardFromOlderLog starts a fleet whose journals
+// hold a log as older releases wrote it: a job submitted, one shard
+// done, and lease records for the two shards not done, the last entry
+// a lease. The lease records replay as no-ops, so those shards are
+// pending, and the new leader runs them: the job finishes with the
+// single-process bytes.
+func TestNodeFinishesLeasedShardFromOlderLog(t *testing.T) {
+	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 9, Trials: 6}
+	want, err := service.ExecuteParallel(req, 4)
+	if err != nil {
+		t.Fatalf("local ground truth: %v", err)
+	}
+	wantJSON, _ := json.Marshal(want)
+
+	q := req.Normalize()
+	key := q.Key()
+	reqJSON, _ := json.Marshal(q)
+	plan := PlanShards(q.Trials, 3)
+	submit, _ := json.Marshal(LedgerRecord{Op: OpSubmit, Key: key, Request: reqJSON, Shards: plan})
+	shard1, err := service.ExecuteShard(context.Background(), q, 2, plan[1].Lo, plan[1].Hi)
+	if err != nil {
+		t.Fatalf("shard 1: %v", err)
+	}
+	result1, _ := json.Marshal(shard1)
+	entries := []string{
+		`{"op":"noop","key":""}`,
+		string(submit),
+		`{"op":"lease","key":"` + key + `","shard":0,"worker":"w1"}`,
+		`{"op":"lease","key":"` + key + `","shard":1,"worker":"w2"}`,
+		`{"op":"shard_done","key":"` + key + `","shard":1,"worker":"w2","result":` + string(result1) + `}`,
+		`{"op":"lease","key":"` + key + `","shard":2,"worker":"w3"}`,
+	}
+	dir := t.TempDir()
+	for _, id := range []string{"c1", "c2", "w1", "w2", "w3"} {
+		j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(dir, id+".journal"))
+		if err != nil {
+			t.Fatalf("journal %s: %v", id, err)
+		}
+		recs := []durable.Record{{Op: opClusterTerm, State: json.RawMessage(`{"term":1,"voted_for":"c1"}`)}}
+		for i, rec := range entries {
+			recs = append(recs, durable.Record{Op: opClusterEntry, Key: key,
+				State: json.RawMessage(fmt.Sprintf(`{"index":%d,"term":1,"rec":%s}`, i+1, rec))})
+		}
+		for _, rec := range recs {
+			if err := j.Append(rec); err != nil {
+				t.Fatalf("journal %s: %v", id, err)
+			}
+		}
+		if err := j.Sync(); err != nil {
+			t.Fatalf("journal %s: %v", id, err)
+		}
+		j.Close()
+	}
+
+	tc := newTestCluster(t, dir)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	co := tc.follower()
+	jv, err := co.Ledger().WaitAllDone(ctx.Done(), key)
+	if err != nil {
+		t.Fatalf("inherited job never finished: %v", err)
+	}
+	if string(jv.Shards[1].Result) != string(result1) {
+		t.Fatal("the inherited shard result was replaced")
+	}
+	got, err := co.Run(ctx, req)
+	if err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	gotJSON, _ := json.Marshal(got)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("inherited job merged to different bytes:\n%s\n%s", gotJSON, wantJSON)
+	}
+	if jobs := co.Ledger().Jobs(); len(jobs) != 1 {
+		t.Fatalf("ledger holds %d jobs, want the inherited one", len(jobs))
 	}
 }
 

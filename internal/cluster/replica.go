@@ -118,12 +118,6 @@ type ReplicaConfig struct {
 	// Apply consumes committed entries, in index order, exactly once
 	// per index per process.
 	Apply func(index uint64, rec LedgerRecord)
-	// OnLeader, when non-nil, runs on its own goroutine each time
-	// this replica wins an election. barrier is the index of the
-	// no-op entry the new leader proposed: once it is applied, every
-	// entry inherited from earlier terms is too. The node uses it to
-	// requeue leases granted by deposed leaders.
-	OnLeader func(term, barrier uint64)
 	// Logf, when non-nil, receives replica lifecycle logs.
 	Logf func(format string, args ...any)
 }
@@ -444,12 +438,6 @@ func (r *Replica) campaign() {
 		r.mu.Unlock()
 		r.cfg.Logf("cluster: %s leads term %d", r.cfg.ID, term)
 		r.broadcast()
-		if r.cfg.OnLeader != nil {
-			// Own goroutine: OnLeader may block on commit/apply, and
-			// this goroutine must return to the tick loop to drive the
-			// heartbeats that make commits happen.
-			go r.cfg.OnLeader(term, e.Index)
-		}
 		return
 	}
 }

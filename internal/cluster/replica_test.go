@@ -227,8 +227,8 @@ func TestReplicaElectsAndReplicates(t *testing.T) {
 
 	want := []LedgerRecord{
 		{Op: OpSubmit, Key: "j1", Shards: []ShardRange{{0, 4}, {4, 8}}},
-		{Op: OpLease, Key: "j1", Shard: 0, Worker: "w1"},
 		{Op: OpShardDone, Key: "j1", Shard: 0, Worker: "w1", Result: json.RawMessage(`7`)},
+		{Op: OpShardDone, Key: "j1", Shard: 1, Worker: "w2", Attempt: 1, Result: json.RawMessage(`8`)},
 	}
 	for _, rec := range want {
 		propose(t, f, rec)
@@ -306,7 +306,7 @@ func TestReplicaJournalRecovery(t *testing.T) {
 	f := newTestFleet(t, dir)
 
 	propose(t, f, LedgerRecord{Op: OpSubmit, Key: "j1", Shards: []ShardRange{{0, 2}}})
-	propose(t, f, LedgerRecord{Op: OpLease, Key: "j1", Shard: 0, Worker: "w1"})
+	propose(t, f, LedgerRecord{Op: OpShardDone, Key: "j1", Shard: 0, Worker: "w1", Result: json.RawMessage(`1`)})
 
 	// Wait for w1 to hold the whole log, then stop it.
 	waitFor(t, 5*time.Second, "w1 to apply both records", func() bool {
@@ -332,8 +332,8 @@ func TestReplicaJournalRecovery(t *testing.T) {
 		return len(nonNoop(f.applied["w1"].snapshot())) >= 2
 	})
 	recs := nonNoop(f.applied["w1"].snapshot())
-	if recs[0].Op != OpSubmit || recs[1].Op != OpLease {
-		t.Fatalf("restarted w1 applied %+v, want submit then lease", recs[:2])
+	if recs[0].Op != OpSubmit || recs[1].Op != OpShardDone {
+		t.Fatalf("restarted w1 applied %+v, want submit then shard_done", recs[:2])
 	}
 	f.close()
 }

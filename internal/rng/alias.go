@@ -51,9 +51,12 @@ func (a *Alias) Fill(weights []float64) {
 	}
 
 	if cap(a.cells) < k {
-		a.cells = make([]aliasCell, k)
-		a.scaled = make([]float64, k)
-		a.stack = make([]int32, k)
+		// Grow by doubling, so a category count that creeps up over a
+		// trial reallocates O(log k) times, not once per new maximum.
+		c := max(k, 2*cap(a.cells))
+		a.cells = make([]aliasCell, c)
+		a.scaled = make([]float64, c)
+		a.stack = make([]int32, c)
 	}
 	a.cells = a.cells[:k]
 	a.scaled = a.scaled[:k]

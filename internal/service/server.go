@@ -45,7 +45,7 @@ func NewServer(rn *Runner) http.Handler {
 // Extra extends the conserve handler for cluster mode without the
 // service layer importing the cluster package: extra route prefixes
 // (the /cluster/* replication and shard endpoints) and extra /metrics
-// lines (cluster leadership, shard requeues, ledger hits) appended
+// lines (cluster leadership, failed shard dispatches, ledger hits) appended
 // after the runner's own counters.
 type Extra struct {
 	// Routes maps mux patterns (e.g. "/cluster/") to their handlers.
