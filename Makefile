@@ -49,7 +49,8 @@ docs-check:
 # 20 times, the dedup-waiter seam, and the real
 # 5-process kill/failover e2e (SIGKILL the leader and a worker
 # mid-sweep; the merged NDJSON must be byte-identical to a
-# single-process run), all under -race.
+# single-process run, and every surviving node must hold the same
+# shard results for every key), all under -race.
 cluster-e2e:
 	go vet ./internal/cluster/... ./cmd/conserve/...
 	go run ./cmd/convet ./internal/cluster/...

@@ -259,10 +259,10 @@ func run(ctx context.Context, args []string) error {
 			Metrics: node.WriteMetrics,
 		}
 		if cluster.Role(*clusterRole) == cluster.RoleCoordinator {
-			// Coordinators route local jobs through the fleet: a decided
-			// answer from the replicated ledger first, then sharded
-			// cluster execution, falling back to the ordinary local path
-			// when not applicable.
+			// Coordinators route local jobs through the fleet: an answer
+			// whose shards are all done in the replicated ledger first,
+			// then sharded cluster execution, falling back to the
+			// ordinary local path when not applicable.
 			opts.Remote = node
 		}
 	}

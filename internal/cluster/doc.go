@@ -31,10 +31,12 @@
 // one had in flight — yields the same bytes, and the first shard_done
 // wins. A dispatch holds its in-flight entry until its shard_done has
 // applied locally, so a scan never reruns a shard whose result has
-// committed. Records are first-wins (a duplicate completion or decide
-// applies as a no-op), so crashes and races never lose or double-count
-// a shard, and exactly one decision commits per key. The ledger
-// indexes its active jobs (undecided, with a shard not done) in
+// committed. The ledger has two ops, submit and shard_done, and both
+// are first-wins (a duplicate submission or completion applies as a
+// no-op), so crashes and races never lose or double-count a shard. A
+// job is decided when its last shard_done applies: the shard results
+// fix the merged bytes on every replica, so no decision record
+// follows. The ledger indexes its active jobs (a shard not done) in
 // submission order, and the leader's dispatch scan reads only them, so
 // a scan costs O(in-flight jobs) however many jobs the ledger has
 // decided.
@@ -52,9 +54,10 @@
 // results ride inside the replicated log, so any coordinator — not
 // just the leader that dispatched them — can merge and answer the
 // client, including after a failover. The ledger is also the only
-// fleet-wide store of answers: Lookup re-merges a decided job from the
-// local replica and serves it only if its bytes hash to the digest the
-// decide record pinned.
+// fleet-wide store of answers: Lookup re-merges a job whose shards are
+// all done from the local replica. That every replica merges a job to
+// the same bytes is checked in tests, across replicas, not at run
+// time.
 //
 // The DESIGN.md "Cluster" section documents the ledger record format,
 // the dispatch rule, quorum rules, and the byte-identity argument in

@@ -10,21 +10,19 @@ import (
 // Ledger record operations, in job-lifecycle order. Every record is
 // proposed by the coordinator leader, replicated through the quorum
 // log, and applied — in commit order, deterministically — by every
-// replica, so all nodes converge on the same job/shard states.
+// replica, so all nodes converge on the same job/shard states. A job
+// is decided when its last shard is done: the shard results fix the
+// merged bytes, so no further record is needed.
 const (
 	// OpSubmit admits a job: the request, its canonical key, and the
-	// index-contiguous shard plan. A submit for a key that is already
-	// active or decided applies as a no-op — cluster-wide dedup.
+	// index-contiguous shard plan. A submit for a key the ledger
+	// already holds applies as a no-op — cluster-wide dedup.
 	OpSubmit = "submit"
 	// OpShardDone records a shard's result payload. The first
 	// completion wins: a duplicate (a deposed leader raced its
 	// successor on the same shard) applies as a no-op, so every
 	// replica keeps the same bytes for the shard.
 	OpShardDone = "shard_done"
-	// OpDecide marks the job decided and pins the SHA-256 of the
-	// merged canonical response. Exactly one decide applies per key
-	// (first wins); the convergence tests' ndecided check counts these.
-	OpDecide = "decide"
 )
 
 // LedgerRecord is one replicated ledger entry's payload.
@@ -47,9 +45,6 @@ type LedgerRecord struct {
 	Attempt int `json:"attempt,omitempty"`
 	// Result is the shard's service.ShardResult JSON (OpShardDone).
 	Result json.RawMessage `json:"result,omitempty"`
-	// MergedSHA is the hex SHA-256 of the merged canonical response
-	// bytes (OpDecide) — what the ndecided convergence check compares.
-	MergedSHA string `json:"merged_sha,omitempty"`
 }
 
 // ShardRange is one index-contiguous trial range [Lo, Hi).
@@ -89,43 +84,39 @@ type JobView struct {
 	Key     string          `json:"key"`
 	Request json.RawMessage `json:"request"`
 	Shards  []ShardState    `json:"shards"`
-	// Decided reports an applied OpDecide; MergedSHA is its pinned
-	// response hash.
-	Decided   bool   `json:"decided"`
-	MergedSHA string `json:"merged_sha,omitempty"`
-	// DoneShards counts shards in state done.
+	// DoneShards counts shards in state done; the job is decided when
+	// it equals len(Shards).
 	DoneShards int `json:"done_shards"`
 }
 
 type jobState struct {
-	key       string
-	request   json.RawMessage
-	shards    []ShardState
-	decided   bool
-	mergedSHA string
-	done      int
+	key     string
+	request json.RawMessage
+	shards  []ShardState
+	done    int
 }
 
 // Ledger is the replicated job ledger's state machine: the fold of the
 // committed log, identical on every replica because Apply is a pure
 // function of (state, record) applied in commit order. It is the
 // coordinator's source of truth for dispatch (which shards are
-// pending), completion (all shards done), and the fleet-wide dedup and
-// exactly-one-decision guarantees. Safe for concurrent use.
+// pending), completion (all shards done, which is the decision), and
+// the fleet-wide dedup and one-result-per-shard guarantees. Safe for
+// concurrent use.
 type Ledger struct {
 	mu    sync.Mutex
 	jobs  map[string]*jobState
 	order []string // submission order, for deterministic scans
-	// active indexes the undecided jobs that still have a shard not
-	// done, in submission order. Only they hold pending shards, so the
-	// leader's scans read them and never the whole ledger.
+	// active indexes the jobs that still have a shard not done, in
+	// submission order. Only they hold pending shards, so the leader's
+	// scans read them and never the whole ledger.
 	active []*jobState
 
 	requeues uint64 // failed dispatches behind applied shard_done records (metrics)
 	applied  uint64 // highest applied log index
 
 	// notify is closed and replaced on every applied record, waking
-	// WaitDecided pollers.
+	// WaitApplied and WaitAllDone pollers.
 	notify chan struct{}
 }
 
@@ -138,9 +129,10 @@ func NewLedger() *Ledger {
 // called by the replica in commit order, exactly once per index, on
 // every node. Unknown ops and records that do not fit the current
 // state apply as no-ops: replicas must never diverge or crash on a
-// record a different leader legitimately raced in. The lease and
-// requeue records of older logs are unknown ops, so such a log
-// replays to the same states with every leased shard pending.
+// record a different leader legitimately raced in. The lease, requeue
+// and decide records of older logs are unknown ops, so such a log
+// replays to the same states with every leased shard pending and
+// every job whose shards are all done decided.
 func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -175,21 +167,9 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 		l.requeues += uint64(max(rec.Attempt, 0))
 		j.done++
 		if j.done == len(j.shards) {
-			l.deactivateLocked(j)
+			// The last shard decides the job: it leaves the active index.
+			l.active = slices.DeleteFunc(l.active, func(a *jobState) bool { return a == j })
 		}
-	case OpDecide:
-		if j == nil || j.decided {
-			return // exactly one decision per key
-		}
-		j.decided, j.mergedSHA = true, rec.MergedSHA
-		l.deactivateLocked(j)
-	}
-}
-
-// deactivateLocked drops j from the active index, if it is there.
-func (l *Ledger) deactivateLocked(j *jobState) {
-	if i := slices.Index(l.active, j); i >= 0 {
-		l.active = slices.Delete(l.active, i, i+1)
 	}
 }
 
@@ -222,8 +202,6 @@ func (l *Ledger) jobLocked(key string) (JobView, bool) {
 		Key:        j.key,
 		Request:    j.request,
 		Shards:     append([]ShardState(nil), j.shards...),
-		Decided:    j.decided,
-		MergedSHA:  j.mergedSHA,
 		DoneShards: j.done,
 	}
 	return v, true
@@ -243,10 +221,10 @@ func (l *Ledger) Jobs() []JobView {
 	return views
 }
 
-// ActiveShards returns the pending shards of undecided jobs, in
-// submission order and then shard order. It reads only the active
-// index, so it costs O(in-flight jobs) whatever the ledger holds, and
-// allocates only the refs it returns.
+// ActiveShards returns the pending shards of every job, in submission
+// order and then shard order. It reads only the active index, so it
+// costs O(in-flight jobs) whatever the ledger holds, and allocates only
+// the refs it returns.
 func (l *Ledger) ActiveShards() []ShardRef {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -263,8 +241,7 @@ func (l *Ledger) ActiveShards() []ShardRef {
 
 // wait blocks until ready — evaluated under the lock, again after
 // every applied record — holds, and reports false if done closes
-// first. It is the one wait loop behind WaitApplied, WaitDecided and
-// WaitAllDone.
+// first. It is the one wait loop behind WaitApplied and WaitAllDone.
 func (l *Ledger) wait(done <-chan struct{}, ready func() bool) bool {
 	for {
 		l.mu.Lock()
@@ -291,19 +268,6 @@ func (l *Ledger) WaitApplied(done <-chan struct{}, index uint64) error {
 		return fmt.Errorf("cluster: wait for apply %d cancelled", index)
 	}
 	return nil
-}
-
-// WaitDecided blocks until key's job has an applied decision.
-func (l *Ledger) WaitDecided(done <-chan struct{}, key string) (JobView, error) {
-	var v JobView
-	if !l.wait(done, func() bool {
-		var ok bool
-		v, ok = l.jobLocked(key)
-		return ok && v.Decided
-	}) {
-		return JobView{}, fmt.Errorf("cluster: wait for decision on %s cancelled", key)
-	}
-	return v, nil
 }
 
 // Requeues returns the number of failed dispatches behind the applied

@@ -9,8 +9,8 @@ import (
 	"plurality/internal/rng"
 )
 
-// TestLedgerLifecycle walks one job through submit → done → decide and
-// checks each guarded transition.
+// TestLedgerLifecycle walks one job through submit → done and checks
+// each guarded transition; the last shard done decides the job.
 func TestLedgerLifecycle(t *testing.T) {
 	l := NewLedger()
 	shards := []ShardRange{{Lo: 0, Hi: 5}, {Lo: 5, Hi: 10}}
@@ -36,13 +36,8 @@ func TestLedgerLifecycle(t *testing.T) {
 	}
 
 	l.Apply(10, LedgerRecord{Op: OpShardDone, Key: "k", Shard: 1, Worker: "w1", Result: json.RawMessage(`"r3"`)})
-
-	// Exactly one decide per key.
-	l.Apply(11, LedgerRecord{Op: OpDecide, Key: "k", MergedSHA: "aaa"})
-	l.Apply(12, LedgerRecord{Op: OpDecide, Key: "k", MergedSHA: "bbb"})
-	jv, _ = l.Job("k")
-	if !jv.Decided || jv.MergedSHA != "aaa" {
-		t.Fatalf("decide not first-wins: %+v", jv)
+	if refs := l.ActiveShards(); len(refs) != 0 {
+		t.Fatalf("decided job still has pending shards %v", refs)
 	}
 
 	// Unknown ops, unknown keys and out-of-range shards must be
@@ -64,7 +59,7 @@ func TestLedgerDeterminism(t *testing.T) {
 		{Op: OpSubmit, Key: "b", Shards: []ShardRange{{0, 10}}},
 		{Op: OpShardDone, Key: "a", Shard: 0, Worker: "w2", Attempt: 1, Result: json.RawMessage(`1`)},
 		{Op: OpShardDone, Key: "a", Shard: 1, Worker: "w2", Result: json.RawMessage(`2`)},
-		{Op: OpDecide, Key: "a", MergedSHA: "s"},
+		{Op: "decide", Key: "a"}, // retired: a no-op on every replica
 	}
 	l1, l2 := NewLedger(), NewLedger()
 	for i, rec := range seq {
@@ -81,12 +76,13 @@ func TestLedgerDeterminism(t *testing.T) {
 	}
 }
 
-// TestLedgerReplaysLeaseRecords folds a log as older releases wrote it,
-// with lease and requeue records, and expects the job states those
-// releases folded it to, except that a shard leased at the end reads
-// pending: the retired ops apply as no-ops, and the pending shard is
-// one the next leader dispatches.
-func TestLedgerReplaysLeaseRecords(t *testing.T) {
+// TestLedgerReplaysRetiredOps folds a log as older releases wrote it,
+// with lease, requeue and decide records, and expects the job states
+// those releases folded it to, less the retired fields: a shard leased
+// at the end reads pending, and a job with every shard done is decided
+// without its decide record. The retired ops apply as no-ops, and the
+// pending shard is one the next leader dispatches.
+func TestLedgerReplaysRetiredOps(t *testing.T) {
 	log := []string{
 		`{"op":"submit","key":"a","request":{},"shards":[{"lo":0,"hi":3},{"lo":3,"hi":6}]}`,
 		`{"op":"submit","key":"b","request":{},"shards":[{"lo":0,"hi":2},{"lo":2,"hi":4}]}`,
@@ -113,7 +109,7 @@ func TestLedgerReplaysLeaseRecords(t *testing.T) {
 		return ShardState{Status: ShardDone, Worker: worker, Result: json.RawMessage(result)}
 	}
 	want := []JobView{
-		{Key: "a", Request: json.RawMessage(`{}`), Decided: true, MergedSHA: "s", DoneShards: 2,
+		{Key: "a", Request: json.RawMessage(`{}`), DoneShards: 2,
 			Shards: []ShardState{done("w2", "1"), done("w2", "2")}},
 		{Key: "b", Request: json.RawMessage(`{}`), DoneShards: 1,
 			Shards: []ShardState{done("w1", "3"), {Status: ShardPending}}},
@@ -170,9 +166,9 @@ func TestPlanShards(t *testing.T) {
 
 // ledgerRecordFrom decodes three bytes into a record over six keys and
 // shards -1..3, so a random stream reaches every guarded transition:
-// duplicate submits, duplicate and out-of-range shard_done, and decides
-// before the last shard is done. Op codes 1-3 are the lease and requeue
-// records older logs hold, which now apply as no-ops.
+// duplicate submits and duplicate and out-of-range shard_done. Op codes
+// 1-3 and 6 are the lease, requeue and decide records older logs hold,
+// which now apply as no-ops.
 func ledgerRecordFrom(op, key, shard byte) LedgerRecord {
 	rec := LedgerRecord{Key: string(rune('a' + key%6)), Shard: int(shard%5) - 1}
 	switch op % 8 {
@@ -185,7 +181,7 @@ func ledgerRecordFrom(op, key, shard byte) LedgerRecord {
 	case 4, 5:
 		rec.Op, rec.Worker, rec.Result = OpShardDone, "w1", json.RawMessage(`1`)
 	case 6:
-		rec.Op, rec.MergedSHA = OpDecide, "s"
+		rec.Op = "decide"
 	default:
 		rec.Op = "noop"
 	}
@@ -193,17 +189,14 @@ func ledgerRecordFrom(op, key, shard byte) LedgerRecord {
 }
 
 // checkActiveIndex compares the active index with a brute-force scan
-// of every job: ActiveShards must return the pending shards of the
-// undecided jobs in submission order, and the index must hold exactly
-// the undecided jobs with a shard not done.
+// of every job: ActiveShards must return the pending shards in
+// submission order, and the index must hold exactly the jobs with a
+// shard not done.
 func checkActiveIndex(t *testing.T, l *Ledger) {
 	t.Helper()
 	var wantKeys []string
 	var want []ShardRef
 	for _, jv := range l.Jobs() {
-		if jv.Decided {
-			continue
-		}
 		if jv.DoneShards < len(jv.Shards) {
 			wantKeys = append(wantKeys, jv.Key)
 		}
@@ -275,7 +268,6 @@ func ledgerWithHistory(decided int) *Ledger {
 			for s := range plan {
 				apply(LedgerRecord{Op: OpShardDone, Key: key, Shard: s, Result: json.RawMessage(`1`)})
 			}
-			apply(LedgerRecord{Op: OpDecide, Key: key, MergedSHA: "s"})
 		}
 	}
 	history(0, decided/2)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -64,10 +63,11 @@ type NodeConfig struct {
 
 // Node is one member of a conserve cluster: a ledger replica plus the
 // role-dependent machinery — coordinators submit, dispatch, and merge;
-// workers execute shards. Every node's applied ledger holds every
-// decided job's shard results, so any node can answer a decided key
-// from its own replica. Coordinator nodes implement service.Remote,
-// which is how the local Runner routes jobs through the cluster.
+// workers execute shards. Every node's applied ledger holds the shard
+// results of every job, and a job whose shards are all done is
+// decided, so any node can answer its key from its own replica.
+// Coordinator nodes implement service.Remote, which is how the local
+// Runner routes jobs through the cluster.
 type Node struct {
 	cfg     NodeConfig
 	ledger  *Ledger
@@ -278,10 +278,11 @@ func hash64(s string) uint64 {
 
 // Run implements service.Remote for coordinator nodes: submit the job
 // to the ledger (through whichever coordinator currently leads), wait
-// for every shard to commit as done, merge locally, and record the
-// decision. It survives leader failover mid-job because completion is
-// observed on the local applied ledger — shard results travel inside
-// the replicated log, not in any leader's memory.
+// until every shard's shard_done has applied locally, and merge. The
+// applied shard results fix the answer on every replica, so no further
+// record follows. It survives leader failover mid-job because
+// completion is observed on the local applied ledger — shard results
+// travel inside the replicated log, not in any leader's memory.
 func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response, error) {
 	if n.cfg.Role != RoleCoordinator || len(n.workers) == 0 {
 		return nil, service.ErrNotClustered
@@ -311,38 +312,20 @@ func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response,
 	if err != nil {
 		return nil, err
 	}
-	resp, digest, err := mergeJob(jv)
-	if err != nil || jv.Decided {
-		return resp, err
-	}
-	decide := LedgerRecord{Op: OpDecide, Key: key, MergedSHA: digest}
-	if err := n.proposeRouted(ctx, decide); err != nil {
-		return nil, fmt.Errorf("cluster: decide %s: %w", key, err)
-	}
-	// The decision committed; wait for the local apply so callers that
-	// read this node's ledger right after Run observe it. A racing
-	// coordinator's decide may have won: its digest must be ours.
-	jv, err = n.ledger.WaitDecided(ctx.Done(), key)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkDigest(jv, digest); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return mergeJob(jv)
 }
 
 // Lookup implements service.Remote's read-through against this node's
-// applied ledger: a decided job's response is re-merged from the shard
-// results the ledger holds and served only if its bytes hash to the
-// digest the decide pinned. Anything else misses, and a miss is always
-// safe — the runner falls through to Run.
+// applied ledger: a job with at least one shard, all of them done, is
+// re-merged from the shard results the ledger holds. Anything else —
+// an unknown key, a shard still pending, results that do not merge —
+// misses, and a miss is always safe: the runner falls through to Run.
 func (n *Node) Lookup(ctx context.Context, key string) (*service.Response, bool) {
 	jv, ok := n.ledger.Job(key)
-	if !ok || !jv.Decided {
+	if !ok || len(jv.Shards) == 0 || jv.DoneShards != len(jv.Shards) {
 		return nil, false
 	}
-	resp, _, err := mergeJob(jv)
+	resp, err := mergeJob(jv)
 	if err != nil {
 		n.cfg.Logf("cluster: ledger lookup missed: %v", err)
 		return nil, false
@@ -353,46 +336,22 @@ func (n *Node) Lookup(ctx context.Context, key string) (*service.Response, bool)
 
 // mergeJob reassembles a job's canonical response from the shard
 // results in its ledger view, exactly as the single-process path
-// would, and returns it with the hex SHA-256 of its canonical bytes.
-// For a decided job it is also the byte-identity check: the digest
-// must equal the one the decide pinned.
-func mergeJob(jv JobView) (*service.Response, string, error) {
+// would. MergeShards refuses results that do not tile the request's
+// trial range.
+func mergeJob(jv JobView) (*service.Response, error) {
 	var q service.Request
 	if err := json.Unmarshal(jv.Request, &q); err != nil {
-		return nil, "", fmt.Errorf("cluster: job %s request: %w", jv.Key, err)
+		return nil, fmt.Errorf("cluster: job %s request: %w", jv.Key, err)
 	}
 	shards := make([]*service.ShardResult, 0, len(jv.Shards))
 	for i, s := range jv.Shards {
 		var sr service.ShardResult
 		if err := json.Unmarshal(s.Result, &sr); err != nil {
-			return nil, "", fmt.Errorf("cluster: shard %d result: %w", i, err)
+			return nil, fmt.Errorf("cluster: shard %d result: %w", i, err)
 		}
 		shards = append(shards, &sr)
 	}
-	resp, err := service.MergeShards(q, shards)
-	if err != nil {
-		return nil, "", err
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, "", err
-	}
-	sum := sha256.Sum256(body)
-	digest := hex.EncodeToString(sum[:])
-	if jv.Decided {
-		if err := checkDigest(jv, digest); err != nil {
-			return nil, "", err
-		}
-	}
-	return resp, digest, nil
-}
-
-// checkDigest compares merged bytes' digest with a decided job's pin.
-func checkDigest(jv JobView, digest string) error {
-	if digest != jv.MergedSHA {
-		return fmt.Errorf("cluster: job %s merged to sha256 %s, decided %s", jv.Key, digest, jv.MergedSHA)
-	}
-	return nil
+	return service.MergeShards(q, shards)
 }
 
 // proposeRouted lands a record in the replicated log from any node:
@@ -433,8 +392,9 @@ type NodeMetrics struct {
 	Leader   bool
 	Term     uint64
 	Requeues uint64
-	// PeerCacheHits counts requests Lookup answered from a decided job
-	// in this node's ledger (conserve_peer_cache_hits_total).
+	// PeerCacheHits counts requests Lookup answered from a job whose
+	// shards are all done in this node's ledger
+	// (conserve_peer_cache_hits_total).
 	PeerCacheHits uint64
 }
 
@@ -460,5 +420,5 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	service.WriteMetric(w, "conserve_cluster_leader", "gauge", "Whether this node currently leads the job ledger (0/1).", leader)
 	service.WriteMetric(w, "conserve_cluster_term", "gauge", "This node's current ledger term.", m.Term)
 	service.WriteMetric(w, "conserve_shard_requeues_total", "counter", "Failed shard dispatches (worker error or timeout) behind applied shard results.", m.Requeues)
-	service.WriteMetric(w, "conserve_peer_cache_hits_total", "counter", "Requests answered from a decided job in this node's replicated ledger.", m.PeerCacheHits)
+	service.WriteMetric(w, "conserve_peer_cache_hits_total", "counter", "Requests answered from a job whose shards are all done in this node's replicated ledger.", m.PeerCacheHits)
 }

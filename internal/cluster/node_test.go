@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -154,10 +156,12 @@ func (tc *testCluster) follower() *Node {
 
 // TestNodeClusterByteIdentity runs a request through the cluster from
 // a follower coordinator and expects the exact bytes of a
-// single-process run, a sharded ledger, and exactly one decision. Both
-// coordinators then answer the key from their own applied ledger —
-// including one restarted from its journal — and a decided job whose
-// pinned digest does not match its shards misses.
+// single-process run and a sharded ledger. Every node then answers the
+// key from its own applied ledger, and all five answers hash to the
+// one SHA-256 of the single-process bytes — the cross-replica form of
+// the ndecided check — as does a coordinator restarted from its
+// journal. A job with a shard pending misses; a job with every shard
+// done hits, a retired decide record with a wrong pin included.
 func TestNodeClusterByteIdentity(t *testing.T) {
 	tc := newTestCluster(t, t.TempDir())
 	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 42, Trials: 7}
@@ -189,9 +193,6 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 	if len(jv.Shards) != 3 {
 		t.Fatalf("plan has %d shards, want one per worker (3)", len(jv.Shards))
 	}
-	if !jv.Decided {
-		t.Fatal("job not decided")
-	}
 	workers := map[string]bool{}
 	for i, s := range jv.Shards {
 		if s.Status != ShardDone {
@@ -203,53 +204,61 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 		t.Fatalf("shards ran on %d distinct workers, want %d", len(workers), len(jv.Shards))
 	}
 
-	// Read-through: every coordinator answers from its applied ledger.
+	// Read-through: every node answers from its applied ledger, and
+	// every node's merge hashes to the one single-process digest.
+	wantSHA := sha256.Sum256(wantJSON)
 	lookup := func(id string) {
 		t.Helper()
 		n := tc.nodes[id]
-		if _, err := n.Ledger().WaitDecided(ctx.Done(), key); err != nil {
+		if _, err := n.Ledger().WaitAllDone(ctx.Done(), key); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		hits := n.Metrics().PeerCacheHits
 		resp, ok := n.Lookup(ctx, key)
 		if !ok {
-			t.Fatalf("%s: ledger lookup missed a decided key", id)
+			t.Fatalf("%s: ledger lookup missed a job with every shard done", id)
 		}
 		respJSON, _ := json.Marshal(resp)
-		if string(respJSON) != string(wantJSON) {
-			t.Fatalf("%s: ledger bytes differ from ground truth", id)
+		if sum := sha256.Sum256(respJSON); sum != wantSHA {
+			t.Fatalf("%s: ledger bytes hash to %x, single-process bytes to %x", id, sum, wantSHA)
 		}
 		if n.Metrics().PeerCacheHits != hits+1 {
 			t.Fatalf("%s: ledger hit not counted", id)
 		}
 	}
-	lookup("c1")
-	lookup("c2")
+	for _, id := range []string{"c1", "c2", "w1", "w2", "w3"} {
+		lookup(id)
+	}
 
-	// A coordinator restarted from its journal replays the decided job.
+	// A coordinator restarted from its journal replays the job.
 	tc.stop(coID)
 	tc.start(coID)
 	lookup(coID)
 
-	// The digest check: the same shard results hit under the real pin,
-	// miss under a wrong one, and an undecided job always misses.
-	wrong := []byte(jv.MergedSHA)
-	wrong[0] ^= 1
+	// Lookup serves exactly the jobs whose shards are all done. A
+	// decide record from an older log applies as a no-op, so its pin,
+	// even a wrong one, changes nothing.
 	for _, tt := range []struct {
-		name, pin string
-		hit       bool
+		name   string
+		shards int
+		decide bool
+		hit    bool
 	}{
-		{"undecided", "", false},
-		{"pinned", jv.MergedSHA, true},
-		{"mismatched", string(wrong), false},
+		{"one shard pending", len(jv.Shards) - 1, false, false},
+		{"all shards done", len(jv.Shards), false, true},
+		{"all done, retired decide with a wrong pin", len(jv.Shards), true, true},
 	} {
 		l := NewLedger()
 		l.Apply(1, LedgerRecord{Op: OpSubmit, Key: key, Request: jv.Request, Shards: PlanShards(req.Trials, 3)})
-		for i, s := range jv.Shards {
+		for i, s := range jv.Shards[:tt.shards] {
 			l.Apply(uint64(2+i), LedgerRecord{Op: OpShardDone, Key: key, Shard: i, Worker: s.Worker, Result: s.Result})
 		}
-		if tt.pin != "" {
-			l.Apply(5, LedgerRecord{Op: OpDecide, Key: key, MergedSHA: tt.pin})
+		if tt.decide {
+			var rec LedgerRecord
+			if err := json.Unmarshal([]byte(`{"op":"decide","key":"`+key+`","merged_sha":"0badd16e57"}`), &rec); err != nil {
+				t.Fatal(err)
+			}
+			l.Apply(5, rec)
 		}
 		n := &Node{cfg: NodeConfig{Logf: t.Logf}, ledger: l}
 		if _, ok := n.Lookup(ctx, key); ok != tt.hit {
@@ -294,12 +303,12 @@ func TestNodeClusterDedup(t *testing.T) {
 	if jobs := tc.nodes["c1"].Ledger().Jobs(); len(jobs) != 1 {
 		t.Fatalf("ledger admitted %d jobs, want 1 (cluster-wide dedup)", len(jobs))
 	}
-	// A done shard is never dispatched again, so once the job decides
-	// every dispatch ends and no node, the leader included, keeps an
-	// in-flight entry for it.
+	// A done shard is never dispatched again, so once every shard is
+	// done every dispatch ends and no node, the leader included, keeps
+	// an in-flight entry for it.
 	key := req.Normalize().Key()
 	for id, n := range tc.nodes {
-		if _, err := n.Ledger().WaitDecided(ctx.Done(), key); err != nil {
+		if _, err := n.Ledger().WaitAllDone(ctx.Done(), key); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		waitDispatchesEnded(t, id, n)
@@ -474,6 +483,104 @@ func TestNodeFinishesLeasedShardFromOlderLog(t *testing.T) {
 	}
 	if jobs := co.Ledger().Jobs(); len(jobs) != 1 {
 		t.Fatalf("ledger holds %d jobs, want the inherited one", len(jobs))
+	}
+}
+
+// TestNodeServesDecideEraJournal replays testdata/cluster.journal, the
+// coordinator journal of a 1-coordinator, 2-worker fleet from the
+// release whose ledger also had a decide record, after three requests.
+// The coordinator restarts from it beside two empty workers and
+// replicates the log to them. The decide records apply as no-ops:
+// every job's shards are done, so Lookup serves each key with the
+// single-process bytes on every replica, and no shard is left to
+// dispatch.
+func TestNodeServesDecideEraJournal(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "cluster.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cluster.journal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, _, err := durable.OpenJournal(durable.OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	decides := 0
+	for _, rec := range recs {
+		var e Entry
+		if rec.Op == opClusterEntry && json.Unmarshal(rec.State, &e) == nil && e.Rec.Op == "decide" {
+			decides++
+		}
+	}
+	if decides != 3 {
+		t.Fatalf("fixture holds %d decide records, want 3", decides)
+	}
+
+	// c1 holds the longest log, so it wins the election and commits the
+	// replayed log behind its barrier entry.
+	ids := []string{"c1", "w1", "w2"}
+	mt := newMemTransport()
+	ledgers := make(map[string]*Ledger, len(ids))
+	var last uint64
+	for _, id := range ids {
+		cfg := ReplicaConfig{
+			ID: id, Peers: ids, Candidates: []string{"c1"},
+			Transport: &peerTransport{id: id, m: mt},
+			Heartbeat: 5 * time.Millisecond, ElectionTicks: 4,
+		}
+		if id == "c1" {
+			cfg.Journal, cfg.Records = j, recs
+		}
+		ledgers[id] = NewLedger()
+		cfg.Apply = ledgers[id].Apply
+		r := NewReplica(cfg)
+		defer r.Close()
+		mt.register(id, r)
+		if id == "c1" {
+			last = r.Status().LastIndex
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	want := map[string]string{}
+	for _, id := range ids {
+		l := ledgers[id]
+		if err := l.WaitApplied(ctx.Done(), last); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		jobs := l.Jobs()
+		if len(jobs) != 3 {
+			t.Fatalf("%s: replayed ledger holds %d jobs, want 3", id, len(jobs))
+		}
+		n := &Node{cfg: NodeConfig{Logf: t.Logf}, ledger: l}
+		for _, jv := range jobs {
+			if want[jv.Key] == "" {
+				var q service.Request
+				if err := json.Unmarshal(jv.Request, &q); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := service.ExecuteParallel(q, 2)
+				if err != nil {
+					t.Fatalf("local ground truth: %v", err)
+				}
+				b, _ := json.Marshal(resp)
+				want[jv.Key] = string(b)
+			}
+			got, ok := n.Lookup(ctx, jv.Key)
+			if !ok {
+				t.Fatalf("%s: replayed job %s missed", id, jv.Key[:8])
+			}
+			if b, _ := json.Marshal(got); string(b) != want[jv.Key] {
+				t.Fatalf("%s: replayed job %s merged to different bytes:\n%s\n%s", id, jv.Key[:8], b, want[jv.Key])
+			}
+		}
+		if refs := l.ActiveShards(); len(refs) != 0 {
+			t.Fatalf("%s: replayed ledger has pending shards %v", id, refs)
+		}
 	}
 }
 

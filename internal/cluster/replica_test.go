@@ -274,7 +274,7 @@ func TestReplicaLeaderFailover(t *testing.T) {
 	})
 
 	propose(t, f, LedgerRecord{Op: OpShardDone, Key: "j1", Shard: 0, Worker: "w1", Result: json.RawMessage(`1`)})
-	propose(t, f, LedgerRecord{Op: OpDecide, Key: "j1", MergedSHA: "s"})
+	propose(t, f, LedgerRecord{Op: OpShardDone, Key: "j1", Shard: 0, Worker: "w2", Result: json.RawMessage(`2`)})
 
 	// All survivors converge on the same applied sequence.
 	survivors := []string{}
@@ -285,9 +285,9 @@ func TestReplicaLeaderFailover(t *testing.T) {
 	}
 	for _, id := range survivors {
 		id := id
-		waitFor(t, 5*time.Second, "survivor "+id+" to apply the decide", func() bool {
+		waitFor(t, 5*time.Second, "survivor "+id+" to apply the second shard_done", func() bool {
 			recs := nonNoop(f.applied[id].snapshot())
-			return len(recs) >= 3 && recs[len(recs)-1].Op == OpDecide
+			return len(recs) >= 3 && recs[len(recs)-1].Worker == "w2"
 		})
 	}
 	base, _ := json.Marshal(nonNoop(f.applied[survivors[0]].snapshot()))

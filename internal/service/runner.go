@@ -51,8 +51,9 @@ var ErrNotClustered = errors.New("service: request not executed on the cluster")
 // trial sequence.
 type Remote interface {
 	// Lookup returns a finished response under key if the cluster
-	// already decided it (internal/cluster reads its replicated
-	// ledger). A miss is always safe: the runner goes on to Run.
+	// already holds every shard result for it (internal/cluster reads
+	// its replicated ledger). A miss is always safe: the runner goes on
+	// to Run.
 	Lookup(ctx context.Context, key string) (*Response, bool)
 	// Run executes the request on the cluster — coordinator shard
 	// fan-out, worker execution, in-order merge — and returns the
@@ -102,7 +103,7 @@ type Options struct {
 	JobTimeout time.Duration
 	// Remote, when non-nil, executes simulation jobs through the
 	// cluster instead of the local engines: each job first asks the
-	// cluster for an already-decided answer (Lookup), then runs via
+	// cluster for an already-computed answer (Lookup), then runs via
 	// coordinated shard fan-out (Run). Waiters — including clients dedup-joined
 	// onto the job — observe a cluster-remote completion exactly as a
 	// local one: same finishJob path, same cache insertion, same
@@ -751,10 +752,10 @@ func (r *Runner) runJob(j *Job) {
 				}
 			}()
 			if remote := r.opts.Remote; remote != nil && j.req.Tier != TierAnalytic {
-				// The fleet may already have decided this key (computed
-				// through another coordinator); serving it completes
-				// this job — and every dedup-joined waiter — without a
-				// recompute.
+				// The fleet may already hold every shard of this key
+				// (computed through another coordinator); serving it
+				// completes this job — and every dedup-joined waiter —
+				// without a recompute.
 				if pr, ok := remote.Lookup(ctx, j.ID); ok {
 					return pr, nil
 				}
