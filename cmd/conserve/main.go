@@ -22,8 +22,9 @@
 // results.
 //
 // -data-dir makes jobs durable: admissions, per-trial checkpoints and
-// completions go to an append-only checksummed journal under DIR, and
-// completed results are served from DIR/results across restarts. A
+// completions (with their result bytes) go to an append-only
+// checksummed journal under DIR, which serves completed results across
+// restarts. A
 // killed server replays the journal on the next start, re-queues
 // interrupted jobs, and resumes each from its last checkpoint — the
 // response bytes are identical to an uninterrupted run. Without the

@@ -434,6 +434,7 @@ func (r *Replica) campaign() {
 			return
 		}
 		r.log = append(r.log, e)
+		r.advanceCommitLocked() // a one-replica fleet commits on its own copy
 		r.wakeLocked()
 		r.mu.Unlock()
 		r.cfg.Logf("cluster: %s leads term %d", r.cfg.ID, term)
@@ -697,6 +698,7 @@ func (r *Replica) Propose(rec LedgerRecord) (uint64, uint64, error) {
 		return 0, 0, err
 	}
 	r.log = append(r.log, e)
+	r.advanceCommitLocked()
 	r.mu.Unlock()
 	r.broadcast()
 	return e.Index, e.Term, nil

@@ -476,3 +476,42 @@ func reopen(t *testing.T, path string) []durable.Record {
 	j.Close()
 	return recs
 }
+
+// TestReplicaSingleNodeCommits: a one-replica fleet is its own
+// majority, so its leader commits the election barrier and every
+// proposal on its own persisted copy, with no append reply to wait for.
+func TestReplicaSingleNodeCommits(t *testing.T) {
+	j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(t.TempDir(), "solo.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	al := &applyLog{}
+	r := NewReplica(ReplicaConfig{
+		ID:            "c1",
+		Peers:         []string{"c1"},
+		Candidates:    []string{"c1"},
+		Transport:     &peerTransport{id: "c1", m: newMemTransport()},
+		Journal:       j,
+		Heartbeat:     5 * time.Millisecond,
+		ElectionTicks: 4,
+		Apply:         al.apply,
+	})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "the barrier to commit", func() bool {
+		st := r.Status()
+		return st.IsLeader && st.Commit == st.LastIndex && st.Commit >= 1
+	})
+	rec := LedgerRecord{Op: OpSubmit, Key: "j1", Shards: []ShardRange{{0, 4}}}
+	idx, term, err := r.Propose(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	timer := time.AfterFunc(5*time.Second, func() { close(done) })
+	defer timer.Stop()
+	if err := r.WaitCommitted(done, idx, term); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the proposal to apply", func() bool { return len(nonNoop(al.snapshot())) == 1 })
+}

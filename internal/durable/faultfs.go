@@ -15,17 +15,18 @@ import (
 // land, then the error surfaces), modelling ENOSPC and kernel
 // short-write behavior.
 //
-// FaultFS also models a power loss: a crash drops unsynced bytes. It
-// tracks each file's written length and its length at its last
-// successful Sync, and CrashImage writes out the files as a crash would
-// leave them. After a failed Sync a file's durable length stops
-// advancing until the file is reopened, because the kernel may have
-// dropped the dirty pages, so a later successful fsync does not bring
-// them back. Creates, renames and removes count as durable at once:
-// nothing in this package fsyncs a directory, so the crash sweeps
-// assume the filesystem persists a new or renamed directory entry
-// without one. A power loss that drops the result cache's rename or
-// the fresh journal's creation is not modelled.
+// FaultFS also models a power loss: a crash drops unsynced bytes and
+// unsynced directory entries. It tracks each file's written length and
+// its length at its last successful Sync, and CrashImage writes out the
+// files as a crash would leave them. After a failed Sync a file's
+// durable length stops advancing until the file is reopened, because
+// the kernel may have dropped the dirty pages, so a later successful
+// fsync does not bring them back. A file that OpenAppend or Create
+// made, or that Rename moved, has a durable directory entry only once
+// SyncDir of its directory succeeds; until then CrashImage leaves it
+// out (and does not bring back what a rename replaced). A file that
+// already existed when FaultFS first opened it counts as durable, and
+// so do directories made by MkdirAll.
 //
 // All hooks are optional; a zero-hook FaultFS is transparent. Hook
 // fields must be set before the FS is handed to a Journal/Store (they
@@ -37,9 +38,10 @@ type FaultFS struct {
 	// payload size and returns how many bytes to let through plus the
 	// error to report. allow < 0 means "all of them".
 	WriteHook func(name string, size int) (allow int, err error)
-	// SyncHook intercepts every File.Sync.
+	// SyncHook intercepts every File.Sync (name is the file) and every
+	// SyncDir (name is the directory).
 	SyncHook func(name string) error
-	// RenameHook intercepts Rename (atomic result publish).
+	// RenameHook intercepts Rename.
 	RenameHook func(oldname, newname string) error
 
 	mu    sync.Mutex
@@ -54,6 +56,8 @@ type fileLength struct {
 	written, synced int64
 	// stuck is set by a failed Sync: synced no longer advances.
 	stuck bool
+	// entry is set once the file's directory entry is durable.
+	entry bool
 }
 
 // NewFaultFS wraps base (OSFS{} for a real temp dir).
@@ -62,7 +66,7 @@ func NewFaultFS(base FS) *FaultFS {
 }
 
 // Count returns how many times the named op ("write", "sync",
-// "rename") ran (including suppressed ones).
+// "syncdir", "rename") ran (including suppressed ones).
 func (f *FaultFS) Count(op string) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -76,19 +80,20 @@ func (f *FaultFS) bump(op string) {
 }
 
 // OpenAppend implements FS. A file seen for the first time counts as
-// durable at its current length; reopening a tracked file keeps its
-// durable length and clears a failed Sync.
+// durable at its current length, and its entry as durable if the file
+// already existed; reopening a tracked file keeps its durable length
+// and entry and clears a failed Sync.
 func (f *FaultFS) OpenAppend(name string) (File, error) {
+	data, readErr := f.FS.ReadFile(name)
 	file, err := f.FS.OpenAppend(name)
 	if err != nil {
 		return nil, err
 	}
-	data, _ := f.FS.ReadFile(name)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	l := f.files[filepath.Clean(name)]
 	if l == nil {
-		l = &fileLength{synced: int64(len(data))}
+		l = &fileLength{synced: int64(len(data)), entry: readErr == nil}
 		f.files[filepath.Clean(name)] = l
 	}
 	l.written, l.stuck = int64(len(data)), false
@@ -96,20 +101,27 @@ func (f *FaultFS) OpenAppend(name string) (File, error) {
 	return &faultFile{File: file, fs: f, name: name, len: l}, nil
 }
 
-// Create implements FS.
+// Create implements FS. The truncated file keeps a durable entry only
+// if it had one.
 func (f *FaultFS) Create(name string) (File, error) {
+	_, readErr := f.FS.ReadFile(name)
 	file, err := f.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	l := &fileLength{}
+	entry := readErr == nil
+	if old, ok := f.files[filepath.Clean(name)]; ok {
+		entry = old.entry
+	}
+	l := &fileLength{entry: entry}
 	f.files[filepath.Clean(name)] = l
 	return &faultFile{File: file, fs: f, name: name, len: l}, nil
 }
 
-// Rename implements FS.
+// Rename implements FS. The new entry is durable once its directory is
+// synced.
 func (f *FaultFS) Rename(oldname, newname string) error {
 	f.bump("rename")
 	if f.RenameHook != nil {
@@ -120,20 +132,46 @@ func (f *FaultFS) Rename(oldname, newname string) error {
 	if err := f.FS.Rename(oldname, newname); err != nil {
 		return err
 	}
+	data, _ := f.FS.ReadFile(newname)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	oldname, newname = filepath.Clean(oldname), filepath.Clean(newname)
-	if l, ok := f.files[oldname]; ok {
-		f.files[newname] = l
-	} else {
-		delete(f.files, newname)
+	l, ok := f.files[oldname]
+	if !ok {
+		l = &fileLength{written: int64(len(data)), synced: int64(len(data))}
 	}
+	l.entry = false
+	f.files[newname] = l
 	delete(f.files, oldname)
 	return nil
 }
 
+// SyncDir implements FS: on success every tracked entry in dir becomes
+// durable.
+func (f *FaultFS) SyncDir(dir string) error {
+	f.bump("syncdir")
+	if f.SyncHook != nil {
+		if err := f.SyncHook(dir); err != nil {
+			return err
+		}
+	}
+	if err := f.FS.SyncDir(dir); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	dir = filepath.Clean(dir)
+	for name, l := range f.files {
+		if filepath.Dir(name) == dir {
+			l.entry = true
+		}
+	}
+	return nil
+}
+
 // CrashImage copies the directory tree under dir to dst as a power
-// loss would leave it: every tracked file is cut back to its length at
+// loss would leave it: a tracked file whose entry is not durable is
+// left out, and every other tracked file is cut back to its length at
 // its last successful Sync, keeping at most tear bytes of its unsynced
 // tail (a torn tail); untracked files are copied whole. dir must be on
 // the real filesystem. Safe to call from a hook.
@@ -160,8 +198,10 @@ func (f *FaultFS) CrashImage(dir, dst string, tear int64) error {
 			return err
 		}
 		if l, ok := f.files[filepath.Clean(path)]; ok {
-			keep := min(l.synced+max(tear, 0), l.written, int64(len(data)))
-			data = data[:keep]
+			if !l.entry {
+				return nil
+			}
+			data = data[:min(l.synced+max(tear, 0), l.written, int64(len(data)))]
 		}
 		return os.WriteFile(out, data, 0o644)
 	})

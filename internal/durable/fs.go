@@ -3,12 +3,12 @@ package durable
 import (
 	"io"
 	"os"
-	"path/filepath"
 )
 
-// File is the subset of *os.File the journal and result cache need.
+// File is the subset of *os.File the journal needs.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	io.Closer
 	// Sync flushes the file's data to stable storage (fsync).
 	Sync() error
@@ -20,7 +20,8 @@ type File interface {
 // performs. OSFS is the real implementation; FaultFS wraps any FS with
 // injectable failures.
 type FS interface {
-	// OpenAppend opens (creating if needed) the file for appending.
+	// OpenAppend opens (creating if needed) the file for reading and
+	// appending.
 	OpenAppend(name string) (File, error)
 	// Create opens the file for writing from scratch (truncating).
 	Create(name string) (File, error)
@@ -28,12 +29,12 @@ type FS interface {
 	ReadFile(name string) ([]byte, error)
 	// Rename atomically replaces newname with oldname.
 	Rename(oldname, newname string) error
-	// Remove deletes the file.
-	Remove(name string) error
 	// MkdirAll creates the directory and its parents.
 	MkdirAll(name string) error
-	// ReadDir lists the directory's entry names.
-	ReadDir(name string) ([]string, error)
+	// SyncDir flushes the directory's entries to stable storage: a
+	// file created or renamed in it survives a power loss only once
+	// SyncDir returns nil.
+	SyncDir(dir string) error
 }
 
 // OSFS is the real filesystem.
@@ -41,7 +42,7 @@ type OSFS struct{}
 
 // OpenAppend implements FS.
 func (OSFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return os.OpenFile(name, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 }
 
 // Create implements FS.
@@ -55,21 +56,18 @@ func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 // Rename implements FS.
 func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
-// Remove implements FS.
-func (OSFS) Remove(name string) error { return os.Remove(name) }
-
 // MkdirAll implements FS.
 func (OSFS) MkdirAll(name string) error { return os.MkdirAll(name, 0o755) }
 
-// ReadDir implements FS.
-func (OSFS) ReadDir(name string) ([]string, error) {
-	entries, err := os.ReadDir(name)
+// SyncDir implements FS.
+func (OSFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = filepath.Base(e.Name())
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return names, nil
+	return err
 }

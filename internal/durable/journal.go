@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"path/filepath"
 	"sync"
 )
 
@@ -23,11 +24,12 @@ const (
 	// payload — the service layer's ShardResult of the trials [0, next)
 	// completed so far). The latest checkpoint for a key wins.
 	OpCheckpoint = "checkpoint"
-	// OpCompleted records a finished job whose result bytes were
-	// already fsync'd into the result cache — the write ordering that
-	// makes "completed record present ⇒ result readable" a crash-safe
-	// invariant. It is the one record the store syncs itself: it backs
-	// a finished result's acknowledgement.
+	// OpCompleted records a finished job and carries its result bytes
+	// (Result), so "completed record present ⇒ result readable" holds
+	// by construction: both are one CRC-framed record. It is the one
+	// record the store syncs itself: it backs a finished result's
+	// acknowledgement. A completed record without Result comes from a
+	// data directory that kept results as files (see Store).
 	OpCompleted = "completed"
 	// OpFailed records a terminal failure (attempt budget exhausted or
 	// per-job deadline exceeded); replay does not re-queue these.
@@ -48,6 +50,8 @@ type Record struct {
 	State json.RawMessage `json:"state,omitempty"`
 	// Error is the terminal failure message (OpFailed).
 	Error string `json:"error,omitempty"`
+	// Result is the finished job's result JSON (OpCompleted).
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // journalHeader identifies (and versions) the journal file format.
@@ -77,17 +81,27 @@ var errCorrupt = errors.New("durable: corrupt journal")
 // have dropped the dirty pages, so a retried fsync proves nothing. A
 // Journal is safe for concurrent use.
 type Journal struct {
-	mu   sync.Mutex // guards the fields below
 	fs   FS
 	path string
-	f    File
+
+	mu sync.Mutex // guards the fields below
+	// f is nil until the first append creates the file. It is set once,
+	// under mu, before any Sync covers a record in it, so a read at an
+	// offset a Sync has covered needs no lock.
+	f File
 	// size is the byte length of the valid prefix written so far — the
-	// offset the next record lands at.
+	// offset the next record lands at. While it is 0 the next append
+	// writes the header in front of its record.
 	size int64
 	// syncedTo is the prefix length the last successful fsync covered.
 	syncedTo int64
+	// dirSynced is set once a Sync has also fsynced the journal's
+	// directory, making the file's own entry durable.
+	dirSynced bool
 	// err is the sticky fsync failure.
 	err error
+	// closed is set by Close.
+	closed bool
 }
 
 // ReplayInfo describes what OpenJournal found on disk.
@@ -101,96 +115,109 @@ type ReplayInfo struct {
 	CorruptTail string
 }
 
-// OpenJournal opens (creating if absent) the journal at path, replays
-// its records, truncates any corrupt tail so appends land after the
-// valid prefix, and returns the journal positioned for appending.
+// OpenJournal opens the journal at path, replays its records,
+// truncates any corrupt tail so appends land after the valid prefix,
+// and returns the journal positioned for appending. Opening writes
+// nothing else: a missing journal, and its directory, are created by
+// the first append, and the header goes out with the first record.
 // Corruption — an empty or partial header, a torn last record, CRC
 // mismatches, garbage after valid records — is never an error: the
 // valid prefix is recovered and the damage is described in ReplayInfo
 // for the caller to log.
 func OpenJournal(fsys FS, path string) (*Journal, []Record, ReplayInfo, error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, ReplayInfo{}, fmt.Errorf("durable: read journal: %w", err)
-	}
-	records, info := replay(data)
-
-	f, err := fsys.OpenAppend(path)
+	var records []Record
+	j, info, err := openJournal(fsys, path, func(_ int64, payload []byte) error {
+		var rec Record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
+		}
+		records = append(records, rec)
+		return nil
+	})
 	if err != nil {
-		return nil, nil, ReplayInfo{}, fmt.Errorf("durable: open journal: %w", err)
-	}
-	j := &Journal{fs: fsys, path: path, f: f, size: info.ValidBytes}
-	if int64(len(data)) > info.ValidBytes {
-		// Drop the torn tail so the next append starts a clean record
-		// at the valid offset.
-		if err := f.Truncate(info.ValidBytes); err != nil {
-			f.Close() //lint:allow durableorder best-effort cleanup; the truncate error already aborts the open
-			return nil, nil, ReplayInfo{}, fmt.Errorf("durable: truncate corrupt tail: %w", err)
-		}
-	}
-	if info.ValidBytes == 0 {
-		// Fresh (or wholly corrupt) file: start over with a header.
-		if len(data) > 0 {
-			if err := f.Truncate(0); err != nil {
-				f.Close() //lint:allow durableorder best-effort cleanup; the reset error already aborts the open
-				return nil, nil, ReplayInfo{}, fmt.Errorf("durable: reset corrupt journal: %w", err)
-			}
-		}
-		// The header goes unsynced, like any record: the first Sync
-		// covers it, and a crash before that leaves an empty journal.
-		if err := j.write([]byte(journalHeader)); err != nil {
-			f.Close() //lint:allow durableorder best-effort cleanup; the header-write error already aborts the open
-			return nil, nil, ReplayInfo{}, err
-		}
-		j.size = int64(len(journalHeader))
+		return nil, nil, ReplayInfo{}, err
 	}
 	return j, records, info, nil
 }
 
-// replay parses data into its valid record prefix. It cannot fail:
-// anything unparseable ends the prefix and is described in the info.
-func replay(data []byte) ([]Record, ReplayInfo) {
+// openJournal is OpenJournal with the replay handed to visit, record
+// by record (see replay).
+func openJournal(fsys FS, path string, visit func(off int64, payload []byte) error) (*Journal, ReplayInfo, error) {
+	j := &Journal{fs: fsys, path: path}
+	data, err := fsys.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return j, ReplayInfo{}, nil
+	}
+	if err != nil {
+		return nil, ReplayInfo{}, fmt.Errorf("durable: read journal: %w", err)
+	}
+	info := replay(data, visit)
+
+	if j.f, err = fsys.OpenAppend(path); err != nil {
+		return nil, ReplayInfo{}, fmt.Errorf("durable: open journal: %w", err)
+	}
+	j.size = info.ValidBytes
+	if int64(len(data)) > info.ValidBytes {
+		// Drop the torn tail (all of a file without a valid header) so
+		// the next append starts a clean record at the valid offset.
+		if err := j.f.Truncate(info.ValidBytes); err != nil {
+			j.f.Close() //lint:allow durableorder best-effort cleanup; the truncate error already aborts the open
+			return nil, ReplayInfo{}, fmt.Errorf("durable: truncate corrupt tail: %w", err)
+		}
+	}
+	return j, info, nil
+}
+
+// replay walks data's valid record prefix, handing visit each record's
+// frame offset and JSON payload. It cannot fail: anything unparseable,
+// including a payload visit rejects, ends the prefix and is described
+// in the info.
+func replay(data []byte, visit func(off int64, payload []byte) error) ReplayInfo {
 	var info ReplayInfo
 	if len(data) == 0 {
-		return nil, info
+		return info
 	}
 	if len(data) < len(journalHeader) || string(data[:len(journalHeader)]) != journalHeader {
 		info.CorruptTail = fmt.Sprintf("%v: missing or partial header (%d bytes)", errCorrupt, len(data))
-		return nil, info
+		return info
 	}
 	off := int64(len(journalHeader))
 	info.ValidBytes = off
-	var records []Record
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
-			return records, info
+			return info
 		}
-		if len(rest) < recordFrameSize {
-			info.CorruptTail = fmt.Sprintf("%v: torn record frame at offset %d (%d trailing bytes)", errCorrupt, off, len(rest))
-			return records, info
+		payload, err := unframe(rest)
+		if err != nil {
+			info.CorruptTail = fmt.Sprintf("%v: %v at offset %d", errCorrupt, err, off)
+			return info
 		}
-		length := binary.LittleEndian.Uint32(rest)
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if int64(length) > int64(len(rest)-recordFrameSize) {
-			info.CorruptTail = fmt.Sprintf("%v: torn record payload at offset %d (want %d bytes, have %d)", errCorrupt, off, length, len(rest)-recordFrameSize)
-			return records, info
-		}
-		payload := rest[recordFrameSize : recordFrameSize+int64(length)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			info.CorruptTail = fmt.Sprintf("%v: checksum mismatch at offset %d", errCorrupt, off)
-			return records, info
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		if err := visit(off, payload); err != nil {
 			info.CorruptTail = fmt.Sprintf("%v: unparseable record at offset %d: %v", errCorrupt, off, err)
-			return records, info
+			return info
 		}
-		records = append(records, rec)
-		off += recordFrameSize + int64(length)
+		off += recordFrameSize + int64(len(payload))
 		info.Records++
 		info.ValidBytes = off
 	}
+}
+
+// unframe checks the record frame at the start of b and returns its
+// payload.
+func unframe(b []byte) ([]byte, error) {
+	if len(b) < recordFrameSize {
+		return nil, fmt.Errorf("torn record frame (%d trailing bytes)", len(b))
+	}
+	length := binary.LittleEndian.Uint32(b)
+	if int64(length) > int64(len(b)-recordFrameSize) {
+		return nil, fmt.Errorf("torn record payload (want %d bytes, have %d)", length, len(b)-recordFrameSize)
+	}
+	payload := b[recordFrameSize : recordFrameSize+int64(length)]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return payload, nil
 }
 
 // Append frames and writes one record, without fsync: the record is
@@ -199,9 +226,15 @@ func replay(data []byte) ([]Record, ReplayInfo) {
 // file remains a valid prefix, and returns the error — the caller
 // decides whether to degrade or fail.
 func (j *Journal) Append(rec Record) error {
+	_, err := j.append(rec)
+	return err
+}
+
+// append is Append, returning the offset the record's frame starts at.
+func (j *Journal) append(rec Record) (int64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("durable: marshal record: %w", err)
+		return 0, fmt.Errorf("durable: marshal record: %w", err)
 	}
 	frame := make([]byte, recordFrameSize+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
@@ -211,24 +244,42 @@ func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.usable(); err != nil {
-		return err
+		return 0, err
+	}
+	if j.f == nil {
+		if err := j.fs.MkdirAll(filepath.Dir(j.path)); err != nil {
+			return 0, fmt.Errorf("durable: create journal dir: %w", err)
+		}
+		f, err := j.fs.OpenAppend(j.path)
+		if err != nil {
+			return 0, fmt.Errorf("durable: create journal: %w", err)
+		}
+		j.f = f
+	}
+	off := j.size
+	if off == 0 {
+		frame = append([]byte(journalHeader), frame...)
+		off = int64(len(journalHeader))
 	}
 	if err := j.write(frame); err != nil {
 		// Restore the valid-prefix invariant: a torn append must not
 		// poison every later record's framing.
 		if terr := j.f.Truncate(j.size); terr != nil {
-			return fmt.Errorf("durable: append failed (%v) and truncate-restore failed: %w", err, terr)
+			return 0, fmt.Errorf("durable: append failed (%v) and truncate-restore failed: %w", err, terr)
 		}
-		return err
+		return 0, err
 	}
 	j.size += int64(len(frame))
-	return nil
+	return off, nil
 }
 
 // Sync returns once every record appended before the call is on
 // stable storage. It fsyncs under the journal lock, so callers queued
 // behind an fsync find their records covered by it and return without
 // one of their own, and a Sync with nothing new to cover runs none.
+// The first Sync also fsyncs the journal's directory: until then a
+// power loss may drop the file's entry, whether this open created the
+// file or a process that crashed before its first Sync did.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -245,8 +296,39 @@ func (j *Journal) Sync() error {
 		j.err = fmt.Errorf("durable: journal fsync: %w", err)
 		return j.err
 	}
+	if !j.dirSynced {
+		if err := j.fs.SyncDir(filepath.Dir(j.path)); err != nil {
+			j.err = fmt.Errorf("durable: journal directory fsync: %w", err)
+			return j.err
+		}
+		j.dirSynced = true
+	}
 	j.syncedTo = j.size
 	return nil
+}
+
+// readPayload returns the payload of the record framed at off, checked
+// against its CRC. off must be a frame offset a Sync has covered, so
+// the read needs no lock; after Close it fails.
+func (j *Journal) readPayload(off int64) ([]byte, error) {
+	// One read covers most frames; a longer one takes a second.
+	buf := make([]byte, 1024)
+	n, err := j.f.ReadAt(buf, off)
+	if n < recordFrameSize {
+		return nil, fmt.Errorf("durable: read record at offset %d: %w", off, err)
+	}
+	if end := recordFrameSize + int(binary.LittleEndian.Uint32(buf)); end > n {
+		buf = append(buf[:n], make([]byte, end-n)...)
+		if _, err := j.f.ReadAt(buf[n:], off+int64(n)); err != nil {
+			return nil, fmt.Errorf("durable: read record at offset %d: %w", off, err)
+		}
+		n = end
+	}
+	payload, err := unframe(buf[:n])
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v at offset %d", errCorrupt, err, off)
+	}
+	return payload, nil
 }
 
 // usable reports the sticky fsync error or a closed journal (caller
@@ -255,14 +337,13 @@ func (j *Journal) usable() error {
 	if j.err != nil {
 		return j.err
 	}
-	if j.f == nil {
+	if j.closed {
 		return fmt.Errorf("durable: journal is closed")
 	}
 	return nil
 }
 
-// write pushes bytes through the file (caller holds mu or is the only
-// owner).
+// write pushes bytes through the file (caller holds mu).
 func (j *Journal) write(b []byte) error {
 	n, err := j.f.Write(b)
 	if err != nil {
@@ -287,10 +368,12 @@ func (j *Journal) Size() int64 {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return nil
+	}
+	j.closed = true
 	if j.f == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.f.Close()
 }

@@ -246,6 +246,14 @@ func TestJournalCrashAtEveryByte(t *testing.T) {
 			}
 			path := filepath.Join(img, "journal.log")
 			cutData, err := os.ReadFile(path)
+			if os.IsNotExist(err) {
+				// The file's entry is durable once a Sync ran, and no
+				// tear brings it back before that.
+				if synced > 0 {
+					t.Fatalf("%s: the journal is gone after %d records were synced", step, synced)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,6 +331,14 @@ func TestJournalSyncFailureSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(img, "journal.log")
+			if _, err := os.Stat(path); os.IsNotExist(err) {
+				// No Sync made the file's entry durable, and no tear
+				// brings it back.
+				if acked > 0 {
+					t.Fatalf("fsync %d failed: the journal is gone after %d records were acknowledged", failAt, acked)
+				}
+				break
+			}
 			jj, recs, _, err := OpenJournal(OSFS{}, path)
 			if err != nil {
 				t.Fatal(err)
@@ -415,12 +431,19 @@ func TestJournalAppendENOSPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, j, rec(1))
-
-	// ENOSPC after 5 bytes of the frame land.
-	ffs.WriteHook = func(name string, size int) (int, error) {
+	// ENOSPC after 5 bytes of the frame land, on the first append (which
+	// carries the header) and on a later one.
+	full := func(name string, size int) (int, error) {
 		return 5, fmt.Errorf("no space left on device")
 	}
+	ffs.WriteHook = full
+	if err := j.Append(rec(0)); err == nil {
+		t.Fatal("first append on a full disk reported success")
+	}
+	ffs.WriteHook = nil
+	mustAppend(t, j, rec(1))
+
+	ffs.WriteHook = full
 	if err := j.Append(rec(2)); err == nil {
 		t.Fatal("append on a full disk reported success")
 	}

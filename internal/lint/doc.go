@@ -9,11 +9,10 @@
 //     internal/rng seeded streams; stop conditions, trace sampling and
 //     observer hooks never consume draws) — analyzers norawentropy and
 //     rngpurity;
-//   - the durability write-ordering contract (result bytes durable
-//     before the completed journal record; no silently dropped
-//     Sync/Close/Rename/Write/Append errors in the store, Append errors
-//     in the cluster, or Store lifecycle errors in the service) —
-//     analyzer durableorder.
+//   - the durability contract (a completed journal record carries its
+//     result bytes; no silently dropped Sync/Close/Rename/Write/Append
+//     errors in the store, Append errors in the cluster, or Store
+//     lifecycle errors in the service) — analyzer durableorder.
 //
 // The package mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf) but is self-contained on the standard

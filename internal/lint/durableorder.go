@@ -6,14 +6,13 @@ import (
 	"go/types"
 )
 
-// DurableOrder guards the durability write-ordering contract
-// (DESIGN.md "Durability & crash-recovery contract"): a completed
-// journal record on disk must always imply readable result bytes, so
-// (a) result bytes are made durable — ResultCache.Put: temp file,
-// fsync, rename — before the completed record is appended, and (b) no
-// Sync/Close/Rename/Write error on a journal or result path may be
-// silently dropped, because an unobserved failed fsync is
-// indistinguishable from durability.
+// DurableOrder guards the durability contract (DESIGN.md "Durability &
+// crash-recovery contract"): a completed journal record on disk must
+// always imply readable result bytes, so (a) every completed Record
+// the durable package builds carries its Result, making record and
+// result one CRC-framed write, and (b) no Sync/Close/Rename/Write
+// error on a journal path may be silently dropped, because an
+// unobserved failed fsync is indistinguishable from durability.
 //
 // The same ignored-error check covers internal/cluster, whose only
 // durable state is the replica journal: a term, vote or log entry must
@@ -32,9 +31,9 @@ import (
 var DurableOrder = &Analyzer{
 	Name: "durableorder",
 	Doc: "in internal/durable, flags ignored Sync/Close/Rename/Write/Truncate/Append " +
-		"errors and completed-record appends not preceded by a result-durability " +
-		"Put in the same function; in internal/cluster, flags ignored Append and Sync " +
-		"errors; in internal/service, flags ignored Store lifecycle and Sync errors",
+		"errors and Record literals with Op \"completed\" but no Result field; " +
+		"in internal/cluster, flags ignored Append and Sync errors; in " +
+		"internal/service, flags ignored Store lifecycle and Sync errors",
 	Contract: `DESIGN.md "Durability & crash-recovery contract"`,
 	Run:      runDurableOrder,
 }
@@ -69,9 +68,10 @@ var serviceCriticalMethods = map[string]bool{
 
 func runDurableOrder(pass *Pass) error {
 	var critical map[string]bool
+	durable := false
 	switch path := pass.Pkg.Path(); {
 	case hasPathSuffix(path, "internal/durable"):
-		critical = durableCriticalMethods
+		critical, durable = durableCriticalMethods, true
 	case hasPathSuffix(path, "internal/cluster"):
 		critical = clusterCriticalMethods
 	case hasPathSuffix(path, "internal/service"):
@@ -92,9 +92,9 @@ func runDurableOrder(pass *Pass) error {
 				if allBlank(n.Lhs) && len(n.Rhs) == 1 {
 					checkIgnoredError(pass, critical, n.Rhs[0])
 				}
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkCompletedOrder(pass, n)
+			case *ast.CompositeLit:
+				if durable {
+					checkCompletedResult(pass, n)
 				}
 			}
 			return true
@@ -142,57 +142,36 @@ func allBlank(exprs []ast.Expr) bool {
 	return len(exprs) > 0
 }
 
-// checkCompletedOrder enforces, per function, that an append of a
-// completed journal record is dominated (conservatively: preceded in
-// source order) by a result-durability call — a method named Put. The
-// real sequence lives in Store.Completed: cache.Put(key, result)
-// first, journal.Append(Record{Op: OpCompleted}) second.
-func checkCompletedOrder(pass *Pass, fn *ast.FuncDecl) {
-	putSeen := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeFunc(pass.Info, call)
-		if callee == nil {
-			return true
-		}
-		switch {
-		case callee.Name() == "Put":
-			putSeen = true
-		case callee.Name() == "Append" && hasCompletedRecordArg(pass, call):
-			if !putSeen {
-				pass.Reportf(call.Pos(), "completed record appended before any result-durability Put in %s; result bytes must be durable before the completed record (completed-implies-readable), or annotate with //lint:allow durableorder <reason>", fn.Name.Name)
-			}
-		}
-		return true
-	})
-}
-
-// hasCompletedRecordArg reports whether any argument is a composite
-// literal whose Op field has the constant value "completed" (whether
-// written as OpCompleted or as a raw string).
-func hasCompletedRecordArg(pass *Pass, call *ast.CallExpr) bool {
-	for _, arg := range call.Args {
-		lit, ok := ast.Unparen(arg).(*ast.CompositeLit)
+// checkCompletedResult flags a Record literal whose Op field has the
+// constant value "completed" (written as OpCompleted or as a raw
+// string) and that sets no Result: the completed record is what makes
+// a result readable, so it must carry the bytes.
+func checkCompletedResult(pass *Pass, lit *ast.CompositeLit) {
+	named, ok := pass.Info.TypeOf(lit).(*types.Named)
+	if !ok || named.Obj().Name() != "Record" {
+		return
+	}
+	completed, result := false, false
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
 			continue
 		}
-		for _, elt := range lit.Elts {
-			kv, ok := elt.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok || key.Name != "Op" {
-				continue
-			}
+		key, ok := kv.Key.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		switch key.Name {
+		case "Op":
 			if tv, ok := pass.Info.Types[kv.Value]; ok && tv.Value != nil &&
 				tv.Value.Kind() == constant.String && constant.StringVal(tv.Value) == "completed" {
-				return true
+				completed = true
 			}
+		case "Result":
+			result = true
 		}
 	}
-	return false
+	if completed && !result {
+		pass.Reportf(lit.Pos(), "completed Record without Result; the completed record must carry the result bytes (completed-implies-readable), or annotate with //lint:allow durableorder <reason>")
+	}
 }

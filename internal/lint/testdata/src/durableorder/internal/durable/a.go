@@ -1,12 +1,13 @@
 // Fixture for the durableorder analyzer: the import path ends in
-// internal/durable, so ignored durability errors and misordered
-// completed-record appends are flagged.
+// internal/durable, so ignored durability errors and completed records
+// without their result bytes are flagged.
 package durable
 
 // Record mirrors the journal record shape the analyzer keys on.
 type Record struct {
-	Op  string
-	Key string
+	Op     string
+	Key    string
+	Result []byte
 }
 
 // OpCompleted is the completion marker; the analyzer matches the
@@ -23,10 +24,6 @@ func (file) Name() string                { return "" }
 type journal struct{ f file }
 
 func (j *journal) Append(rec Record) error { return nil }
-
-type cache struct{}
-
-func (cache) Put(key string, data []byte) error { return nil }
 
 // IgnoredErrors drops durability-critical errors three ways: all
 // flagged.
@@ -46,26 +43,22 @@ func HandledErrors(f file) error {
 	return f.Close()
 }
 
-// CompletedBeforePut journals completion before the result bytes are
-// durable: flagged.
-func CompletedBeforePut(j *journal, c cache, key string, result []byte) error {
-	if err := j.Append(Record{Op: OpCompleted, Key: key}); err != nil { // want `completed record appended before any result-durability Put`
-		return err
-	}
-	return c.Put(key, result)
+// CompletedWithoutResult journals completion without the result
+// bytes: flagged.
+func CompletedWithoutResult(j *journal, key string) error {
+	return j.Append(Record{Op: OpCompleted, Key: key}) // want `completed Record without Result`
 }
 
-// PutThenCompleted is the contract order: clean.
-func PutThenCompleted(j *journal, c cache, key string, result []byte) error {
-	if err := c.Put(key, result); err != nil {
-		return err
-	}
-	return j.Append(Record{Op: OpCompleted, Key: key})
+// CompletedWithResult is the contract shape: clean.
+func CompletedWithResult(j *journal, key string, result []byte) error {
+	return j.Append(Record{Op: OpCompleted, Key: key, Result: result})
 }
 
-// RawStringOp matches by constant value, not spelling: flagged.
+// RawStringOp matches by constant value, not spelling, and flags the
+// literal wherever it is built: flagged.
 func RawStringOp(j *journal, key string) error {
-	return j.Append(Record{Op: "completed", Key: key}) // want `completed record appended before any result-durability Put`
+	rec := Record{Op: "completed", Key: key} // want `completed Record without Result`
+	return j.Append(rec)
 }
 
 // DroppedAppend discards a journal append's error: flagged.

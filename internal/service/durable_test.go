@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -1067,4 +1068,73 @@ func crashImageViolation(img string, detached, answered map[string]bool) string 
 		}
 	}
 	return ""
+}
+
+// TestParentFormatDataDir opens a copy of a data directory that
+// conserve wrote while it kept results as files (testdata/parent-format:
+// three /run requests, one detached). Every completed key is served
+// from its results/ file byte-identically to a fresh execution, with
+// no execution, and a new result lands in the journal beside them.
+func TestParentFormatDataDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent-format"))); err != nil {
+		t.Fatal(err)
+	}
+	j, records, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	var reqs []Request
+	for _, rec := range records {
+		if rec.Op != durable.OpSubmitted {
+			continue
+		}
+		var q Request
+		if err := json.Unmarshal(rec.Request, &q); err != nil {
+			t.Fatal(err)
+		}
+		if q.Key() != rec.Key {
+			t.Fatalf("fixture request %s does not hash to its key %s", rec.Request, rec.Key)
+		}
+		reqs = append(reqs, q)
+	}
+
+	store := openTestStore(t, dir)
+	if rec := store.Recovered(); rec.CompletedKeys != 3 || len(reqs) != 3 || len(rec.Interrupted) != 0 || len(rec.Anomalies) != 0 {
+		t.Fatalf("parent-format recovery: %+v over %d requests", rec, len(reqs))
+	}
+	r := NewRunner(Options{Workers: 1, Store: store})
+	for _, q := range reqs {
+		want, err := ExecuteParallel(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, ok := store.Result(q.Key()); !ok || !bytes.Equal(data, wantBytes) {
+			t.Fatalf("key %s: stored result ok=%v\n got %s\nwant %s", q.Key(), ok, data, wantBytes)
+		}
+		got, cached, err := r.Do(context.Background(), q)
+		if err != nil || !cached || !bytes.Equal(respBytes(t, got), respBytes(t, want)) {
+			t.Fatalf("key %s: served cached=%v err=%v", q.Key(), cached, err)
+		}
+	}
+	if _, _, err := r.Do(context.Background(), testRequest(91)); err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Metrics(); m.Executions != 1 || m.DiskHits != 3 {
+		t.Fatalf("metrics: %+v", m)
+	}
+	r.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store = openTestStore(t, dir)
+	defer store.Close()
+	if n := store.Recovered().CompletedKeys; n != 4 {
+		t.Fatalf("CompletedKeys after a new completion = %d, want 4", n)
+	}
 }

@@ -632,8 +632,8 @@ func (r *Runner) newJob(key string, req Request) *Job {
 }
 
 // diskResult serves key from the durable result cache and promotes it
-// into the LRU (caller holds mu). An unreadable result file is a miss,
-// so the key is simply re-executed.
+// into the LRU (caller holds mu). An unreadable result is a miss, so
+// the key is simply re-executed.
 func (r *Runner) diskResult(key string) (*Response, bool) {
 	if r.opts.Store == nil {
 		return nil, false
@@ -842,9 +842,9 @@ func decodeResume(data []byte) *ShardResult {
 }
 
 // finishJob settles a job: result durably published (when completed
-// and durable — result bytes before the completion record, so a crash
-// between the two re-runs the job instead of losing the result),
-// terminal failures journaled, waiters released.
+// and durable — one completed record that carries the result bytes,
+// so a crash before its fsync re-runs the job instead of losing the
+// result), terminal failures journaled, waiters released.
 func (r *Runner) finishJob(j *Job, resp *Response, err error, terminal bool) {
 	if r.opts.Store != nil {
 		if err == nil {
