@@ -55,7 +55,7 @@ cluster-e2e:
 	go vet ./internal/cluster/... ./cmd/conserve/...
 	go run ./cmd/convet ./internal/cluster/...
 	go test -race -count=1 -timeout 300s ./internal/cluster/...
-	go test -race -count=20 -timeout 300s -run 'DispatchExactlyOnce' ./internal/cluster/
+	go test -race -count=20 -timeout 300s -run 'DispatchExactlyOnce|PreVote|BootElection' ./internal/cluster/
 	go test -race -count=1 -run 'Remote' ./internal/service/...
 	go test -race -count=1 -timeout 300s -run 'ClusterKillFailover' ./cmd/conserve/
 

@@ -10,7 +10,17 @@
 // append with a prev-index/term match check, majority commit), with
 // coordinators as the preferred election candidates (workers campaign
 // only after a long fallback silence, closing the liveness hole where
-// every up-to-date coordinator is dead). A record is durable once a
+// every up-to-date coordinator is dead). A new replica starts its
+// election timer ElectionTicks − 2 ticks in, so a booting fleet or a
+// restarted sole coordinator campaigns after 2 + jitter ticks. Every
+// campaign opens with a pre-vote that persists nothing and changes no
+// term or vote: a voter grants it only for a term ahead of its own, on
+// an up-to-date log, when it knows no leader, its leader has been
+// silent for ElectionTicks ticks, or the candidate is that leader. Only
+// a pre-vote majority starts the real election, so an early or
+// cut-off candidate cannot depose a leader the fleet still hears. A
+// rejected append carries the follower's conflict hint, and the leader
+// jumps that peer's next index back to it. A record is durable once a
 // majority of the fleet holds it, and every replica applies committed
 // records in the same order through a deterministic state machine, so
 // all nodes converge on identical job states. Terms, votes and log

@@ -28,12 +28,16 @@ type Entry struct {
 	Rec   LedgerRecord `json:"rec"`
 }
 
-// VoteRequest asks a peer for its vote in an election.
+// VoteRequest asks a peer for its vote in an election. A pre-vote
+// (Pre) asks whether the peer would grant one in Term, the candidate's
+// term + 1, and changes nothing on either side (see
+// grantsPreVoteLocked).
 type VoteRequest struct {
 	Term      uint64 `json:"term"`
 	Candidate string `json:"candidate"`
 	LastIndex uint64 `json:"last_index"`
 	LastTerm  uint64 `json:"last_term"`
+	Pre       bool   `json:"pre,omitempty"`
 }
 
 // VoteResponse is a peer's answer.
@@ -52,11 +56,15 @@ type AppendRequest struct {
 	Commit    uint64  `json:"commit"`
 }
 
-// AppendResponse acknowledges replication up to MatchIndex.
+// AppendResponse acknowledges replication up to MatchIndex. A
+// rejection carries Hint, the last index at which the follower's log
+// may still match the leader's (see conflictHintLocked); zero, as an
+// older follower sends, means no hint.
 type AppendResponse struct {
 	Term       uint64 `json:"term"`
 	Success    bool   `json:"success"`
 	MatchIndex uint64 `json:"match_index"`
+	Hint       uint64 `json:"hint,omitempty"`
 }
 
 // Transport carries replica RPCs to a peer by ID. Implementations must
@@ -113,7 +121,12 @@ type ReplicaConfig struct {
 	// ElectionTicks is the base number of silent ticks before a
 	// candidate campaigns (default 10). The effective timeout adds a
 	// deterministic per-(node, term) jitter in [0, ElectionTicks) so
-	// candidates decorrelate without consuming entropy.
+	// candidates decorrelate without consuming entropy. A new replica
+	// starts its timer ElectionTicks − 2 ticks in, so at boot or restart
+	// it campaigns after 2 + jitter silent ticks. Every campaign opens
+	// with a pre-vote, and a peer that has heard its leader within the
+	// last ElectionTicks ticks refuses it (unless the candidate is that
+	// leader), so an early campaign cannot depose a live leader.
 	ElectionTicks int
 	// Apply consumes committed entries, in index order, exactly once
 	// per index per process.
@@ -175,6 +188,10 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		closed:   make(chan struct{}),
 	}
 	r.recover(cfg.Records)
+	// Boot tick advance: the same constant comes off every replica, so
+	// coordinators keep their campaign order and workers their
+	// fallbackCandidateSlack.
+	r.electionElapsed = max(cfg.ElectionTicks-bootElectionTicks, 0)
 	r.wg.Add(2)
 	go r.tickLoop()
 	go r.applyLoop()
@@ -304,6 +321,13 @@ func (r *Replica) isCandidate(id string) bool {
 // of silence first, so they only ever lead when no coordinator can.
 const fallbackCandidateSlack = 8
 
+// bootElectionTicks is how many base ticks a new replica waits, plus
+// its jitter, before campaigning: NewReplica advances the election
+// timer by ElectionTicks − bootElectionTicks. A fleet that boots, or a
+// sole coordinator that restarts, then leads within a few ticks; the
+// pre-vote keeps the early campaign from deposing a live leader.
+const bootElectionTicks = 2
+
 // electionTimeoutTicks derives this node's effective timeout for the
 // current term: base + hash(id, term) % base, with base stretched by
 // fallbackCandidateSlack for non-coordinators. Deterministic — no
@@ -349,33 +373,88 @@ func (r *Replica) tickLoop() {
 	}
 }
 
-// campaign runs one election round: bump term, vote self, solicit the
-// fleet, and take leadership on a majority.
+// campaign runs one election: a pre-vote round that changes nothing,
+// then, only if a majority would grant it, the real vote — bump term,
+// vote self, solicit the fleet, and take leadership on a majority. A
+// pre-vote that fails, whether refused or unreachable, waits out the
+// next timeout as a failed election does.
 func (r *Replica) campaign() {
 	r.mu.Lock()
 	if r.failed { // fail-stopped: never campaigns again
 		r.mu.Unlock()
 		return
 	}
+	term := r.term
+	pre := r.voteRequestLocked(term+1, true)
+	// A node that campaigns has given up on its leader, so it no longer
+	// protects it from other candidates' pre-votes.
+	if r.leader != "" {
+		r.leader = ""
+		r.wakeLocked()
+	}
+	r.mu.Unlock()
+	r.cfg.Logf("cluster: %s pre-voting for term %d", r.cfg.ID, term+1)
+	if !r.poll(pre) {
+		return
+	}
+
+	r.mu.Lock()
+	// A leader heard, a newer term or a fail-stop since the pre-vote
+	// ends the campaign.
+	if r.failed || r.term != term || r.leader != "" {
+		r.mu.Unlock()
+		return
+	}
 	r.term++
 	r.role = roleCandidate
 	r.votedFor = r.cfg.ID
-	r.leader = ""
-	term := r.term
-	req := VoteRequest{
-		Term:      term,
-		Candidate: r.cfg.ID,
-		LastIndex: r.lastIndexLocked(),
-		LastTerm:  r.termAtLocked(r.lastIndexLocked()),
-	}
+	req := r.voteRequestLocked(r.term, false)
 	if r.persistTerm() != nil {
 		r.mu.Unlock()
 		return
 	}
 	r.wakeLocked()
 	r.mu.Unlock()
-	r.cfg.Logf("cluster: %s campaigning in term %d", r.cfg.ID, term)
+	r.cfg.Logf("cluster: %s campaigning in term %d", r.cfg.ID, req.Term)
+	if !r.poll(req) {
+		return
+	}
 
+	// Majority: take leadership if the term still stands.
+	r.mu.Lock()
+	if r.term != req.Term || r.role != roleCandidate {
+		r.mu.Unlock()
+		return
+	}
+	err := r.becomeLeaderLocked()
+	r.mu.Unlock()
+	if err != nil {
+		return
+	}
+	r.cfg.Logf("cluster: %s leads term %d", r.cfg.ID, req.Term)
+	r.broadcast()
+}
+
+// voteRequestLocked asks for a vote in term on this replica's log
+// (caller holds mu).
+func (r *Replica) voteRequestLocked(term uint64, pre bool) VoteRequest {
+	return VoteRequest{
+		Term:      term,
+		Candidate: r.cfg.ID,
+		LastIndex: r.lastIndexLocked(),
+		LastTerm:  r.termAtLocked(r.lastIndexLocked()),
+		Pre:       pre,
+	}
+}
+
+// poll solicits req from every peer and reports whether a majority,
+// self included, granted it. A reply with a term above the candidate's
+// is adopted, as from any RPC.
+func (r *Replica) poll(req VoteRequest) bool {
+	term := req.Term
+	if req.Pre {
+		term-- // the candidate's own term
+	}
 	votes := make(chan bool, len(r.cfg.Peers))
 	votes <- true // self
 	for _, p := range r.cfg.Peers {
@@ -398,49 +477,43 @@ func (r *Replica) campaign() {
 	}
 	granted := 0
 	for i := 0; i < len(r.cfg.Peers); i++ {
-		var ok bool
 		select {
-		case ok = <-votes:
+		case ok := <-votes:
+			if ok {
+				granted++
+			}
 		case <-r.closed:
-			return
+			return false
 		}
-		if !ok {
-			continue
+		if granted >= r.majority {
+			return true
 		}
-		granted++
-		if granted < r.majority {
-			continue
-		}
-		// Majority: take leadership if the term still stands.
-		r.mu.Lock()
-		if r.term != term || r.role != roleCandidate {
-			r.mu.Unlock()
-			return
-		}
-		r.role = roleLeader
-		r.leader = r.cfg.ID
-		r.nextIndex = make(map[string]uint64, len(r.cfg.Peers))
-		r.matchIndex = make(map[string]uint64, len(r.cfg.Peers))
-		for _, p := range r.cfg.Peers {
-			r.nextIndex[p] = r.lastIndexLocked() + 1
-			r.matchIndex[p] = 0
-		}
-		// Barrier entry: the commit rule only commits entries of the
-		// current term, so a fresh leader proposes a no-op to unlock
-		// commitment of any older-term tail it inherited.
-		e := Entry{Index: r.lastIndexLocked() + 1, Term: term, Rec: LedgerRecord{Op: "noop"}}
-		if r.persistEntry(e) != nil {
-			r.mu.Unlock()
-			return
-		}
-		r.log = append(r.log, e)
-		r.advanceCommitLocked() // a one-replica fleet commits on its own copy
-		r.wakeLocked()
-		r.mu.Unlock()
-		r.cfg.Logf("cluster: %s leads term %d", r.cfg.ID, term)
-		r.broadcast()
-		return
 	}
+	return false
+}
+
+// becomeLeaderLocked takes leadership of the current term (caller holds
+// mu): fresh per-peer replication state, then the barrier entry. The
+// commit rule only commits entries of the current term, so a fresh
+// leader proposes a no-op to unlock commitment of any older-term tail
+// it inherited.
+func (r *Replica) becomeLeaderLocked() error {
+	r.role = roleLeader
+	r.leader = r.cfg.ID
+	r.nextIndex = make(map[string]uint64, len(r.cfg.Peers))
+	r.matchIndex = make(map[string]uint64, len(r.cfg.Peers))
+	for _, p := range r.cfg.Peers {
+		r.nextIndex[p] = r.lastIndexLocked() + 1
+		r.matchIndex[p] = 0
+	}
+	e := Entry{Index: r.lastIndexLocked() + 1, Term: r.term, Rec: LedgerRecord{Op: "noop"}}
+	if err := r.persistEntry(e); err != nil {
+		return err
+	}
+	r.log = append(r.log, e)
+	r.advanceCommitLocked() // a one-replica fleet commits on its own copy
+	r.wakeLocked()
+	return nil
 }
 
 // stepDown adopts a higher term observed in any RPC.
@@ -468,31 +541,15 @@ func (r *Replica) broadcast() {
 		r.mu.Unlock()
 		return
 	}
-	term := r.term
 	type out struct {
 		peer string
 		req  AppendRequest
 	}
 	var outs []out
 	for _, p := range r.cfg.Peers {
-		if p == r.cfg.ID {
-			continue
+		if p != r.cfg.ID {
+			outs = append(outs, out{peer: p, req: r.appendRequestLocked(p)})
 		}
-		next := r.nextIndex[p]
-		if next < 1 {
-			next = 1
-		}
-		req := AppendRequest{
-			Term:      term,
-			Leader:    r.cfg.ID,
-			PrevIndex: next - 1,
-			PrevTerm:  r.termAtLocked(next - 1),
-			Commit:    r.commit,
-		}
-		if last := r.lastIndexLocked(); next <= last {
-			req.Entries = append([]Entry(nil), r.log[next-1:last]...)
-		}
-		outs = append(outs, out{peer: p, req: req})
 	}
 	r.mu.Unlock()
 
@@ -504,26 +561,55 @@ func (r *Replica) broadcast() {
 			if err != nil {
 				return
 			}
-			if resp.Term > req.Term {
-				r.stepDown(resp.Term)
-				return
-			}
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			if r.role != roleLeader || r.term != req.Term {
-				return
-			}
-			if resp.Success {
-				if resp.MatchIndex > r.matchIndex[peer] {
-					r.matchIndex[peer] = resp.MatchIndex
-					r.nextIndex[peer] = resp.MatchIndex + 1
-					r.advanceCommitLocked()
-				}
-			} else if r.nextIndex[peer] > 1 {
-				r.nextIndex[peer]--
-			}
+			r.onAppendResponse(peer, req, resp)
 		}(o.peer, o.req)
 	}
+}
+
+// appendRequestLocked builds peer's append: every entry from its
+// nextIndex on (caller holds mu and leads).
+func (r *Replica) appendRequestLocked(peer string) AppendRequest {
+	next := max(r.nextIndex[peer], 1)
+	req := AppendRequest{
+		Term:      r.term,
+		Leader:    r.cfg.ID,
+		PrevIndex: next - 1,
+		PrevTerm:  r.termAtLocked(next - 1),
+		Commit:    r.commit,
+	}
+	if last := r.lastIndexLocked(); next <= last {
+		req.Entries = append([]Entry(nil), r.log[next-1:last]...)
+	}
+	return req
+}
+
+// onAppendResponse folds peer's answer to req into the leader's
+// replication state. A rejection moves nextIndex back to
+// min(req's nextIndex − 1, hint + 1) (Raft §5.3), or by one entry
+// without a hint, but never onto an index the peer has acknowledged.
+func (r *Replica) onAppendResponse(peer string, req AppendRequest, resp AppendResponse) {
+	if resp.Term > req.Term {
+		r.stepDown(resp.Term)
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.role != roleLeader || r.term != req.Term {
+		return
+	}
+	if resp.Success {
+		if resp.MatchIndex > r.matchIndex[peer] {
+			r.matchIndex[peer] = resp.MatchIndex
+			r.nextIndex[peer] = resp.MatchIndex + 1
+			r.advanceCommitLocked()
+		}
+		return
+	}
+	back := req.PrevIndex
+	if resp.Hint > 0 {
+		back = min(back, resp.Hint+1)
+	}
+	r.nextIndex[peer] = max(min(r.nextIndex[peer], back), r.matchIndex[peer]+1)
 }
 
 // advanceCommitLocked commits the largest current-term index a
@@ -580,12 +666,16 @@ func (r *Replica) applyLoop() {
 
 // HandleVote answers a peer's vote solicitation. A grant is returned
 // only after the vote is on disk; a replica whose journal failed
-// refuses with errFailStopped.
+// refuses with errFailStopped. A pre-vote is answered from memory and
+// changes nothing.
 func (r *Replica) HandleVote(req VoteRequest) (VoteResponse, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.failed {
 		return VoteResponse{}, errFailStopped
+	}
+	if req.Pre {
+		return VoteResponse{Term: r.term, Granted: r.grantsPreVoteLocked(req)}, nil
 	}
 	if req.Term < r.term {
 		return VoteResponse{Term: r.term, Granted: false}, nil
@@ -600,9 +690,7 @@ func (r *Replica) HandleVote(req VoteRequest) (VoteResponse, error) {
 		}
 		r.wakeLocked()
 	}
-	upToDate := req.LastTerm > r.termAtLocked(r.lastIndexLocked()) ||
-		(req.LastTerm == r.termAtLocked(r.lastIndexLocked()) && req.LastIndex >= r.lastIndexLocked())
-	if (r.votedFor == "" || r.votedFor == req.Candidate) && upToDate {
+	if (r.votedFor == "" || r.votedFor == req.Candidate) && r.upToDateLocked(req) {
 		r.votedFor = req.Candidate
 		if err := r.persistTerm(); err != nil {
 			return VoteResponse{}, err
@@ -611,6 +699,27 @@ func (r *Replica) HandleVote(req VoteRequest) (VoteResponse, error) {
 		return VoteResponse{Term: r.term, Granted: true}, nil
 	}
 	return VoteResponse{Term: r.term, Granted: false}, nil
+}
+
+// upToDateLocked reports whether the candidate's log is at least as up
+// to date as this replica's (Raft §5.4.1; caller holds mu).
+func (r *Replica) upToDateLocked(req VoteRequest) bool {
+	last := r.lastIndexLocked()
+	return req.LastTerm > r.termAtLocked(last) ||
+		(req.LastTerm == r.termAtLocked(last) && req.LastIndex >= last)
+}
+
+// grantsPreVoteLocked reports whether this replica would vote for the
+// candidate in req.Term (caller holds mu): the term is ahead of its
+// own, the candidate's log is up to date, and it has no live leader to
+// protect — it knows no leader, its leader has been silent for
+// ElectionTicks ticks, or the candidate is that leader (a restarted
+// sole coordinator its followers still remember). A leader is its own
+// live leader.
+func (r *Replica) grantsPreVoteLocked(req VoteRequest) bool {
+	noLiveLeader := r.leader == "" || r.leader == req.Candidate ||
+		(r.role != roleLeader && r.electionElapsed >= r.cfg.ElectionTicks)
+	return req.Term > r.term && r.upToDateLocked(req) && noLiveLeader
 }
 
 // HandleAppend answers a leader's replication push. Success is
@@ -641,7 +750,7 @@ func (r *Replica) HandleAppend(req AppendRequest) (AppendResponse, error) {
 
 	// Log-matching check.
 	if req.PrevIndex > r.lastIndexLocked() || r.termAtLocked(req.PrevIndex) != req.PrevTerm {
-		return AppendResponse{Term: r.term, Success: false}, nil
+		return AppendResponse{Term: r.term, Success: false, Hint: r.conflictHintLocked(req.PrevIndex)}, nil
 	}
 	// Append, truncating a conflicting suffix exactly once.
 	for _, e := range req.Entries {
@@ -675,6 +784,23 @@ func (r *Replica) HandleAppend(req AppendRequest) (AppendResponse, error) {
 		}
 	}
 	return AppendResponse{Term: r.term, Success: true, MatchIndex: match}, nil
+}
+
+// conflictHintLocked is the last index at which this log may still
+// match the log of a leader whose append at prevIndex it rejects
+// (caller holds mu): its last index when prevIndex lies beyond it, and
+// otherwise the index before the first entry of the conflicting term,
+// so one rejection skips a whole divergent term.
+func (r *Replica) conflictHintLocked(prevIndex uint64) uint64 {
+	if prevIndex > r.lastIndexLocked() {
+		return r.lastIndexLocked()
+	}
+	conflict := r.termAtLocked(prevIndex)
+	hint := prevIndex - 1
+	for hint > 0 && r.termAtLocked(hint) == conflict {
+		hint--
+	}
+	return hint
 }
 
 // Propose appends a record to the log if this replica currently leads.

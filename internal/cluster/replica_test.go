@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,15 +16,17 @@ import (
 )
 
 // memTransport wires replicas together in-process, with a down set to
-// simulate killed or partitioned nodes.
+// simulate killed or partitioned nodes, and a deaf set of nodes that
+// nothing reaches while their own requests still go out.
 type memTransport struct {
 	mu       sync.Mutex
 	replicas map[string]*Replica
 	down     map[string]bool
+	deaf     map[string]bool
 }
 
 func newMemTransport() *memTransport {
-	return &memTransport{replicas: make(map[string]*Replica), down: make(map[string]bool)}
+	return &memTransport{replicas: make(map[string]*Replica), down: make(map[string]bool), deaf: make(map[string]bool)}
 }
 
 func (m *memTransport) register(id string, r *Replica) {
@@ -38,10 +41,16 @@ func (m *memTransport) setDown(id string, down bool) {
 	m.down[id] = down
 }
 
+func (m *memTransport) setDeaf(id string, deaf bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.deaf[id] = deaf
+}
+
 func (m *memTransport) get(from, to string) (*Replica, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.down[from] || m.down[to] {
+	if m.down[from] || m.down[to] || m.deaf[to] {
 		return nil, fmt.Errorf("memtransport: %s -> %s unreachable", from, to)
 	}
 	r, ok := m.replicas[to]
@@ -94,26 +103,79 @@ func (a *applyLog) snapshot() []LedgerRecord {
 }
 
 type testFleet struct {
-	ids        []string
-	candidates []string
-	transport  *memTransport
-	replicas   map[string]*Replica
-	applied    map[string]*applyLog
+	ids           []string
+	candidates    []string
+	heartbeat     time.Duration
+	electionTicks int
+	transport     *memTransport
+	replicas      map[string]*Replica
+	applied       map[string]*applyLog
+	journals      map[string]*durable.Journal
+
+	logMu sync.Mutex
+	logs  []string // every replica's lifecycle log lines
 }
 
+// newTestFleet starts the e2e fleet shape (coordinators c1, c2; workers
+// w1–w3) on fast ticks.
 func newTestFleet(t *testing.T, journalDir string) *testFleet {
 	t.Helper()
+	return startFleet(t, []string{"c1", "c2", "w1", "w2", "w3"}, []string{"c1", "c2"}, journalDir, 5*time.Millisecond, 4)
+}
+
+func startFleet(t *testing.T, ids, candidates []string, journalDir string, heartbeat time.Duration, electionTicks int) *testFleet {
+	t.Helper()
 	f := &testFleet{
-		ids:        []string{"c1", "c2", "w1", "w2", "w3"},
-		candidates: []string{"c1", "c2"},
-		transport:  newMemTransport(),
-		replicas:   make(map[string]*Replica),
-		applied:    make(map[string]*applyLog),
+		ids:           ids,
+		candidates:    candidates,
+		heartbeat:     heartbeat,
+		electionTicks: electionTicks,
+		transport:     newMemTransport(),
+		replicas:      make(map[string]*Replica),
+		applied:       make(map[string]*applyLog),
+		journals:      make(map[string]*durable.Journal),
 	}
 	for _, id := range f.ids {
 		f.start(t, id, journalDir)
 	}
 	return f
+}
+
+func (f *testFleet) logf(format string, args ...any) {
+	f.logMu.Lock()
+	defer f.logMu.Unlock()
+	f.logs = append(f.logs, fmt.Sprintf(format, args...))
+}
+
+// logLines returns the log lines from the from-th on that contain sub.
+func (f *testFleet) logLines(from int, sub string) []string {
+	f.logMu.Lock()
+	defer f.logMu.Unlock()
+	var out []string
+	for _, l := range f.logs[from:] {
+		if strings.Contains(l, sub) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+func (f *testFleet) logLen() int {
+	f.logMu.Lock()
+	defer f.logMu.Unlock()
+	return len(f.logs)
+}
+
+// restart stops id as a SIGKILL would and starts it again from its
+// journal.
+func (f *testFleet) restart(t *testing.T, id, journalDir string) {
+	t.Helper()
+	f.transport.setDown(id, true)
+	f.replicas[id].Close()
+	if j := f.journals[id]; j != nil {
+		j.Close()
+	}
+	f.start(t, id, journalDir)
 }
 
 func (f *testFleet) start(t *testing.T, id, journalDir string) {
@@ -129,6 +191,7 @@ func (f *testFleet) start(t *testing.T, id, journalDir string) {
 	}
 	al := &applyLog{}
 	f.applied[id] = al
+	f.journals[id] = j
 	r := NewReplica(ReplicaConfig{
 		ID:            id,
 		Peers:         f.ids,
@@ -136,9 +199,10 @@ func (f *testFleet) start(t *testing.T, id, journalDir string) {
 		Transport:     &peerTransport{id: id, m: f.transport},
 		Journal:       j,
 		Records:       recs,
-		Heartbeat:     5 * time.Millisecond,
-		ElectionTicks: 4,
+		Heartbeat:     f.heartbeat,
+		ElectionTicks: f.electionTicks,
 		Apply:         al.apply,
+		Logf:          f.logf,
 	})
 	f.replicas[id] = r
 	f.transport.register(id, r)
@@ -149,6 +213,11 @@ func (f *testFleet) close() {
 	for _, r := range f.replicas {
 		if r != nil {
 			r.Close()
+		}
+	}
+	for _, j := range f.journals {
+		if j != nil {
+			j.Close()
 		}
 	}
 }
@@ -514,4 +583,295 @@ func TestReplicaSingleNodeCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "the proposal to apply", func() bool { return len(nonNoop(al.snapshot())) == 1 })
+}
+
+// electionJitter is the per-(id, term) jitter of an election timeout
+// whose base is base ticks.
+func electionJitter(id string, term uint64, base int) int {
+	return int(hash64(fmt.Sprintf("%s/election/%d", id, term)) % uint64(base))
+}
+
+// TestReplicaBootElectionAdvance: a new replica starts its election
+// timer advanced by ElectionTicks − 2, on a fresh journal and on a
+// replayed one. A coordinator campaigns after 2 + jitter silent ticks;
+// a worker keeps its 8× fallback slack, less the same advance. No tick
+// fires during the test (a heartbeat of an hour).
+func TestReplicaBootElectionAdvance(t *testing.T) {
+	const et = 10 // the default ElectionTicks
+	peers := []string{"c1", "w1", "w2"}
+	path := filepath.Join(t.TempDir(), "replayed.journal")
+	j, _, _, err := durable.OpenJournal(durable.OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	term, _ := json.Marshal(termRecord{Term: 3, VotedFor: "c1"})
+	entry, _ := json.Marshal(Entry{Index: 1, Term: 3, Rec: LedgerRecord{Op: "noop"}})
+	for _, rec := range []durable.Record{{Op: opClusterTerm, State: term}, {Op: opClusterEntry, State: entry}} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	for _, journal := range []struct {
+		name string
+		recs []durable.Record
+		term uint64
+	}{{"fresh", nil, 0}, {"replayed", reopen(t, path), 3}} {
+		for _, id := range []string{"c1", "w1"} {
+			want := 2 + electionJitter(id, journal.term, et)
+			if id != "c1" {
+				want = 8*et + electionJitter(id, journal.term, 8*et) - (et - 2)
+			}
+			r := NewReplica(ReplicaConfig{ID: id, Peers: peers, Candidates: peers[:1],
+				Transport: &peerTransport{id: id, m: newMemTransport()}, Records: journal.recs, Heartbeat: time.Hour})
+			r.mu.Lock()
+			left, gotTerm := r.electionTimeoutTicks()-r.electionElapsed, r.term
+			r.mu.Unlock()
+			r.Close()
+			if gotTerm != journal.term {
+				t.Fatalf("%s %s: recovered term %d, want %d", journal.name, id, gotTerm, journal.term)
+			}
+			if left != want {
+				t.Errorf("%s %s: %d ticks before a campaign, want %d", journal.name, id, left, want)
+			}
+		}
+	}
+}
+
+// TestReplicaPreVoteGrantRule: a pre-vote is granted only for a term
+// ahead of the voter's, on an up-to-date log, when the voter has no
+// live leader to protect; answering one never changes the voter's
+// term, vote or journal.
+func TestReplicaPreVoteGrantRule(t *testing.T) {
+	j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(t.TempDir(), "v.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	peers := []string{"a", "b", "v"}
+	r := NewReplica(ReplicaConfig{ID: "v", Peers: peers, Candidates: peers,
+		Transport: &peerTransport{id: "v", m: newMemTransport()}, Journal: j, Heartbeat: time.Hour})
+	defer r.Close()
+	ask := func(candidate string, term, lastIndex, lastTerm uint64) bool {
+		t.Helper()
+		resp, err := r.HandleVote(VoteRequest{Term: term, Candidate: candidate, LastIndex: lastIndex, LastTerm: lastTerm, Pre: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Granted
+	}
+	if !ask("b", 1, 0, 0) {
+		t.Fatal("a voter that knows no leader refused a pre-vote")
+	}
+	// a leads term 1 and replicates one entry.
+	if resp, err := r.HandleAppend(AppendRequest{Term: 1, Leader: "a",
+		Entries: []Entry{{Index: 1, Term: 1, Rec: LedgerRecord{Op: "noop"}}}}); err != nil || !resp.Success {
+		t.Fatalf("append: %+v, %v", resp, err)
+	}
+	size := j.Size()
+	for _, c := range []struct {
+		what      string
+		candidate string
+		term      uint64
+		lastIndex uint64
+		want      bool
+	}{
+		{"live leader", "b", 2, 1, false},
+		{"the live leader itself", "a", 2, 1, true},
+		{"stale term", "a", 1, 1, false},
+		{"log behind", "a", 2, 0, false},
+	} {
+		if got := ask(c.candidate, c.term, c.lastIndex, 1); got != c.want {
+			t.Errorf("%s: granted %v, want %v", c.what, got, c.want)
+		}
+	}
+	r.mu.Lock()
+	r.electionElapsed = r.cfg.ElectionTicks // a's lease has run out
+	r.mu.Unlock()
+	if !ask("b", 2, 1, 1) {
+		t.Error("silent leader: pre-vote refused")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.term != 1 || r.votedFor != "" || r.leader != "a" || j.Size() != size {
+		t.Fatalf("pre-votes changed the voter: term %d vote %q leader %q journal %d -> %d bytes; want term 1, no vote, leader a, no record",
+			r.term, r.votedFor, r.leader, size, j.Size())
+	}
+}
+
+// TestReplicaPreVoteKeepsLiveLeader: a follower that hears nothing for
+// more than 2 election timeouts, while its own requests still reach the
+// fleet, cannot depose the live leader. Its pre-votes are refused and
+// change no term, so when it heals the leader and term are unchanged.
+func TestReplicaPreVoteKeepsLiveLeader(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	f := startFleet(t, ids, ids, "", 10*time.Millisecond, 10)
+	defer f.close()
+	var l *Replica
+	waitFor(t, 5*time.Second, "a leader every replica follows", func() bool {
+		l = f.leader()
+		if l == nil {
+			return false
+		}
+		for _, id := range ids {
+			if f.replicas[id].Leader() != l.cfg.ID {
+				return false
+			}
+		}
+		return true
+	})
+	lead, term := l.cfg.ID, l.Status().Term
+	x := ids[0]
+	if x == lead {
+		x = ids[1]
+	}
+
+	mark := f.logLen()
+	f.transport.setDeaf(x, true)
+	waitFor(t, 10*time.Second, x+" to time out twice", func() bool {
+		return len(f.logLines(mark, "cluster: "+x+" pre-voting")) >= 2
+	})
+	f.transport.setDeaf(x, false)
+	waitFor(t, 5*time.Second, x+" to follow the leader again", func() bool { return f.replicas[x].Leader() == lead })
+
+	for _, id := range ids {
+		st := f.replicas[id].Status()
+		if st.Term != term || st.Leader != lead {
+			t.Errorf("%s after the heal: term %d leader %q, want term %d leader %q", id, st.Term, st.Leader, term, lead)
+		}
+	}
+	if got := f.logLines(mark, "campaigning"); len(got) != 0 {
+		t.Errorf("a real election ran: %q", got)
+	}
+}
+
+// TestReplicaPreVoteRestartedCoordinator: the sole coordinator of a
+// c1 + w1 + w2 fleet restarts from its journal. Its workers still
+// remember it as their leader, and grant its pre-vote because it is
+// that leader, so it leads again in term + 1 after one campaign, 2 +
+// jitter ticks after the restart. (c1's term-1 jitter is 1 tick of 10,
+// well inside the workers' 10-tick lease.)
+func TestReplicaPreVoteRestartedCoordinator(t *testing.T) {
+	dir := t.TempDir()
+	ids := []string{"c1", "w1", "w2"}
+	f := startFleet(t, ids, ids[:1], dir, 10*time.Millisecond, 10)
+	defer f.close()
+	c1 := func() Status { return f.replicas["c1"].Status() }
+	waitFor(t, 5*time.Second, "c1 to lead with its barrier applied everywhere", func() bool {
+		st := c1()
+		if !st.IsLeader || st.Commit != st.LastIndex {
+			return false
+		}
+		for _, id := range ids[1:] {
+			if w := f.replicas[id].Status(); w.Leader != "c1" || w.Applied != st.LastIndex {
+				return false
+			}
+		}
+		return true
+	})
+	term := c1().Term
+
+	mark := f.logLen()
+	f.restart(t, "c1", dir)
+	waitFor(t, 5*time.Second, "the restarted c1 to lead", func() bool { return c1().IsLeader })
+	if got := c1().Term; got != term+1 {
+		t.Errorf("restarted c1 leads term %d, want %d", got, term+1)
+	}
+	if got := f.logLines(mark, "cluster: c1 pre-voting"); len(got) != 1 {
+		t.Errorf("restarted c1 pre-voted %d times, want once: %q", len(got), got)
+	}
+}
+
+// TestReplicaConflictHint: a rejected append carries the follower's
+// hint, and the leader jumps nextIndex back to it, so a follower many
+// entries behind, or holding a long divergent tail, catches up after at
+// most 2 rejected appends. Without a hint the leader backs off one
+// entry.
+func TestReplicaConflictHint(t *testing.T) {
+	terms := func(runs ...uint64) []uint64 { // (term, count) pairs
+		var out []uint64
+		for i := 0; i < len(runs); i += 2 {
+			for n := uint64(0); n < runs[i+1]; n++ {
+				out = append(out, runs[i])
+			}
+		}
+		return out
+	}
+	leaderLog := terms(1, 5, 3, 35)
+	tr := newMemTransport()
+	replica := func(id string, term uint64, log []uint64) *Replica {
+		data, _ := json.Marshal(termRecord{Term: term})
+		recs := []durable.Record{{Op: opClusterTerm, State: data}}
+		for i, et := range log {
+			data, _ := json.Marshal(Entry{Index: uint64(i + 1), Term: et, Rec: LedgerRecord{Op: "noop"}})
+			recs = append(recs, durable.Record{Op: opClusterEntry, State: data})
+		}
+		r := NewReplica(ReplicaConfig{ID: id, Peers: []string{"l", "f"}, Candidates: []string{"l"},
+			Transport: &peerTransport{id: id, m: tr}, Records: recs, Heartbeat: time.Hour})
+		tr.register(id, r)
+		t.Cleanup(r.Close)
+		return r
+	}
+	for _, c := range []struct {
+		name        string
+		followerLog []uint64
+		followTerm  uint64
+	}{
+		{"behind", terms(1, 3), 1},
+		{"divergent", terms(1, 5, 2, 20), 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := replica("l", 3, leaderLog)
+			f := replica("f", c.followTerm, c.followerLog)
+			l.mu.Lock()
+			if err := l.becomeLeaderLocked(); err != nil {
+				t.Fatal(err)
+			}
+			l.mu.Unlock()
+			for rejected := 0; ; rejected++ {
+				l.mu.Lock()
+				req := l.appendRequestLocked("f")
+				l.mu.Unlock()
+				resp, err := l.cfg.Transport.Append(context.Background(), "f", req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.onAppendResponse("f", req, resp)
+				if resp.Success {
+					break
+				}
+				if rejected == 2 {
+					t.Fatalf("a third append was rejected (prev index %d, hint %d)", req.PrevIndex, resp.Hint)
+				}
+			}
+			l.mu.Lock()
+			want, _ := json.Marshal(l.log)
+			l.mu.Unlock()
+			f.mu.Lock()
+			got, _ := json.Marshal(f.log)
+			f.mu.Unlock()
+			if string(got) != string(want) {
+				t.Fatalf("follower log %s, want the leader's %s", got, want)
+			}
+		})
+	}
+	t.Run("no hint", func(t *testing.T) {
+		l := replica("l", 3, leaderLog)
+		l.mu.Lock()
+		if err := l.becomeLeaderLocked(); err != nil {
+			t.Fatal(err)
+		}
+		req := l.appendRequestLocked("f")
+		l.mu.Unlock()
+		l.onAppendResponse("f", req, AppendResponse{Term: 3})
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if got := l.nextIndex["f"]; got != req.PrevIndex {
+			t.Fatalf("nextIndex %d after a rejection without a hint, want %d", got, req.PrevIndex)
+		}
+	})
 }

@@ -24,9 +24,11 @@ import (
 // fsync does not bring them back. A file that OpenAppend or Create
 // made, or that Rename moved, has a durable directory entry only once
 // SyncDir of its directory succeeds; until then CrashImage leaves it
-// out (and does not bring back what a rename replaced). A file that
-// already existed when FaultFS first opened it counts as durable, and
-// so do directories made by MkdirAll.
+// out (and does not bring back what a rename replaced). A directory
+// that MkdirAll made has a durable entry only once SyncDir of its
+// parent succeeds; until then CrashImage leaves it out, with everything
+// under it. A file or directory that already existed when FaultFS
+// first saw it counts as durable.
 //
 // All hooks are optional; a zero-hook FaultFS is transparent. Hook
 // fields must be set before the FS is handed to a Journal/Store (they
@@ -47,6 +49,9 @@ type FaultFS struct {
 	mu    sync.Mutex
 	calls map[string]int
 	files map[string]*fileLength // by cleaned name
+	// dirs holds the directories MkdirAll made, by cleaned name: true
+	// once their entry is durable.
+	dirs map[string]bool
 }
 
 // fileLength is one tracked file's crash model (guarded by FaultFS.mu).
@@ -62,7 +67,7 @@ type fileLength struct {
 
 // NewFaultFS wraps base (OSFS{} for a real temp dir).
 func NewFaultFS(base FS) *FaultFS {
-	return &FaultFS{FS: base, calls: make(map[string]int), files: make(map[string]*fileLength)}
+	return &FaultFS{FS: base, calls: make(map[string]int), files: make(map[string]*fileLength), dirs: make(map[string]bool)}
 }
 
 // Count returns how many times the named op ("write", "sync",
@@ -146,6 +151,18 @@ func (f *FaultFS) Rename(oldname, newname string) error {
 	return nil
 }
 
+// MkdirAll implements FS. The directories it creates have no durable
+// entry until SyncDir of their parent.
+func (f *FaultFS) MkdirAll(name string) error {
+	created, err := mkdirAll(f.FS, name)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, d := range created {
+		f.dirs[d] = false
+	}
+	return err
+}
+
 // SyncDir implements FS: on success every tracked entry in dir becomes
 // durable.
 func (f *FaultFS) SyncDir(dir string) error {
@@ -166,14 +183,19 @@ func (f *FaultFS) SyncDir(dir string) error {
 			l.entry = true
 		}
 	}
+	for name := range f.dirs {
+		if filepath.Dir(name) == dir {
+			f.dirs[name] = true
+		}
+	}
 	return nil
 }
 
 // CrashImage copies the directory tree under dir to dst as a power
-// loss would leave it: a tracked file whose entry is not durable is
-// left out, and every other tracked file is cut back to its length at
-// its last successful Sync, keeping at most tear bytes of its unsynced
-// tail (a torn tail); untracked files are copied whole. dir must be on
+// loss would leave it: a tracked file or directory whose entry is not
+// durable is left out, and every other tracked file is cut back to its
+// length at its last successful Sync, keeping at most tear bytes of its
+// unsynced tail (a torn tail); untracked files are copied whole. dir must be on
 // the real filesystem. Safe to call from a hook.
 func (f *FaultFS) CrashImage(dir, dst string, tear int64) error {
 	f.mu.Lock()
@@ -188,6 +210,9 @@ func (f *FaultFS) CrashImage(dir, dst string, tear int64) error {
 		}
 		out := filepath.Join(dst, rel)
 		if d.IsDir() {
+			if durable, ok := f.dirs[filepath.Clean(path)]; ok && !durable {
+				return filepath.SkipDir
+			}
 			return os.MkdirAll(out, 0o755)
 		}
 		data, err := os.ReadFile(path)

@@ -87,3 +87,49 @@ func TestFaultFSDirectoryEntries(t *testing.T) {
 		t.Fatalf("Count(syncdir) = %d, want 3", n)
 	}
 }
+
+// TestFaultFSNewDirectories: a directory that MkdirAll creates, with
+// everything under it, appears in a crash image only once SyncDir of
+// its parent succeeds, level by level.
+func TestFaultFSNewDirectories(t *testing.T) {
+	dir := t.TempDir()
+	deep := filepath.Join(dir, "new", "deep")
+	ffs := NewFaultFS(OSFS{})
+	if err := ffs.MkdirAll(deep); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ffs.OpenAppend(filepath.Join(deep, "f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	survives := func() bool {
+		t.Helper()
+		img := filepath.Join(t.TempDir(), "img")
+		if err := ffs.CrashImage(dir, img, 0); err != nil {
+			t.Fatal(err)
+		}
+		_, err := os.Stat(filepath.Join(img, "new", "deep", "f"))
+		return err == nil
+	}
+	for _, d := range []string{deep, filepath.Join(dir, "new")} {
+		if err := ffs.SyncDir(d); err != nil {
+			t.Fatal(err)
+		}
+		if survives() {
+			t.Fatalf("after SyncDir of %s only, the file survives a crash", d)
+		}
+	}
+	if err := ffs.SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !survives() {
+		t.Fatal("after SyncDir of every new directory's parent, the file is lost")
+	}
+}

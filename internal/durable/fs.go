@@ -1,8 +1,11 @@
 package durable
 
 import (
+	"errors"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is the subset of *os.File the journal needs.
@@ -31,6 +34,9 @@ type FS interface {
 	Rename(oldname, newname string) error
 	// MkdirAll creates the directory and its parents.
 	MkdirAll(name string) error
+	// Stat describes the named file or directory; its error wraps
+	// fs.ErrNotExist when there is none.
+	Stat(name string) (fs.FileInfo, error)
 	// SyncDir flushes the directory's entries to stable storage: a
 	// file created or renamed in it survives a power loss only once
 	// SyncDir returns nil.
@@ -59,6 +65,9 @@ func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, ne
 // MkdirAll implements FS.
 func (OSFS) MkdirAll(name string) error { return os.MkdirAll(name, 0o755) }
 
+// Stat implements FS.
+func (OSFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
+
 // SyncDir implements FS.
 func (OSFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -70,4 +79,25 @@ func (OSFS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// mkdirAll makes dir and its parents through fsys and returns the
+// directories it had to create, outermost first. On an error it still
+// returns every directory it meant to create.
+func mkdirAll(fsys FS, dir string) ([]string, error) {
+	var missing []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		_, err := fsys.Stat(d)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+		missing = append([]string{d}, missing...)
+		if filepath.Dir(d) == d {
+			break
+		}
+	}
+	return missing, fsys.MkdirAll(dir)
 }

@@ -96,8 +96,11 @@ type Journal struct {
 	// syncedTo is the prefix length the last successful fsync covered.
 	syncedTo int64
 	// dirSynced is set once a Sync has also fsynced the journal's
-	// directory, making the file's own entry durable.
+	// directory, making the file's own entry durable, and the parent of
+	// each directory in newDirs.
 	dirSynced bool
+	// newDirs are the directories the first append created.
+	newDirs []string
 	// err is the sticky fsync failure.
 	err error
 	// closed is set by Close.
@@ -247,7 +250,9 @@ func (j *Journal) append(rec Record) (int64, error) {
 		return 0, err
 	}
 	if j.f == nil {
-		if err := j.fs.MkdirAll(filepath.Dir(j.path)); err != nil {
+		created, err := mkdirAll(j.fs, filepath.Dir(j.path))
+		j.newDirs = append(j.newDirs, created...)
+		if err != nil {
 			return 0, fmt.Errorf("durable: create journal dir: %w", err)
 		}
 		f, err := j.fs.OpenAppend(j.path)
@@ -279,7 +284,9 @@ func (j *Journal) append(rec Record) (int64, error) {
 // one of their own, and a Sync with nothing new to cover runs none.
 // The first Sync also fsyncs the journal's directory: until then a
 // power loss may drop the file's entry, whether this open created the
-// file or a process that crashed before its first Sync did.
+// file or a process that crashed before its first Sync did. It fsyncs
+// the parent of each directory the journal created too, or a power
+// loss could drop the whole directory.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -297,9 +304,15 @@ func (j *Journal) Sync() error {
 		return j.err
 	}
 	if !j.dirSynced {
-		if err := j.fs.SyncDir(filepath.Dir(j.path)); err != nil {
-			j.err = fmt.Errorf("durable: journal directory fsync: %w", err)
-			return j.err
+		dirs := []string{filepath.Dir(j.path)}
+		for _, d := range j.newDirs {
+			dirs = append(dirs, filepath.Dir(d))
+		}
+		for _, d := range dirs {
+			if err := j.fs.SyncDir(d); err != nil {
+				j.err = fmt.Errorf("durable: journal directory fsync: %w", err)
+				return j.err
+			}
 		}
 		j.dirSynced = true
 	}

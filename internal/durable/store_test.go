@@ -329,24 +329,44 @@ func TestStoreCrashAtEveryBoundary(t *testing.T) {
 		s2.Close()
 	}
 
-	// The same lifecycle under the runner's acknowledgement policy, on
-	// a FaultFS where a crash drops unsynced bytes and unsynced
-	// directory entries: k1 is a detached
-	// job, so its submission is synced and acknowledged; k1's result is
-	// acknowledged once Completed returns; k2 is never acknowledged. A
-	// crash before every fsync and after every step, at every torn-tail
-	// length, must keep each acknowledgement.
+	// The same lifecycle under the runner's acknowledgement policy.
 	pdir := t.TempDir()
+	sweepAckPolicy(t, pdir, pdir)
+}
+
+// TestStoreCrashSweepNewDataDir runs the acknowledgement-policy sweep on
+// a store whose directory, two levels of it, does not exist yet: the
+// store creates it on its first append, and no acknowledgement may rest
+// on a directory entry a power loss can drop.
+func TestStoreCrashSweepNewDataDir(t *testing.T) {
+	root := t.TempDir()
+	sweepAckPolicy(t, root, filepath.Join(root, "new", "data"))
+}
+
+// sweepAckPolicy runs a lifecycle under the runner's acknowledgement
+// policy on a store in dir, under root, through a FaultFS where a crash
+// drops unsynced bytes and unsynced directory entries: k1 is a detached
+// job, so its submission is synced and acknowledged; k1's result is
+// acknowledged once Completed returns; k2 is never acknowledged. A
+// crash of root before every fsync and after every step, at every
+// torn-tail length, must keep each acknowledgement.
+func sweepAckPolicy(t *testing.T, root, pdir string) {
+	t.Helper()
+	k1, k2 := testKey(1), testKey(2)
+	rel, err := filepath.Rel(root, pdir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ffs := NewFaultFS(OSFS{})
 	acked := map[string]bool{}    // acknowledged detaches
 	answered := map[string]bool{} // acknowledged results
 	crash := func(where string) {
 		for tear := int64(0); ; tear++ {
 			img := filepath.Join(t.TempDir(), "img")
-			if err := ffs.CrashImage(pdir, img, tear); err != nil {
+			if err := ffs.CrashImage(root, img, tear); err != nil {
 				t.Fatal(err)
 			}
-			n := checkCrashImage(t, img, acked, answered, fmt.Sprintf("%s, tear %d", where, tear))
+			n := checkCrashImage(t, filepath.Join(img, rel), acked, answered, fmt.Sprintf("%s, tear %d", where, tear))
 			// With no journal entry in the image, no tear brings one.
 			if n < 0 {
 				return
