@@ -45,8 +45,9 @@ docs-check:
 
 # cluster-e2e reproduces the CI cluster job locally, step for step:
 # vet and convet over the cluster, the replicated ledger's
-# unit/placement/fleet tests, the exactly-once dispatch test repeated
-# 20 times, the dedup-waiter seam, and the real
+# unit/placement/fleet tests, the exactly-once dispatch, pre-vote,
+# boot-election, ledger-residency and empty-follower catch-up tests
+# repeated 20 times, the dedup-waiter seam, and the real
 # 5-process kill/failover e2e (SIGKILL the leader and a worker
 # mid-sweep; the merged NDJSON must be byte-identical to a
 # single-process run, and every surviving node must hold the same
@@ -55,7 +56,7 @@ cluster-e2e:
 	go vet ./internal/cluster/... ./cmd/conserve/...
 	go run ./cmd/convet ./internal/cluster/...
 	go test -race -count=1 -timeout 300s ./internal/cluster/...
-	go test -race -count=20 -timeout 300s -run 'DispatchExactlyOnce|PreVote|BootElection' ./internal/cluster/
+	go test -race -count=20 -timeout 300s -run 'DispatchExactlyOnce|PreVote|BootElection|Resident|CatchUp' ./internal/cluster/
 	go test -race -count=1 -run 'Remote' ./internal/service/...
 	go test -race -count=1 -timeout 300s -run 'ClusterKillFailover' ./cmd/conserve/
 

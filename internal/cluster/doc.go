@@ -19,14 +19,31 @@
 // silent for ElectionTicks ticks, or the candidate is that leader. Only
 // a pre-vote majority starts the real election, so an early or
 // cut-off candidate cannot depose a leader the fleet still hears. A
-// rejected append carries the follower's conflict hint, and the leader
-// jumps that peer's next index back to it. A record is durable once a
-// majority of the fleet holds it, and every replica applies committed
+// rejected append carries the follower's conflict hint, the first
+// index to send it next (never 0, even from an empty log), and the
+// leader jumps that peer's next index back to it. A record is durable
+// once a majority of the fleet holds it, and every replica applies committed
 // records in the same order through a deterministic state machine, so
 // all nodes converge on identical job states. Terms, votes and log
 // entries persist through the internal/durable journal (CRC-framed,
 // each record synced, valid-prefix replay), so a restarted node
 // rejoins with its promises intact.
+//
+// # Where a job's bytes live
+//
+// A journaled replica keeps each log entry's term and journal frame
+// offset in memory, and the entry's record only until it has applied
+// locally and, on the leader, every peer holds it; after that the
+// record is read back from its frame, checked against the slot's index
+// and term, whenever a lagging peer or a view needs it. The ledger
+// keeps a job's request and shard results only while a shard is
+// pending; a decided job keeps the log indexes of its submit and
+// winning shard_done records, and Job, Jobs and WaitAllDone read its
+// bytes back through the replica. A failed read fail-stops the replica,
+// as a failed write does. A replica without a journal keeps every
+// record in memory. What still grows with the number of jobs is the
+// per-job index (key, shard states, log indexes) and the journal
+// itself, which nothing compacts yet.
 //
 // # Dispatch contract
 //

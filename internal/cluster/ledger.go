@@ -87,6 +87,9 @@ type JobView struct {
 	// DoneShards counts shards in state done; the job is decided when
 	// it equals len(Shards).
 	DoneShards int `json:"done_shards"`
+	// Error says why a decided job's request and results could not be
+	// read back from the log (/cluster/jobs only; see Jobs).
+	Error string `json:"error,omitempty"`
 }
 
 type jobState struct {
@@ -94,7 +97,15 @@ type jobState struct {
 	request json.RawMessage
 	shards  []ShardState
 	done    int
+	// at holds the log indexes of the records the job's bytes came
+	// from: at[0] is the submit's, at[1+i] shard i's winning
+	// shard_done's. Once the job is decided, a ledger with a loader
+	// reads its bytes back from there.
+	at []uint64
 }
+
+// decided reports whether every shard of a job that has shards is done.
+func (j *jobState) decided() bool { return len(j.shards) > 0 && j.done == len(j.shards) }
 
 // Ledger is the replicated job ledger's state machine: the fold of the
 // committed log, identical on every replica because Apply is a pure
@@ -103,7 +114,16 @@ type jobState struct {
 // pending), completion (all shards done, which is the decision), and
 // the fleet-wide dedup and one-result-per-shard guarantees. Safe for
 // concurrent use.
+//
+// A ledger with a loader keeps a job's request and shard results in
+// memory only while the job has a pending shard. A decided job keeps
+// the log indexes of its submit and winning shard_done records, and
+// its views read the bytes back through the loader.
 type Ledger struct {
+	// load returns the record of an applied log entry (nil: every job
+	// keeps its bytes in memory). It is set at construction.
+	load func(index uint64) (LedgerRecord, error)
+
 	mu    sync.Mutex
 	jobs  map[string]*jobState
 	order []string // submission order, for deterministic scans
@@ -114,15 +134,21 @@ type Ledger struct {
 
 	requeues uint64 // failed dispatches behind applied shard_done records (metrics)
 	applied  uint64 // highest applied log index
+	resident int64  // request and result bytes the jobs hold in memory
 
 	// notify is closed and replaced on every applied record, waking
 	// WaitApplied and WaitAllDone pollers.
 	notify chan struct{}
 }
 
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{jobs: make(map[string]*jobState), notify: make(chan struct{})}
+// NewLedger returns an empty ledger that keeps every job's bytes in
+// memory.
+func NewLedger() *Ledger { return newLedger(nil) }
+
+// newLedger returns an empty ledger whose decided jobs read their
+// bytes back through load.
+func newLedger(load func(index uint64) (LedgerRecord, error)) *Ledger {
+	return &Ledger{load: load, jobs: make(map[string]*jobState), notify: make(chan struct{})}
 }
 
 // Apply folds one committed record into the state machine. It is
@@ -146,7 +172,9 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 		if j != nil {
 			return // cluster-wide dedup: first submission wins
 		}
-		j = &jobState{key: rec.Key, request: rec.Request}
+		j = &jobState{key: rec.Key, request: rec.Request, at: make([]uint64, 1+len(rec.Shards))}
+		j.at[0] = index
+		l.resident += int64(len(rec.Request))
 		for _, sr := range rec.Shards {
 			j.shards = append(j.shards, ShardState{Range: sr, Status: ShardPending})
 		}
@@ -164,11 +192,22 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 			return // first completion wins
 		}
 		s.Status, s.Worker, s.Result = ShardDone, rec.Worker, rec.Result
+		j.at[1+rec.Shard] = index
+		l.resident += int64(len(rec.Result))
 		l.requeues += uint64(max(rec.Attempt, 0))
 		j.done++
-		if j.done == len(j.shards) {
-			// The last shard decides the job: it leaves the active index.
+		if j.decided() {
+			// The last shard decides the job: it leaves the active index,
+			// and its bytes leave memory for the log.
 			l.active = slices.DeleteFunc(l.active, func(a *jobState) bool { return a == j })
+			if l.load != nil {
+				l.resident -= int64(len(j.request))
+				j.request = nil
+				for i := range j.shards {
+					l.resident -= int64(len(j.shards[i].Result))
+					j.shards[i].Result = nil
+				}
+			}
 		}
 	}
 }
@@ -186,17 +225,25 @@ func (l *Ledger) changed() <-chan struct{} {
 }
 
 // Job returns a deep-enough snapshot of one job's state (shard slice
-// copied; raw payloads shared read-only).
+// copied; raw payloads shared read-only). A decided job's bytes are
+// read back from the log; a failed read is a miss.
 func (l *Ledger) Job(key string) (JobView, bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.jobLocked(key)
+	v, at, ok := l.jobLocked(key)
+	l.mu.Unlock()
+	if !ok || l.fill(&v, at) != nil {
+		return JobView{}, false
+	}
+	return v, true
 }
 
-func (l *Ledger) jobLocked(key string) (JobView, bool) {
+// jobLocked snapshots key's job with the bytes it holds in memory, and
+// returns the log indexes to read the rest from (nil when it holds
+// them all; caller holds mu).
+func (l *Ledger) jobLocked(key string) (JobView, []uint64, bool) {
 	j, ok := l.jobs[key]
 	if !ok {
-		return JobView{}, false
+		return JobView{}, nil, false
 	}
 	v := JobView{
 		Key:        j.key,
@@ -204,21 +251,67 @@ func (l *Ledger) jobLocked(key string) (JobView, bool) {
 		Shards:     append([]ShardState(nil), j.shards...),
 		DoneShards: j.done,
 	}
-	return v, true
+	if l.load != nil && j.decided() {
+		return v, j.at, true
+	}
+	return v, nil, true
+}
+
+// fill reads v's request and shard results back from the log entries
+// at (see jobLocked), checking that each entry is the record it should
+// be. It runs without mu: a decided job's indexes never change.
+func (l *Ledger) fill(v *JobView, at []uint64) error {
+	for i, index := range at {
+		rec, err := l.load(index)
+		want := OpSubmit
+		if i > 0 {
+			want = OpShardDone
+		}
+		if err == nil && (rec.Op != want || rec.Key != v.Key || rec.Shard != max(i-1, 0)) {
+			err = fmt.Errorf("cluster: log entry %d is not a %s of job %s", index, want, v.Key)
+		}
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			v.Request = rec.Request
+		} else {
+			v.Shards[i-1].Result = rec.Result
+		}
+	}
+	return nil
 }
 
 // Jobs returns snapshots of every job, in submission order, for
-// /cluster/jobs. It copies the whole ledger; the leader's scans read
-// ActiveShards instead.
+// /cluster/jobs. It copies the whole ledger and reads every decided
+// job's bytes back from the log; the leader's scans read ActiveShards
+// instead. A job whose bytes could not be read back carries the
+// reason in Error.
 func (l *Ledger) Jobs() []JobView {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	views := make([]JobView, 0, len(l.order))
+	ats := make([][]uint64, 0, len(l.order))
 	for _, key := range l.order {
-		v, _ := l.jobLocked(key)
+		v, at, _ := l.jobLocked(key)
 		views = append(views, v)
+		ats = append(ats, at)
+	}
+	l.mu.Unlock()
+	for i := range views {
+		if err := l.fill(&views[i], ats[i]); err != nil {
+			views[i].Error = err.Error()
+		}
 	}
 	return views
+}
+
+// residentBytes returns the request and result bytes the ledger holds
+// in memory: those of the jobs with a pending shard, or of every job
+// without a loader.
+func (l *Ledger) residentBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.resident
 }
 
 // ActiveShards returns the pending shards of every job, in submission
@@ -279,18 +372,23 @@ func (l *Ledger) Requeues() uint64 {
 }
 
 // WaitAllDone blocks until every shard of key is done (returning the
-// job view) or ctx-style cancellation via done.
+// job view, its bytes read back from the log) or ctx-style
+// cancellation via done.
 func (l *Ledger) WaitAllDone(done <-chan struct{}, key string) (JobView, error) {
 	var v JobView
+	var at []uint64
 	if !l.wait(done, func() bool {
 		j, ok := l.jobs[key]
-		if !ok || len(j.shards) == 0 || j.done != len(j.shards) {
+		if !ok || !j.decided() {
 			return false
 		}
-		v, _ = l.jobLocked(key)
+		v, at, _ = l.jobLocked(key)
 		return true
 	}) {
 		return JobView{}, fmt.Errorf("cluster: wait for job %s cancelled", key)
+	}
+	if err := l.fill(&v, at); err != nil {
+		return JobView{}, err
 	}
 	return v, nil
 }

@@ -104,10 +104,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		cfg:      cfg,
-		ledger:   NewLedger(),
 		inflight: make(map[ShardRef]bool),
 		closed:   make(chan struct{}),
 	}
+	n.cfg.Records = nil // the replica folds them into its log
+	// A decided job's bytes are read back from the replica: from its
+	// journal once it has released them, from memory until then or
+	// without a journal. Only views load, and none runs before
+	// n.replica is set.
+	n.ledger = newLedger(func(index uint64) (LedgerRecord, error) { return n.replica.record(index) })
 	isCoord := make(map[string]bool, len(cfg.Coordinators))
 	for _, c := range cfg.Coordinators {
 		if cfg.Peers[c] == "" {
@@ -396,16 +401,26 @@ type NodeMetrics struct {
 	// shards are all done in this node's ledger
 	// (conserve_peer_cache_hits_total).
 	PeerCacheHits uint64
+	// LedgerEntries is the length of this node's replicated log
+	// (conserve_ledger_entries).
+	LedgerEntries uint64
+	// LedgerResidentBytes is the request and result bytes the ledger
+	// holds in memory: the records of log entries not yet released to
+	// the journal, and the payloads of jobs with a pending shard; a
+	// payload held by both counts twice (conserve_ledger_resident_bytes).
+	LedgerResidentBytes int64
 }
 
 // Metrics returns current cluster counters.
 func (n *Node) Metrics() NodeMetrics {
 	st := n.replica.Status()
 	return NodeMetrics{
-		Leader:        st.IsLeader,
-		Term:          st.Term,
-		Requeues:      n.ledger.Requeues(),
-		PeerCacheHits: n.peerCacheHits.Load(),
+		Leader:              st.IsLeader,
+		Term:                st.Term,
+		Requeues:            n.ledger.Requeues(),
+		PeerCacheHits:       n.peerCacheHits.Load(),
+		LedgerEntries:       st.LastIndex,
+		LedgerResidentBytes: n.replica.residentBytes() + n.ledger.residentBytes(),
 	}
 }
 
@@ -421,4 +436,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	service.WriteMetric(w, "conserve_cluster_term", "gauge", "This node's current ledger term.", m.Term)
 	service.WriteMetric(w, "conserve_shard_requeues_total", "counter", "Failed shard dispatches (worker error or timeout) behind applied shard results.", m.Requeues)
 	service.WriteMetric(w, "conserve_peer_cache_hits_total", "counter", "Requests answered from a job whose shards are all done in this node's replicated ledger.", m.PeerCacheHits)
+	service.WriteMetric(w, "conserve_ledger_entries", "gauge", "Entries in this node's replicated ledger log.", m.LedgerEntries)
+	service.WriteMetric(w, "conserve_ledger_resident_bytes", "gauge", "Request and result bytes the ledger holds in memory: unreleased log records plus jobs with a pending shard.", m.LedgerResidentBytes)
 }

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -631,5 +633,67 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 	}
 	if tc.follower().Ledger().Requeues() == 0 {
 		t.Fatal("dead worker's shard was never requeued")
+	}
+}
+
+// TestNodeLedgerResidentMetrics: once a job is decided and every
+// replica holds and has applied the whole log, the ledger gauges of a
+// journaled fleet read the log's length and 0 resident bytes on every
+// node: the job's bytes live in the journals only. A fleet without
+// journals keeps them in memory, so its gauge stays above 0.
+func TestNodeLedgerResidentMetrics(t *testing.T) {
+	for _, journaled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			dir := ""
+			if journaled {
+				dir = t.TempDir()
+			}
+			tc := newTestCluster(t, dir)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			req := service.Request{Protocol: "3-majority", N: 1000, K: 8, Seed: 11, Trials: 3}
+			if _, err := tc.nodes["c1"].Run(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+			gauge := func(n *Node, name string) int64 {
+				var buf bytes.Buffer
+				n.WriteMetrics(&buf)
+				for _, line := range strings.Split(buf.String(), "\n") {
+					if v, ok := strings.CutPrefix(line, name+" "); ok {
+						x, err := strconv.ParseInt(v, 10, 64)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return x
+					}
+				}
+				t.Fatalf("no %s line", name)
+				return 0
+			}
+			waitFor(t, 10*time.Second, "every node to apply the whole log", func() bool {
+				var last uint64
+				for _, n := range tc.nodes {
+					if st := n.Replica().Status(); st.IsLeader {
+						last = st.LastIndex
+					}
+				}
+				for _, n := range tc.nodes {
+					st := n.Replica().Status()
+					if last == 0 || st.Applied != last || (journaled && gauge(n, "conserve_ledger_resident_bytes") != 0) {
+						return false
+					}
+				}
+				return true
+			})
+			for id, n := range tc.nodes {
+				entries, resident := gauge(n, "conserve_ledger_entries"), gauge(n, "conserve_ledger_resident_bytes")
+				if entries != int64(n.Replica().Status().LastIndex) || entries < 3 {
+					t.Errorf("%s: conserve_ledger_entries %d, log holds %d", id, entries, n.Replica().Status().LastIndex)
+				}
+				if !journaled && resident <= 0 {
+					t.Errorf("%s: conserve_ledger_resident_bytes %d without a journal, want the job's bytes", id, resident)
+				}
+			}
+		})
 	}
 }

@@ -57,9 +57,9 @@ type AppendRequest struct {
 }
 
 // AppendResponse acknowledges replication up to MatchIndex. A
-// rejection carries Hint, the last index at which the follower's log
-// may still match the leader's (see conflictHintLocked); zero, as an
-// older follower sends, means no hint.
+// rejection carries Hint, the first index the leader should send the
+// follower next (see conflictHintLocked). A real hint is at least 1;
+// zero, as an older follower sends for an empty log, means no hint.
 type AppendResponse struct {
 	Term       uint64 `json:"term"`
 	Success    bool   `json:"success"`
@@ -77,8 +77,11 @@ type Transport interface {
 
 // Journal record ops for replica persistence, layered on the
 // internal/durable journal (CRC-framed appends, valid-prefix replay).
-// The replica syncs each record as it appends it. The ledger needs no
-// snapshotting at this scale: restart replays the log and refolds the
+// The replica syncs each record as it appends it. The journal is also
+// where an entry's record lives once no one needs it in memory: the
+// log keeps each entry's term and frame offset, and reads a released
+// record back from its frame (see releaseLocked). Nothing compacts
+// the journal yet: restart replays the whole log and refolds the
 // state machine.
 const (
 	// opClusterTerm persists a term/vote change — the double-vote
@@ -110,10 +113,14 @@ type ReplicaConfig struct {
 	Candidates []string
 	// Transport reaches the other replicas.
 	Transport Transport
-	// Journal, when non-nil, persists terms, votes and entries; pass
-	// the records OpenJournal replayed in Records to recover state.
+	// Journal, when non-nil, persists terms, votes and entries, and
+	// holds the records of entries the replica has released from
+	// memory; pass the records OpenJournal replayed in Records to
+	// recover state. Without a journal every record stays in memory.
 	Journal *durable.Journal
-	// Records are the replayed journal records (nil on first boot).
+	// Records are the replayed journal records (nil on first boot),
+	// with the frame offsets OpenJournal set. NewReplica folds them
+	// into its log and does not keep them.
 	Records []durable.Record
 	// Heartbeat is the tick interval: leaders broadcast every tick,
 	// non-leaders count ticks toward an election (default 150ms).
@@ -148,12 +155,18 @@ type Replica struct {
 	mu       sync.Mutex
 	term     uint64
 	votedFor string
-	log      []Entry // log[i] has Index i+1
+	log      []slot // log[i] holds the entry with Index i+1
 	commit   uint64
 	applied  uint64
 	role     int
 	leader   string // leader known for the current term ("" if none)
-	failed   bool   // a journal append failed: fail-stopped for good
+	failed   bool   // a journal append or read failed: fail-stopped for good
+	// released is the highest index up to which every entry's record
+	// has left memory (see releaseLocked).
+	released uint64
+	// resident counts the request and result bytes of the records the
+	// log holds in memory.
+	resident int64
 
 	// Leader bookkeeping, rebuilt on each election win.
 	nextIndex  map[string]uint64
@@ -167,6 +180,18 @@ type Replica struct {
 	closed    chan struct{}
 	wg        sync.WaitGroup
 }
+
+// slot is one log entry as the replica holds it: its term, the offset
+// of its journal frame, and its record while the record is resident
+// (nil once released).
+type slot struct {
+	term uint64
+	off  int64
+	rec  *LedgerRecord
+}
+
+// payloadBytes is the request and result bytes rec carries.
+func payloadBytes(rec LedgerRecord) int64 { return int64(len(rec.Request) + len(rec.Result)) }
 
 // NewReplica builds the replica, recovers persisted state from
 // cfg.Records, and starts its ticker and apply loops.
@@ -188,6 +213,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		closed:   make(chan struct{}),
 	}
 	r.recover(cfg.Records)
+	r.cfg.Records = nil
 	// Boot tick advance: the same constant comes off every replica, so
 	// coordinators keep their campaign order and workers their
 	// fallbackCandidateSlack.
@@ -210,12 +236,12 @@ func (r *Replica) recover(records []durable.Record) {
 		case opClusterEntry:
 			var e Entry
 			if json.Unmarshal(rec.State, &e) == nil && e.Index == uint64(len(r.log))+1 {
-				r.log = append(r.log, e)
+				r.appendLocked(e, rec.Offset)
 			}
 		case opClusterTruncate:
 			var tr truncateRecord
 			if json.Unmarshal(rec.State, &tr) == nil && tr.Index >= 1 && tr.Index <= uint64(len(r.log)) {
-				r.log = r.log[:tr.Index-1]
+				r.truncateLocked(tr.Index)
 			}
 		}
 	}
@@ -237,37 +263,144 @@ func (r *Replica) Close() {
 // its error fail-stops the replica (see fail).
 func (r *Replica) persistTerm() error {
 	data, _ := json.Marshal(termRecord{Term: r.term, VotedFor: r.votedFor})
-	return r.persist(durable.Record{Op: opClusterTerm, State: data})
+	_, err := r.persist(durable.Record{Op: opClusterTerm, State: data})
+	return err
 }
 
-func (r *Replica) persistEntry(e Entry) error {
+// persistEntry journals e and returns its frame offset.
+func (r *Replica) persistEntry(e Entry) (int64, error) {
 	data, _ := json.Marshal(e)
 	return r.persist(durable.Record{Op: opClusterEntry, Key: e.Rec.Key, State: data})
 }
 
 func (r *Replica) persistTruncate(index uint64) error {
 	data, _ := json.Marshal(truncateRecord{Index: index})
-	return r.persist(durable.Record{Op: opClusterTruncate, State: data})
+	_, err := r.persist(durable.Record{Op: opClusterTruncate, State: data})
+	return err
 }
 
 // persist appends rec and syncs it: one fsync per record (caller
-// holds mu).
-func (r *Replica) persist(rec durable.Record) error {
+// holds mu). It returns the record's frame offset.
+func (r *Replica) persist(rec durable.Record) (int64, error) {
 	if r.cfg.Journal == nil {
-		return nil
+		return 0, nil
 	}
-	err := r.cfg.Journal.Append(rec)
+	off, err := r.cfg.Journal.AppendOffset(rec)
 	if err == nil {
 		err = r.cfg.Journal.Sync()
 	}
-	return r.fail(err)
+	return off, r.fail(err)
+}
+
+// appendLocked adds e, whose journal frame starts at off, to the end
+// of the log, its record resident (caller holds mu).
+func (r *Replica) appendLocked(e Entry, off int64) {
+	rec := e.Rec
+	r.log = append(r.log, slot{term: e.Term, off: off, rec: &rec})
+	r.resident += payloadBytes(rec)
+}
+
+// truncateLocked discards every entry with Index >= index (caller
+// holds mu). Only uncommitted entries are ever truncated, so none of
+// them has been released.
+func (r *Replica) truncateLocked(index uint64) {
+	for _, s := range r.log[index-1:] {
+		if s.rec != nil {
+			r.resident -= payloadBytes(*s.rec)
+		}
+	}
+	clear(r.log[index-1:])
+	r.log = r.log[:index-1]
+}
+
+// releaseLocked drops from memory the records no one needs there any
+// more (caller holds mu): those that have applied here and, while this
+// replica leads, that every peer holds, so an append to a live peer
+// never reads one back. A peer that is down keeps the leader's tail
+// resident. A replica without a journal has nowhere to read a record
+// back from, so it keeps every record.
+func (r *Replica) releaseLocked() {
+	if r.cfg.Journal == nil {
+		return
+	}
+	upTo := r.applied
+	if r.role == roleLeader {
+		for _, p := range r.cfg.Peers {
+			if p != r.cfg.ID {
+				upTo = min(upTo, r.matchIndex[p])
+			}
+		}
+	}
+	for ; r.released < upTo; r.released++ {
+		s := &r.log[r.released]
+		if s.rec != nil {
+			r.resident -= payloadBytes(*s.rec)
+			s.rec = nil
+		}
+	}
+}
+
+// entryLocked returns the entry at index, reading a released record
+// back from the journal (caller holds mu). A failed read fail-stops
+// the replica.
+func (r *Replica) entryLocked(index uint64) (Entry, error) {
+	s := r.log[index-1]
+	if s.rec != nil {
+		return Entry{Index: index, Term: s.term, Rec: *s.rec}, nil
+	}
+	e, err := r.readEntry(index, s)
+	return e, r.fail(err)
+}
+
+// readEntry reads the released entry at index back from s's journal
+// frame, checking that the frame holds that index and term. It needs
+// no lock: a released entry has committed, so its slot never changes.
+func (r *Replica) readEntry(index uint64, s slot) (Entry, error) {
+	var e Entry
+	rec, err := r.cfg.Journal.ReadRecord(s.off)
+	if err == nil && (rec.Op != opClusterEntry || json.Unmarshal(rec.State, &e) != nil || e.Index != index || e.Term != s.term) {
+		err = fmt.Errorf("cluster: journal frame at offset %d is not log entry %d of term %d", s.off, index, s.term)
+	}
+	return e, err
+}
+
+// record returns the record of the applied entry at index: the
+// ledger's loader for the bytes of decided jobs. A released record is
+// read back from the journal outside mu; a failed read fail-stops the
+// replica.
+func (r *Replica) record(index uint64) (LedgerRecord, error) {
+	r.mu.Lock()
+	if index == 0 || index > r.applied {
+		r.mu.Unlock()
+		return LedgerRecord{}, fmt.Errorf("cluster: log entry %d has not applied", index)
+	}
+	s := r.log[index-1]
+	r.mu.Unlock()
+	if s.rec != nil {
+		return *s.rec, nil
+	}
+	e, err := r.readEntry(index, s)
+	if err != nil {
+		r.mu.Lock()
+		r.fail(err)
+		r.mu.Unlock()
+	}
+	return e.Rec, err
+}
+
+// residentBytes returns the request and result bytes of the records
+// the log holds in memory.
+func (r *Replica) residentBytes() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.resident
 }
 
 // errFailStopped is returned by every RPC handler and Propose once a
-// journal append has failed.
+// journal append or read has failed.
 var errFailStopped = errors.New("cluster: replica fail-stopped after a journal error")
 
-// fail fail-stops the replica on a persist error (caller holds mu) and
+// fail fail-stops the replica on a journal error (caller holds mu) and
 // returns err. A vote or ack whose record may not be on disk must never
 // be sent: after a crash the replica would forget it and could vote
 // twice in a term or lose an entry it acknowledged. So the replica
@@ -292,7 +425,7 @@ func (r *Replica) termAtLocked(index uint64) uint64 {
 	if index == 0 || index > uint64(len(r.log)) {
 		return 0
 	}
-	return r.log[index-1].Term
+	return r.log[index-1].term
 }
 
 func (r *Replica) wakeLocked() {
@@ -507,10 +640,11 @@ func (r *Replica) becomeLeaderLocked() error {
 		r.matchIndex[p] = 0
 	}
 	e := Entry{Index: r.lastIndexLocked() + 1, Term: r.term, Rec: LedgerRecord{Op: "noop"}}
-	if err := r.persistEntry(e); err != nil {
+	off, err := r.persistEntry(e)
+	if err != nil {
 		return err
 	}
-	r.log = append(r.log, e)
+	r.appendLocked(e, off)
 	r.advanceCommitLocked() // a one-replica fleet commits on its own copy
 	r.wakeLocked()
 	return nil
@@ -547,9 +681,15 @@ func (r *Replica) broadcast() {
 	}
 	var outs []out
 	for _, p := range r.cfg.Peers {
-		if p != r.cfg.ID {
-			outs = append(outs, out{peer: p, req: r.appendRequestLocked(p)})
+		if p == r.cfg.ID {
+			continue
 		}
+		req, err := r.appendRequestLocked(p)
+		if err != nil { // a failed journal read: fail-stopped
+			r.mu.Unlock()
+			return
+		}
+		outs = append(outs, out{peer: p, req: req})
 	}
 	r.mu.Unlock()
 
@@ -567,8 +707,9 @@ func (r *Replica) broadcast() {
 }
 
 // appendRequestLocked builds peer's append: every entry from its
-// nextIndex on (caller holds mu and leads).
-func (r *Replica) appendRequestLocked(peer string) AppendRequest {
+// nextIndex on, released records read back from the journal (caller
+// holds mu and leads).
+func (r *Replica) appendRequestLocked(peer string) (AppendRequest, error) {
 	next := max(r.nextIndex[peer], 1)
 	req := AppendRequest{
 		Term:      r.term,
@@ -578,15 +719,24 @@ func (r *Replica) appendRequestLocked(peer string) AppendRequest {
 		Commit:    r.commit,
 	}
 	if last := r.lastIndexLocked(); next <= last {
-		req.Entries = append([]Entry(nil), r.log[next-1:last]...)
+		req.Entries = make([]Entry, 0, last-next+1)
+		for i := next; i <= last; i++ {
+			e, err := r.entryLocked(i)
+			if err != nil {
+				return AppendRequest{}, err
+			}
+			req.Entries = append(req.Entries, e)
+		}
 	}
-	return req
+	return req, nil
 }
 
 // onAppendResponse folds peer's answer to req into the leader's
-// replication state. A rejection moves nextIndex back to
-// min(req's nextIndex − 1, hint + 1) (Raft §5.3), or by one entry
-// without a hint, but never onto an index the peer has acknowledged.
+// replication state. A success may release the records every peer now
+// holds. A rejection moves nextIndex back to min(req's nextIndex − 1,
+// hint) (Raft §5.3), or by one entry without a hint. Without a hint it
+// never moves onto an index the peer has acknowledged; a hint below
+// that lowers the peer's match index to just before it.
 func (r *Replica) onAppendResponse(peer string, req AppendRequest, resp AppendResponse) {
 	if resp.Term > req.Term {
 		r.stepDown(resp.Term)
@@ -602,12 +752,19 @@ func (r *Replica) onAppendResponse(peer string, req AppendRequest, resp AppendRe
 			r.matchIndex[peer] = resp.MatchIndex
 			r.nextIndex[peer] = resp.MatchIndex + 1
 			r.advanceCommitLocked()
+			r.releaseLocked()
 		}
 		return
 	}
 	back := req.PrevIndex
 	if resp.Hint > 0 {
-		back = min(back, resp.Hint+1)
+		back = min(back, resp.Hint)
+		// A hint at or below what the peer acknowledged means it no
+		// longer holds those entries (it restarted without a journal),
+		// or the rejection is stale. Either way counting the peer from
+		// the hint is safe: commit never moves back, and a stale
+		// rejection costs one resend.
+		r.matchIndex[peer] = min(r.matchIndex[peer], back-1)
 	}
 	r.nextIndex[peer] = max(min(r.nextIndex[peer], back), r.matchIndex[peer]+1)
 }
@@ -639,7 +796,8 @@ func (r *Replica) advanceCommitLocked() {
 	}
 }
 
-// applyLoop feeds committed entries to cfg.Apply in index order.
+// applyLoop feeds committed entries to cfg.Apply in index order. Once
+// an entry is handed to Apply its record may leave memory.
 func (r *Replica) applyLoop() {
 	defer r.wg.Done()
 	for {
@@ -654,8 +812,13 @@ func (r *Replica) applyLoop() {
 				r.mu.Unlock()
 				break
 			}
+			e, err := r.entryLocked(r.applied + 1)
+			if err != nil { // a failed journal read: fail-stopped
+				r.mu.Unlock()
+				return
+			}
 			r.applied++
-			e := r.log[r.applied-1]
+			r.releaseLocked()
 			r.mu.Unlock()
 			if r.cfg.Apply != nil {
 				r.cfg.Apply(e.Index, e.Rec)
@@ -761,12 +924,13 @@ func (r *Replica) HandleAppend(req AppendRequest) (AppendResponse, error) {
 			if err := r.persistTruncate(e.Index); err != nil {
 				return AppendResponse{}, err
 			}
-			r.log = r.log[:e.Index-1]
+			r.truncateLocked(e.Index)
 		}
-		if err := r.persistEntry(e); err != nil {
+		off, err := r.persistEntry(e)
+		if err != nil {
 			return AppendResponse{}, err
 		}
-		r.log = append(r.log, e)
+		r.appendLocked(e, off)
 	}
 	match := req.PrevIndex + uint64(len(req.Entries))
 	if req.Commit > r.commit {
@@ -786,21 +950,21 @@ func (r *Replica) HandleAppend(req AppendRequest) (AppendResponse, error) {
 	return AppendResponse{Term: r.term, Success: true, MatchIndex: match}, nil
 }
 
-// conflictHintLocked is the last index at which this log may still
-// match the log of a leader whose append at prevIndex it rejects
-// (caller holds mu): its last index when prevIndex lies beyond it, and
-// otherwise the index before the first entry of the conflicting term,
-// so one rejection skips a whole divergent term.
+// conflictHintLocked is the first index a leader whose append at
+// prevIndex this log rejects should send next (caller holds mu): the
+// index after its last when prevIndex lies beyond it, and otherwise the
+// first index of the conflicting term, so one rejection skips a whole
+// divergent term. It is never 0, so an empty log still gives a hint.
 func (r *Replica) conflictHintLocked(prevIndex uint64) uint64 {
 	if prevIndex > r.lastIndexLocked() {
-		return r.lastIndexLocked()
+		return r.lastIndexLocked() + 1
 	}
 	conflict := r.termAtLocked(prevIndex)
-	hint := prevIndex - 1
-	for hint > 0 && r.termAtLocked(hint) == conflict {
-		hint--
+	first := prevIndex
+	for first > 1 && r.termAtLocked(first-1) == conflict {
+		first--
 	}
-	return hint
+	return first
 }
 
 // Propose appends a record to the log if this replica currently leads.
@@ -819,11 +983,12 @@ func (r *Replica) Propose(rec LedgerRecord) (uint64, uint64, error) {
 		return 0, 0, ErrNotLeader
 	}
 	e := Entry{Index: r.lastIndexLocked() + 1, Term: r.term, Rec: rec}
-	if err := r.persistEntry(e); err != nil {
+	off, err := r.persistEntry(e)
+	if err != nil {
 		r.mu.Unlock()
 		return 0, 0, err
 	}
-	r.log = append(r.log, e)
+	r.appendLocked(e, off)
 	r.advanceCommitLocked()
 	r.mu.Unlock()
 	r.broadcast()

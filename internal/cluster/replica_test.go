@@ -13,20 +13,31 @@ import (
 	"time"
 
 	"plurality/internal/durable"
+	"plurality/internal/service"
 )
 
 // memTransport wires replicas together in-process, with a down set to
 // simulate killed or partitioned nodes, and a deaf set of nodes that
-// nothing reaches while their own requests still go out.
+// nothing reaches while their own requests still go out. It counts the
+// appends each node rejects.
 type memTransport struct {
 	mu       sync.Mutex
 	replicas map[string]*Replica
 	down     map[string]bool
 	deaf     map[string]bool
+	rejected map[string]int
 }
 
 func newMemTransport() *memTransport {
-	return &memTransport{replicas: make(map[string]*Replica), down: make(map[string]bool), deaf: make(map[string]bool)}
+	return &memTransport{replicas: make(map[string]*Replica), down: make(map[string]bool),
+		deaf: make(map[string]bool), rejected: make(map[string]int)}
+}
+
+// rejects returns how many appends id has rejected.
+func (m *memTransport) rejects(id string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.rejected[id]
 }
 
 func (m *memTransport) register(id string, r *Replica) {
@@ -80,7 +91,13 @@ func (p *peerTransport) Append(ctx context.Context, peer string, req AppendReque
 	if err != nil {
 		return AppendResponse{}, err
 	}
-	return r.HandleAppend(req)
+	resp, err := r.HandleAppend(req)
+	if err == nil && !resp.Success {
+		p.m.mu.Lock()
+		p.m.rejected[peer]++
+		p.m.mu.Unlock()
+	}
+	return resp, err
 }
 
 // applyLog collects each replica's applied sequence for convergence
@@ -110,6 +127,7 @@ type testFleet struct {
 	transport     *memTransport
 	replicas      map[string]*Replica
 	applied       map[string]*applyLog
+	ledgers       map[string]*Ledger // each replica's, reading decided jobs back through it
 	journals      map[string]*durable.Journal
 
 	logMu sync.Mutex
@@ -133,6 +151,7 @@ func startFleet(t *testing.T, ids, candidates []string, journalDir string, heart
 		transport:     newMemTransport(),
 		replicas:      make(map[string]*Replica),
 		applied:       make(map[string]*applyLog),
+		ledgers:       make(map[string]*Ledger),
 		journals:      make(map[string]*durable.Journal),
 	}
 	for _, id := range f.ids {
@@ -192,7 +211,10 @@ func (f *testFleet) start(t *testing.T, id, journalDir string) {
 	al := &applyLog{}
 	f.applied[id] = al
 	f.journals[id] = j
-	r := NewReplica(ReplicaConfig{
+	var r *Replica
+	l := newLedger(func(index uint64) (LedgerRecord, error) { return r.record(index) })
+	f.ledgers[id] = l
+	r = NewReplica(ReplicaConfig{
 		ID:            id,
 		Peers:         f.ids,
 		Candidates:    f.candidates,
@@ -201,8 +223,11 @@ func (f *testFleet) start(t *testing.T, id, journalDir string) {
 		Records:       recs,
 		Heartbeat:     f.heartbeat,
 		ElectionTicks: f.electionTicks,
-		Apply:         al.apply,
-		Logf:          f.logf,
+		Apply: func(index uint64, rec LedgerRecord) {
+			al.apply(index, rec)
+			l.Apply(index, rec)
+		},
+		Logf: f.logf,
 	})
 	f.replicas[id] = r
 	f.transport.register(id, r)
@@ -788,9 +813,9 @@ func TestReplicaPreVoteRestartedCoordinator(t *testing.T) {
 
 // TestReplicaConflictHint: a rejected append carries the follower's
 // hint, and the leader jumps nextIndex back to it, so a follower many
-// entries behind, or holding a long divergent tail, catches up after at
-// most 2 rejected appends. Without a hint the leader backs off one
-// entry.
+// entries behind, with an empty log, or holding a long divergent tail,
+// catches up after at most 2 rejected appends. Without a hint the
+// leader backs off one entry.
 func TestReplicaConflictHint(t *testing.T) {
 	terms := func(runs ...uint64) []uint64 { // (term, count) pairs
 		var out []uint64
@@ -822,6 +847,7 @@ func TestReplicaConflictHint(t *testing.T) {
 		followTerm  uint64
 	}{
 		{"behind", terms(1, 3), 1},
+		{"empty", nil, 0},
 		{"divergent", terms(1, 5, 2, 20), 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -834,8 +860,11 @@ func TestReplicaConflictHint(t *testing.T) {
 			l.mu.Unlock()
 			for rejected := 0; ; rejected++ {
 				l.mu.Lock()
-				req := l.appendRequestLocked("f")
+				req, err := l.appendRequestLocked("f")
 				l.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
 				resp, err := l.cfg.Transport.Append(context.Background(), "f", req)
 				if err != nil {
 					t.Fatal(err)
@@ -848,12 +877,8 @@ func TestReplicaConflictHint(t *testing.T) {
 					t.Fatalf("a third append was rejected (prev index %d, hint %d)", req.PrevIndex, resp.Hint)
 				}
 			}
-			l.mu.Lock()
-			want, _ := json.Marshal(l.log)
-			l.mu.Unlock()
-			f.mu.Lock()
-			got, _ := json.Marshal(f.log)
-			f.mu.Unlock()
+			want, _ := json.Marshal(logEntries(t, l))
+			got, _ := json.Marshal(logEntries(t, f))
 			if string(got) != string(want) {
 				t.Fatalf("follower log %s, want the leader's %s", got, want)
 			}
@@ -865,8 +890,11 @@ func TestReplicaConflictHint(t *testing.T) {
 		if err := l.becomeLeaderLocked(); err != nil {
 			t.Fatal(err)
 		}
-		req := l.appendRequestLocked("f")
+		req, err := l.appendRequestLocked("f")
 		l.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
 		l.onAppendResponse("f", req, AppendResponse{Term: 3})
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -874,4 +902,164 @@ func TestReplicaConflictHint(t *testing.T) {
 			t.Fatalf("nextIndex %d after a rejection without a hint, want %d", got, req.PrevIndex)
 		}
 	})
+}
+
+// logEntries returns r's whole log, released records read back from
+// its journal.
+func logEntries(t *testing.T, r *Replica) []Entry {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []Entry
+	for i := uint64(1); i <= r.lastIndexLocked(); i++ {
+		e, err := r.entryLocked(i)
+		if err != nil {
+			t.Fatalf("%s: entry %d: %v", r.cfg.ID, i, err)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestReplicaResidentPayloads: a journaled 3-replica fleet decides 200
+// jobs and leaves 4 with a shard pending. Once every replica has
+// applied the log, and the leader has seen every peer hold it, each
+// replica keeps in memory only the pending jobs' payloads: no log
+// record and no decided job's bytes. Every replica's Lookup of a
+// decided key still returns the bytes of service.ExecuteParallel, read
+// back from its own journal.
+func TestReplicaResidentPayloads(t *testing.T) {
+	ids := []string{"c1", "w1", "w2"}
+	f := startFleet(t, ids, ids[:1], t.TempDir(), 5*time.Millisecond, 4)
+	defer f.close()
+	waitFor(t, 5*time.Second, "a leader", func() bool { return f.leader() != nil })
+	lead := f.leader()
+
+	const decided, pending = 200, 4
+	var keys []string
+	want := map[string]string{}
+	var last uint64
+	pendingBytes := int64(0)
+	for i := 0; i < decided+pending; i++ {
+		q := service.Request{Protocol: "3-majority", N: 200, K: 4, Seed: uint64(i + 1), Trials: 2}.Normalize()
+		key := q.Key()
+		reqJSON, _ := json.Marshal(q)
+		recs := []LedgerRecord{{Op: OpSubmit, Key: key, Request: reqJSON, Shards: PlanShards(q.Trials, 2)}}
+		for s, sr := range recs[0].Shards {
+			res, err := service.ExecuteShard(context.Background(), q, 1, sr.Lo, sr.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := json.Marshal(res)
+			recs = append(recs, LedgerRecord{Op: OpShardDone, Key: key, Shard: s, Worker: "w1", Result: b})
+		}
+		if i >= decided { // the last shard stays pending
+			recs = recs[:len(recs)-1]
+			for _, rec := range recs {
+				pendingBytes += payloadBytes(rec)
+			}
+		} else {
+			resp, err := service.ExecuteParallel(q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := json.Marshal(resp)
+			want[key] = string(b)
+		}
+		keys = append(keys, key)
+		for _, rec := range recs {
+			idx, _, err := lead.Propose(rec)
+			if err != nil {
+				t.Fatalf("propose %s of job %d: %v", rec.Op, i, err)
+			}
+			last = idx
+		}
+	}
+	waitFor(t, 20*time.Second, "every replica to apply and release the log", func() bool {
+		for _, id := range ids {
+			if r := f.replicas[id]; r.Status().Applied < last || r.residentBytes() != 0 {
+				return false
+			}
+		}
+		return true
+	})
+
+	ctx := context.Background()
+	for _, id := range ids {
+		r, l := f.replicas[id], f.ledgers[id]
+		r.mu.Lock()
+		for i, s := range r.log {
+			if s.rec != nil {
+				t.Errorf("%s: applied entry %d still holds its record", id, i+1)
+			}
+		}
+		r.mu.Unlock()
+		if got := l.residentBytes(); got != pendingBytes {
+			t.Errorf("%s: ledger holds %d payload bytes, want the pending jobs' %d", id, got, pendingBytes)
+		}
+		l.mu.Lock()
+		for _, key := range keys {
+			j := l.jobs[key]
+			inMemory := j.request != nil || j.shards[0].Result != nil
+			if isPending := want[key] == ""; inMemory != isPending || j.decided() == isPending {
+				t.Errorf("%s: job %s (pending %v) holds its bytes in memory: %v", id, key[:8], isPending, inMemory)
+			}
+		}
+		l.mu.Unlock()
+		n := &Node{cfg: NodeConfig{Logf: t.Logf}, ledger: l}
+		for _, key := range keys {
+			got, ok := n.Lookup(ctx, key)
+			if want[key] == "" {
+				if ok {
+					t.Errorf("%s: pending job %s answered", id, key[:8])
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("%s: decided job %s missed", id, key[:8])
+			}
+			if b, _ := json.Marshal(got); string(b) != want[key] {
+				t.Fatalf("%s: job %s read back to different bytes:\n%s\n%s", id, key[:8], b, want[key])
+			}
+		}
+	}
+}
+
+// TestReplicaCatchUpFromJournal: a worker restarted without a journal
+// comes back with an empty log, while the leader holds every record in
+// its journal only. The empty log's rejection hints index 1, so after
+// at most 2 rejected appends the leader sends the whole log, read back
+// from its journal, and the worker applies the records the fleet did.
+func TestReplicaCatchUpFromJournal(t *testing.T) {
+	dir := t.TempDir()
+	ids := []string{"c1", "w1", "w2"}
+	f := startFleet(t, ids, ids[:1], dir, 5*time.Millisecond, 4)
+	defer f.close()
+	for i := 0; i < 40; i++ {
+		propose(t, f, LedgerRecord{Op: OpSubmit, Key: fmt.Sprintf("j%d", i),
+			Request: json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i)), Shards: []ShardRange{{0, 1}}})
+	}
+	lead := f.leader()
+	waitFor(t, 10*time.Second, "the leader to release every record", func() bool {
+		st := lead.Status()
+		return st.IsLeader && st.Applied == st.LastIndex && lead.residentBytes() == 0
+	})
+	want, _ := json.Marshal(nonNoop(f.applied[lead.cfg.ID].snapshot()))
+
+	worker := "w2"
+	if lead.cfg.ID == worker {
+		worker = "w1"
+	}
+	f.transport.setDown(worker, true)
+	f.replicas[worker].Close()
+	f.journals[worker].Close()
+	before := f.transport.rejects(worker)
+	f.start(t, worker, "") // no journal: an empty log
+	waitFor(t, 10*time.Second, "the restarted worker to apply the log", func() bool {
+		got, _ := json.Marshal(nonNoop(f.applied[worker].snapshot()))
+		return string(got) == string(want)
+	})
+	if n := f.transport.rejects(worker) - before; n > 2 {
+		t.Fatalf("the empty follower rejected %d appends before catching up, want at most 2", n)
+	}
 }

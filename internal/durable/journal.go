@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Journal record operations, in job-lifecycle order.
@@ -52,6 +53,9 @@ type Record struct {
 	Error string `json:"error,omitempty"`
 	// Result is the finished job's result JSON (OpCompleted).
 	Result json.RawMessage `json:"result,omitempty"`
+	// Offset is where the record's frame starts in its journal, set by
+	// OpenJournal and ReadRecord; it is not part of the record.
+	Offset int64 `json:"-"`
 }
 
 // journalHeader identifies (and versions) the journal file format.
@@ -95,12 +99,13 @@ type Journal struct {
 	size int64
 	// syncedTo is the prefix length the last successful fsync covered.
 	syncedTo int64
+	// readable bounds readPayload, which reads without mu: the valid
+	// prefix replayed at open, then the prefix each Sync covers.
+	readable atomic.Int64
 	// dirSynced is set once a Sync has also fsynced the journal's
 	// directory, making the file's own entry durable, and the parent of
-	// each directory in newDirs.
+	// each directory newDirs held on its path.
 	dirSynced bool
-	// newDirs are the directories the first append created.
-	newDirs []string
 	// err is the sticky fsync failure.
 	err error
 	// closed is set by Close.
@@ -129,11 +134,12 @@ type ReplayInfo struct {
 // for the caller to log.
 func OpenJournal(fsys FS, path string) (*Journal, []Record, ReplayInfo, error) {
 	var records []Record
-	j, info, err := openJournal(fsys, path, func(_ int64, payload []byte) error {
+	j, info, err := openJournal(fsys, path, func(off int64, payload []byte) error {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
+		rec.Offset = off
 		records = append(records, rec)
 		return nil
 	})
@@ -160,6 +166,7 @@ func openJournal(fsys FS, path string, visit func(off int64, payload []byte) err
 		return nil, ReplayInfo{}, fmt.Errorf("durable: open journal: %w", err)
 	}
 	j.size = info.ValidBytes
+	j.readable.Store(info.ValidBytes)
 	if int64(len(data)) > info.ValidBytes {
 		// Drop the torn tail (all of a file without a valid header) so
 		// the next append starts a clean record at the valid offset.
@@ -229,12 +236,14 @@ func unframe(b []byte) ([]byte, error) {
 // file remains a valid prefix, and returns the error — the caller
 // decides whether to degrade or fail.
 func (j *Journal) Append(rec Record) error {
-	_, err := j.append(rec)
+	_, err := j.AppendOffset(rec)
 	return err
 }
 
-// append is Append, returning the offset the record's frame starts at.
-func (j *Journal) append(rec Record) (int64, error) {
+// AppendOffset is Append, returning the offset the record's frame
+// starts at: once a Sync covers the record, ReadRecord reads it back
+// from there.
+func (j *Journal) AppendOffset(rec Record) (int64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return 0, fmt.Errorf("durable: marshal record: %w", err)
@@ -251,7 +260,7 @@ func (j *Journal) append(rec Record) (int64, error) {
 	}
 	if j.f == nil {
 		created, err := mkdirAll(j.fs, filepath.Dir(j.path))
-		j.newDirs = append(j.newDirs, created...)
+		newDirs.add(created)
 		if err != nil {
 			return 0, fmt.Errorf("durable: create journal dir: %w", err)
 		}
@@ -285,7 +294,8 @@ func (j *Journal) append(rec Record) (int64, error) {
 // The first Sync also fsyncs the journal's directory: until then a
 // power loss may drop the file's entry, whether this open created the
 // file or a process that crashed before its first Sync did. It fsyncs
-// the parent of each directory the journal created too, or a power
+// the parent of each directory on the journal's path that a journal
+// created and no Sync has made durable yet (see newDirs), or a power
 // loss could drop the whole directory.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
@@ -304,33 +314,98 @@ func (j *Journal) Sync() error {
 		return j.err
 	}
 	if !j.dirSynced {
-		dirs := []string{filepath.Dir(j.path)}
-		for _, d := range j.newDirs {
-			dirs = append(dirs, filepath.Dir(d))
+		err := j.fs.SyncDir(filepath.Dir(j.path))
+		if err == nil {
+			err = newDirs.syncPath(j.fs, filepath.Dir(j.path))
 		}
-		for _, d := range dirs {
-			if err := j.fs.SyncDir(d); err != nil {
-				j.err = fmt.Errorf("durable: journal directory fsync: %w", err)
-				return j.err
-			}
+		if err != nil {
+			j.err = fmt.Errorf("durable: journal directory fsync: %w", err)
+			return j.err
 		}
 		j.dirSynced = true
 	}
 	j.syncedTo = j.size
+	j.readable.Store(j.size)
 	return nil
 }
 
+// newDirs holds the directories journals created whose entry in their
+// parent no Sync has made durable yet. It is process-wide, not per
+// journal: of two journals in one new directory (a coordinator's
+// journal.log and cluster.journal), the one that syncs first makes the
+// directory durable, whichever of them created it.
+var newDirs = &dirSet{m: make(map[string]bool)}
+
+// dirSet is a locked set of cleaned directory paths.
+type dirSet struct {
+	mu sync.Mutex
+	m  map[string]bool
+}
+
+func (d *dirSet) add(dirs []string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, dir := range dirs {
+		d.m[dir] = true
+	}
+}
+
+// syncPath fsyncs the parent of each directory in the set on dir's
+// path, innermost first, and drops it from the set. It holds the lock
+// throughout, so a directory gone from the set is durable.
+func (d *dirSet) syncPath(fsys FS, dir string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for dir = filepath.Clean(dir); ; dir = filepath.Dir(dir) {
+		if d.m[dir] {
+			if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
+				return err
+			}
+			delete(d.m, dir)
+		}
+		if filepath.Dir(dir) == dir {
+			return nil
+		}
+	}
+}
+
+// ReadRecord reads back the record framed at off, which must be an
+// offset AppendOffset returned, or OpenJournal replayed, and that a
+// Sync has covered.
+func (j *Journal) ReadRecord(off int64) (Record, error) {
+	payload, err := j.readPayload(off)
+	if err != nil {
+		return Record{}, err
+	}
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, fmt.Errorf("%w: unparseable record at offset %d: %v", errCorrupt, off, err)
+	}
+	rec.Offset = off
+	return rec, nil
+}
+
 // readPayload returns the payload of the record framed at off, checked
-// against its CRC. off must be a frame offset a Sync has covered, so
-// the read needs no lock; after Close it fails.
+// against its CRC. off must be a frame offset a Sync has covered, or
+// that replay found, so the read needs no lock; after Close it fails.
+// A frame that would reach past that prefix fails before anything is
+// allocated for it.
 func (j *Journal) readPayload(off int64) ([]byte, error) {
+	limit := j.readable.Load()
+	if off < int64(len(journalHeader)) || off+recordFrameSize > limit {
+		return nil, fmt.Errorf("durable: read record at offset %d: outside the %d-byte readable prefix", off, limit)
+	}
 	// One read covers most frames; a longer one takes a second.
-	buf := make([]byte, 1024)
+	buf := make([]byte, min(1024, limit-off))
 	n, err := j.f.ReadAt(buf, off)
 	if n < recordFrameSize {
 		return nil, fmt.Errorf("durable: read record at offset %d: %w", off, err)
 	}
-	if end := recordFrameSize + int(binary.LittleEndian.Uint32(buf)); end > n {
+	end := recordFrameSize + int(binary.LittleEndian.Uint32(buf))
+	if off+int64(end) > limit {
+		return nil, fmt.Errorf("%w: record at offset %d runs past the %d-byte readable prefix", errCorrupt, off, limit)
+	}
+	if end > n {
 		buf = append(buf[:n], make([]byte, end-n)...)
 		if _, err := j.f.ReadAt(buf[n:], off+int64(n)); err != nil {
 			return nil, fmt.Errorf("durable: read record at offset %d: %w", off, err)

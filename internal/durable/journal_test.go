@@ -540,3 +540,93 @@ func TestJournalTornWriteThenCrash(t *testing.T) {
 		t.Fatalf("surviving record %+v", recs[0])
 	}
 }
+
+// TestJournalSharedNewDirectory: two journals in one new directory.
+// The first append to new/a.log creates new/; a Sync of new/b.log alone
+// must then make new/ durable too, or a power loss drops b.log's
+// synced record along with the directory.
+func TestJournalSharedNewDirectory(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(OSFS{})
+	a, _, _, err := OpenJournal(ffs, filepath.Join(dir, "new", "a.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, _, _, err := OpenJournal(ffs, filepath.Join(dir, "new", "b.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	mustAppend(t, a, rec(1))
+	mustAppend(t, b, rec(2))
+	if err := b.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	img := filepath.Join(t.TempDir(), "img")
+	if err := ffs.CrashImage(dir, img, 0); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, _, err := OpenJournal(OSFS{}, filepath.Join(img, "new", "b.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(recs) != 1 || recs[0].Key != rec(2).Key {
+		t.Fatalf("crash image of b.log replayed %+v, want its one synced record", recs)
+	}
+}
+
+// TestJournalReadRecord: the offset AppendOffset returns is the one
+// replay reports, and ReadRecord reads the record back from it, after a
+// reopen too; an offset that is not a frame start fails the CRC.
+func TestJournalReadRecord(t *testing.T) {
+	path := tempJournalPath(t)
+	j, _, _, err := OpenJournal(OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := Record{Op: OpCompleted, Key: rec(2).Key, Result: json.RawMessage(`"` + string(bytes.Repeat([]byte("x"), 3000)) + `"`)}
+	var offs []int64
+	for _, r := range []Record{rec(1), big, rec(3)} {
+		off, err := j.AppendOffset(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(j *Journal) {
+		t.Helper()
+		for i, want := range []Record{rec(1), big, rec(3)} {
+			got, err := j.ReadRecord(offs[i])
+			if err != nil {
+				t.Fatalf("read record %d: %v", i, err)
+			}
+			want.Offset = offs[i]
+			gb, _ := json.Marshal(got)
+			wb, _ := json.Marshal(want)
+			if string(gb) != string(wb) || got.Offset != offs[i] {
+				t.Fatalf("record %d read back as %s at %d, want %s at %d", i, gb, got.Offset, wb, offs[i])
+			}
+		}
+		if _, err := j.ReadRecord(offs[1] + 1); err == nil {
+			t.Fatal("a read one byte into a frame succeeded")
+		}
+	}
+	check(j)
+	j.Close()
+	j, recs, _, err := OpenJournal(OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i, r := range recs {
+		if r.Offset != offs[i] {
+			t.Fatalf("replayed record %d at offset %d, appended at %d", i, r.Offset, offs[i])
+		}
+	}
+	check(j)
+}

@@ -253,7 +253,7 @@ func (s *Store) Completed(key string, result []byte) error {
 	if err != nil {
 		return err
 	}
-	off, err := s.journal.append(Record{Op: OpCompleted, Key: key, Result: result})
+	off, err := s.journal.AppendOffset(Record{Op: OpCompleted, Key: key, Result: result})
 	if err != nil {
 		return err
 	}
@@ -292,12 +292,8 @@ func (s *Store) Result(key string) ([]byte, bool) {
 		data, err := s.fileResult(key)
 		return data, err == nil
 	}
-	payload, err := s.journal.readPayload(off)
-	if err != nil {
-		return nil, false
-	}
-	var rec Record
-	if json.Unmarshal(payload, &rec) != nil || rec.Op != OpCompleted || rec.Key != key || rec.Result == nil {
+	rec, err := s.journal.ReadRecord(off)
+	if err != nil || rec.Op != OpCompleted || rec.Key != key || rec.Result == nil {
 		return nil, false
 	}
 	return rec.Result, true

@@ -41,18 +41,19 @@ var DurableOrder = &Analyzer{
 // durableCriticalMethods are the operations whose failure means bytes
 // may not be durable (or a descriptor leaked mid-protocol).
 var durableCriticalMethods = map[string]bool{
-	"Sync":        true,
-	"Close":       true,
-	"Rename":      true,
-	"Write":       true,
-	"WriteString": true,
-	"Truncate":    true,
-	"Append":      true,
+	"Sync":         true,
+	"Close":        true,
+	"Rename":       true,
+	"Write":        true,
+	"WriteString":  true,
+	"Truncate":     true,
+	"Append":       true,
+	"AppendOffset": true,
 }
 
 // clusterCriticalMethods are the durability-critical operations in
 // internal/cluster: journal appends and syncs.
-var clusterCriticalMethods = map[string]bool{"Append": true, "Sync": true}
+var clusterCriticalMethods = map[string]bool{"Append": true, "AppendOffset": true, "Sync": true}
 
 // serviceCriticalMethods are the durability-critical operations in
 // internal/service: durable.Store's lifecycle writes and its Sync, which
