@@ -47,7 +47,9 @@ docs-check:
 # vet and convet over the cluster, the replicated ledger's
 # unit/placement/fleet tests, the exactly-once dispatch, pre-vote,
 # boot-election, ledger-residency and empty-follower catch-up tests
-# repeated 20 times, the dedup-waiter seam, and the real
+# repeated 20 times, the runner's job-table tests (a done job leaves
+# the table while Job reads the store and the ledger outside the
+# lock) repeated 20 times, the dedup-waiter seam, and the real
 # 5-process kill/failover e2e (SIGKILL the leader and a worker
 # mid-sweep; the merged NDJSON must be byte-identical to a
 # single-process run, and every surviving node must hold the same
@@ -57,6 +59,7 @@ cluster-e2e:
 	go run ./cmd/convet ./internal/cluster/...
 	go test -race -count=1 -timeout 300s ./internal/cluster/...
 	go test -race -count=20 -timeout 300s -run 'DispatchExactlyOnce|PreVote|BootElection|Resident|CatchUp' ./internal/cluster/
+	go test -race -count=20 -timeout 300s -run 'JobTable|Remote|Evicted' ./internal/service/
 	go test -race -count=1 -run 'Remote' ./internal/service/...
 	go test -race -count=1 -timeout 300s -run 'ClusterKillFailover' ./cmd/conserve/
 

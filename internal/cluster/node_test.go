@@ -697,3 +697,61 @@ func TestNodeLedgerResidentMetrics(t *testing.T) {
 		})
 	}
 }
+
+// TestNodeRunnerJobAnswersFromLedger: a coordinator's runner drops a
+// job the fleet answered from its job table at once, and /jobs/{key}
+// for it, after the LRU has evicted it, answers through Node.Lookup,
+// byte-identical to service.ExecuteParallel. A runner on the other
+// coordinator, which never saw the job, answers it the same way. Each
+// such answer counts as a ledger hit.
+func TestNodeRunnerJobAnswersFromLedger(t *testing.T) {
+	tc := newTestCluster(t, t.TempDir())
+	req := func(seed uint64) service.Request {
+		return service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: seed, Trials: 3}.Normalize()
+	}
+	r1 := service.NewRunner(service.Options{Workers: 1, CacheSize: 1, Remote: tc.nodes["c1"]})
+	defer r1.Close()
+	r2 := service.NewRunner(service.Options{Workers: 1, CacheSize: 1, Remote: tc.nodes["c2"]})
+	defer r2.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for seed := uint64(1); seed <= 4; seed++ {
+		if _, _, err := r1.Do(ctx, req(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if m := r1.Metrics(); m.Jobs != 0 || m.Executions != 0 {
+			t.Fatalf("after seed %d: %d jobs in the table, %d local executions, want 0", seed, m.Jobs, m.Executions)
+		}
+	}
+
+	want, err := service.ExecuteParallel(req(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBody bytes.Buffer
+	if err := service.EncodeJSONLine(&wantBody, want); err != nil {
+		t.Fatal(err)
+	}
+	key := req(1).Key()
+	if _, err := tc.nodes["c2"].Ledger().WaitAllDone(ctx.Done(), key); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*service.Runner{"c1": r1, "c2": r2} {
+		hits := tc.nodes[name].Metrics().PeerCacheHits
+		j, ok := r.Job(key)
+		if !ok {
+			t.Fatalf("%s: job %s does not answer", name, key)
+		}
+		info := j.Snapshot()
+		var got bytes.Buffer
+		if err := service.EncodeJSONLine(&got, info.Result); err != nil {
+			t.Fatal(err)
+		}
+		if info.Status != service.StatusDone || !bytes.Equal(got.Bytes(), wantBody.Bytes()) {
+			t.Fatalf("%s: job answers %s %s, want done with\n%s", name, info.Status, got.Bytes(), wantBody.Bytes())
+		}
+		if n := tc.nodes[name].Metrics().PeerCacheHits; n != hits+1 {
+			t.Errorf("%s: %d ledger hits counted for one /jobs answer, want 1", name, n-hits)
+		}
+	}
+}

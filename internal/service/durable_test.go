@@ -1138,3 +1138,69 @@ func TestParentFormatDataDir(t *testing.T) {
 		t.Fatalf("CompletedKeys after a new completion = %d, want 4", n)
 	}
 }
+
+// TestJobTableKeepsUnsyncedCompletion: a done job whose completed
+// record failed to sync has no durable answer, so it stays in the
+// finished ring, and /jobs/{key} answers it from there, byte-identical
+// to ExecuteParallel, once the LRU has evicted it. A failed fsync
+// poisons the journal, so the job that evicts it is admitted first.
+func TestJobTableKeepsUnsyncedCompletion(t *testing.T) {
+	ffs := durable.NewFaultFS(durable.OSFS{})
+	ffs.SyncHook = func(name string) error {
+		if filepath.Base(name) == "journal.log" {
+			return errors.New("injected: fsync failed")
+		}
+		return nil
+	}
+	store, err := durable.Open(ffs, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	srv, rn := newTestServer(t, Options{Workers: 1, CacheSize: 1, Store: store})
+	started, release := make(chan struct{}), make(chan struct{})
+	rn.exec = func(ctx context.Context, q Request, parallelism int, resume *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error) {
+		if q.Seed == 1 {
+			close(started)
+			<-release
+		}
+		return ExecuteResumable(ctx, q, parallelism, resume, onCheckpoint)
+	}
+	errs := make(chan error, 2)
+	do := func(seed uint64) {
+		_, _, err := rn.Do(context.Background(), testRequest(seed))
+		errs <- err
+	}
+	go do(1)
+	<-started
+	go do(2)
+	for rn.Metrics().QueueLen != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := rn.Metrics(); m.StoreErrors == 0 || m.CacheLen != 1 || m.Jobs != 2 {
+		t.Fatalf("metrics: %+v", m)
+	}
+
+	q := testRequest(1).Normalize()
+	want, err := ExecuteParallel(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBody bytes.Buffer
+	if err := EncodeJSONLine(&wantBody, Info{ID: q.Key(), Key: q.Key(), Status: StatusDone, Result: want}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(srv.URL + "/jobs/" + q.Key())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK || !bytes.Equal(body, wantBody.Bytes()) {
+		t.Fatalf("GET /jobs/%s: status %d body %s, want %s", q.Key(), resp.StatusCode, body, wantBody.Bytes())
+	}
+}

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,5 +174,78 @@ func TestRemoteSkipsAnalyticTier(t *testing.T) {
 	if remote.lookups.Load() != 0 || remote.runs.Load() != 0 {
 		t.Fatalf("analytic request reached the remote: lookups=%d runs=%d",
 			remote.lookups.Load(), remote.runs.Load())
+	}
+}
+
+// TestRemoteJobAnswersFromLedger: on a coordinator runner a done job
+// the fleet answered leaves the job table at once, and after more
+// newer jobs than the LRU and the finished ring hold, the oldest still
+// answers, through Remote.Lookup, byte-identical to ExecuteParallel.
+// Jobs the fleet does not answer (the analytic tier, ErrNotClustered)
+// have no other home without a store, so they stay in the table.
+func TestRemoteJobAnswersFromLedger(t *testing.T) {
+	var ledger sync.Map // key → canonical response bytes
+	remote := &fakeRemote{}
+	remote.run = func(req Request) (*Response, error) {
+		if req.Seed == 99 {
+			return nil, ErrNotClustered
+		}
+		resp, err := ExecuteParallel(req, 1)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := EncodeJSONLine(&buf, resp); err != nil {
+			return nil, err
+		}
+		ledger.Store(req.Key(), buf.Bytes())
+		return resp, nil
+	}
+	remote.lookup = func(key string) (*Response, bool) {
+		data, ok := ledger.Load(key)
+		if !ok {
+			return nil, false
+		}
+		var resp Response
+		if err := json.Unmarshal(data.([]byte), &resp); err != nil {
+			return nil, false
+		}
+		return &resp, true
+	}
+	r := NewRunner(Options{Workers: 1, CacheSize: 1, Remote: remote})
+	defer r.Close()
+	r.maxJobs = 1
+	for seed := uint64(1); seed <= 4; seed++ {
+		if _, _, err := r.Do(context.Background(), testRequest(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if m := r.Metrics(); m.Jobs != 0 {
+			t.Fatalf("after seed %d the job table holds %d jobs, want 0", seed, m.Jobs)
+		}
+	}
+	lookups := remote.lookups.Load()
+	wantDoneJob(t, r, testRequest(1))
+	if got := remote.lookups.Load(); got != lookups+1 {
+		t.Fatalf("Job made %d Remote lookups, want 1", got-lookups)
+	}
+	if m := r.Metrics(); m.Executions != 0 || m.DiskHits != 0 {
+		t.Fatalf("metrics: %+v", m)
+	}
+
+	if _, _, err := r.Do(context.Background(), testRequest(99)); err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Metrics(); m.Jobs != 1 || m.Executions != 1 {
+		t.Fatalf("a locally executed job left the table: %+v", m)
+	}
+	analytic := Request{Protocol: "3-majority", N: 1_000_000_000, K: 100, Tier: TierAnalytic, Seed: 1}
+	if _, _, err := r.Do(context.Background(), analytic); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Job(analytic.Normalize().Key()); !ok {
+		t.Fatal("analytic job does not answer")
+	}
+	if m := r.Metrics(); m.Jobs != 1 {
+		t.Fatalf("job table holds %d jobs, want 1 (the ring keeps the newest answer with no other home)", m.Jobs)
 	}
 }

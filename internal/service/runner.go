@@ -53,7 +53,8 @@ type Remote interface {
 	// Lookup returns a finished response under key if the cluster
 	// already holds every shard result for it (internal/cluster reads
 	// its replicated ledger). A miss is always safe: the runner goes on
-	// to Run.
+	// to Run. Job also asks it for a finished key that has left the job
+	// table.
 	Lookup(ctx context.Context, key string) (*Response, bool)
 	// Run executes the request on the cluster — coordinator shard
 	// fan-out, worker execution, in-order merge — and returns the
@@ -267,6 +268,10 @@ type Metrics struct {
 	CacheLen int
 	// JobsInFlight is the number of queued or running jobs.
 	JobsInFlight int
+	// Jobs is the job table's length: the jobs in flight plus the
+	// finished ones it retains (failures, and answers nothing else
+	// holds).
+	Jobs int
 	// DrainInFlight is the number of jobs still in flight while the
 	// runner drains (0 when not draining).
 	DrainInFlight int
@@ -306,15 +311,17 @@ type Runner struct {
 
 	// maxJobs bounds how many finished jobs stay in the job table, and
 	// retryBaseDelay is the first retry's backoff before jitter. Both
-	// are fixed except in tests.
+	// are fixed except in tests. A done job whose answer the store or
+	// the fleet holds leaves the table at once, so only failures and
+	// answers with no other home count against maxJobs.
 	maxJobs        int
 	retryBaseDelay time.Duration
 
 	mu       sync.Mutex
 	closed   bool
 	draining bool
-	jobs     map[string]*Job // by ID (= key): queued/running, plus the last maxJobs finished
-	finished []*Job          // finished jobs, oldest first (stale once their key is resubmitted)
+	jobs     map[string]*Job // by ID (= key): queued/running, plus the finished ring's jobs
+	finished []*Job          // the last maxJobs retained finished jobs, oldest first (stale once their key is resubmitted)
 	inFlight int
 	cache    *lru
 }
@@ -520,33 +527,44 @@ func (r *Runner) submit(ctx context.Context, req Request, block, ack bool) (*Job
 	key := req.Key()
 
 	r.mu.Lock()
-	if r.closed {
-		draining := r.draining
-		r.mu.Unlock()
-		if draining {
-			return nil, nil, ErrDraining
+	for checkedStore := r.opts.Store == nil; ; checkedStore = true {
+		if r.closed {
+			draining := r.draining
+			r.mu.Unlock()
+			if draining {
+				return nil, nil, ErrDraining
+			}
+			return nil, nil, errClosed
 		}
-		return nil, nil, errClosed
-	}
-	if resp, ok := r.cache.get(key); ok {
-		r.cacheHits.Add(1)
-		r.mu.Unlock()
-		return nil, resp, nil
-	}
-	if j, ok := r.jobs[key]; ok && (j.status == StatusQueued || j.status == StatusRunning) {
-		r.joined.Add(1)
-		r.mu.Unlock()
-		if ack && r.opts.Store != nil {
-			return r.acknowledge(j)
+		if resp, ok := r.cache.get(key); ok {
+			r.cacheHits.Add(1)
+			r.mu.Unlock()
+			return nil, resp, nil
 		}
-		return j, nil, nil
-	}
-	// LRU miss: the durable result cache may still hold the key from a
-	// previous run (or a previous process).
-	if resp, ok := r.diskResult(key); ok {
-		r.cacheHits.Add(1)
+		if j, ok := r.jobs[key]; ok && (j.status == StatusQueued || j.status == StatusRunning) {
+			r.joined.Add(1)
+			r.mu.Unlock()
+			if ack && r.opts.Store != nil {
+				return r.acknowledge(j)
+			}
+			return j, nil, nil
+		}
+		if checkedStore {
+			break
+		}
+		// LRU miss: the durable result cache may still hold the key
+		// from a previous run (or a previous process). The read goes to
+		// the journal, so it runs outside mu, and on a miss the checks
+		// above run again: the key may have been admitted meanwhile.
 		r.mu.Unlock()
-		return nil, resp, nil
+		resp, ok := r.storeResult(key)
+		r.mu.Lock()
+		if ok {
+			r.cache.add(key, resp)
+			r.cacheHits.Add(1)
+			r.mu.Unlock()
+			return nil, resp, nil
+		}
 	}
 	r.cacheMisses.Add(1)
 	j := r.newJob(key, req)
@@ -631,10 +649,10 @@ func (r *Runner) newJob(key string, req Request) *Job {
 	return j
 }
 
-// diskResult serves key from the durable result cache and promotes it
-// into the LRU (caller holds mu). An unreadable result is a miss, so
-// the key is simply re-executed.
-func (r *Runner) diskResult(key string) (*Response, bool) {
+// storeResult reads key's response from the durable result cache
+// (caller does not hold mu: the read goes to the journal). An
+// unreadable result is a miss, so the key is simply re-executed.
+func (r *Runner) storeResult(key string) (*Response, bool) {
 	if r.opts.Store == nil {
 		return nil, false
 	}
@@ -647,8 +665,22 @@ func (r *Runner) diskResult(key string) (*Response, bool) {
 		return nil, false
 	}
 	r.diskHits.Add(1)
-	r.cache.add(key, &resp)
 	return &resp, true
+}
+
+// fleetLookupTimeout bounds a job-status read from the fleet's ledger.
+const fleetLookupTimeout = 5 * time.Second
+
+// fleetResult reads key's response from the fleet's ledger (caller
+// does not hold mu: the ledger reads journal frames and merges). Job's
+// signature carries no context, so the read gets its own deadline.
+func (r *Runner) fleetResult(key string) (*Response, bool) {
+	if r.opts.Remote == nil {
+		return nil, false
+	}
+	ctx, cancel := context.WithTimeout(context.TODO(), fleetLookupTimeout)
+	defer cancel()
+	return r.opts.Remote.Lookup(ctx, key)
 }
 
 // abandon fails a job that was never enqueued. Its error wraps
@@ -686,21 +718,31 @@ func (r *Runner) finish(j *Job) {
 }
 
 // Job returns the job with the given ID (its request key). A key that
-// is no longer in the job table but finished earlier — in this process
-// or, with a Store, any process on the same data directory — answers
-// as a done job from the result cache.
+// is no longer in the job table but finished earlier answers as a done
+// job from, in order, the LRU, the durable store (any process on the
+// same data directory) and the fleet's ledger (any coordinator of the
+// fleet).
 func (r *Runner) Job(id string) (*Job, bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if j, ok := r.jobs[id]; ok {
+		r.mu.Unlock()
 		return j, true
 	}
 	resp, ok := r.cache.get(id)
+	r.mu.Unlock()
 	if !ok {
-		resp, ok = r.diskResult(id)
-	}
-	if !ok {
-		return nil, false
+		// Both reads go to disk, so they run outside mu. A done job
+		// leaves the table only once the store or the ledger holds its
+		// answer, so a finished key missed above is found here.
+		if resp, ok = r.storeResult(id); !ok {
+			resp, ok = r.fleetResult(id)
+		}
+		if !ok {
+			return nil, false
+		}
+		r.mu.Lock()
+		r.cache.add(id, resp)
+		r.mu.Unlock()
 	}
 	done := make(chan struct{})
 	close(done)
@@ -742,6 +784,7 @@ func (r *Runner) runJob(j *Job) {
 		if r.opts.JobTimeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, r.opts.JobTimeout)
 		}
+		fleet := false // the fleet's ledger holds the answer
 		resp, err := func() (resp *Response, err error) {
 			// The execution path contains trial panics on its own; this
 			// recover is the worker's last line — whatever escapes fails
@@ -757,10 +800,12 @@ func (r *Runner) runJob(j *Job) {
 				// completes this job — and every dedup-joined waiter —
 				// without a recompute.
 				if pr, ok := remote.Lookup(ctx, j.ID); ok {
+					fleet = true
 					return pr, nil
 				}
 				pr, rerr := remote.Run(ctx, j.req)
 				if !errors.Is(rerr, ErrNotClustered) {
+					fleet = rerr == nil
 					return pr, rerr
 				}
 				// Cluster declined: fall through to local execution.
@@ -773,24 +818,24 @@ func (r *Runner) runJob(j *Job) {
 
 		switch {
 		case err == nil:
-			r.finishJob(j, resp, nil, false)
+			r.finishJob(j, resp, nil, false, fleet)
 			return
 		case errors.Is(err, context.Canceled) && r.isDraining():
 			// Interrupted, not failed: the journal keeps the job's
 			// submitted/checkpoint records, so a restart re-queues it
 			// and resumes from the last checkpoint.
-			r.finishJob(j, nil, fmt.Errorf("%w: job interrupted", ErrDraining), false)
+			r.finishJob(j, nil, fmt.Errorf("%w: job interrupted", ErrDraining), false, false)
 			return
 		case processAttempts >= r.opts.MaxAttempts:
 			if errors.Is(err, context.DeadlineExceeded) {
 				err = fmt.Errorf("service: job timed out after %s on attempt %d: %w", r.opts.JobTimeout, attempts, err)
 			}
-			r.finishJob(j, nil, err, true)
+			r.finishJob(j, nil, err, true, false)
 			return
 		}
 		r.retries.Add(1)
 		if !r.sleepBackoff(processAttempts + 1) {
-			r.finishJob(j, nil, fmt.Errorf("%w: job interrupted", ErrDraining), false)
+			r.finishJob(j, nil, fmt.Errorf("%w: job interrupted", ErrDraining), false, false)
 			return
 		}
 	}
@@ -844,8 +889,12 @@ func decodeResume(data []byte) *ShardResult {
 // finishJob settles a job: result durably published (when completed
 // and durable — one completed record that carries the result bytes,
 // so a crash before its fsync re-runs the job instead of losing the
-// result), terminal failures journaled, waiters released.
-func (r *Runner) finishJob(j *Job, resp *Response, err error, terminal bool) {
+// result), terminal failures journaled, waiters released. A done job
+// whose answer the store or the fleet's ledger (fleet) holds leaves
+// the job table, and Job answers for it from there; any other
+// finished job goes to the finished ring.
+func (r *Runner) finishJob(j *Job, resp *Response, err error, terminal, fleet bool) {
+	held := fleet
 	if r.opts.Store != nil {
 		if err == nil {
 			data, merr := json.Marshal(resp)
@@ -853,6 +902,7 @@ func (r *Runner) finishJob(j *Job, resp *Response, err error, terminal bool) {
 				merr = r.opts.Store.Completed(j.ID, data)
 			}
 			r.noteStoreErr(merr)
+			held = held || merr == nil
 		} else if terminal {
 			r.noteStoreErr(r.opts.Store.Failed(j.ID, err.Error()))
 		}
@@ -866,7 +916,11 @@ func (r *Runner) finishJob(j *Job, resp *Response, err error, terminal bool) {
 		r.cache.add(j.ID, resp)
 	}
 	r.inFlight--
-	r.finish(j)
+	if err == nil && held {
+		delete(r.jobs, j.ID)
+	} else {
+		r.finish(j)
+	}
 	r.mu.Unlock()
 	close(j.done)
 }
@@ -882,7 +936,7 @@ func (r *Runner) noteStoreErr(err error) {
 // Metrics returns a snapshot of the runner's counters.
 func (r *Runner) Metrics() Metrics {
 	r.mu.Lock()
-	cacheLen, inFlight := r.cache.len(), r.inFlight
+	cacheLen, inFlight, jobs := r.cache.len(), r.inFlight, len(r.jobs)
 	drainInFlight := 0
 	if r.draining {
 		drainInFlight = inFlight
@@ -907,6 +961,7 @@ func (r *Runner) Metrics() Metrics {
 		Parallelism:   r.opts.Parallelism,
 		CacheLen:      cacheLen,
 		JobsInFlight:  inFlight,
+		Jobs:          jobs,
 		DrainInFlight: drainInFlight,
 	}
 }

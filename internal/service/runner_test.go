@@ -465,3 +465,82 @@ func TestStaleFinishedEntryKeepsLiveJob(t *testing.T) {
 		t.Fatalf("resubmit while live: job %v err %v", joined, err)
 	}
 }
+
+// wantDoneJob checks that r answers q's key as a done job whose result
+// bytes are ExecuteParallel's.
+func wantDoneJob(t *testing.T, r *Runner, q Request) {
+	t.Helper()
+	q = q.Normalize()
+	want, err := ExecuteParallel(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := r.Job(q.Key())
+	if !ok {
+		t.Fatalf("job %s does not answer", q.Key())
+	}
+	info := j.Snapshot()
+	if info.Status != StatusDone || info.ID != q.Key() || !bytes.Equal(respBytes(t, info.Result), respBytes(t, want)) {
+		t.Fatalf("job %s answers %+v, want done with ExecuteParallel's bytes", q.Key(), info)
+	}
+}
+
+// TestJobTableDropsStoredAnswers: on a durable runner a done job leaves
+// the job table once its completed record is synced, so the table
+// holds only the jobs in flight. After more newer jobs than the LRU and
+// the finished ring hold, the oldest still answers, from the store,
+// byte-identical to ExecuteParallel.
+func TestJobTableDropsStoredAnswers(t *testing.T) {
+	store := openTestStore(t, t.TempDir())
+	defer store.Close()
+	r := NewRunner(Options{Workers: 1, CacheSize: 1, Store: store})
+	defer r.Close()
+	r.maxJobs = 1
+	for seed := uint64(1); seed <= 4; seed++ {
+		if _, _, err := r.Do(context.Background(), testRequest(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if m := r.Metrics(); m.Jobs != 0 || m.JobsInFlight != 0 {
+			t.Fatalf("after seed %d the job table holds %d jobs (%d in flight), want 0", seed, m.Jobs, m.JobsInFlight)
+		}
+	}
+	wantDoneJob(t, r, testRequest(1))
+	if m := r.Metrics(); m.DiskHits != 1 || m.Executions != 4 || m.Jobs != 0 {
+		t.Fatalf("metrics: %+v", m)
+	}
+}
+
+// TestJobTableKeepsFailures: a failed job has no durable answer, so it
+// stays in the finished ring and answers failed. Done jobs with a
+// stored answer never enter the ring, so they do not push it out.
+func TestJobTableKeepsFailures(t *testing.T) {
+	store := openTestStore(t, t.TempDir())
+	defer store.Close()
+	r := NewRunner(Options{Workers: 1, CacheSize: 1, Store: store})
+	defer r.Close()
+	r.maxJobs = 1
+	r.exec = func(ctx context.Context, q Request, parallelism int, resume *ShardResult, onCheckpoint func(*ShardResult)) (*Response, error) {
+		if q.Seed == 5 {
+			return nil, fmt.Errorf("boom")
+		}
+		return ExecuteResumable(ctx, q, parallelism, resume, onCheckpoint)
+	}
+	if _, _, err := r.Do(context.Background(), testRequest(5)); err == nil {
+		t.Fatal("failing job succeeded")
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		if _, _, err := r.Do(context.Background(), testRequest(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, ok := r.Job(testRequest(5).Key())
+	if !ok {
+		t.Fatal("failed job left the ring")
+	}
+	if info := j.Snapshot(); info.Status != StatusFailed || info.Error != "boom" {
+		t.Fatalf("failed job answers %+v", info)
+	}
+	if m := r.Metrics(); m.Jobs != 1 {
+		t.Fatalf("job table holds %d jobs, want 1 (the failure)", m.Jobs)
+	}
+}

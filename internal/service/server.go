@@ -255,6 +255,7 @@ func writeMetrics(w http.ResponseWriter, m Metrics) {
 	WriteMetric(w, "conserve_parallelism", "gauge", "Per-request parallelism budget.", m.Parallelism)
 	WriteMetric(w, "conserve_cache_len", "gauge", "Responses held in the LRU result cache.", m.CacheLen)
 	WriteMetric(w, "conserve_jobs_in_flight", "gauge", "Jobs queued or running.", m.JobsInFlight)
+	WriteMetric(w, "conserve_jobs", "gauge", "Jobs in the job table: in flight, plus retained failures and answers neither the store nor the fleet holds.", m.Jobs)
 	WriteMetric(w, "conserve_job_retries_total", "counter", "Execution attempts beyond each job's first.", m.Retries)
 	WriteMetric(w, "conserve_jobs_recovered_total", "counter", "Interrupted jobs re-queued from the journal at startup.", m.Recovered)
 	WriteMetric(w, "conserve_disk_hits_total", "counter", "Results served from the durable result cache after an LRU miss.", m.DiskHits)

@@ -396,7 +396,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMetricsExpositionTyped parses /metrics strictly: every family
 // has one HELP and one TYPE line (counter or gauge) before its single
-// sample, and no family appears twice.
+// sample, and no family appears twice. The job-table gauge counts the
+// one done job an in-memory runner keeps in its finished ring.
 func TestMetricsExpositionTyped(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 1})
 	readAll(t, postJSON(t, srv.URL+"/run", runBody))
@@ -404,7 +405,7 @@ func TestMetricsExpositionTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	help, kind, sampled := map[string]bool{}, map[string]string{}, map[string]bool{}
+	help, kind, sampled, value := map[string]bool{}, map[string]string{}, map[string]bool{}, map[string]string{}
 	for _, line := range strings.Split(strings.TrimSuffix(string(readAll(t, resp)), "\n"), "\n") {
 		fields := strings.Fields(line)
 		switch {
@@ -435,7 +436,7 @@ func TestMetricsExpositionTyped(t *testing.T) {
 			if strings.HasSuffix(name, "_total") != (kind[name] == "counter") {
 				t.Errorf("%s: type %s does not match its _total suffix", name, kind[name])
 			}
-			sampled[name] = true
+			sampled[name], value[name] = true, fields[1]
 		default:
 			t.Errorf("unparseable line %q", line)
 		}
@@ -445,8 +446,11 @@ func TestMetricsExpositionTyped(t *testing.T) {
 			t.Errorf("family %s has no sample", name)
 		}
 	}
-	if len(sampled) < 19 {
+	if len(sampled) < 20 {
 		t.Errorf("only %d families exposed", len(sampled))
+	}
+	if kind["conserve_jobs"] != "gauge" || value["conserve_jobs"] != "1" {
+		t.Errorf("conserve_jobs: type %q value %q, want a gauge reading 1", kind["conserve_jobs"], value["conserve_jobs"])
 	}
 }
 
