@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,16 +88,24 @@ func run(args []string) error {
 		}
 	}
 
+	return runExperiments(os.Stdout, selected, opts, *csvDir)
+}
+
+// runExperiments runs each experiment and writes its header, its
+// `# completed in` wall time and its tables to w, and each table as CSV
+// into csvDir unless that is "". EXPERIMENTS.md records this output for
+// every experiment at quick scale.
+func runExperiments(w io.Writer, selected []experiments.Experiment, opts experiments.Options, csvDir string) error {
 	for _, e := range selected {
-		fmt.Printf("# %s — %s (%s)\n", e.ID, e.Title, e.Artifact)
+		fmt.Fprintf(w, "# %s — %s (%s)\n", e.ID, e.Title, e.Artifact)
 		start := time.Now()
 		tables := e.Run(opts)
-		fmt.Printf("# completed in %v\n\n", time.Since(start).Round(time.Millisecond))
-		if err := tablefmt.RenderAll(os.Stdout, tables); err != nil {
+		fmt.Fprintf(w, "# completed in %v\n\n", time.Since(start).Round(time.Millisecond))
+		if err := tablefmt.RenderAll(w, tables); err != nil {
 			return err
 		}
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, e.ID, tables); err != nil {
+		if csvDir != "" {
+			if err := writeCSVs(csvDir, e.ID, tables); err != nil {
 				return err
 			}
 		}

@@ -2,9 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"plurality/internal/experiments"
 )
 
 func TestRunList(t *testing.T) {
@@ -89,5 +94,80 @@ func TestJSONBenchmarkRecord(t *testing.T) {
 func TestJSONRejectsBadBenchn(t *testing.T) {
 	if err := run([]string{"-json", filepath.Join(t.TempDir(), "b.json"), "-benchn", "0"}); err == nil {
 		t.Fatal("benchn=0 accepted")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the EXPERIMENTS.md quick-scale record from this run")
+
+// recordedOutput locates the fenced block under EXPERIMENTS.md's
+// "Recorded output (quick scale)" heading: it returns the document and
+// the byte range of the block's contents.
+func recordedOutput(t *testing.T) (doc string, lo, hi int) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = string(data)
+	head := strings.Index(doc, "\n## Recorded output (quick scale)\n")
+	if head < 0 {
+		t.Fatal("EXPERIMENTS.md has no \"Recorded output (quick scale)\" section")
+	}
+	open := strings.Index(doc[head:], "\n```\n")
+	if open < 0 {
+		t.Fatal("the quick-scale record has no fenced block")
+	}
+	lo = head + open + len("\n```\n")
+	end := strings.Index(doc[lo:], "```\n")
+	if end < 0 {
+		t.Fatal("the quick-scale record's fenced block is not closed")
+	}
+	return doc, lo, lo + end
+}
+
+// withoutTimings drops the `# completed in` lines, the only part of
+// the output that is not a function of the seed.
+func withoutTimings(out string) string {
+	lines := strings.SplitAfter(out, "\n")
+	return strings.Join(slices.DeleteFunc(lines, func(l string) bool { return strings.HasPrefix(l, "# completed in ") }), "")
+}
+
+// TestQuickScaleRecordPinned runs every experiment at quick scale in
+// process, at Parallelism 1 and at the default, and compares each
+// output, less its `# completed in` lines, byte for byte with the
+// EXPERIMENTS.md record. A deliberate change to a random stream
+// regenerates the record with -update, from the default run.
+func TestQuickScaleRecordPinned(t *testing.T) {
+	doc, lo, hi := recordedOutput(t)
+	want := withoutTimings(doc[lo:hi])
+	for _, par := range []int{1, 0} {
+		var b strings.Builder
+		if err := runExperiments(&b, experiments.All(), experiments.Options{Scale: experiments.Quick, Seed: 1, Parallelism: par}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if *update && par == 0 {
+			if err := os.WriteFile(filepath.Join("..", "..", "EXPERIMENTS.md"), []byte(doc[:lo]+b.String()+doc[hi:]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote the EXPERIMENTS.md quick-scale record")
+			continue
+		}
+		got := withoutTimings(b.String())
+		if got == want {
+			continue
+		}
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+		i := 0
+		for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+			i++
+		}
+		line := func(ls []string) string {
+			if i < len(ls) {
+				return ls[i]
+			}
+			return "(end of output)"
+		}
+		t.Errorf("Parallelism %d: output differs from the EXPERIMENTS.md record at line %d (timings dropped):\n got: %s\nwant: %s\n(rerun with -update after a deliberate stream change)",
+			par, i+1, line(gotLines), line(wantLines))
 	}
 }

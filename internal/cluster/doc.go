@@ -37,13 +37,13 @@
 // record is read back from its frame, checked against the slot's index
 // and term, whenever a lagging peer or a view needs it. The ledger
 // keeps a job's request and shard results only while a shard is
-// pending; a decided job keeps the log indexes of its submit and
-// winning shard_done records, and Job, Jobs and WaitAllDone read its
-// bytes back through the replica. A failed read fail-stops the replica,
-// as a failed write does. A replica without a journal keeps every
-// record in memory. What still grows with the number of jobs is the
-// per-job index (key, shard states, log indexes) and the journal
-// itself, which nothing compacts yet.
+// pending; a decided job is its key's digest mapped to the log indexes
+// of its submit and winning shard_done records, and Job, Jobs and
+// WaitAllDone rebuild its view from those records, read back through
+// the replica. A failed read fail-stops the replica, as a failed write
+// does. A replica without a journal keeps every record in memory. What
+// still grows with the number of jobs is that decided index, the log's
+// slots and the journal itself, which nothing compacts yet.
 //
 // # Dispatch contract
 //

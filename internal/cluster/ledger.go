@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 )
@@ -99,13 +103,52 @@ type jobState struct {
 	done    int
 	// at holds the log indexes of the records the job's bytes came
 	// from: at[0] is the submit's, at[1+i] shard i's winning
-	// shard_done's. Once the job is decided, a ledger with a loader
-	// reads its bytes back from there.
+	// shard_done's. They are all the ledger keeps of the job once it is
+	// decided.
 	at []uint64
 }
 
-// decided reports whether every shard of a job that has shards is done.
-func (j *jobState) decided() bool { return len(j.shards) > 0 && j.done == len(j.shards) }
+// view snapshots the job (shard slice copied; raw payloads shared
+// read-only).
+func (j *jobState) view() JobView {
+	return JobView{Key: j.key, Request: j.request, Shards: append([]ShardState(nil), j.shards...), DoneShards: j.done}
+}
+
+// keyDigest is the SHA-256 of a job key: what the decided index keeps
+// in place of the key string.
+type keyDigest [sha256.Size]byte
+
+func digestOf(key string) keyDigest { return sha256.Sum256([]byte(key)) }
+
+// packIndexes packs a decided job's log indexes (see jobState.at) as
+// uvarints: the submit's index, then each shard_done's distance past it.
+func packIndexes(at []uint64) string {
+	buf := binary.AppendUvarint(make([]byte, 0, 32), at[0])
+	for _, index := range at[1:] {
+		buf = binary.AppendUvarint(buf, index-at[0])
+	}
+	return string(buf)
+}
+
+// unpackIndexes reverses packIndexes.
+func unpackIndexes(packed string) []uint64 {
+	var at []uint64
+	for b := []byte(packed); len(b) > 0; {
+		x, n := binary.Uvarint(b)
+		if len(at) > 0 {
+			x += at[0]
+		}
+		at = append(at, x)
+		b = b[n:]
+	}
+	return at
+}
+
+// submitIndex returns the submit's log index from packed indexes.
+func submitIndex(packed string) uint64 {
+	x, _ := binary.Uvarint([]byte(packed))
+	return x
+}
 
 // Ledger is the replicated job ledger's state machine: the fold of the
 // committed log, identical on every replica because Apply is a pure
@@ -115,18 +158,25 @@ func (j *jobState) decided() bool { return len(j.shards) > 0 && j.done == len(j.
 // the fleet-wide dedup and one-result-per-shard guarantees. Safe for
 // concurrent use.
 //
-// A ledger with a loader keeps a job's request and shard results in
-// memory only while the job has a pending shard. A decided job keeps
-// the log indexes of its submit and winning shard_done records, and
-// its views read the bytes back through the loader.
+// A job keeps its request and shard results in memory only while it
+// has a pending shard. A decided job is one entry in a compact index,
+// its key's digest mapped to the log indexes of its submit and winning
+// shard_done records, and its views are rebuilt from those records,
+// read back through the loader.
 type Ledger struct {
-	// load returns the record of an applied log entry (nil: every job
-	// keeps its bytes in memory). It is set at construction.
+	// load returns the record of an applied log entry. It is set at
+	// construction.
 	load func(index uint64) (LedgerRecord, error)
+	// keep, when set, receives every applied record before it folds:
+	// the tests' ledgers load from what it kept.
+	keep func(index uint64, rec LedgerRecord)
 
-	mu    sync.Mutex
-	jobs  map[string]*jobState
-	order []string // submission order, for deterministic scans
+	mu sync.Mutex
+	// jobs holds the jobs not decided, and decided the packed log
+	// indexes (packIndexes) of the rest. A job's submit index orders
+	// it: submission order is ascending submit index.
+	jobs    map[string]*jobState
+	decided map[keyDigest]string
 	// active indexes the jobs that still have a shard not done, in
 	// submission order. Only they hold pending shards, so the leader's
 	// scans read them and never the whole ledger.
@@ -134,21 +184,22 @@ type Ledger struct {
 
 	requeues uint64 // failed dispatches behind applied shard_done records (metrics)
 	applied  uint64 // highest applied log index
-	resident int64  // request and result bytes the jobs hold in memory
+	resident int64  // request and result bytes the pending jobs hold in memory
 
 	// notify is closed and replaced on every applied record, waking
 	// WaitApplied and WaitAllDone pollers.
 	notify chan struct{}
 }
 
-// NewLedger returns an empty ledger that keeps every job's bytes in
-// memory.
-func NewLedger() *Ledger { return newLedger(nil) }
-
 // newLedger returns an empty ledger whose decided jobs read their
 // bytes back through load.
 func newLedger(load func(index uint64) (LedgerRecord, error)) *Ledger {
-	return &Ledger{load: load, jobs: make(map[string]*jobState), notify: make(chan struct{})}
+	return &Ledger{
+		load:    load,
+		jobs:    make(map[string]*jobState),
+		decided: make(map[keyDigest]string),
+		notify:  make(chan struct{}),
+	}
 }
 
 // Apply folds one committed record into the state machine. It is
@@ -160,6 +211,9 @@ func newLedger(load func(index uint64) (LedgerRecord, error)) *Ledger {
 // replays to the same states with every leased shard pending and
 // every job whose shards are all done decided.
 func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
+	if l.keep != nil {
+		l.keep(index, rec)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	defer l.wakeLocked()
@@ -172,6 +226,9 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 		if j != nil {
 			return // cluster-wide dedup: first submission wins
 		}
+		if _, ok := l.decided[digestOf(rec.Key)]; ok {
+			return
+		}
 		j = &jobState{key: rec.Key, request: rec.Request, at: make([]uint64, 1+len(rec.Shards))}
 		j.at[0] = index
 		l.resident += int64(len(rec.Request))
@@ -179,11 +236,12 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 			j.shards = append(j.shards, ShardState{Range: sr, Status: ShardPending})
 		}
 		l.jobs[rec.Key] = j
-		l.order = append(l.order, rec.Key)
 		if len(j.shards) > 0 {
 			l.active = append(l.active, j)
 		}
 	case OpShardDone:
+		// A decided job is not in jobs: every later shard_done of it is
+		// a duplicate or out of range, so a no-op either way.
 		if j == nil || rec.Shard < 0 || rec.Shard >= len(j.shards) {
 			return
 		}
@@ -196,17 +254,15 @@ func (l *Ledger) Apply(index uint64, rec LedgerRecord) {
 		l.resident += int64(len(rec.Result))
 		l.requeues += uint64(max(rec.Attempt, 0))
 		j.done++
-		if j.decided() {
-			// The last shard decides the job: it leaves the active index,
-			// and its bytes leave memory for the log.
+		if j.done == len(j.shards) {
+			// The last shard decides the job: it leaves the active index
+			// and the job table, and its bytes leave memory for the log.
 			l.active = slices.DeleteFunc(l.active, func(a *jobState) bool { return a == j })
-			if l.load != nil {
-				l.resident -= int64(len(j.request))
-				j.request = nil
-				for i := range j.shards {
-					l.resident -= int64(len(j.shards[i].Result))
-					j.shards[i].Result = nil
-				}
+			delete(l.jobs, j.key)
+			l.decided[digestOf(j.key)] = packIndexes(j.at)
+			l.resident -= int64(len(j.request))
+			for i := range j.shards {
+				l.resident -= int64(len(j.shards[i].Result))
 			}
 		}
 	}
@@ -224,90 +280,103 @@ func (l *Ledger) changed() <-chan struct{} {
 	return l.notify
 }
 
-// Job returns a deep-enough snapshot of one job's state (shard slice
-// copied; raw payloads shared read-only). A decided job's bytes are
-// read back from the log; a failed read is a miss.
+// Job returns a snapshot of one job's state (shard slice copied; raw
+// payloads shared read-only). A decided job's view is rebuilt from its
+// records; a failed read is a miss.
 func (l *Ledger) Job(key string) (JobView, bool) {
+	d := digestOf(key)
 	l.mu.Lock()
-	v, at, ok := l.jobLocked(key)
+	if j := l.jobs[key]; j != nil {
+		defer l.mu.Unlock()
+		return j.view(), true
+	}
+	packed, ok := l.decided[d]
 	l.mu.Unlock()
-	if !ok || l.fill(&v, at) != nil {
+	if !ok {
 		return JobView{}, false
 	}
-	return v, true
+	v, err := l.decidedView(d, packed)
+	return v, err == nil
 }
 
-// jobLocked snapshots key's job with the bytes it holds in memory, and
-// returns the log indexes to read the rest from (nil when it holds
-// them all; caller holds mu).
-func (l *Ledger) jobLocked(key string) (JobView, []uint64, bool) {
-	j, ok := l.jobs[key]
-	if !ok {
-		return JobView{}, nil, false
+// decidedView rebuilds a decided job's view from its records: the
+// request and each shard's range from its submit, each shard's worker
+// and result from its winning shard_done. Each record is checked to be
+// the one it should be. It runs without mu: a decided job's log
+// indexes never change.
+func (l *Ledger) decidedView(d keyDigest, packed string) (JobView, error) {
+	at := unpackIndexes(packed)
+	sub, err := l.load(at[0])
+	if err == nil && (sub.Op != OpSubmit || digestOf(sub.Key) != d || len(sub.Shards) != len(at)-1) {
+		err = fmt.Errorf("cluster: log entry %d is not the submit of a decided job", at[0])
 	}
-	v := JobView{
-		Key:        j.key,
-		Request:    j.request,
-		Shards:     append([]ShardState(nil), j.shards...),
-		DoneShards: j.done,
+	if err != nil {
+		return JobView{}, err
 	}
-	if l.load != nil && j.decided() {
-		return v, j.at, true
-	}
-	return v, nil, true
-}
-
-// fill reads v's request and shard results back from the log entries
-// at (see jobLocked), checking that each entry is the record it should
-// be. It runs without mu: a decided job's indexes never change.
-func (l *Ledger) fill(v *JobView, at []uint64) error {
-	for i, index := range at {
-		rec, err := l.load(index)
-		want := OpSubmit
-		if i > 0 {
-			want = OpShardDone
-		}
-		if err == nil && (rec.Op != want || rec.Key != v.Key || rec.Shard != max(i-1, 0)) {
-			err = fmt.Errorf("cluster: log entry %d is not a %s of job %s", index, want, v.Key)
+	v := JobView{Key: sub.Key, Request: sub.Request, Shards: make([]ShardState, len(sub.Shards)), DoneShards: len(sub.Shards)}
+	for i, sr := range sub.Shards {
+		rec, err := l.load(at[1+i])
+		if err == nil && (rec.Op != OpShardDone || rec.Key != sub.Key || rec.Shard != i) {
+			err = fmt.Errorf("cluster: log entry %d is not a %s of job %s shard %d", at[1+i], OpShardDone, sub.Key, i)
 		}
 		if err != nil {
-			return err
+			return v, err
 		}
-		if i == 0 {
-			v.Request = rec.Request
-		} else {
-			v.Shards[i-1].Result = rec.Result
-		}
+		v.Shards[i] = ShardState{Range: sr, Status: ShardDone, Worker: rec.Worker, Result: rec.Result}
 	}
-	return nil
+	return v, nil
 }
 
 // Jobs returns snapshots of every job, in submission order, for
-// /cluster/jobs. It copies the whole ledger and reads every decided
-// job's bytes back from the log; the leader's scans read ActiveShards
-// instead. A job whose bytes could not be read back carries the
-// reason in Error.
+// /cluster/jobs. It copies the whole ledger and rebuilds every decided
+// job's view from the log; the leader's scans read ActiveShards
+// instead. A decided job whose records could not be read back carries
+// the reason in Error.
 func (l *Ledger) Jobs() []JobView {
+	type rebuild struct {
+		pos    int // in views
+		d      keyDigest
+		packed string
+	}
+	var rebuilds []rebuild
 	l.mu.Lock()
-	views := make([]JobView, 0, len(l.order))
-	ats := make([][]uint64, 0, len(l.order))
-	for _, key := range l.order {
-		v, at, _ := l.jobLocked(key)
-		views = append(views, v)
-		ats = append(ats, at)
+	pending := slices.SortedFunc(maps.Values(l.jobs), func(a, b *jobState) int { return cmp.Compare(a.at[0], b.at[0]) })
+	decided := slices.SortedFunc(maps.Keys(l.decided), func(a, b keyDigest) int {
+		return cmp.Compare(submitIndex(l.decided[a]), submitIndex(l.decided[b]))
+	})
+	// Merge the two lists, each in submit-index order.
+	views := make([]JobView, 0, len(pending)+len(decided))
+	for len(pending) > 0 || len(decided) > 0 {
+		if len(decided) == 0 || len(pending) > 0 && pending[0].at[0] < submitIndex(l.decided[decided[0]]) {
+			views = append(views, pending[0].view())
+			pending = pending[1:]
+			continue
+		}
+		rebuilds = append(rebuilds, rebuild{len(views), decided[0], l.decided[decided[0]]})
+		views = append(views, JobView{})
+		decided = decided[1:]
 	}
 	l.mu.Unlock()
-	for i := range views {
-		if err := l.fill(&views[i], ats[i]); err != nil {
-			views[i].Error = err.Error()
+	for _, r := range rebuilds {
+		v, err := l.decidedView(r.d, r.packed)
+		if err != nil {
+			v.Error = err.Error()
 		}
+		views[r.pos] = v
 	}
 	return views
 }
 
+// jobCount returns the number of jobs the ledger indexes, pending and
+// decided.
+func (l *Ledger) jobCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.jobs) + len(l.decided)
+}
+
 // residentBytes returns the request and result bytes the ledger holds
-// in memory: those of the jobs with a pending shard, or of every job
-// without a loader.
+// in memory: those of the jobs not decided.
 func (l *Ledger) residentBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -372,25 +441,18 @@ func (l *Ledger) Requeues() uint64 {
 }
 
 // WaitAllDone blocks until every shard of key is done (returning the
-// job view, its bytes read back from the log) or ctx-style
-// cancellation via done.
+// job view, rebuilt from the log) or ctx-style cancellation via done.
 func (l *Ledger) WaitAllDone(done <-chan struct{}, key string) (JobView, error) {
-	var v JobView
-	var at []uint64
+	d := digestOf(key)
+	var packed string
 	if !l.wait(done, func() bool {
-		j, ok := l.jobs[key]
-		if !ok || !j.decided() {
-			return false
-		}
-		v, at, _ = l.jobLocked(key)
-		return true
+		var ok bool
+		packed, ok = l.decided[d]
+		return ok
 	}) {
 		return JobView{}, fmt.Errorf("cluster: wait for job %s cancelled", key)
 	}
-	if err := l.fill(&v, at); err != nil {
-		return JobView{}, err
-	}
-	return v, nil
+	return l.decidedView(d, packed)
 }
 
 // PlanShards splits trials into at most parts index-contiguous ranges

@@ -3,11 +3,38 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"plurality/internal/rng"
+	"plurality/internal/service"
 )
+
+// NewLedger returns an empty ledger that reads decided jobs back from
+// the records it applied itself, as a node's ledger reads them from its
+// replica's log.
+func NewLedger() *Ledger {
+	var mu sync.Mutex
+	records := make(map[uint64]LedgerRecord)
+	l := newLedger(func(index uint64) (LedgerRecord, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		rec, ok := records[index]
+		if !ok {
+			return LedgerRecord{}, fmt.Errorf("cluster: log entry %d has not applied", index)
+		}
+		return rec, nil
+	})
+	l.keep = func(index uint64, rec LedgerRecord) {
+		mu.Lock()
+		defer mu.Unlock()
+		records[index] = rec
+	}
+	return l
+}
 
 // TestLedgerLifecycle walks one job through submit → done and checks
 // each guarded transition; the last shard done decides the job.
@@ -305,5 +332,160 @@ func BenchmarkLedgerPending(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pendingSink = l.ActiveShards()
+	}
+}
+
+// refLedger is the ledger as a plain fold over every record it has
+// applied, rebuilt on each read: the views a ledger that kept every
+// job's bytes in memory would give.
+type refLedger struct{ recs []LedgerRecord }
+
+func (r *refLedger) jobs() []JobView {
+	var views []*JobView
+	byKey := map[string]*JobView{}
+	for _, rec := range r.recs {
+		v := byKey[rec.Key]
+		switch rec.Op {
+		case OpSubmit:
+			if v != nil {
+				continue
+			}
+			v = &JobView{Key: rec.Key, Request: rec.Request}
+			for _, sr := range rec.Shards {
+				v.Shards = append(v.Shards, ShardState{Range: sr, Status: ShardPending})
+			}
+			byKey[rec.Key] = v
+			views = append(views, v)
+		case OpShardDone:
+			if v == nil || rec.Shard < 0 || rec.Shard >= len(v.Shards) || v.Shards[rec.Shard].Status == ShardDone {
+				continue
+			}
+			s := &v.Shards[rec.Shard]
+			s.Status, s.Worker, s.Result = ShardDone, rec.Worker, rec.Result
+			v.DoneShards++
+		}
+	}
+	out := make([]JobView, len(views))
+	for i, v := range views {
+		out[i] = *v
+	}
+	return out
+}
+
+// drawLedgerRecord draws one record over keys a–f: submits with 0–3
+// shards, in-range and out-of-range shard_done records from one of
+// three workers, and the lease, requeue and decide ops of older logs.
+// Requests, results and attempts vary with the draw, so a view built
+// from the wrong record shows.
+func drawLedgerRecord(r *rng.Rand) LedgerRecord {
+	rec := LedgerRecord{Key: string(rune('a' + r.Intn(6)))}
+	switch op := r.Intn(10); {
+	case op < 3:
+		rec.Op = OpSubmit
+		rec.Request = json.RawMessage(fmt.Sprintf(`{"seed":%d}`, r.Intn(1000)))
+		if parts := r.Intn(4); parts > 0 {
+			rec.Shards = PlanShards(parts+r.Intn(4), parts)
+		}
+	case op < 8:
+		rec.Op, rec.Shard = OpShardDone, r.Intn(5)-1
+		rec.Worker = fmt.Sprintf("w%d", 1+r.Intn(3))
+		rec.Attempt = r.Intn(3)
+		rec.Result = json.RawMessage(fmt.Sprintf(`{"r":%d}`, r.Intn(1000)))
+	default:
+		rec.Op = []string{"lease", "requeue", "decide"}[op-8+r.Intn(2)]
+	}
+	return rec
+}
+
+// clusterJobsBody is the /cluster/jobs response body for views.
+func clusterJobsBody(views []JobView) string {
+	w := httptest.NewRecorder()
+	writeClusterJSON(w, views)
+	return w.Body.String()
+}
+
+// TestLedgerViewsMatchReference feeds seeded random record streams to
+// a ledger whose loader decodes each record from its journal bytes, as
+// a replica's does, and to refLedger. After every record, Job, Jobs,
+// WaitAllDone and the /cluster/jobs body must be the same for both.
+func TestLedgerViewsMatchReference(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		journal := map[uint64][]byte{}
+		l := newLedger(func(index uint64) (LedgerRecord, error) {
+			var rec LedgerRecord
+			err := json.Unmarshal(journal[index], &rec)
+			return rec, err
+		})
+		ref := &refLedger{}
+		for i := uint64(1); i <= 120; i++ {
+			rec := drawLedgerRecord(r)
+			journal[i], _ = json.Marshal(rec)
+			l.Apply(i, rec)
+			ref.recs = append(ref.recs, rec)
+
+			refJobs := ref.jobs()
+			if got, want := clusterJobsBody(l.Jobs()), clusterJobsBody(refJobs); got != want {
+				t.Fatalf("seed %d, record %d (%+v): /cluster/jobs\n%s\nwant\n%s", seed, i, rec, got, want)
+			}
+			for _, key := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+				got, ok := l.Job(key)
+				at := slices.IndexFunc(refJobs, func(v JobView) bool { return v.Key == key })
+				var want JobView
+				wantOK := at >= 0
+				if wantOK {
+					want = refJobs[at]
+				}
+				gotJSON, _ := json.Marshal(got)
+				wantJSON, _ := json.Marshal(want)
+				if ok != wantOK || string(gotJSON) != string(wantJSON) {
+					t.Fatalf("seed %d, record %d: Job(%s) = %s %v, want %s %v", seed, i, key, gotJSON, ok, wantJSON, wantOK)
+				}
+				decided := wantOK && len(want.Shards) > 0 && want.DoneShards == len(want.Shards)
+				got, err := l.WaitAllDone(closed, key)
+				gotJSON, _ = json.Marshal(got)
+				if (err == nil) != decided || (decided && string(gotJSON) != string(wantJSON)) {
+					t.Fatalf("seed %d, record %d: WaitAllDone(%s) = %s %v, want %s (decided %v)", seed, i, key, gotJSON, err, wantJSON, decided)
+				}
+			}
+		}
+	}
+}
+
+// TestLedgerDecidedJobFootprint bounds what a decided job costs a
+// replica in live heap: its key digest and packed log indexes, nothing
+// of its request, results, key string or shard states.
+func TestLedgerDecidedJobFootprint(t *testing.T) {
+	const jobs, maxBytes = 10000, 150
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	l := newLedger(func(uint64) (LedgerRecord, error) { return LedgerRecord{}, fmt.Errorf("not read") })
+	var index uint64
+	for i := range jobs {
+		q := service.Request{Protocol: "3-majority", N: 1000, K: 8, Seed: uint64(i + 1), Trials: 2}.Normalize()
+		reqJSON, _ := json.Marshal(q)
+		index++
+		l.Apply(index, LedgerRecord{Op: OpSubmit, Key: q.Key(), Request: reqJSON, Shards: PlanShards(q.Trials, 2)})
+		for s := range 2 {
+			index++
+			l.Apply(index, LedgerRecord{Op: OpShardDone, Key: q.Key(), Shard: s, Worker: "w1", Result: json.RawMessage(`{"trials":[1]}`)})
+		}
+	}
+	after := heap()
+	runtime.KeepAlive(l)
+	if n := l.jobCount(); n != jobs {
+		t.Fatalf("ledger indexes %d jobs, want %d", n, jobs)
+	}
+	per := (int64(after) - int64(before)) / jobs
+	t.Logf("%d B of live heap per decided job", per)
+	if per > maxBytes {
+		t.Fatalf("a decided 2-shard job holds %d B of live heap, want at most %d", per, maxBytes)
 	}
 }

@@ -404,6 +404,9 @@ type NodeMetrics struct {
 	// LedgerEntries is the length of this node's replicated log
 	// (conserve_ledger_entries).
 	LedgerEntries uint64
+	// LedgerJobs is the number of jobs this node's ledger indexes,
+	// pending and decided (conserve_ledger_jobs).
+	LedgerJobs int
 	// LedgerResidentBytes is the request and result bytes the ledger
 	// holds in memory: the records of log entries not yet released to
 	// the journal, and the payloads of jobs with a pending shard; a
@@ -420,6 +423,7 @@ func (n *Node) Metrics() NodeMetrics {
 		Requeues:            n.ledger.Requeues(),
 		PeerCacheHits:       n.peerCacheHits.Load(),
 		LedgerEntries:       st.LastIndex,
+		LedgerJobs:          n.ledger.jobCount(),
 		LedgerResidentBytes: n.replica.residentBytes() + n.ledger.residentBytes(),
 	}
 }
@@ -437,5 +441,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	service.WriteMetric(w, "conserve_shard_requeues_total", "counter", "Failed shard dispatches (worker error or timeout) behind applied shard results.", m.Requeues)
 	service.WriteMetric(w, "conserve_peer_cache_hits_total", "counter", "Requests answered from a job whose shards are all done in this node's replicated ledger.", m.PeerCacheHits)
 	service.WriteMetric(w, "conserve_ledger_entries", "gauge", "Entries in this node's replicated ledger log.", m.LedgerEntries)
+	service.WriteMetric(w, "conserve_ledger_jobs", "gauge", "Jobs this node's ledger indexes, pending and decided.", m.LedgerJobs)
 	service.WriteMetric(w, "conserve_ledger_resident_bytes", "gauge", "Request and result bytes the ledger holds in memory: unreleased log records plus jobs with a pending shard.", m.LedgerResidentBytes)
 }

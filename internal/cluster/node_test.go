@@ -698,6 +698,63 @@ func TestNodeLedgerResidentMetrics(t *testing.T) {
 	}
 }
 
+// TestNodeMetricsExpositionTyped parses every node's cluster metrics
+// strictly, after four runs from both coordinators, one of them a
+// repeat: each family is a HELP line, a TYPE line and one sample, and
+// conserve_ledger_jobs is a gauge reading the number of distinct keys,
+// on every node.
+func TestNodeMetricsExpositionTyped(t *testing.T) {
+	tc := newTestCluster(t, t.TempDir())
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	keys := map[string]bool{}
+	for i, seed := range []uint64{1, 2, 1, 3} {
+		req := service.Request{Protocol: "3-majority", N: 500, K: 4, Seed: seed, Trials: 2}
+		if _, err := tc.nodes[[]string{"c1", "c2"}[i%2]].Run(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		keys[req.Normalize().Key()] = true
+	}
+	waitFor(t, 10*time.Second, "every node to apply the whole log", func() bool {
+		var last uint64
+		for _, n := range tc.nodes {
+			if st := n.Replica().Status(); st.IsLeader {
+				last = st.LastIndex
+			}
+		}
+		for _, n := range tc.nodes {
+			if last == 0 || n.Replica().Status().Applied != last {
+				return false
+			}
+		}
+		return true
+	})
+	for id, n := range tc.nodes {
+		var buf bytes.Buffer
+		n.WriteMetrics(&buf)
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if len(lines)%3 != 0 {
+			t.Fatalf("%s: %d lines, want HELP, TYPE and sample per family:\n%s", id, len(lines), buf.String())
+		}
+		kind, value := map[string]string{}, map[string]string{}
+		for i := 0; i < len(lines); i += 3 {
+			help, typ, sample := strings.Fields(lines[i]), strings.Fields(lines[i+1]), strings.Fields(lines[i+2])
+			if len(help) < 4 || help[0] != "#" || help[1] != "HELP" ||
+				len(typ) != 4 || typ[0] != "#" || typ[1] != "TYPE" || typ[2] != help[2] ||
+				len(sample) != 2 || sample[0] != help[2] || kind[sample[0]] != "" {
+				t.Fatalf("%s: lines %d-%d are not one family's HELP, TYPE and sample:\n%s", id, i+1, i+3, strings.Join(lines[i:i+3], "\n"))
+			}
+			if typ[3] != "gauge" && typ[3] != "counter" {
+				t.Errorf("%s: %s has type %q", id, typ[2], typ[3])
+			}
+			kind[sample[0]], value[sample[0]] = typ[3], sample[1]
+		}
+		if kind["conserve_ledger_jobs"] != "gauge" || value["conserve_ledger_jobs"] != strconv.Itoa(len(keys)) {
+			t.Errorf("%s: conserve_ledger_jobs: type %q value %q, want a gauge reading %d", id, kind["conserve_ledger_jobs"], value["conserve_ledger_jobs"], len(keys))
+		}
+	}
+}
+
 // TestNodeRunnerJobAnswersFromLedger: a coordinator's runner drops a
 // job the fleet answered from its job table at once, and /jobs/{key}
 // for it, after the LRU has evicted it, answers through Node.Lookup,

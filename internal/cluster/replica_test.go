@@ -1000,8 +1000,9 @@ func TestReplicaResidentPayloads(t *testing.T) {
 		l.mu.Lock()
 		for _, key := range keys {
 			j := l.jobs[key]
-			inMemory := j.request != nil || j.shards[0].Result != nil
-			if isPending := want[key] == ""; inMemory != isPending || j.decided() == isPending {
+			_, indexed := l.decided[digestOf(key)]
+			inMemory := j != nil && (j.request != nil || j.shards[0].Result != nil)
+			if isPending := want[key] == ""; inMemory != isPending || indexed == isPending {
 				t.Errorf("%s: job %s (pending %v) holds its bytes in memory: %v", id, key[:8], isPending, inMemory)
 			}
 		}
