@@ -97,7 +97,7 @@ func run(args []string) error {
 // every experiment at quick scale.
 func runExperiments(w io.Writer, selected []experiments.Experiment, opts experiments.Options, csvDir string) error {
 	for _, e := range selected {
-		fmt.Fprintf(w, "# %s — %s (%s)\n", e.ID, e.Title, e.Artifact)
+		io.WriteString(w, header(e))
 		start := time.Now()
 		tables := e.Run(opts)
 		fmt.Fprintf(w, "# completed in %v\n\n", time.Since(start).Round(time.Millisecond))
@@ -111,6 +111,11 @@ func runExperiments(w io.Writer, selected []experiments.Experiment, opts experim
 		}
 	}
 	return nil
+}
+
+// header is the line that opens an experiment's output.
+func header(e experiments.Experiment) string {
+	return fmt.Sprintf("# %s — %s (%s)\n", e.ID, e.Title, e.Artifact)
 }
 
 func writeCSVs(dir, id string, tables []tablefmt.Table) error {

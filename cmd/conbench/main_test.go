@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -135,39 +136,73 @@ func withoutTimings(out string) string {
 // TestQuickScaleRecordPinned runs every experiment at quick scale in
 // process, at Parallelism 1 and at the default, and compares each
 // output, less its `# completed in` lines, byte for byte with the
-// EXPERIMENTS.md record. A deliberate change to a random stream
-// regenerates the record with -update, from the default run.
+// experiment's section of the EXPERIMENTS.md record. The async, graphs
+// and gossip experiments fan their trials out through
+// plurality.Experiment on their own engines, so they also run at
+// Parallelism 4. Every run is
+// its own parallel subtest, so that the Parallelism 1 runs share the
+// cores. A deliberate change to a random stream regenerates the record
+// with -update, from a default run, before the subtests compare.
 func TestQuickScaleRecordPinned(t *testing.T) {
 	doc, lo, hi := recordedOutput(t)
 	want := withoutTimings(doc[lo:hi])
-	for _, par := range []int{1, 0} {
+	all := experiments.All()
+	render := func(t *testing.T, selected []experiments.Experiment, par int) string {
 		var b strings.Builder
-		if err := runExperiments(&b, experiments.All(), experiments.Options{Scale: experiments.Quick, Seed: 1, Parallelism: par}, ""); err != nil {
+		if err := runExperiments(&b, selected, experiments.Options{Scale: experiments.Quick, Seed: 1, Parallelism: par}, ""); err != nil {
 			t.Fatal(err)
 		}
-		if *update && par == 0 {
-			if err := os.WriteFile(filepath.Join("..", "..", "EXPERIMENTS.md"), []byte(doc[:lo]+b.String()+doc[hi:]), 0o644); err != nil {
-				t.Fatal(err)
+		return b.String()
+	}
+	if *update {
+		out := render(t, all, 0)
+		if err := os.WriteFile(filepath.Join("..", "..", "EXPERIMENTS.md"), []byte(doc[:lo]+out+doc[hi:]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote the EXPERIMENTS.md quick-scale record")
+		want = withoutTimings(out)
+	}
+	for i, e := range all {
+		// The section runs from e's header to the next experiment's.
+		from, to := strings.Index(want, header(e)), len(want)
+		if i+1 < len(all) {
+			to = strings.Index(want, header(all[i+1]))
+		}
+		pars := []int{1, 0}
+		if slices.Contains([]string{"async", "graphs", "gossip"}, e.ID) {
+			pars = append(pars, 4)
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			if from < 0 || to < from {
+				t.Fatalf("the EXPERIMENTS.md record has no %s section", e.ID)
 			}
-			t.Logf("rewrote the EXPERIMENTS.md quick-scale record")
-			continue
-		}
-		got := withoutTimings(b.String())
-		if got == want {
-			continue
-		}
-		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
-		i := 0
-		for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
-			i++
-		}
-		line := func(ls []string) string {
-			if i < len(ls) {
-				return ls[i]
+			for _, par := range pars {
+				name := fmt.Sprintf("parallelism%d", par)
+				if par == 0 {
+					name = "default"
+				}
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					got := withoutTimings(render(t, []experiments.Experiment{e}, par))
+					if got == want[from:to] {
+						return
+					}
+					gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want[from:to], "\n")
+					i := 0
+					for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+						i++
+					}
+					line := func(ls []string) string {
+						if i < len(ls) {
+							return ls[i]
+						}
+						return "(end of output)"
+					}
+					t.Errorf("output differs from the EXPERIMENTS.md record at line %d of its section (timings dropped):\n got: %s\nwant: %s\n(rerun with -update after a deliberate stream change)",
+						i+1, line(gotLines), line(wantLines))
+				})
 			}
-			return "(end of output)"
-		}
-		t.Errorf("Parallelism %d: output differs from the EXPERIMENTS.md record at line %d (timings dropped):\n got: %s\nwant: %s\n(rerun with -update after a deliberate stream change)",
-			par, i+1, line(gotLines), line(wantLines))
+		})
 	}
 }

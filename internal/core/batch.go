@@ -60,8 +60,9 @@ type BatchRunner struct {
 	r        rng.Rand
 }
 
-// NewBatchRunner prepares a runner for trials starting from template
-// (not mutated, not retained beyond the runner's lifetime).
+// NewBatchRunner prepares a runner for trials starting from template.
+// Every runner on one template shares its live slices, uncopied, so
+// template must stay unmodified while any runner built on it lives.
 func NewBatchRunner(p Protocol, template *population.Vector) *BatchRunner {
 	b := &BatchRunner{proto: p, template: template}
 	if kind := flatKindOf(p); kind != flatNone {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -121,6 +122,69 @@ func TestBatchRunnerIdenticalToSerial(t *testing.T) {
 			b := NewBatchRunner(p, template)
 			for seed := uint64(0); seed < 3; seed++ {
 				assertTrialMatches(t, p, b, counts, 0x9d2c^seed, 0)
+			}
+		}
+	}
+}
+
+// TestBatchRunnerCompactionIdentical runs the flat kernels that carry
+// no 2-Choices buffers (agree and mark stay nil) from 256 singletons,
+// through at least two compactions each, round for round against the
+// serial engine.
+func TestBatchRunnerCompactionIdentical(t *testing.T) {
+	counts := slices.Repeat([]int64{1}, 256)
+	for _, p := range []Protocol{ThreeMajority{}, Voter{}, HMajority{H: 3}} {
+		b := NewBatchRunner(p, population.MustFromCounts(counts))
+		for seed := uint64(0); seed < 3; seed++ {
+			assertTrialMatches(t, p, b, counts, 0xc0ac^seed, 0)
+			f := b.flat.f
+			slots, shrinks := len(counts), 0
+			b.RunTrial(0xc0ac^seed, BatchRunConfig{Observer: onRound(func(int64, sim.View) bool {
+				if len(f.ids) < slots {
+					slots = len(f.ids)
+					shrinks++
+				}
+				return false
+			})})
+			if shrinks < 2 {
+				t.Fatalf("%s seed %d: the slot array shrank %d times, want at least 2", p.Name(), seed, shrinks)
+			}
+			if f.agree != nil || f.mark != nil {
+				t.Fatalf("%s: allocated the 2-Choices agree/mark buffers", p.Name())
+			}
+		}
+	}
+}
+
+// TestBatchRunnerFootprint bounds what a sync worker allocates for one
+// experiment at k = n = 2¹⁶: NewBatchRunner plus its first trial. A
+// 3-Majority or Voter worker pays its own slot ids (4 B), counts (8 B),
+// next counts (8 B) and stage-B member list (4 B) a slot, plus a
+// constant; the rest list is bounded by n/(maxGroupedCount+1), and the
+// template's live slices are shared, so a second runner on the same
+// template copies none of them.
+func TestBatchRunnerFootprint(t *testing.T) {
+	const k, perSlot, slack = 1 << 16, 24, 64 << 10
+	template := population.MustFromCounts(slices.Repeat([]int64{1}, k))
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, p := range []Protocol{ThreeMajority{}, Voter{}} {
+		for worker := range 2 {
+			var b *BatchRunner
+			built := allocated(func() { b = NewBatchRunner(p, template) })
+			total := built + allocated(func() { b.RunTrial(1, BatchRunConfig{MaxRounds: 200}) })
+			t.Logf("%s worker %d: %d B to build, %.2f B a slot with its first trial", p.Name(), worker, built, float64(total)/k)
+			if total > perSlot*k+slack {
+				t.Errorf("%s worker %d: %d B for the runner and its first trial, want at most %d B a slot plus %d B",
+					p.Name(), worker, total, perSlot, slack)
+			}
+			if built > slack {
+				t.Errorf("%s worker %d: NewBatchRunner allocated %d B, want no copy of the %d-slot template", p.Name(), worker, built, k)
 			}
 		}
 	}

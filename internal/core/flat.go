@@ -126,7 +126,9 @@ type flatState struct {
 
 	// Round buffers. out and agree are all-zero between rounds (the
 	// commit zeroes exactly what a round wrote), so no per-round
-	// clearing pass exists.
+	// clearing pass exists. agree, mark and the touched, uniq and key
+	// lists exist only for 2-Choices; they stay nil for 3-Majority and
+	// Voter.
 	out         []int64
 	agree       []int64
 	touched     []int32 // slots with agree deltas this round
@@ -141,10 +143,12 @@ type flatState struct {
 }
 
 // newFlatState captures v as the immutable template of a flat kernel.
+// ids0 and cnt0 alias v's live slices, so every runner on one Vector
+// shares them; v must not change while the state lives.
 func newFlatState(kind flatKind, v *population.Vector) *flatState {
 	f := &flatState{kind: kind, n: v.N(), nf: float64(v.N()), k: v.K()}
-	f.ids0 = append([]int32(nil), v.LiveIndices()...)
-	f.cnt0 = append([]int64(nil), v.LiveCounts()...)
+	f.ids0 = v.LiveIndices()
+	f.cnt0 = v.LiveCounts()
 	f.sumSq0 = v.SumSquares()
 	for j, c := range f.cnt0 {
 		if c <= maxGroupedCount {
@@ -164,12 +168,13 @@ func (f *flatState) reset() {
 		f.ids = make([]int32, k)
 		f.cnt = make([]int64, k)
 		f.out = make([]int64, k)
-		f.agree = make([]int64, k)
-		f.mark = make([]uint8, k)
-		// k bounds the rest list too; full capacity up front keeps
+		// At most n/(maxGroupedCount+1) slots can hold more than
+		// maxGroupedCount vertices; full capacity up front keeps
 		// commitDense append-free for the whole trial range.
-		f.rest = make([]int32, 0, k)
+		f.rest = make([]int32, 0, min(k, int(f.n/(maxGroupedCount+1))))
 		if f.kind == flatTwoChoices {
+			f.agree = make([]int64, k)
+			f.mark = make([]uint8, k)
 			// Sized so that no round grows them: a round touches at
 			// most k slots, and a sparse round moves at most
 			// k/flatSparseSlotsPerMover vertices, which bounds its
@@ -188,8 +193,10 @@ func (f *flatState) reset() {
 	f.ids = f.ids[:k]
 	f.cnt = f.cnt[:k]
 	f.out = f.out[:k]
-	f.agree = f.agree[:k]
-	f.mark = f.mark[:k]
+	if f.kind == flatTwoChoices {
+		f.agree = f.agree[:k]
+		f.mark = f.mark[:k]
+	}
 	copy(f.ids, f.ids0)
 	copy(f.cnt, f.cnt0)
 	f.sumSq = f.sumSq0
@@ -776,8 +783,10 @@ func (f *flatState) maybeCompact() {
 	f.cnt = f.cnt[:w]
 	// out/agree/mark hold only zeros here; truncate to stay aligned.
 	f.out = f.out[:w]
-	f.agree = f.agree[:w]
-	f.mark = f.mark[:w]
+	if f.kind == flatTwoChoices {
+		f.agree = f.agree[:w]
+		f.mark = f.mark[:w]
+	}
 	rest := f.rest[:0]
 	for j, c := range f.cnt {
 		if c > maxGroupedCount {

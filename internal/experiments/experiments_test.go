@@ -340,30 +340,6 @@ func TestGossipCrossValidation(t *testing.T) {
 	}
 }
 
-// TestExperimentTablesParallelismInvariant: the async, graph and
-// gossip drivers fan their trials out through plurality.Experiment,
-// so their tables may not depend on the worker count.
-func TestExperimentTablesParallelismInvariant(t *testing.T) {
-	for _, id := range []string{"async", "graphs", "gossip"} {
-		t.Run(id, func(t *testing.T) {
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("experiment %q not registered", id)
-			}
-			render := func(parallelism int) string {
-				var b strings.Builder
-				if err := tablefmt.RenderAll(&b, e.Run(Options{Scale: Quick, Seed: 1, Parallelism: parallelism})); err != nil {
-					t.Fatal(err)
-				}
-				return b.String()
-			}
-			if serial, parallel := render(1), render(4); serial != parallel {
-				t.Fatalf("tables differ between Parallelism 1 and 4:\n%s\nvs\n%s", serial, parallel)
-			}
-		})
-	}
-}
-
 func TestThm11Slopes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many consensus sweeps")
