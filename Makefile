@@ -46,8 +46,9 @@ docs-check:
 # cluster-e2e reproduces the CI cluster job locally, step for step:
 # vet and convet over the cluster, the replicated ledger's
 # unit/placement/fleet tests, the exactly-once dispatch, pre-vote,
-# boot-election, ledger-residency and empty-follower catch-up tests
-# repeated 20 times, the ledger tests (decided-job views rebuilt from
+# boot-election, ledger-residency, empty-follower catch-up and
+# committed-entry-kept-across-a-restart tests repeated 20 times, the
+# ledger tests (decided-job views rebuilt from
 # the log, the decided-job footprint, older journals) repeated 20
 # times, the runner's job-table tests (a done job leaves
 # the table while Job reads the store and the ledger outside the
@@ -60,7 +61,7 @@ cluster-e2e:
 	go vet ./internal/cluster/... ./cmd/conserve/...
 	go run ./cmd/convet ./internal/cluster/...
 	go test -race -count=1 -timeout 300s ./internal/cluster/...
-	go test -race -count=20 -timeout 300s -run 'DispatchExactlyOnce|PreVote|BootElection|Resident|CatchUp' ./internal/cluster/
+	go test -race -count=20 -timeout 300s -run 'DispatchExactlyOnce|PreVote|BootElection|Resident|CatchUp|RestartKeepsCommittedEntry' ./internal/cluster/
 	go test -race -count=20 -run 'Ledger|Resident|DecideEra|AnswersFromLedger' ./internal/cluster/
 	go test -race -count=20 -timeout 300s -run 'JobTable|Remote|Evicted' ./internal/service/
 	go test -race -count=1 -run 'Remote' ./internal/service/...

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -95,6 +96,25 @@ func getJSON(base, path string, v any) error {
 		return fmt.Errorf("%s%s: %s", base, path, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// TestClusterRequiresDataDir: a cluster node without -data-dir would
+// vote and acknowledge appends it forgets on a restart, so conserve
+// refuses to start one, and its error names the missing flag.
+func TestClusterRequiresDataDir(t *testing.T) {
+	addr := reservePorts(t, 1)[0]
+	cmd := childCommand("-addr", addr, "-cluster", "worker", "-node-id", "w1",
+		"-peers", "w1=http://"+addr, "-coordinators", "w1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("conserve -cluster without -data-dir: %v, want a non-zero exit", err)
+	}
+	if !strings.Contains(stderr.String(), "requires -data-dir") {
+		t.Fatalf("stderr does not name the missing -data-dir:\n%s", stderr.String())
+	}
 }
 
 // TestClusterKillFailoverByteIdenticalSweep is the distributed

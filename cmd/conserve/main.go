@@ -13,7 +13,7 @@
 //
 //	conserve [-addr :8080] [-workers 0] [-parallelism 0] [-queue 64] [-cache 256]
 //	         [-data-dir DIR] [-max-retries 0] [-job-timeout 0] [-drain-timeout 30s]
-//	         [-cluster coordinator|worker -node-id ID -peers id=url,... -coordinators id,...]
+//	         [-cluster coordinator|worker -node-id ID -peers id=url,... -coordinators id,... -data-dir DIR]
 //
 // -workers sizes the request pool (how many requests run at once);
 // -parallelism is each request's internal budget (trial fan-out in
@@ -28,7 +28,7 @@
 // killed server replays the journal on the next start, re-queues
 // interrupted jobs, and resumes each from its last checkpoint — the
 // response bytes are identical to an uninterrupted run. Without the
-// flag conserve is fully in-memory, exactly as before.
+// flag a single node is fully in-memory; a -cluster node requires it.
 //
 // -max-retries retries a failing job that many times (with capped,
 // jittered exponential backoff, resuming from its last checkpoint);
@@ -106,10 +106,10 @@ type clusterFlags struct {
 	dataDir      string
 }
 
-// newClusterNode validates the cluster flags and builds the node. With
-// -data-dir the replica log persists to DIR/cluster.journal, so a
-// restarted node recovers its term and entries and rejoins without
-// violating its votes.
+// newClusterNode validates the cluster flags and builds the node. Its
+// replica log persists to DIR/cluster.journal under the required
+// -data-dir, so a restarted node recovers its term, vote and entries
+// and rejoins without breaking a promise.
 func newClusterNode(cf clusterFlags) (*cluster.Node, error) {
 	role := cluster.Role(cf.role)
 	if role != cluster.RoleCoordinator && role != cluster.RoleWorker {
@@ -117,6 +117,9 @@ func newClusterNode(cf clusterFlags) (*cluster.Node, error) {
 	}
 	if cf.nodeID == "" {
 		return nil, fmt.Errorf("-cluster requires -node-id")
+	}
+	if cf.dataDir == "" {
+		return nil, fmt.Errorf("-cluster requires -data-dir: a ledger replica must persist its votes and log")
 	}
 	peers, err := parsePeers(cf.peers)
 	if err != nil {
@@ -144,14 +147,12 @@ func newClusterNode(cf clusterFlags) (*cluster.Node, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cf.dataDir != "" {
-		j, recs, info, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(cf.dataDir, "cluster.journal"))
-		if err != nil {
-			return nil, fmt.Errorf("cluster journal: %w", err)
-		}
-		log.Printf("conserve: cluster journal replay: %d records (%d bytes)", info.Records, info.ValidBytes)
-		cfg.Journal, cfg.Records = j, recs
+	j, recs, info, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(cf.dataDir, "cluster.journal"))
+	if err != nil {
+		return nil, fmt.Errorf("cluster journal: %w", err)
 	}
+	log.Printf("conserve: cluster journal replay: %d records (%d bytes)", info.Records, info.ValidBytes)
+	cfg.Journal, cfg.Records = j, recs
 	node, err := cluster.NewNode(cfg)
 	if err != nil {
 		return nil, err
@@ -197,7 +198,7 @@ func run(ctx context.Context, args []string) error {
 		parallelism  = fs.Int("parallelism", 0, "per-request parallelism budget: trial fan-out and sharded graph rounds (0 = GOMAXPROCS; never affects results)")
 		queue        = fs.Int("queue", 64, "admission queue depth (full queue => 429)")
 		cache        = fs.Int("cache", 256, "LRU result-cache entries (-1 disables)")
-		dataDir      = fs.String("data-dir", "", "durable data directory: journal + on-disk results, crash-safe resume (empty = in-memory only)")
+		dataDir      = fs.String("data-dir", "", "durable data directory: journal + on-disk results, crash-safe resume, and the ledger replica's journal (required with -cluster; empty = in-memory single node)")
 		maxRetries   = fs.Int("max-retries", 0, "in-process retries per failing job, resuming from its last checkpoint")
 		jobTimeout   = fs.Duration("job-timeout", 0, "wall-clock bound per execution attempt (0 = none)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: how long to let in-flight jobs checkpoint and finish")

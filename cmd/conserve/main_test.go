@@ -41,14 +41,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// startChild re-execs the test binary as a conserve server and waits
-// for its bound address.
-func startChild(t *testing.T, args ...string) (*exec.Cmd, string) {
-	t.Helper()
+// childCommand re-execs the test binary as a conserve server with
+// args (see TestMain).
+func childCommand(args ...string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
 		"CONSERVE_CHILD=1",
 		"CONSERVE_CHILD_ARGS="+strings.Join(args, " "))
+	return cmd
+}
+
+// startChild starts a conserve server child and waits for its bound
+// address.
+func startChild(t *testing.T, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := childCommand(args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

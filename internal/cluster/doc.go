@@ -24,26 +24,26 @@
 // leader jumps that peer's next index back to it. A record is durable
 // once a majority of the fleet holds it, and every replica applies committed
 // records in the same order through a deterministic state machine, so
-// all nodes converge on identical job states. Terms, votes and log
-// entries persist through the internal/durable journal (CRC-framed,
-// each record synced, valid-prefix replay), so a restarted node
-// rejoins with its promises intact.
+// all nodes converge on identical job states. Every replica journals
+// its terms, votes and entries (internal/durable: CRC-framed, each
+// record synced before the vote or ack that relies on it), so a
+// restarted node rejoins with its promises intact; a node whose
+// journal is lost is a new node and must not rejoin under its old ID.
 //
 // # Where a job's bytes live
 //
-// A journaled replica keeps each log entry's term and journal frame
-// offset in memory, and the entry's record only until it has applied
-// locally and, on the leader, every peer holds it; after that the
-// record is read back from its frame, checked against the slot's index
-// and term, whenever a lagging peer or a view needs it. The ledger
-// keeps a job's request and shard results only while a shard is
-// pending; a decided job is its key's digest mapped to the log indexes
-// of its submit and winning shard_done records, and Job, Jobs and
-// WaitAllDone rebuild its view from those records, read back through
-// the replica. A failed read fail-stops the replica, as a failed write
-// does. A replica without a journal keeps every record in memory. What
-// still grows with the number of jobs is that decided index, the log's
-// slots and the journal itself, which nothing compacts yet.
+// A replica keeps each log entry's term and journal frame offset in
+// memory, and the entry's record only until it has applied locally
+// and, on the leader, every peer holds it; after that the record is
+// read back from its frame, checked against the slot's index and term,
+// whenever a lagging peer or a view needs it. The ledger keeps a job's
+// request and shard results only while a shard is pending; a decided
+// job is its key's digest mapped to the log indexes of its submit and
+// winning shard_done records, and Job, Jobs and WaitAllDone rebuild its
+// view from those records, read back through the replica. A failed
+// read fail-stops the replica, as a failed write does. What still
+// grows with the number of jobs is that decided index, the log's slots
+// and the journal itself, which nothing compacts yet.
 //
 // # Dispatch contract
 //

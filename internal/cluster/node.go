@@ -52,7 +52,8 @@ type NodeConfig struct {
 	// dispatch cancels the call and moves the shard to the next worker
 	// (default 2m).
 	LeaseTimeout time.Duration
-	// Journal and Records persist/recover the replica log (optional).
+	// Journal (required) persists the replica's terms, votes and log;
+	// Records are the records OpenJournal replayed from it.
 	Journal *durable.Journal
 	Records []durable.Record
 	// Client issues intra-cluster HTTP (default: a pooled client).
@@ -93,6 +94,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if len(cfg.Coordinators) == 0 {
 		return nil, fmt.Errorf("cluster: no coordinators configured")
 	}
+	if cfg.Journal == nil {
+		return nil, fmt.Errorf("cluster: node %s has no journal", cfg.ID)
+	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 2 * time.Minute
 	}
@@ -109,9 +113,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.cfg.Records = nil // the replica folds them into its log
 	// A decided job's bytes are read back from the replica: from its
-	// journal once it has released them, from memory until then or
-	// without a journal. Only views load, and none runs before
-	// n.replica is set.
+	// journal once it has released them, from memory until then. Only
+	// views load, and none runs before n.replica is set.
 	n.ledger = newLedger(func(index uint64) (LedgerRecord, error) { return n.replica.record(index) })
 	isCoord := make(map[string]bool, len(cfg.Coordinators))
 	for _, c := range cfg.Coordinators {

@@ -46,52 +46,71 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 type testCluster struct {
-	t          *testing.T
-	journalDir string // "" = no journals
-	configure  []func(*NodeConfig)
-	peers      map[string]string
-	nodes      map[string]*Node
-	journals   map[string]*durable.Journal
-	servers    map[string]*httptest.Server
-	handlers   map[string]*lateHandler
+	t        *testing.T
+	dir      string // each node's journal is dir/<id>.journal
+	peers    map[string]string
+	nodes    map[string]*Node
+	journals map[string]*durable.Journal
+	servers  map[string]*httptest.Server
+	handlers map[string]*lateHandler
 }
 
-// newTestCluster stands up an in-process fleet over loopback HTTP:
-// 2 coordinators (c1, c2) + 3 workers (w1..w3). With a non-empty
-// journalDir every replica persists to its own journal there, so a
-// node can be restarted from disk. Each configure func adjusts every
-// node's config before it starts.
-func newTestCluster(t *testing.T, journalDir string, configure ...func(*NodeConfig)) *testCluster {
+// testClusterIDs are the nodes of a test cluster: 2 coordinators and 3
+// workers.
+var testClusterIDs = []string{"c1", "c2", "w1", "w2", "w3"}
+
+// newTestCluster stands up an in-process fleet over loopback HTTP (see
+// newIdleTestCluster) and starts every node.
+func newTestCluster(t *testing.T) *testCluster {
 	t.Helper()
-	ids := []string{"c1", "c2", "w1", "w2", "w3"}
+	tc := newIdleTestCluster(t)
+	tc.startAll()
+	return tc
+}
+
+// newIdleTestCluster serves the fleet's addresses but starts no node
+// yet, so a test can write the journals the nodes will replay. Every
+// node persists to its own journal under the cluster's temp directory,
+// so it can be restarted from disk.
+func newIdleTestCluster(t *testing.T) *testCluster {
+	t.Helper()
 	tc := &testCluster{
-		t:          t,
-		journalDir: journalDir,
-		configure:  configure,
-		peers:      make(map[string]string),
-		nodes:      make(map[string]*Node),
-		journals:   make(map[string]*durable.Journal),
-		servers:    make(map[string]*httptest.Server),
-		handlers:   make(map[string]*lateHandler),
+		t:        t,
+		dir:      t.TempDir(),
+		peers:    make(map[string]string),
+		nodes:    make(map[string]*Node),
+		journals: make(map[string]*durable.Journal),
+		servers:  make(map[string]*httptest.Server),
+		handlers: make(map[string]*lateHandler),
 	}
-	for _, id := range ids {
+	for _, id := range testClusterIDs {
 		lh := &lateHandler{}
 		srv := httptest.NewServer(lh)
 		tc.handlers[id] = lh
 		tc.servers[id] = srv
 		tc.peers[id] = srv.URL
 	}
-	for _, id := range ids {
-		tc.start(id)
-	}
 	t.Cleanup(tc.close)
-	if _, ok := tc.nodes["c1"].WaitLeader(10 * time.Second); !ok {
-		t.Fatal("no leader elected")
-	}
 	return tc
 }
 
-// start builds node id (recovering its journal, if any) and serves it.
+// startAll starts every node and waits for a leader.
+func (tc *testCluster) startAll() {
+	tc.t.Helper()
+	for _, id := range testClusterIDs {
+		tc.start(id)
+	}
+	if _, ok := tc.nodes["c1"].WaitLeader(10 * time.Second); !ok {
+		tc.t.Fatal("no leader elected")
+	}
+}
+
+// journalPath is where node id journals.
+func (tc *testCluster) journalPath(id string) string {
+	return filepath.Join(tc.dir, id+".journal")
+}
+
+// start builds node id, recovering its journal, and serves it.
 func (tc *testCluster) start(id string) {
 	t := tc.t
 	t.Helper()
@@ -106,21 +125,16 @@ func (tc *testCluster) start(id string) {
 		Coordinators:  []string{"c1", "c2"},
 		Parallelism:   2,
 		Heartbeat:     10 * time.Millisecond,
-		ElectionTicks: 4,
+		ElectionTicks: 25,
 		LeaseTimeout:  30 * time.Second,
 		Logf:          t.Logf,
 	}
-	for _, f := range tc.configure {
-		f(&cfg)
+	j, recs, _, err := durable.OpenJournal(durable.OSFS{}, tc.journalPath(id))
+	if err != nil {
+		t.Fatalf("journal %s: %v", id, err)
 	}
-	if tc.journalDir != "" {
-		j, recs, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(tc.journalDir, id+".journal"))
-		if err != nil {
-			t.Fatalf("journal %s: %v", id, err)
-		}
-		tc.journals[id] = j
-		cfg.Journal, cfg.Records = j, recs
-	}
+	tc.journals[id] = j
+	cfg.Journal, cfg.Records = j, recs
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatalf("node %s: %v", id, err)
@@ -133,9 +147,7 @@ func (tc *testCluster) start(id string) {
 func (tc *testCluster) stop(id string) {
 	tc.handlers[id].set(nil)
 	tc.nodes[id].Close()
-	if j := tc.journals[id]; j != nil {
-		j.Close()
-	}
+	tc.journals[id].Close()
 }
 
 func (tc *testCluster) close() {
@@ -156,6 +168,17 @@ func (tc *testCluster) follower() *Node {
 	return tc.nodes["c1"]
 }
 
+// TestNewNodeRequiresJournal: a node without a journal would forget
+// its votes and acknowledged entries on a restart, so NewNode refuses
+// to build one.
+func TestNewNodeRequiresJournal(t *testing.T) {
+	_, err := NewNode(NodeConfig{ID: "c1", Role: RoleCoordinator,
+		Peers: map[string]string{"c1": "http://127.0.0.1:1"}, Coordinators: []string{"c1"}})
+	if err == nil || !strings.Contains(err.Error(), "journal") {
+		t.Fatalf("NewNode without a journal: err = %v, want a journal error", err)
+	}
+}
+
 // TestNodeClusterByteIdentity runs a request through the cluster from
 // a follower coordinator and expects the exact bytes of a
 // single-process run and a sharded ledger. Every node then answers the
@@ -165,7 +188,7 @@ func (tc *testCluster) follower() *Node {
 // journal. A job with a shard pending misses; a job with every shard
 // done hits, a retired decide record with a wrong pin included.
 func TestNodeClusterByteIdentity(t *testing.T) {
-	tc := newTestCluster(t, t.TempDir())
+	tc := newTestCluster(t)
 	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 42, Trials: 7}
 
 	want, err := service.ExecuteParallel(req, 4)
@@ -276,7 +299,7 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 // concurrently: the ledger admits one job, both callers get identical
 // bytes.
 func TestNodeClusterDedup(t *testing.T) {
-	tc := newTestCluster(t, "")
+	tc := newTestCluster(t)
 	req := service.Request{Protocol: "2-choices", N: 400, K: 4, Seed: 7, Trials: 6}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -332,11 +355,11 @@ func waitDispatchesEnded(t *testing.T, id string, n *Node) {
 // receive: every shard runs exactly once. No record precedes
 // execution, so what keeps a scan from dispatching a shard twice is
 // the leader's in-flight entry, held until the shard's shard_done has
-// applied locally. A new leader reruns the shards in flight by design,
-// so the fleet's election timeout is long enough that a loaded race
+// applied locally. A new leader reruns the shards in flight by design;
+// newTestCluster's election timeout is long enough that a loaded race
 // build does not depose the leader mid-run.
 func TestNodeDispatchExactlyOnce(t *testing.T) {
-	tc := newTestCluster(t, "", func(cfg *NodeConfig) { cfg.ElectionTicks = 25 })
+	tc := newTestCluster(t)
 	type shardCall struct {
 		key    string
 		lo, hi int
@@ -442,29 +465,16 @@ func TestNodeFinishesLeasedShardFromOlderLog(t *testing.T) {
 		`{"op":"shard_done","key":"` + key + `","shard":1,"worker":"w2","result":` + string(result1) + `}`,
 		`{"op":"lease","key":"` + key + `","shard":2,"worker":"w3"}`,
 	}
-	dir := t.TempDir()
-	for _, id := range []string{"c1", "c2", "w1", "w2", "w3"} {
-		j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(dir, id+".journal"))
-		if err != nil {
-			t.Fatalf("journal %s: %v", id, err)
-		}
-		recs := []durable.Record{{Op: opClusterTerm, State: json.RawMessage(`{"term":1,"voted_for":"c1"}`)}}
-		for i, rec := range entries {
-			recs = append(recs, durable.Record{Op: opClusterEntry, Key: key,
-				State: json.RawMessage(fmt.Sprintf(`{"index":%d,"term":1,"rec":%s}`, i+1, rec))})
-		}
-		for _, rec := range recs {
-			if err := j.Append(rec); err != nil {
-				t.Fatalf("journal %s: %v", id, err)
-			}
-		}
-		if err := j.Sync(); err != nil {
-			t.Fatalf("journal %s: %v", id, err)
-		}
-		j.Close()
+	recs := []durable.Record{{Op: opClusterTerm, State: json.RawMessage(`{"term":1,"voted_for":"c1"}`)}}
+	for i, rec := range entries {
+		recs = append(recs, durable.Record{Op: opClusterEntry, Key: key,
+			State: json.RawMessage(fmt.Sprintf(`{"index":%d,"term":1,"rec":%s}`, i+1, rec))})
 	}
-
-	tc := newTestCluster(t, dir)
+	tc := newIdleTestCluster(t)
+	for _, id := range testClusterIDs {
+		writeJournal(t, tc.journalPath(id), recs...)
+	}
+	tc.startAll()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	co := tc.follower()
@@ -501,24 +511,9 @@ func TestNodeServesDecideEraJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "cluster.journal")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "c1.journal"), data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	j, recs, _, err := durable.OpenJournal(durable.OSFS{}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	decides := 0
-	for _, rec := range recs {
-		var e Entry
-		if rec.Op == opClusterEntry && json.Unmarshal(rec.State, &e) == nil && e.Rec.Op == "decide" {
-			decides++
-		}
-	}
-	if decides != 3 {
-		t.Fatalf("fixture holds %d decide records, want 3", decides)
 	}
 
 	// c1 holds the longest log, so it wins the election and commits the
@@ -528,21 +523,29 @@ func TestNodeServesDecideEraJournal(t *testing.T) {
 	ledgers := make(map[string]*Ledger, len(ids))
 	var last uint64
 	for _, id := range ids {
-		cfg := ReplicaConfig{
+		j, recs := openJournal(t, filepath.Join(dir, id+".journal"))
+		ledgers[id] = NewLedger()
+		r := NewReplica(ReplicaConfig{
 			ID: id, Peers: ids, Candidates: []string{"c1"},
 			Transport: &peerTransport{id: id, m: mt},
+			Journal:   j, Records: recs,
 			Heartbeat: 5 * time.Millisecond, ElectionTicks: 4,
-		}
-		if id == "c1" {
-			cfg.Journal, cfg.Records = j, recs
-		}
-		ledgers[id] = NewLedger()
-		cfg.Apply = ledgers[id].Apply
-		r := NewReplica(cfg)
+			Apply: ledgers[id].Apply,
+		})
 		defer r.Close()
 		mt.register(id, r)
 		if id == "c1" {
 			last = r.Status().LastIndex
+			decides := 0
+			for _, rec := range recs {
+				var e Entry
+				if rec.Op == opClusterEntry && json.Unmarshal(rec.State, &e) == nil && e.Rec.Op == "decide" {
+					decides++
+				}
+			}
+			if decides != 3 {
+				t.Fatalf("fixture holds %d decide records, want 3", decides)
+			}
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -590,7 +593,7 @@ func TestNodeServesDecideEraJournal(t *testing.T) {
 // the run: its shard leases fail, requeue, and rotate to live workers;
 // the run still completes with the single-process bytes.
 func TestNodeWorkerFailureRequeues(t *testing.T) {
-	tc := newTestCluster(t, "")
+	tc := newTestCluster(t)
 	// Dead worker: still a registered peer (quorum math unchanged at
 	// 4/5 live) but refuses every request.
 	tc.handlers["w2"].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -637,64 +640,51 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 }
 
 // TestNodeLedgerResidentMetrics: once a job is decided and every
-// replica holds and has applied the whole log, the ledger gauges of a
-// journaled fleet read the log's length and 0 resident bytes on every
-// node: the job's bytes live in the journals only. A fleet without
-// journals keeps them in memory, so its gauge stays above 0.
+// replica holds and has applied the whole log, the ledger gauges read
+// the log's length and 0 resident bytes on every node: the job's bytes
+// live in the journals only.
 func TestNodeLedgerResidentMetrics(t *testing.T) {
-	for _, journaled := range []bool{true, false} {
-		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
-			dir := ""
-			if journaled {
-				dir = t.TempDir()
+	tc := newTestCluster(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req := service.Request{Protocol: "3-majority", N: 1000, K: 8, Seed: 11, Trials: 3}
+	if _, err := tc.nodes["c1"].Run(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(n *Node, name string) int64 {
+		var buf bytes.Buffer
+		n.WriteMetrics(&buf)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				x, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return x
 			}
-			tc := newTestCluster(t, dir)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			req := service.Request{Protocol: "3-majority", N: 1000, K: 8, Seed: 11, Trials: 3}
-			if _, err := tc.nodes["c1"].Run(ctx, req); err != nil {
-				t.Fatal(err)
+		}
+		t.Fatalf("no %s line", name)
+		return 0
+	}
+	waitFor(t, 10*time.Second, "every node to apply the whole log", func() bool {
+		var last uint64
+		for _, n := range tc.nodes {
+			if st := n.Replica().Status(); st.IsLeader {
+				last = st.LastIndex
 			}
-			gauge := func(n *Node, name string) int64 {
-				var buf bytes.Buffer
-				n.WriteMetrics(&buf)
-				for _, line := range strings.Split(buf.String(), "\n") {
-					if v, ok := strings.CutPrefix(line, name+" "); ok {
-						x, err := strconv.ParseInt(v, 10, 64)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return x
-					}
-				}
-				t.Fatalf("no %s line", name)
-				return 0
+		}
+		for _, n := range tc.nodes {
+			st := n.Replica().Status()
+			if last == 0 || st.Applied != last || gauge(n, "conserve_ledger_resident_bytes") != 0 {
+				return false
 			}
-			waitFor(t, 10*time.Second, "every node to apply the whole log", func() bool {
-				var last uint64
-				for _, n := range tc.nodes {
-					if st := n.Replica().Status(); st.IsLeader {
-						last = st.LastIndex
-					}
-				}
-				for _, n := range tc.nodes {
-					st := n.Replica().Status()
-					if last == 0 || st.Applied != last || (journaled && gauge(n, "conserve_ledger_resident_bytes") != 0) {
-						return false
-					}
-				}
-				return true
-			})
-			for id, n := range tc.nodes {
-				entries, resident := gauge(n, "conserve_ledger_entries"), gauge(n, "conserve_ledger_resident_bytes")
-				if entries != int64(n.Replica().Status().LastIndex) || entries < 3 {
-					t.Errorf("%s: conserve_ledger_entries %d, log holds %d", id, entries, n.Replica().Status().LastIndex)
-				}
-				if !journaled && resident <= 0 {
-					t.Errorf("%s: conserve_ledger_resident_bytes %d without a journal, want the job's bytes", id, resident)
-				}
-			}
-		})
+		}
+		return true
+	})
+	for id, n := range tc.nodes {
+		if entries := gauge(n, "conserve_ledger_entries"); entries != int64(n.Replica().Status().LastIndex) || entries < 3 {
+			t.Errorf("%s: conserve_ledger_entries %d, log holds %d", id, entries, n.Replica().Status().LastIndex)
+		}
 	}
 }
 
@@ -704,7 +694,7 @@ func TestNodeLedgerResidentMetrics(t *testing.T) {
 // conserve_ledger_jobs is a gauge reading the number of distinct keys,
 // on every node.
 func TestNodeMetricsExpositionTyped(t *testing.T) {
-	tc := newTestCluster(t, t.TempDir())
+	tc := newTestCluster(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	keys := map[string]bool{}
@@ -762,7 +752,7 @@ func TestNodeMetricsExpositionTyped(t *testing.T) {
 // coordinator, which never saw the job, answers it the same way. Each
 // such answer counts as a ledger hit.
 func TestNodeRunnerJobAnswersFromLedger(t *testing.T) {
-	tc := newTestCluster(t, t.TempDir())
+	tc := newTestCluster(t)
 	req := func(seed uint64) service.Request {
 		return service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: seed, Trials: 3}.Normalize()
 	}

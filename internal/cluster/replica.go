@@ -113,10 +113,9 @@ type ReplicaConfig struct {
 	Candidates []string
 	// Transport reaches the other replicas.
 	Transport Transport
-	// Journal, when non-nil, persists terms, votes and entries, and
-	// holds the records of entries the replica has released from
-	// memory; pass the records OpenJournal replayed in Records to
-	// recover state. Without a journal every record stays in memory.
+	// Journal (required) persists terms, votes and entries, and holds
+	// the records of entries the replica has released from memory; pass
+	// the records OpenJournal replayed in Records to recover state.
 	Journal *durable.Journal
 	// Records are the replayed journal records (nil on first boot),
 	// with the frame offsets OpenJournal set. NewReplica folds them
@@ -282,9 +281,6 @@ func (r *Replica) persistTruncate(index uint64) error {
 // persist appends rec and syncs it: one fsync per record (caller
 // holds mu). It returns the record's frame offset.
 func (r *Replica) persist(rec durable.Record) (int64, error) {
-	if r.cfg.Journal == nil {
-		return 0, nil
-	}
 	off, err := r.cfg.Journal.AppendOffset(rec)
 	if err == nil {
 		err = r.cfg.Journal.Sync()
@@ -317,12 +313,8 @@ func (r *Replica) truncateLocked(index uint64) {
 // more (caller holds mu): those that have applied here and, while this
 // replica leads, that every peer holds, so an append to a live peer
 // never reads one back. A peer that is down keeps the leader's tail
-// resident. A replica without a journal has nowhere to read a record
-// back from, so it keeps every record.
+// resident.
 func (r *Replica) releaseLocked() {
-	if r.cfg.Journal == nil {
-		return
-	}
 	upTo := r.applied
 	if r.role == roleLeader {
 		for _, p := range r.cfg.Peers {
@@ -759,11 +751,11 @@ func (r *Replica) onAppendResponse(peer string, req AppendRequest, resp AppendRe
 	back := req.PrevIndex
 	if resp.Hint > 0 {
 		back = min(back, resp.Hint)
-		// A hint at or below what the peer acknowledged means it no
-		// longer holds those entries (it restarted without a journal),
-		// or the rejection is stale. Either way counting the peer from
-		// the hint is safe: commit never moves back, and a stale
-		// rejection costs one resend.
+		// A hint at or below what the peer acknowledged means the
+		// rejection is stale: a peer keeps every entry it acknowledged
+		// in its journal. Counting the peer from the hint is still
+		// safe: commit never moves back, and a stale rejection costs
+		// one resend.
 		r.matchIndex[peer] = min(r.matchIndex[peer], back-1)
 	}
 	r.nextIndex[peer] = max(min(r.nextIndex[peer], back), r.matchIndex[peer]+1)

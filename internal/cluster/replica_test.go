@@ -120,6 +120,7 @@ func (a *applyLog) snapshot() []LedgerRecord {
 }
 
 type testFleet struct {
+	dir           string // each member's journal is dir/<id>.journal
 	ids           []string
 	candidates    []string
 	heartbeat     time.Duration
@@ -136,14 +137,26 @@ type testFleet struct {
 
 // newTestFleet starts the e2e fleet shape (coordinators c1, c2; workers
 // w1–w3) on fast ticks.
-func newTestFleet(t *testing.T, journalDir string) *testFleet {
+func newTestFleet(t *testing.T) *testFleet {
 	t.Helper()
-	return startFleet(t, []string{"c1", "c2", "w1", "w2", "w3"}, []string{"c1", "c2"}, journalDir, 5*time.Millisecond, 4)
+	return startFleet(t, []string{"c1", "c2", "w1", "w2", "w3"}, []string{"c1", "c2"}, 5*time.Millisecond, 4)
 }
 
-func startFleet(t *testing.T, ids, candidates []string, journalDir string, heartbeat time.Duration, electionTicks int) *testFleet {
+// startFleet starts every member of a fleet, each journaled under the
+// fleet's own temp directory.
+func startFleet(t *testing.T, ids, candidates []string, heartbeat time.Duration, electionTicks int) *testFleet {
 	t.Helper()
-	f := &testFleet{
+	f := newFleet(t, ids, candidates, heartbeat, electionTicks)
+	for _, id := range f.ids {
+		f.start(t, id)
+	}
+	return f
+}
+
+// newFleet builds a fleet with no member started yet.
+func newFleet(t *testing.T, ids, candidates []string, heartbeat time.Duration, electionTicks int) *testFleet {
+	return &testFleet{
+		dir:           t.TempDir(),
 		ids:           ids,
 		candidates:    candidates,
 		heartbeat:     heartbeat,
@@ -154,10 +167,6 @@ func startFleet(t *testing.T, ids, candidates []string, journalDir string, heart
 		ledgers:       make(map[string]*Ledger),
 		journals:      make(map[string]*durable.Journal),
 	}
-	for _, id := range f.ids {
-		f.start(t, id, journalDir)
-	}
-	return f
 }
 
 func (f *testFleet) logf(format string, args ...any) {
@@ -187,26 +196,28 @@ func (f *testFleet) logLen() int {
 
 // restart stops id as a SIGKILL would and starts it again from its
 // journal.
-func (f *testFleet) restart(t *testing.T, id, journalDir string) {
+func (f *testFleet) restart(t *testing.T, id string) {
 	t.Helper()
-	f.transport.setDown(id, true)
-	f.replicas[id].Close()
-	if j := f.journals[id]; j != nil {
-		j.Close()
-	}
-	f.start(t, id, journalDir)
+	f.kill(id)
+	f.start(t, id)
 }
 
-func (f *testFleet) start(t *testing.T, id, journalDir string) {
+// kill stops id as a SIGKILL would: unreachable, its loops stopped and
+// its journal closed.
+func (f *testFleet) kill(id string) {
+	f.transport.setDown(id, true)
+	f.replicas[id].Close()
+	f.replicas[id] = nil
+	f.journals[id].Close()
+}
+
+// start starts id from its journal (a fresh one on first boot) and puts
+// it on the network.
+func (f *testFleet) start(t *testing.T, id string) {
 	t.Helper()
-	var j *durable.Journal
-	var recs []durable.Record
-	if journalDir != "" {
-		var err error
-		j, recs, _, err = durable.OpenJournal(durable.OSFS{}, filepath.Join(journalDir, id+".journal"))
-		if err != nil {
-			t.Fatalf("open journal for %s: %v", id, err)
-		}
+	j, recs, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(f.dir, id+".journal"))
+	if err != nil {
+		t.Fatalf("open journal for %s: %v", id, err)
 	}
 	al := &applyLog{}
 	f.applied[id] = al
@@ -241,9 +252,7 @@ func (f *testFleet) close() {
 		}
 	}
 	for _, j := range f.journals {
-		if j != nil {
-			j.Close()
-		}
+		j.Close()
 	}
 }
 
@@ -309,7 +318,7 @@ func nonNoop(recs []LedgerRecord) []LedgerRecord {
 // TestReplicaElectsAndReplicates: the fleet elects exactly one of the
 // candidates, and committed records reach every replica in order.
 func TestReplicaElectsAndReplicates(t *testing.T) {
-	f := newTestFleet(t, "")
+	f := newTestFleet(t)
 	defer f.close()
 
 	waitFor(t, 5*time.Second, "leader election", func() bool { return f.leader() != nil })
@@ -344,7 +353,7 @@ func TestReplicaElectsAndReplicates(t *testing.T) {
 // e2e fleet shape) and expects the surviving candidate to take over
 // and keep committing.
 func TestReplicaLeaderFailover(t *testing.T) {
-	f := newTestFleet(t, "")
+	f := newTestFleet(t)
 	defer f.close()
 
 	propose(t, f, LedgerRecord{Op: OpSubmit, Key: "j1", Shards: []ShardRange{{0, 8}}})
@@ -353,14 +362,8 @@ func TestReplicaLeaderFailover(t *testing.T) {
 		t.Fatal("no leader after first commit")
 	}
 	oldID := old.cfg.ID
-
-	// SIGKILL equivalents: unreachable and stopped.
-	f.transport.setDown(oldID, true)
-	f.transport.setDown("w3", true)
-	old.Close()
-	f.replicas[oldID] = nil
-	f.replicas["w3"].Close()
-	f.replicas["w3"] = nil
+	f.kill(oldID)
+	f.kill("w3")
 
 	waitFor(t, 10*time.Second, "failover to the surviving candidate", func() bool {
 		l := f.leader()
@@ -393,11 +396,10 @@ func TestReplicaLeaderFailover(t *testing.T) {
 	}
 }
 
-// TestReplicaJournalRecovery restarts a journal-backed replica and
-// expects its term and log to survive.
+// TestReplicaJournalRecovery restarts a replica and expects its term
+// and log to survive.
 func TestReplicaJournalRecovery(t *testing.T) {
-	dir := t.TempDir()
-	f := newTestFleet(t, dir)
+	f := newTestFleet(t)
 
 	propose(t, f, LedgerRecord{Op: OpSubmit, Key: "j1", Shards: []ShardRange{{0, 2}}})
 	propose(t, f, LedgerRecord{Op: OpShardDone, Key: "j1", Shard: 0, Worker: "w1", Result: json.RawMessage(`1`)})
@@ -407,11 +409,7 @@ func TestReplicaJournalRecovery(t *testing.T) {
 		return len(nonNoop(f.applied["w1"].snapshot())) >= 2
 	})
 	stBefore := f.replicas["w1"].Status()
-	f.transport.setDown("w1", true)
-	f.replicas["w1"].Close()
-
-	// Restart from the same journal.
-	f.start(t, "w1", dir)
+	f.restart(t, "w1")
 	stAfter := f.replicas["w1"].Status()
 	if stAfter.LastIndex < stBefore.LastIndex {
 		t.Fatalf("restart lost log entries: %d < %d", stAfter.LastIndex, stBefore.LastIndex)
@@ -506,9 +504,9 @@ func TestReplicaPersistBeforeReply(t *testing.T) {
 
 		// The vote never reached disk, and a restart from the valid
 		// prefix recovers term 1 with no vote cast.
-		recs := reopen(t, path)
+		j2, recs := openJournal(t, path)
 		r2 := NewReplica(ReplicaConfig{ID: "a", Peers: peers, Candidates: peers[:1],
-			Transport: &peerTransport{id: "a", m: newMemTransport()}, Records: recs, Heartbeat: time.Hour})
+			Transport: &peerTransport{id: "a", m: newMemTransport()}, Journal: j2, Records: recs, Heartbeat: time.Hour})
 		defer r2.Close()
 		if r2.term != 1 || r2.votedFor != "" {
 			t.Fatalf("restart recovered term %d vote %q, want term 1 and no vote", r2.term, r2.votedFor)
@@ -560,26 +558,43 @@ func TestReplicaPersistBeforeReply(t *testing.T) {
 	})
 }
 
-// reopen replays a journal's valid prefix.
-func reopen(t *testing.T, path string) []durable.Record {
+// writeJournal appends recs to the journal at path and syncs them.
+func writeJournal(t *testing.T, path string, recs ...durable.Record) {
 	t.Helper()
-	j, recs, _, err := durable.OpenJournal(durable.OSFS{}, path)
+	j, _, _, err := durable.OpenJournal(durable.OSFS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-	return recs
+	defer j.Close()
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openJournal writes recs to the journal at path and opens it as a
+// restart would, so each replayed record carries the offset of its
+// real frame. The journal closes when the test ends.
+func openJournal(t *testing.T, path string, recs ...durable.Record) (*durable.Journal, []durable.Record) {
+	t.Helper()
+	writeJournal(t, path, recs...)
+	j, replayed, _, err := durable.OpenJournal(durable.OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j, replayed
 }
 
 // TestReplicaSingleNodeCommits: a one-replica fleet is its own
 // majority, so its leader commits the election barrier and every
 // proposal on its own persisted copy, with no append reply to wait for.
 func TestReplicaSingleNodeCommits(t *testing.T) {
-	j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(t.TempDir(), "solo.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j, _ := openJournal(t, filepath.Join(t.TempDir(), "solo.journal"))
 	al := &applyLog{}
 	r := NewReplica(ReplicaConfig{
 		ID:            "c1",
@@ -624,35 +639,22 @@ func electionJitter(id string, term uint64, base int) int {
 func TestReplicaBootElectionAdvance(t *testing.T) {
 	const et = 10 // the default ElectionTicks
 	peers := []string{"c1", "w1", "w2"}
-	path := filepath.Join(t.TempDir(), "replayed.journal")
-	j, _, _, err := durable.OpenJournal(durable.OSFS{}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	term, _ := json.Marshal(termRecord{Term: 3, VotedFor: "c1"})
 	entry, _ := json.Marshal(Entry{Index: 1, Term: 3, Rec: LedgerRecord{Op: "noop"}})
-	for _, rec := range []durable.Record{{Op: opClusterTerm, State: term}, {Op: opClusterEntry, State: entry}} {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
+	dir := t.TempDir()
 	for _, journal := range []struct {
 		name string
 		recs []durable.Record
 		term uint64
-	}{{"fresh", nil, 0}, {"replayed", reopen(t, path), 3}} {
+	}{{"fresh", nil, 0}, {"replayed", []durable.Record{{Op: opClusterTerm, State: term}, {Op: opClusterEntry, State: entry}}, 3}} {
 		for _, id := range []string{"c1", "w1"} {
 			want := 2 + electionJitter(id, journal.term, et)
 			if id != "c1" {
 				want = 8*et + electionJitter(id, journal.term, 8*et) - (et - 2)
 			}
+			j, recs := openJournal(t, filepath.Join(dir, journal.name+"-"+id+".journal"), journal.recs...)
 			r := NewReplica(ReplicaConfig{ID: id, Peers: peers, Candidates: peers[:1],
-				Transport: &peerTransport{id: id, m: newMemTransport()}, Records: journal.recs, Heartbeat: time.Hour})
+				Transport: &peerTransport{id: id, m: newMemTransport()}, Journal: j, Records: recs, Heartbeat: time.Hour})
 			r.mu.Lock()
 			left, gotTerm := r.electionTimeoutTicks()-r.electionElapsed, r.term
 			r.mu.Unlock()
@@ -672,11 +674,7 @@ func TestReplicaBootElectionAdvance(t *testing.T) {
 // live leader to protect; answering one never changes the voter's
 // term, vote or journal.
 func TestReplicaPreVoteGrantRule(t *testing.T) {
-	j, _, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(t.TempDir(), "v.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j, _ := openJournal(t, filepath.Join(t.TempDir(), "v.journal"))
 	peers := []string{"a", "b", "v"}
 	r := NewReplica(ReplicaConfig{ID: "v", Peers: peers, Candidates: peers,
 		Transport: &peerTransport{id: "v", m: newMemTransport()}, Journal: j, Heartbeat: time.Hour})
@@ -734,7 +732,7 @@ func TestReplicaPreVoteGrantRule(t *testing.T) {
 // change no term, so when it heals the leader and term are unchanged.
 func TestReplicaPreVoteKeepsLiveLeader(t *testing.T) {
 	ids := []string{"a", "b", "c"}
-	f := startFleet(t, ids, ids, "", 10*time.Millisecond, 10)
+	f := startFleet(t, ids, ids, 10*time.Millisecond, 10)
 	defer f.close()
 	var l *Replica
 	waitFor(t, 5*time.Second, "a leader every replica follows", func() bool {
@@ -781,9 +779,8 @@ func TestReplicaPreVoteKeepsLiveLeader(t *testing.T) {
 // jitter ticks after the restart. (c1's term-1 jitter is 1 tick of 10,
 // well inside the workers' 10-tick lease.)
 func TestReplicaPreVoteRestartedCoordinator(t *testing.T) {
-	dir := t.TempDir()
 	ids := []string{"c1", "w1", "w2"}
-	f := startFleet(t, ids, ids[:1], dir, 10*time.Millisecond, 10)
+	f := startFleet(t, ids, ids[:1], 10*time.Millisecond, 10)
 	defer f.close()
 	c1 := func() Status { return f.replicas["c1"].Status() }
 	waitFor(t, 5*time.Second, "c1 to lead with its barrier applied everywhere", func() bool {
@@ -801,7 +798,7 @@ func TestReplicaPreVoteRestartedCoordinator(t *testing.T) {
 	term := c1().Term
 
 	mark := f.logLen()
-	f.restart(t, "c1", dir)
+	f.restart(t, "c1")
 	waitFor(t, 5*time.Second, "the restarted c1 to lead", func() bool { return c1().IsLeader })
 	if got := c1().Term; got != term+1 {
 		t.Errorf("restarted c1 leads term %d, want %d", got, term+1)
@@ -835,8 +832,9 @@ func TestReplicaConflictHint(t *testing.T) {
 			data, _ := json.Marshal(Entry{Index: uint64(i + 1), Term: et, Rec: LedgerRecord{Op: "noop"}})
 			recs = append(recs, durable.Record{Op: opClusterEntry, State: data})
 		}
+		j, recs := openJournal(t, filepath.Join(t.TempDir(), id+".journal"), recs...)
 		r := NewReplica(ReplicaConfig{ID: id, Peers: []string{"l", "f"}, Candidates: []string{"l"},
-			Transport: &peerTransport{id: id, m: tr}, Records: recs, Heartbeat: time.Hour})
+			Transport: &peerTransport{id: id, m: tr}, Journal: j, Records: recs, Heartbeat: time.Hour})
 		tr.register(id, r)
 		t.Cleanup(r.Close)
 		return r
@@ -930,7 +928,7 @@ func logEntries(t *testing.T, r *Replica) []Entry {
 // back from its own journal.
 func TestReplicaResidentPayloads(t *testing.T) {
 	ids := []string{"c1", "w1", "w2"}
-	f := startFleet(t, ids, ids[:1], t.TempDir(), 5*time.Millisecond, 4)
+	f := startFleet(t, ids, ids[:1], 5*time.Millisecond, 4)
 	defer f.close()
 	waitFor(t, 5*time.Second, "a leader", func() bool { return f.leader() != nil })
 	lead := f.leader()
@@ -1026,41 +1024,113 @@ func TestReplicaResidentPayloads(t *testing.T) {
 	}
 }
 
-// TestReplicaCatchUpFromJournal: a worker restarted without a journal
-// comes back with an empty log, while the leader holds every record in
-// its journal only. The empty log's rejection hints index 1, so after
-// at most 2 rejected appends the leader sends the whole log, read back
-// from its journal, and the worker applies the records the fleet did.
+// TestReplicaCatchUpFromJournal: a worker stays down from boot while
+// the coordinators commit 40 records, then joins for the first time on
+// a fresh journal. The leader it meets took over from a dead one and,
+// as a follower, had released every earlier record, so it holds them
+// in its journal only. The empty log's rejection hints index 1, so
+// after at most 2 rejected appends the leader sends the whole log, read
+// back from its journal, and the worker applies the records the fleet
+// did.
 func TestReplicaCatchUpFromJournal(t *testing.T) {
-	dir := t.TempDir()
-	ids := []string{"c1", "w1", "w2"}
-	f := startFleet(t, ids, ids[:1], dir, 5*time.Millisecond, 4)
+	ids := []string{"c1", "c2", "w1"}
+	f := newFleet(t, ids, ids[:2], 5*time.Millisecond, 4)
 	defer f.close()
+	f.start(t, "c1")
+	f.start(t, "c2")
 	for i := 0; i < 40; i++ {
 		propose(t, f, LedgerRecord{Op: OpSubmit, Key: fmt.Sprintf("j%d", i),
 			Request: json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i)), Shards: []ShardRange{{0, 1}}})
 	}
-	lead := f.leader()
-	waitFor(t, 10*time.Second, "the leader to release every record", func() bool {
-		st := lead.Status()
-		return st.IsLeader && st.Applied == st.LastIndex && lead.residentBytes() == 0
-	})
-	want, _ := json.Marshal(nonNoop(f.applied[lead.cfg.ID].snapshot()))
-
-	worker := "w2"
-	if lead.cfg.ID == worker {
-		worker = "w1"
+	old := f.leader().cfg.ID
+	next := f.replicas["c1"]
+	if old == "c1" {
+		next = f.replicas["c2"]
 	}
-	f.transport.setDown(worker, true)
-	f.replicas[worker].Close()
-	f.journals[worker].Close()
-	before := f.transport.rejects(worker)
-	f.start(t, worker, "") // no journal: an empty log
-	waitFor(t, 10*time.Second, "the restarted worker to apply the log", func() bool {
-		got, _ := json.Marshal(nonNoop(f.applied[worker].snapshot()))
+	waitFor(t, 10*time.Second, "the follower to release every record", func() bool {
+		st := next.Status()
+		return st.Applied == st.LastIndex && st.LastIndex >= 41 && next.residentBytes() == 0
+	})
+	want, _ := json.Marshal(nonNoop(f.applied[next.cfg.ID].snapshot()))
+
+	f.kill(old)
+	f.start(t, "w1")
+	waitFor(t, 10*time.Second, "the new worker to apply the log", func() bool {
+		got, _ := json.Marshal(nonNoop(f.applied["w1"].snapshot()))
 		return string(got) == string(want)
 	})
-	if n := f.transport.rejects(worker) - before; n > 2 {
+	if n := f.transport.rejects("w1"); n > 2 {
 		t.Fatalf("the empty follower rejected %d appends before catching up, want at most 2", n)
+	}
+}
+
+// TestReplicaRestartKeepsCommittedEntry: in a c1 + w1 + w2 fleet with c1
+// the only preferred candidate, w2 is cut off and a record X commits on
+// {c1, w1}. Then w1 restarts, c1 dies while w1 is down, and w2 comes
+// back. w1 kept X in its journal, so w2, whose log lacks X, cannot win
+// w1's vote: w1 leads, X stays committed at the index where c1 applied
+// it, and no two replicas ever apply different records at one index.
+func TestReplicaRestartKeepsCommittedEntry(t *testing.T) {
+	ids := []string{"c1", "w1", "w2"}
+	f := startFleet(t, ids, ids[:1], 5*time.Millisecond, 4)
+	defer f.close()
+	waitFor(t, 5*time.Second, "c1 to lead with its barrier applied everywhere", func() bool {
+		st := f.replicas["c1"].Status()
+		if !st.IsLeader || st.Commit == 0 {
+			return false
+		}
+		for _, id := range ids {
+			if f.replicas[id].Status().Applied != st.Commit {
+				return false
+			}
+		}
+		return true
+	})
+
+	f.transport.setDown("w2", true)
+	x := LedgerRecord{Op: OpSubmit, Key: "x", Request: json.RawMessage(`{"seed":1}`), Shards: []ShardRange{{0, 1}}}
+	propose(t, f, x)
+	xIndex := f.replicas["c1"].Status().LastIndex
+	waitFor(t, 5*time.Second, "c1 to apply X", func() bool {
+		return uint64(len(f.applied["c1"].snapshot())) >= xIndex
+	})
+
+	f.kill("w1")
+	f.kill("c1")
+	f.start(t, "w1")
+	f.transport.setDown("w2", false)
+
+	y := LedgerRecord{Op: OpSubmit, Key: "y", Request: json.RawMessage(`{"seed":2}`), Shards: []ShardRange{{0, 1}}}
+	propose(t, f, y)
+	waitFor(t, 10*time.Second, "w1 and w2 to apply Y", func() bool {
+		for _, id := range []string{"w1", "w2"} {
+			if recs := nonNoop(f.applied[id].snapshot()); len(recs) == 0 || recs[len(recs)-1].Key != "y" {
+				return false
+			}
+		}
+		return true
+	})
+
+	// applied[id][i] is the record id applied at index i+1 (an applyLog
+	// restarts with its replica, which re-applies from index 1).
+	applied := map[string][]LedgerRecord{}
+	for _, id := range ids {
+		applied[id] = f.applied[id].snapshot()
+	}
+	for i, a := range ids {
+		for _, b := range ids[i+1:] {
+			for k := 0; k < min(len(applied[a]), len(applied[b])); k++ {
+				ra, _ := json.Marshal(applied[a][k])
+				rb, _ := json.Marshal(applied[b][k])
+				if string(ra) != string(rb) {
+					t.Errorf("index %d: %s applied %s, %s applied %s", k+1, a, ra, b, rb)
+				}
+			}
+		}
+	}
+	for _, id := range ids {
+		if got := applied[id]; uint64(len(got)) < xIndex || got[xIndex-1].Key != "x" {
+			t.Errorf("%s lost X: it does not hold X at index %d", id, xIndex)
+		}
 	}
 }
