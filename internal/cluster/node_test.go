@@ -644,48 +644,52 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 // the log's length and 0 resident bytes on every node: the job's bytes
 // live in the journals only.
 func TestNodeLedgerResidentMetrics(t *testing.T) {
-	tc := newTestCluster(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req := service.Request{Protocol: "3-majority", N: 1000, K: 8, Seed: 11, Trials: 3}
-	if _, err := tc.nodes["c1"].Run(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	gauge := func(n *Node, name string) int64 {
-		var buf bytes.Buffer
-		n.WriteMetrics(&buf)
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				x, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					t.Fatal(err)
+	// Every cluster node journals; the subtest keeps the case name it
+	// had when journal-less fleets were tested beside journaled ones.
+	t.Run("journaled=true", func(t *testing.T) {
+		tc := newTestCluster(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		req := service.Request{Protocol: "3-majority", N: 1000, K: 8, Seed: 11, Trials: 3}
+		if _, err := tc.nodes["c1"].Run(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		gauge := func(n *Node, name string) int64 {
+			var buf bytes.Buffer
+			n.WriteMetrics(&buf)
+			for _, line := range strings.Split(buf.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, name+" "); ok {
+					x, err := strconv.ParseInt(v, 10, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return x
 				}
-				return x
+			}
+			t.Fatalf("no %s line", name)
+			return 0
+		}
+		waitFor(t, 10*time.Second, "every node to apply the whole log", func() bool {
+			var last uint64
+			for _, n := range tc.nodes {
+				if st := n.Replica().Status(); st.IsLeader {
+					last = st.LastIndex
+				}
+			}
+			for _, n := range tc.nodes {
+				st := n.Replica().Status()
+				if last == 0 || st.Applied != last || gauge(n, "conserve_ledger_resident_bytes") != 0 {
+					return false
+				}
+			}
+			return true
+		})
+		for id, n := range tc.nodes {
+			if entries := gauge(n, "conserve_ledger_entries"); entries != int64(n.Replica().Status().LastIndex) || entries < 3 {
+				t.Errorf("%s: conserve_ledger_entries %d, log holds %d", id, entries, n.Replica().Status().LastIndex)
 			}
 		}
-		t.Fatalf("no %s line", name)
-		return 0
-	}
-	waitFor(t, 10*time.Second, "every node to apply the whole log", func() bool {
-		var last uint64
-		for _, n := range tc.nodes {
-			if st := n.Replica().Status(); st.IsLeader {
-				last = st.LastIndex
-			}
-		}
-		for _, n := range tc.nodes {
-			st := n.Replica().Status()
-			if last == 0 || st.Applied != last || gauge(n, "conserve_ledger_resident_bytes") != 0 {
-				return false
-			}
-		}
-		return true
 	})
-	for id, n := range tc.nodes {
-		if entries := gauge(n, "conserve_ledger_entries"); entries != int64(n.Replica().Status().LastIndex) || entries < 3 {
-			t.Errorf("%s: conserve_ledger_entries %d, log holds %d", id, entries, n.Replica().Status().LastIndex)
-		}
-	}
 }
 
 // TestNodeMetricsExpositionTyped parses every node's cluster metrics
