@@ -207,7 +207,7 @@ func run(ctx context.Context, args []string) error {
 		nodeID       = fs.String("node-id", "", "this node's cluster ID (required with -cluster)")
 		peersFlag    = fs.String("peers", "", "comma-separated fleet as id=http://host:port, self included (required with -cluster)")
 		coordsFlag   = fs.String("coordinators", "", "comma-separated coordinator node IDs (required with -cluster)")
-		clusterTick  = fs.Duration("cluster-heartbeat", 150*time.Millisecond, "ledger replication tick: the leader's heartbeat interval; a node campaigns after 10 silent ticks plus jitter, or 2 plus jitter once it starts, behind a pre-vote that followers of a live leader refuse")
+		clusterTick  = fs.Duration("cluster-heartbeat", 150*time.Millisecond, "ledger replication tick: the leader's heartbeat interval; a node campaigns after 10 silent ticks plus jitter, or 2 plus jitter once it starts (the first of -coordinators campaigns at once when it starts), behind a pre-vote that followers of a live leader refuse")
 		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "per-shard execution bound; past it the attempt fails and the shard moves to the next worker")
 	)
 	if err := fs.Parse(args); err != nil {

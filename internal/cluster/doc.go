@@ -10,9 +10,12 @@
 // append with a prev-index/term match check, majority commit), with
 // coordinators as the preferred election candidates (workers campaign
 // only after a long fallback silence, closing the liveness hole where
-// every up-to-date coordinator is dead). A new replica starts its
-// election timer ElectionTicks − 2 ticks in, so a booting fleet or a
-// restarted sole coordinator campaigns after 2 + jitter ticks. Every
+// every up-to-date coordinator is dead). The first candidate (the
+// smallest coordinator ID) campaigns once as soon as it starts, so a
+// booting fleet or a restarted sole coordinator leads one pre-vote and
+// one vote round trip later. Every replica starts its election timer
+// ElectionTicks − 2 ticks in, so the others, and the first candidate
+// after a failed boot campaign, campaign after 2 + jitter ticks. Every
 // campaign opens with a pre-vote that persists nothing and changes no
 // term or vote: a voter grants it only for a term ahead of its own, on
 // an up-to-date log, when it knows no leader, its leader has been

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -127,12 +128,15 @@ type ReplicaConfig struct {
 	// ElectionTicks is the base number of silent ticks before a
 	// candidate campaigns (default 10). The effective timeout adds a
 	// deterministic per-(node, term) jitter in [0, ElectionTicks) so
-	// candidates decorrelate without consuming entropy. A new replica
-	// starts its timer ElectionTicks − 2 ticks in, so at boot or restart
-	// it campaigns after 2 + jitter silent ticks. Every campaign opens
-	// with a pre-vote, and a peer that has heard its leader within the
-	// last ElectionTicks ticks refuses it (unless the candidate is that
-	// leader), so an early campaign cannot depose a live leader.
+	// candidates decorrelate without consuming entropy. The first
+	// candidate (the smallest ID in Candidates) campaigns once as soon
+	// as it starts. A new replica starts its timer ElectionTicks − 2
+	// ticks in, so at boot or restart every other replica, and the first
+	// candidate after a failed boot campaign, campaigns after 2 + jitter
+	// silent ticks. Every campaign opens with a pre-vote, and a peer that
+	// has heard its leader within the last ElectionTicks ticks refuses it
+	// (unless the candidate is that leader), so an early campaign cannot
+	// depose a live leader.
 	ElectionTicks int
 	// Apply consumes committed entries, in index order, exactly once
 	// per index per process.
@@ -447,10 +451,13 @@ func (r *Replica) isCandidate(id string) bool {
 const fallbackCandidateSlack = 8
 
 // bootElectionTicks is how many base ticks a new replica waits, plus
-// its jitter, before campaigning: NewReplica advances the election
-// timer by ElectionTicks − bootElectionTicks. A fleet that boots, or a
-// sole coordinator that restarts, then leads within a few ticks; the
-// pre-vote keeps the early campaign from deposing a live leader.
+// its jitter, before its first timed campaign: NewReplica advances the
+// election timer by ElectionTicks − bootElectionTicks. The first
+// candidate campaigns once before that (see tickLoop), so a fleet that
+// boots, or a sole coordinator that restarts, leads one pre-vote and
+// one vote round trip after it starts; if that boot campaign fails,
+// this advance still bounds the wait. The pre-vote keeps either early
+// campaign from deposing a live leader.
 const bootElectionTicks = 2
 
 // electionTimeoutTicks derives this node's effective timeout for the
@@ -468,8 +475,14 @@ func (r *Replica) electionTimeoutTicks() int {
 
 // tickLoop drives time-dependent behavior off one ticker: leaders
 // broadcast, would-be candidates count silence toward an election.
+// Before the first tick, the first candidate campaigns once; a boot
+// campaign that fails leaves electionElapsed where NewReplica put it,
+// so the next one comes after 2 + jitter ticks as on any other replica.
 func (r *Replica) tickLoop() {
 	defer r.wg.Done()
+	if len(r.cfg.Candidates) > 0 && slices.Min(r.cfg.Candidates) == r.cfg.ID {
+		r.campaign()
+	}
 	ticker := time.NewTicker(r.cfg.Heartbeat)
 	defer ticker.Stop()
 	for {

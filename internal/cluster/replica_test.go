@@ -19,18 +19,20 @@ import (
 // memTransport wires replicas together in-process, with a down set to
 // simulate killed or partitioned nodes, and a deaf set of nodes that
 // nothing reaches while their own requests still go out. It counts the
-// appends each node rejects.
+// appends each node rejects and the requests each node sent that
+// reached no peer.
 type memTransport struct {
-	mu       sync.Mutex
-	replicas map[string]*Replica
-	down     map[string]bool
-	deaf     map[string]bool
-	rejected map[string]int
+	mu        sync.Mutex
+	replicas  map[string]*Replica
+	down      map[string]bool
+	deaf      map[string]bool
+	rejected  map[string]int
+	unreached map[string]int
 }
 
 func newMemTransport() *memTransport {
 	return &memTransport{replicas: make(map[string]*Replica), down: make(map[string]bool),
-		deaf: make(map[string]bool), rejected: make(map[string]int)}
+		deaf: make(map[string]bool), rejected: make(map[string]int), unreached: make(map[string]int)}
 }
 
 // rejects returns how many appends id has rejected.
@@ -38,6 +40,13 @@ func (m *memTransport) rejects(id string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rejected[id]
+}
+
+// failedSends returns how many of id's requests reached no peer.
+func (m *memTransport) failedSends(id string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.unreached[id]
 }
 
 func (m *memTransport) register(id string, r *Replica) {
@@ -62,10 +71,12 @@ func (m *memTransport) get(from, to string) (*Replica, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.down[from] || m.down[to] || m.deaf[to] {
+		m.unreached[from]++
 		return nil, fmt.Errorf("memtransport: %s -> %s unreachable", from, to)
 	}
-	r, ok := m.replicas[to]
-	if !ok {
+	r := m.replicas[to]
+	if r == nil {
+		m.unreached[from]++
 		return nil, fmt.Errorf("memtransport: unknown peer %s", to)
 	}
 	return r, nil
@@ -206,15 +217,19 @@ func (f *testFleet) restart(t *testing.T, id string) {
 // its journal closed.
 func (f *testFleet) kill(id string) {
 	f.transport.setDown(id, true)
+	f.transport.register(id, nil)
 	f.replicas[id].Close()
 	f.replicas[id] = nil
 	f.journals[id].Close()
 }
 
 // start starts id from its journal (a fresh one on first boot) and puts
-// it on the network.
+// it on the network. Its own requests go out from the start, since a
+// first candidate campaigns before NewReplica returns; its peers reach
+// it once it is registered.
 func (f *testFleet) start(t *testing.T, id string) {
 	t.Helper()
+	f.transport.setDown(id, false)
 	j, recs, _, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(f.dir, id+".journal"))
 	if err != nil {
 		t.Fatalf("open journal for %s: %v", id, err)
@@ -242,7 +257,6 @@ func (f *testFleet) start(t *testing.T, id string) {
 	})
 	f.replicas[id] = r
 	f.transport.register(id, r)
-	f.transport.setDown(id, false)
 }
 
 func (f *testFleet) close() {
@@ -485,8 +499,9 @@ func requireFailStopped(t *testing.T, r *Replica) {
 // leader's own copy is never counted, and the replica fail-stops.
 func TestReplicaPersistBeforeReply(t *testing.T) {
 	peers := []string{"a", "b", "c"}
-	// A heartbeat of an hour keeps the tick loop (and any campaign)
-	// out of the RPC-driven subtests.
+	// A heartbeat of an hour keeps the tick loop out of the RPC-driven
+	// subtests; a's one boot campaign fails at once, since its
+	// transport knows no peer.
 	t.Run("vote", func(t *testing.T) {
 		r, failing, path := faultyReplica(t, peers, time.Hour)
 		// Adopt term 1 with the disk healthy, so the injected failure
@@ -635,7 +650,11 @@ func electionJitter(id string, term uint64, base int) int {
 // timer advanced by ElectionTicks − 2, on a fresh journal and on a
 // replayed one. A coordinator campaigns after 2 + jitter silent ticks;
 // a worker keeps its 8× fallback slack, less the same advance. No tick
-// fires during the test (a heartbeat of an hour).
+// fires during the test (a heartbeat of an hour). The transport knows
+// no peer, so c1's boot campaign fails on its pre-vote and the ticks
+// read here are the ones c1 has left after that failure; the test
+// waits for both of its vote requests to fail first. w1 runs no boot
+// campaign.
 func TestReplicaBootElectionAdvance(t *testing.T) {
 	const et = 10 // the default ElectionTicks
 	peers := []string{"c1", "w1", "w2"}
@@ -653,19 +672,105 @@ func TestReplicaBootElectionAdvance(t *testing.T) {
 				want = 8*et + electionJitter(id, journal.term, 8*et) - (et - 2)
 			}
 			j, recs := openJournal(t, filepath.Join(dir, journal.name+"-"+id+".journal"), journal.recs...)
+			m := newMemTransport()
 			r := NewReplica(ReplicaConfig{ID: id, Peers: peers, Candidates: peers[:1],
-				Transport: &peerTransport{id: id, m: newMemTransport()}, Journal: j, Records: recs, Heartbeat: time.Hour})
+				Transport: &peerTransport{id: id, m: m}, Journal: j, Records: recs, Heartbeat: time.Hour})
+			sent := 0
+			if id == "c1" {
+				sent = len(peers) - 1
+			}
+			waitFor(t, 5*time.Second, id+"'s boot pre-vote to fail", func() bool { return m.failedSends(id) == sent })
 			r.mu.Lock()
-			left, gotTerm := r.electionTimeoutTicks()-r.electionElapsed, r.term
+			left, gotTerm, role := r.electionTimeoutTicks()-r.electionElapsed, r.term, r.role
 			r.mu.Unlock()
 			r.Close()
-			if gotTerm != journal.term {
-				t.Fatalf("%s %s: recovered term %d, want %d", journal.name, id, gotTerm, journal.term)
+			if gotTerm != journal.term || role != roleFollower {
+				t.Fatalf("%s %s: term %d role %d after boot, want term %d as a follower", journal.name, id, gotTerm, role, journal.term)
 			}
 			if left != want {
 				t.Errorf("%s %s: %d ticks before a campaign, want %d", journal.name, id, left, want)
 			}
 		}
+	}
+}
+
+// TestReplicaBootElectionLeadsWithoutTick: the first candidate
+// campaigns once as it starts, before any tick. With its workers up,
+// c1 leads term 1 on a heartbeat of an hour, so no tick fires.
+func TestReplicaBootElectionLeadsWithoutTick(t *testing.T) {
+	ids := []string{"c1", "w1", "w2"}
+	f := newFleet(t, ids, ids[:1], time.Hour, 10)
+	defer f.close()
+	for _, id := range []string{"w1", "w2", "c1"} {
+		f.start(t, id)
+	}
+	waitFor(t, 5*time.Second, "c1 to lead with no tick", func() bool { return f.replicas["c1"].IsLeader() })
+	if st := f.replicas["c1"].Status(); st.Term != 1 {
+		t.Errorf("c1 leads term %d, want 1", st.Term)
+	}
+	waitFor(t, 5*time.Second, "the workers to follow c1", func() bool {
+		return f.replicas["w1"].Leader() == "c1" && f.replicas["w2"].Leader() == "c1"
+	})
+}
+
+// TestReplicaBootElectionOneLeader: in a fleet of coordinators c1, c2
+// and two workers that boot together, only c1 runs a boot campaign, so
+// exactly one leader appears, in term 1, and c2 never campaigns. c1
+// starts last, within a tick of the others, so its peers answer it;
+// the test then waits out c2's own boot timeout.
+func TestReplicaBootElectionOneLeader(t *testing.T) {
+	const heartbeat, et = 20 * time.Millisecond, 10
+	ids := []string{"c1", "c2", "w1", "w2"}
+	f := newFleet(t, ids, ids[:2], heartbeat, et)
+	defer f.close()
+	start := time.Now()
+	for _, id := range []string{"c2", "w1", "w2", "c1"} {
+		f.start(t, id)
+	}
+	waitFor(t, 5*time.Second, "c1 to lead", func() bool { return f.replicas["c1"].IsLeader() })
+	time.Sleep(time.Duration(2+electionJitter("c2", 0, et)+2)*heartbeat - time.Since(start))
+	for _, id := range ids {
+		st := f.replicas[id].Status()
+		if st.Term != 1 || st.Leader != "c1" {
+			t.Errorf("%s: term %d leader %q, want term 1 led by c1", id, st.Term, st.Leader)
+		}
+	}
+	if got := f.logLines(0, " leads term "); len(got) != 1 {
+		t.Errorf("%d leaders appeared, want 1: %q", len(got), got)
+	}
+	if got := f.logLines(0, "cluster: c2 campaigning"); len(got) != 0 {
+		t.Errorf("c2 campaigned: %q", got)
+	}
+}
+
+// TestReplicaBootElectionRetry: a first candidate whose boot campaign
+// fails, its peers unreachable, keeps the timer NewReplica set, so it
+// still has 2 + jitter ticks left, as any other replica would; then it
+// leads once its peers come up.
+func TestReplicaBootElectionRetry(t *testing.T) {
+	const heartbeat, et = 50 * time.Millisecond, 10
+	ids := []string{"c1", "w1", "w2"}
+	f := newFleet(t, ids, ids[:1], heartbeat, et)
+	defer f.close()
+	f.transport.setDown("w1", true)
+	f.transport.setDown("w2", true)
+	f.start(t, "c1")
+	waitFor(t, 5*time.Second, "c1's boot pre-vote to fail", func() bool { return f.transport.failedSends("c1") >= 2 })
+	// The campaign returns just after its last failed request; a
+	// quarter tick later it has ended, and at most a tick has passed.
+	time.Sleep(heartbeat / 4)
+	c1 := f.replicas["c1"]
+	c1.mu.Lock()
+	left, term := c1.electionTimeoutTicks()-c1.electionElapsed, c1.term
+	c1.mu.Unlock()
+	if want := 2 + electionJitter("c1", 0, et); left < 1 || left > want || term != 0 {
+		t.Fatalf("after a failed boot campaign: term %d, %d ticks before the next campaign; want term 0 and at most %d", term, left, want)
+	}
+	f.start(t, "w1")
+	f.start(t, "w2")
+	waitFor(t, 5*time.Second, "c1 to lead", func() bool { return c1.IsLeader() })
+	if st := c1.Status(); st.Term != 1 {
+		t.Errorf("c1 leads term %d, want 1", st.Term)
 	}
 }
 
@@ -833,7 +938,9 @@ func TestReplicaConflictHint(t *testing.T) {
 			recs = append(recs, durable.Record{Op: opClusterEntry, State: data})
 		}
 		j, recs := openJournal(t, filepath.Join(t.TempDir(), id+".journal"), recs...)
-		r := NewReplica(ReplicaConfig{ID: id, Peers: []string{"l", "f"}, Candidates: []string{"l"},
+		// No replica is a candidate: the test makes l lead by hand, and
+		// a boot campaign would race it.
+		r := NewReplica(ReplicaConfig{ID: id, Peers: []string{"l", "f"},
 			Transport: &peerTransport{id: id, m: tr}, Journal: j, Records: recs, Heartbeat: time.Hour})
 		tr.register(id, r)
 		t.Cleanup(r.Close)

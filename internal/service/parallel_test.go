@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -122,10 +123,11 @@ func TestGraphTopologyParamBounded(t *testing.T) {
 	if err := huge.Normalize().Validate(); err == nil {
 		t.Fatal("random-regular degree 10^6 at MaxGraphN validated")
 	}
-	// A param near MaxInt64 must be range-rejected before the
-	// degree·n product (which would overflow and wrap past the cap).
+	// A param of MaxInt must be range-rejected before the degree·n
+	// product (which would overflow and wrap past the cap where int is
+	// 64 bits).
 	overflow := Request{Protocol: "3-majority", N: 1000, K: 2, Mode: ModeGraph,
-		Topology: "ring", TopologyParam: 1 << 62}
+		Topology: "ring", TopologyParam: math.MaxInt}
 	if err := overflow.Normalize().Validate(); err == nil {
 		t.Fatal("overflowing topology_param validated")
 	}
